@@ -12,7 +12,7 @@ passed.  Inputs are made from ``--seed`` before the clock starts.
 
 With ``--trace 0`` the last line of output is a JSON object with the
 end-to-end metrics: medians over the runs of one invocation, with times
-scaled to the reference speed of the box (see ``REFERENCE_PROBE_S``).  With
+scaled to the reference speed of the box (see ``REFERENCE_SLICE_S``).  With
 ``--trace 1`` half the time goes to plain runs and half to traced runs, and
 the metrics are the per-layer ones.  The exit code is 0 when a result was
 printed; a failed job shows as ``"correct": false``, never as a missing
@@ -46,12 +46,20 @@ CHILD = HERE / "child.py"
 MIN_RUNS = 4  # runs per invocation at the least, however short --seconds is
 SETUP_PROBES = 8  # extra interpreters that only import the CLI
 SPEED_PROBES = 4  # probes before the first run; one more follows every run
-# About the median probe time of the reference box (2 cores, CPython 3.11.7).
-# That box's speed swings by up to 2x within minutes as other tenants come
-# and go, and run and probe times swing together, so every time is reported
-# at the reference speed: wall time x REFERENCE_PROBE_S / the median probe
-# time of the same invocation.
+# About the median probe time and slice time of the reference box (2 cores,
+# CPython 3.11.7).  That box's speed swings by up to 2x within minutes as
+# other tenants come and go, and all work swings with it, so every time is
+# reported at the reference speed.  A run's times are multiplied by
+# (REFERENCE_SLICE_S / the median of the reference slices it timed while its
+# jobs ran) ** SPEED_EXPONENT (child.Speedometer); set-up times by
+# REFERENCE_PROBE_S / the median probe interpreter of the invocation, a fresh
+# interpreter being the work set-up does.  The slices slow down more than the
+# library when the box is busy: over 40 invocations whose wall medians spread
+# by up to 0.28, run times moved as the 0.7th to 0.9th power of slice time
+# (1.1 on file-checks), and the exponent 0.8 left the least spread.
 REFERENCE_PROBE_S = 0.1
+REFERENCE_SLICE_S = 0.002
+SPEED_EXPONENT = 0.8
 DEADLINE_S = 170.0  # no child starts after this, and none outlives it
 TAIL_LEVELS = (99, 95, 90, 75, 50)
 
@@ -154,25 +162,38 @@ def end_to_end(
     runs: list[dict], setups: list[dict], probes: list[dict], level: int
 ) -> tuple[dict, list[str]]:
     probe_s = statistics.median(p["elapsed_s"] for p in probes)
-    scale = REFERENCE_PROBE_S / probe_s
+    speed = [
+        (REFERENCE_SLICE_S / statistics.median(r["slices_s"])) ** SPEED_EXPONENT for r in runs
+    ]
     samples = {
         "run_s": [r["run_s"] for r in runs],
         "setup_s": [r["elapsed_s"] for r in runs + setups],
         "job_ms": [o["latency_s"] * 1000 for r in runs for o in r["jobs"]],
     }
+    scaled = {
+        "run_s": [r["run_s"] * k for r, k in zip(runs, speed)],
+        "setup_s": [t * REFERENCE_PROBE_S / probe_s for t in samples["setup_s"]],
+        "job_ms": [o["latency_s"] * 1000 * k for r, k in zip(runs, speed) for o in r["jobs"]],
+    }
     wall = {name: statistics.median(v) for name, v in samples.items()}
+    values = {name: statistics.median(v) for name, v in scaled.items()}
     wall["job_tail_ms"] = percentile(samples["job_ms"], level)
+    values["job_tail_ms"] = percentile(scaled["job_ms"], level)
     wall["job_p50_ms"] = wall.pop("job_ms")
-    values = {name: v * scale for name, v in wall.items()}
+    values["job_p50_ms"] = values.pop("job_ms")
     values["peak_rss_mib"] = statistics.median(r["maxrss_kib"] / 1024 for r in runs)
-    beyond = sum(1 for x in samples["job_ms"] if x > wall["job_tail_ms"])
+    beyond = sum(1 for x in scaled["job_ms"] if x > values["job_tail_ms"])
     lines = [
         f"{name:14s} wall quartiles {q1:.6g} .. {q3:.6g} of {len(v)}"
         for name, v in samples.items()
         for q1, _, q3 in [statistics.quantiles(v, n=4, method="inclusive")]
     ]
     lines.append(f"job_tail_ms is p{level}, {beyond} jobs beyond it")
-    lines.append(f"probe median {probe_s:.6g} s of {len(probes)}: times scaled by {scale:.4f}")
+    lines.append(
+        f"probe median {probe_s:.6g} s of {len(probes)}: set-up times scaled by"
+        f" {REFERENCE_PROBE_S / probe_s:.4f}; run speed factors"
+        f" {min(speed):.4f} .. {max(speed):.4f} of {len(speed)}"
+    )
     for name, unit in END_TO_END_UNITS.items():
         if name in wall:
             lines.append(f"{name:14s} {values[name]:.6g} {unit}  (wall {wall[name]:.6g})")

@@ -187,23 +187,58 @@ MC_DENSE = {"degrees": [-1, 0, 0], "max_arity": 3, "residual_components": 14}
 MC_SMALL = {"degrees": [-1, 0], "max_arity": 2, "residual_components": 10}
 
 
+def apply_unary(table: dict, vector: dict) -> dict:
+    """The image of a vector under an arity-1 map table, without zero entries."""
+    image: dict = {}
+    for name, c in vector.items():
+        for out, d in table.get((name,), {}).items():
+            image[out] = image.get(out, 0) + c * d
+    return {name: c for name, c in image.items() if c}
+
+
+def commutes(first: dict, second: dict, basis) -> bool:
+    """Whether two arity-1 map tables commute on every basis vector."""
+    for name in basis:
+        vector = {name: 1}
+        if apply_unary(first, apply_unary(second, vector)) != apply_unary(
+            second, apply_unary(first, vector)
+        ):
+            return False
+    return True
+
+
 def dense_cochain(rng: random.Random, degrees: list[int], max_arity: int) -> dict:
     """A degree -1 cochain with every admissible entry filled.
 
     Stored maps act on the suspension (degrees shifted up by one); algebra
-    maps have map degree -1 and operator maps map degree 0.
+    maps have map degree -1 and operator maps map degree 0.  Which output
+    each input goes to is fixed, the k-th input to the (k mod n)-th of the n
+    outputs of its degree, and the seed draws only the coefficients: the
+    output pattern sets how many terms every bracket has, and with it the
+    work of a run, which should not change from seed to seed.
+
+    The arity-1 residual component of an operator T is the commutator
+    T m1 - m1 T with the arity-1 algebra map m1 (the only bracket with an
+    arity-1 output is l2(m1, T1)), so an arity-1 operator that commutes with
+    m1, such as a multiple of the identity, is drawn again.  Otherwise a
+    seed could drop that component and change the residual's shape.
     """
     suspended = {f"v{k + 1}": d + 1 for k, d in enumerate(degrees)}
     parts = []
+    tables = {}
     for tag in ("alg", "rbo_r", "rbo_s"):
         for arity in range(1, min(max_arity, 2 if tag == "alg" else 3) + 1):
             degree = -1 if tag == "alg" else 0
-            table = {}
-            for ins in itertools.product(suspended, repeat=arity):
-                target = sum(suspended[n] for n in ins) + degree
-                outs = [n for n in suspended if suspended[n] == target]
-                if outs:
-                    table[ins] = {rng.choice(outs): rng.choice(SCALARS)}
+            while True:
+                table = {}
+                for k, ins in enumerate(itertools.product(suspended, repeat=arity)):
+                    target = sum(suspended[n] for n in ins) + degree
+                    outs = [n for n in suspended if suspended[n] == target]
+                    if outs:
+                        table[ins] = {outs[k % len(outs)]: rng.choice(SCALARS)}
+                if tag == "alg" or arity > 1 or not commutes(table, tables["alg", 1], suspended):
+                    break
+            tables[tag, arity] = table
             parts.append({"tag": tag, "map": map_json(arity, degree, table)})
     return {
         "space": space_json(degrees),
@@ -416,12 +451,13 @@ def _mc_jobs(s: Session) -> None:
 def file_checks(s: Session, small: bool) -> None:
     for add in (_rbs_jobs, _ybp_jobs, _convert_jobs, _hrbs_jobs, _aybe_jobs, _mc_jobs):
         add(s)
-    seed = s.rng.randrange(10**6)
+    # The sizes of the random trials set this job's work, so their seed is
+    # fixed: the workload seed would move the run time by a few percent.
     s.add(
         "verify linfinity",
-        ["verify", "linfinity", "--dim", "2", "--trunc", "3", "--trials", "24", "--seed", str(seed)],
+        ["verify", "linfinity", "--dim", "2", "--trunc", "3", "--trials", "24", "--seed", "1"],
         0,
-        fields={"ok": True, "trials": 24, "seed": seed},
+        fields={"ok": True, "trials": 24, "seed": 1},
     )
 
 
