@@ -39,7 +39,7 @@ from .linfty import (
     twist_square_defects,
     verify_generalized_jacobi,
 )
-from .minimal_model import check_d_squared
+from .minimal_model import PRESENTATIONS, check_d_squared
 from .monomial_model import check_homotopy
 from .residuals import (
     HomotopyRBS,
@@ -57,7 +57,6 @@ from .yang_baxter import (
     ybp_to_rbs,
 )
 
-_PRESENTATIONS = {"mrs": ("m", "R", "S"), "xyz": ("x", "y", "z")}
 _WITNESS_CAP = 8
 
 
@@ -120,7 +119,7 @@ def _tensor_pair(data: dict, algebra: MatrixAlgebra) -> YBPair:
 
 
 def _cmd_verify_d_squared(args: argparse.Namespace) -> dict:
-    report = dict(check_d_squared(_PRESENTATIONS[args.presentation], args.max_arity))
+    report = dict(check_d_squared(PRESENTATIONS[args.presentation], args.max_arity))
     report["command"] = "verify d-squared"
     report["presentation"] = args.presentation
     return report
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = targets.add_parser(
         "d-squared", help="the differential squares to zero on free generators"
     )
-    p.add_argument("--presentation", choices=sorted(_PRESENTATIONS), default="mrs")
+    p.add_argument("--presentation", choices=sorted(PRESENTATIONS), default="mrs")
     p.add_argument("--max-arity", type=int, default=4)
     p.set_defaults(handler=_cmd_verify_d_squared)
 

@@ -39,16 +39,12 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .graded import GradedSpace, MultiMap, brace_map, compose_tensor
 from .sampling import random_multimap
-from .signs import koszul_chi, shuffles
+from .signs import koszul_chi, parity_sign, shuffles
 
 TAG_ALG = "alg"
 TAG_R = "rbo_r"
 TAG_S = "rbo_s"
 TAGS = (TAG_ALG, TAG_R, TAG_S)
-
-
-def _parity(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 def _staircase(degrees: Sequence[int]) -> int:
@@ -246,7 +242,7 @@ def suspend_alg_map(f: MultiMap) -> MultiMap:
     table: dict[tuple[str, ...], dict[str, Fraction]] = {}
     for ins, outs in f.table.items():
         degrees = [space.degree(name) for name in ins]
-        sign = _parity((f.arity - 1) * f.degree + _staircase(degrees))
+        sign = parity_sign((f.arity - 1) * f.degree + _staircase(degrees))
         table[ins] = {out: sign * coeff for out, coeff in outs.items()}
     return MultiMap(suspended, suspended, f.arity, f.degree + 1 - f.arity, table)
 
@@ -260,7 +256,7 @@ def desuspend_alg_map(m: MultiMap) -> MultiMap:
     table: dict[tuple[str, ...], dict[str, Fraction]] = {}
     for ins, outs in m.table.items():
         degrees = [space.degree(name) for name in ins]
-        sign = _parity((m.arity - 1) * degree + _staircase(degrees))
+        sign = parity_sign((m.arity - 1) * degree + _staircase(degrees))
         table[ins] = {out: sign * coeff for out, coeff in outs.items()}
     return MultiMap(space, space, m.arity, degree, table)
 
@@ -332,7 +328,7 @@ def _operator_terms(
         for sigma in itertools.permutations(range(1, n + 1)):
             permuted = [maps[s - 1] for s in sigma]
             pdeg = [degrees[s - 1] for s in sigma]
-            sign = koszul_chi(sigma, degrees) * _parity(n * f1 + _staircase(pdeg))
+            sign = koszul_chi(sigma, degrees) * parity_sign(n * f1 + _staircase(pdeg))
             _add(acc, tag, (outer * sign) * compose_tensor(F, permuted))
 
     # Brace terms: one operator climbs outside, the identity fills the slot
@@ -358,7 +354,7 @@ def _operator_terms(
                 _add(
                     acc,
                     TAG_R,
-                    (outer * chi * _parity(exponent)) * brace_map(pg[0], [inner]),
+                    (outer * chi * parity_sign(exponent)) * brace_map(pg[0], [inner]),
                 )
             if n - j >= 1:
                 exponent = (
@@ -373,7 +369,7 @@ def _operator_terms(
                 _add(
                     acc,
                     TAG_S,
-                    (outer * chi * _parity(exponent)) * brace_map(ph[0], [inner]),
+                    (outer * chi * parity_sign(exponent)) * brace_map(ph[0], [inner]),
                 )
 
 
@@ -395,9 +391,8 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
     alg_positions = [i for i, p in enumerate(pieces) if p.tag == TAG_ALG]
     if n == 2 and len(alg_positions) == 2:
         sf, sh = pieces[0].map, pieces[1].map
-        gerstenhaber = brace_map(sf, [sh]) - _parity(sf.degree * sh.degree) * brace_map(
-            sh, [sf]
-        )
+        swap = parity_sign(sf.degree * sh.degree)
+        gerstenhaber = brace_map(sf, [sh]) - swap * brace_map(sh, [sf])
         return CochainElement(space, {TAG_ALG: {gerstenhaber.arity: gerstenhaber}})
     if len(alg_positions) != 1:
         return CochainElement(space)
@@ -405,12 +400,6 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
     first = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_R]
     second = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_S]
     order = [a] + first + second
-    degrees = [p.degree for p in pieces]
-    exponent = 0
-    for x in range(len(order)):
-        for y in range(x + 1, len(order)):
-            if order[x] > order[y]:
-                exponent += 1 + degrees[order[x]] * degrees[order[y]]
     F = pieces[a].map
     if F.arity != n - 1:
         return CochainElement(space)
@@ -419,7 +408,7 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
         F,
         [pieces[i].map for i in first],
         [pieces[i].map for i in second],
-        _parity(exponent),
+        koszul_chi([i + 1 for i in order], [p.degree for p in pieces]),
         acc,
     )
     parts: dict[str, dict[int, MultiMap]] = {}
@@ -439,7 +428,7 @@ def _jacobi_terms(
     for i in range(2, n):  # the unary bracket vanishes, killing i = 1 and i = n
         j = n + 1 - i
         for sigma in shuffles((i, n - i)):
-            sign = _parity(i * (j - 1)) * koszul_chi(sigma, degrees)
+            sign = parity_sign(i * (j - 1)) * koszul_chi(sigma, degrees)
             inner = l_bracket(space, [pieces[s - 1] for s in sigma[:i]])
             if inner.is_zero():
                 continue
@@ -620,6 +609,8 @@ def verify_generalized_jacobi(
         raise ValueError("module dimension must be >= 1")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     space = GradedSpace((f"v{k + 1}", k) for k in range(dim))
     active = 0

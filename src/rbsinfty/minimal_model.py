@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .signs import inversion_sign
+from .signs import parity_sign
 from .trees import (
+    _FAMILY_MIN_ARITY,
     Generator,
     OperadElement,
     TreeMonomial,
@@ -29,6 +30,7 @@ from .trees import (
     brace,
     compose_at,
     gen,
+    graft_with_sign,
     identity_element,
 )
 
@@ -71,18 +73,6 @@ def eta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
     return i + load * k + before_j + tail
 
 
-#: The remaining printed exponent of the homotopy-cooperad section, kept as
-#: data only: the bound variable of its first sum does not occur in the
-#: summand (q and k appear unbound), so no executable form is defined here.
-#: The corresponding checks are covered through the (x, y, z) presentation.
-GAMMA_PRINTED = (
-    "gamma = sum_{j=1}^{p-1} (q-k) r_k + p - 1"
-    " + (sum_{k=2}^{p} r_k)(r_1 - i)"
-    " + sum_{k=2}^{j} (r_k - 1)"
-    " + sum_{k=2}^{p} (r_k - 1)(p - k)"
-)
-
-
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Ordered k-tuples of positive integers summing to n.
 
@@ -103,7 +93,7 @@ def _diff_m(n: int) -> OperadElement:
     total = OperadElement.zero(n)
     for j in range(2, n):
         for i in range(1, n - j + 2):
-            sign = (-1) ** (i + j * (n - i))
+            sign = parity_sign(i + j * (n - i))
             total = total + sign * compose_at(gen("m", n - j + 1), i, gen("m", j))
     return total
 
@@ -140,7 +130,7 @@ def _diff_operator(n: int, family: str) -> OperadElement:
     total = OperadElement.zero(n)
     for k in range(2, n + 1):
         for parts in compositions(n, k):
-            sign = (-1) ** alpha_exponent(k, parts)
+            sign = parity_sign(alpha_exponent(k, parts))
             total = total + sign * _operator_row(k, parts, family)
     for p in range(2, n + 1):
         for parts in compositions(n, p):
@@ -149,7 +139,7 @@ def _diff_operator(n: int, family: str) -> OperadElement:
             for j in range(1, p + 1):
                 inner = _mixed_row(p, j, parts)
                 for i in range(1, r1 + 1):
-                    sign = (-1) ** beta_exponent(p, j, i, parts)
+                    sign = parity_sign(beta_exponent(p, j, i, parts))
                     total = total + sign * compose_at(outer, i, inner)
     return total
 
@@ -216,62 +206,34 @@ def replace_vertex(
     left to right.  Returns the new monomial and the Koszul sign of
     reordering the vertex list (with the block of ``u``'s vertices standing
     in the removed vertex's position) into the planar order of the result.
+    The vertices outside the removed vertex's subtree keep their places, so
+    that sign is the sign of grafting the vertex's subtrees onto ``u``.
     """
-    labels = t.vertices()
-    if not 0 <= index < len(labels):
+    if not 0 <= index < t.weight:
         raise ValueError(f"no vertex at planar index {index}")
-    if u.arity != labels[index].arity:
-        raise ValueError(
-            f"replacement arity {u.arity} != vertex arity {labels[index].arity}"
-        )
+    planar_index = itertools.count()
+    sign = 1
 
-    tags = itertools.count()
-    t_tags: list[tuple[int, int]] = []
-
-    def tag_tree(node, acc):
+    def rebuild(node):
+        nonlocal sign
         if node is None:
             return None
         generator, children = node
-        tag = next(tags)
-        acc.append((tag, generator.degree))
-        return (tag, generator, tuple(tag_tree(c, acc) for c in children))
+        if next(planar_index) != index:
+            return (generator, tuple(rebuild(c) for c in children))
+        if u.arity != generator.arity:
+            raise ValueError(
+                f"replacement arity {u.arity} != vertex arity {generator.arity}"
+            )
+        subtrees = {
+            leaf: TreeMonomial(child)
+            for leaf, child in enumerate(children, 1)
+            if child is not None
+        }
+        grafted, sign = graft_with_sign(u, subtrees)
+        return grafted.root
 
-    tagged_t = tag_tree(t.root, t_tags)
-    u_tags: list[tuple[int, int]] = []
-    tagged_u = tag_tree(u.root, u_tags)
-
-    # splice: replace the vertex whose tag is `index` (tags were allocated in
-    # planar order) by tagged_u, hanging the vertex's children off u's leaves
-    def splice_u(node, children_iter):
-        if node is None:
-            return next(children_iter)
-        tag, generator, children = node
-        return (tag, generator, tuple(splice_u(c, children_iter) for c in children))
-
-    def rebuild(node):
-        if node is None:
-            return None
-        tag, generator, children = node
-        if tag == index:
-            return splice_u(tagged_u, iter(children))
-        return (tag, generator, tuple(rebuild(c) for c in children))
-
-    combined = rebuild(tagged_t)
-
-    concatenation = t_tags[:index] + u_tags + t_tags[index + 1 :]
-    target_order: list[int] = []
-
-    def strip(node):
-        if node is None:
-            return None
-        tag, generator, children = node
-        target_order.append(tag)
-        return (generator, tuple(strip(c) for c in children))
-
-    result = TreeMonomial(strip(combined))
-    if not concatenation:  # replacing the only vertex by the identity tree
-        return result, 1
-    return result, inversion_sign(concatenation, target_order)
+    return TreeMonomial(rebuild(t.root)), sign
 
 
 DiffMap = Callable[[Generator], OperadElement]
@@ -290,7 +252,7 @@ def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
         for index, label in enumerate(tree.vertices()):
             image = diff_of(label)
             if not image.is_zero():
-                outer_sign = (-1) ** prefix
+                outer_sign = parity_sign(prefix)
                 for u_tree, u_coeff in image.terms.items():
                     new_tree, sign = replace_vertex(tree, index, u_tree)
                     value = accum.get(new_tree, Fraction(0))
@@ -317,15 +279,12 @@ PRESENTATIONS = {
     "xyz": ("x", "y", "z"),
 }
 
-_MIN_ARITY = {"m": 2, "R": 1, "S": 1, "x": 2, "y": 1, "z": 1}
-
-
 def presentation_generators(
     families: Iterable[str], max_arity: int
 ) -> list[Generator]:
     out = []
     for family in families:
-        for n in range(_MIN_ARITY[family], max_arity + 1):
+        for n in range(_FAMILY_MIN_ARITY[family], max_arity + 1):
             out.append(gen(family, n))
     return out
 

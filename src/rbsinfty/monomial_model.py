@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .minimal_model import extend_derivation
+from .minimal_model import compositions, extend_derivation
+from .signs import parity_sign
 from .trees import (
     Generator,
     Node,
@@ -53,13 +54,13 @@ def diff_bar(g: Generator) -> OperadElement:
     total = OperadElement.zero(n)
     if g.family == "m":
         for j in range(2, n):
-            sign = (-1) ** (1 + j * (n - 1))
+            sign = parity_sign(1 + j * (n - 1))
             total = total + sign * compose_at(gen("m", n - j + 1), 1, gen("m", j))
         return total
     if g.family in ("R", "S"):
         for r1 in range(1, n):
             r2 = n - r1
-            sign = (-1) ** (r1 * (r2 - 1))
+            sign = parity_sign(r1 * (r2 - 1))
             term = compose_at(
                 compose_at(gen(g.family, r1), 1, gen("m", 2)), 1, gen("R", r2)
             )
@@ -242,7 +243,7 @@ def homotopy_H(t: TreeMonomial) -> OperadElement:
     omega = sum(label.degree for label in labels[: location.root_index])
     replacement = gen(location.kind, labels[location.root_index].arity + 1)
     contracted = _contract_divisor(t, location.root_index, location.kind)
-    coeff = Fraction((-1) ** omega, 1) / _leading_coefficient(replacement)
+    coeff = Fraction(parity_sign(omega)) / _leading_coefficient(replacement)
     return OperadElement.monomial(contracted, coeff)
 
 
@@ -306,7 +307,7 @@ def enumerate_monomials(
         for k, gens_k in by_arity.items():
             if k > n:
                 continue
-            for composition in _splits(n, k):
+            for composition in compositions(n, k):
                 for weights in _weak_compositions(w - 1, k):
                     child_pools = [
                         exact(composition[t], weights[t]) for t in range(k)
@@ -317,11 +318,6 @@ def enumerate_monomials(
                         for g in gens_k:
                             out.append((g, kids))
         return tuple(out)
-
-    def _splits(n: int, k: int) -> Iterator[tuple[int, ...]]:
-        for cuts in itertools.combinations(range(1, n), k - 1):
-            bounds = (0,) + cuts + (n,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
     for n in range(1, max_arity + 1):
         for w in range(min_weight, max_weight + 1):

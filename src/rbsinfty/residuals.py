@@ -13,6 +13,7 @@ from typing import Mapping, Optional
 
 from .graded import BasedAlgebra, GradedSpace, MultiMap, compose_tensor
 from .minimal_model import compositions
+from .signs import parity_sign
 
 
 def _validated_family(
@@ -134,7 +135,7 @@ def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
             continue
         for i in range(outer_arity):
             k = outer_arity - 1 - i
-            sign = -1 if (i + j * k) % 2 else 1
+            sign = parity_sign(i + j * k)
             total = total + sign * _plug(outer, i, inner, k)
     return total
 
@@ -153,7 +154,7 @@ def _operator_lhs(structure: HomotopyRBS, n: int, family) -> MultiMap:
             delta = k * (k - 1) // 2 + sum(
                 (k - j) * parts_arities[j - 1] for j in range(1, k + 1)
             )
-            sign = -1 if delta % 2 else 1
+            sign = parity_sign(delta)
             total = total + sign * compose_tensor(m_k, parts)
     return total
 
@@ -189,7 +190,7 @@ def _operator_rhs(structure: HomotopyRBS, n: int, outer_family) -> MultiMap:
                 for i in range(r[0]):
                     k = r[0] - 1 - i
                     eta = i + (p + tail_weight) * k + base
-                    sign = -1 if eta % 2 else 1
+                    sign = parity_sign(eta)
                     total = total + sign * _plug(outer, i, inner, k)
     return total
 
@@ -226,7 +227,7 @@ def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:
             left, right = family(i), family(j)
             if left is None or right is None:
                 continue
-            sign = -1 if (i + 1) % 2 else 1
+            sign = parity_sign(i + 1)
             lhs = lhs + sign * compose_tensor(m2, [left, right])
     rhs = MultiMap.zero(space, space, n, n - 2)
     if m2 is not None:
@@ -239,15 +240,15 @@ def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:
             if r_q is not None:
                 inner = compose_tensor(m2, [r_q, None])
                 for i in range(p):
-                    sign = -1 if (i + (q - 1) * (p - i)) % 2 else 1
+                    sign = parity_sign(i + (q - 1) * (p - i))
                     rhs = rhs + sign * _plug(outer, i, inner, p - i - 1)
             if s_q is not None:
                 inner = compose_tensor(m2, [None, s_q])
                 for i in range(p):
-                    sign = -1 if (i + (q - 1) * (p - i - 1)) % 2 else 1
+                    sign = parity_sign(i + (q - 1) * (p - i - 1))
                     rhs = rhs + sign * _plug(outer, i, inner, p - i - 1)
     if m1 is not None and family(n) is not None:
-        sign = -1 if (n - 1) % 2 else 1
+        sign = parity_sign(n - 1)
         for i in range(n):
             rhs = rhs + sign * _plug(family(n), i, m1, n - i - 1)
     return lhs - rhs

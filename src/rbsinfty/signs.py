@@ -6,8 +6,11 @@ live in exactly one place:
 
 * reordering graded objects x_1 ... x_n into x_{sigma(1)} ... x_{sigma(n)}
   multiplies by ``(-1)**(|x_a| * |x_b|)`` for every pair that exchanges
-  positions (the Koszul sign ``epsilon``);
+  positions (the Koszul sign ``epsilon``); ``inversion_sign`` is the one
+  loop that computes it, and the signature is ``epsilon`` with every degree
+  odd;
 * ``chi`` is ``epsilon`` times the ordinary signature of the permutation;
+* ``parity_sign(e)`` is ``(-1)**e``;
 * shuffles enumerate the permutations that stay increasing on each of a
   list of consecutive blocks.
 
@@ -29,6 +32,15 @@ def _check_permutation(sigma: Sequence[int], n: int) -> None:
         raise ValueError(f"not a permutation of 1..{n}: {tuple(sigma)}")
 
 
+def parity_sign(exponent: int) -> int:
+    """``(-1)**exponent`` as an int, for any integer exponent.
+
+    >>> parity_sign(3), parity_sign(-2)
+    (-1, 1)
+    """
+    return -1 if exponent % 2 else 1
+
+
 def koszul_epsilon(sigma: Sequence[int], degs: Sequence[int]) -> int:
     """Sign for reordering x_1 ... x_n into x_{sigma(1)} ... x_{sigma(n)}.
 
@@ -39,25 +51,15 @@ def koszul_epsilon(sigma: Sequence[int], degs: Sequence[int]) -> int:
     >>> koszul_epsilon((2, 1), (1, 2))
     1
     """
-    n = len(degs)
-    if len(sigma) != n:
+    if len(sigma) != len(degs):
         raise ValueError("permutation and degree sequence lengths differ")
-    _check_permutation(sigma, n)
-    exponent = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if sigma[a] > sigma[b]:
-                exponent += degs[sigma[a] - 1] * degs[sigma[b] - 1]
-    return -1 if exponent % 2 else 1
+    _check_permutation(sigma, len(degs))
+    return inversion_sign(list(enumerate(degs, 1)), sigma)
 
 
 def permutation_sign(sigma: Sequence[int]) -> int:
     """Ordinary signature: (-1)**(number of inversions)."""
-    _check_permutation(sigma, len(sigma))
-    inversions = sum(
-        1 for a in range(len(sigma)) for b in range(a + 1, len(sigma)) if sigma[a] > sigma[b]
-    )
-    return -1 if inversions % 2 else 1
+    return koszul_epsilon(sigma, (1,) * len(sigma))
 
 
 def koszul_chi(sigma: Sequence[int], degs: Sequence[int]) -> int:
@@ -108,8 +110,8 @@ def inversion_sign(tagged: Sequence[tuple[int, int]], target_order: Sequence[int
     ``tagged`` is a list of ``(tag, degree)`` pairs in their current order;
     ``target_order`` lists the same tags in the desired order.  The sign is
     the product of ``(-1)**(deg_a * deg_b)`` over all pairs whose relative
-    order flips.  This is the workhorse behind the grafting sign convention
-    for tree monomials.
+    order flips.  This is the one inversion loop of the package: the Koszul
+    signs above and the grafting signs of tree monomials all reduce to it.
     """
     position = {tag: k for k, (tag, _) in enumerate(tagged)}
     if len(position) != len(tagged):
@@ -122,4 +124,4 @@ def inversion_sign(tagged: Sequence[tuple[int, int]], target_order: Sequence[int
         for b in range(a + 1, len(target_order)):
             if position[target_order[a]] > position[target_order[b]]:
                 exponent += degree_of[target_order[a]] * degree_of[target_order[b]]
-    return -1 if exponent % 2 else 1
+    return parity_sign(exponent)

@@ -10,7 +10,11 @@ The sign convention used everywhere: when trees are grafted, the vertices of
 the inputs are concatenated (outer tree first, then the grafted trees ordered
 by the leaf they occupy) and the coefficient is multiplied by the Koszul sign
 of reordering that list into the planar (depth-first, root before subtrees,
-left to right) order of the resulting tree.
+left to right) order of the resulting tree.  The vertices of one grafted tree
+keep their relative order, and so do those of the outer tree, so each grafted
+tree may be taken as a single letter whose degree is its total degree: the
+sign is (-1) to the sum, over the grafted trees, of that degree times the
+degrees of the outer vertices that follow its leaf in planar order.
 """
 
 from __future__ import annotations
@@ -289,60 +293,34 @@ def graft_with_sign(
     there.  The sign is that of reordering the concatenated vertex list
     (vertices of ``f`` in planar order, then the vertices of each grafted
     tree in increasing order of the occupied leaf) into the planar order of
-    the result.
+    the result.  A grafted tree moves as a block, so it enters the sign as a
+    single letter of its total degree.
     """
     for i in assignment:
         if not 1 <= i <= f.arity:
             raise ValueError(f"leaf index {i} out of range 1..{f.arity}")
 
-    tags = itertools.count()
-    tagged_degrees: list[tuple[int, int]] = []
-
-    def tag_subtree(node: Node):
-        if node is None:
-            return None
-        generator, children = node
-        tag = next(tags)
-        tagged_degrees.append((tag, generator.degree))
-        return (tag, generator, tuple(tag_subtree(c) for c in children))
-
+    # letters: the vertices of f tagged 0, 1, ... in planar order, then the
+    # grafted tree at leaf i tagged -i
+    letters: list[tuple[int, int]] = []
+    planar: list[int] = []
     leaf_numbers = itertools.count(1)
 
-    def tag_outer(node: Node):
+    def walk(node: Node) -> Node:
         if node is None:
-            return ("leaf", next(leaf_numbers))
+            i = next(leaf_numbers)
+            if i not in assignment:
+                return None
+            planar.append(-i)
+            return assignment[i].root
         generator, children = node
-        tag = next(tags)
-        tagged_degrees.append((tag, generator.degree))
-        return (tag, generator, tuple(tag_outer(c) for c in children))
+        planar.append(len(letters))
+        letters.append((len(letters), generator.degree))
+        return (generator, tuple(walk(c) for c in children))
 
-    outer = tag_outer(f.root)
-    grafted = {i: tag_subtree(assignment[i].root) for i in sorted(assignment)}
-
-    def substitute(node):
-        if node is None:
-            return None
-        if node[0] == "leaf":
-            if node[1] in grafted:
-                return grafted[node[1]]
-            return node
-        tag, generator, children = node
-        return (tag, generator, tuple(substitute(c) for c in children))
-
-    combined = substitute(outer)
-
-    target_order: list[int] = []
-
-    def strip(node) -> Node:
-        if node is None or node[0] == "leaf":
-            return None
-        tag, generator, children = node
-        target_order.append(tag)
-        return (generator, tuple(strip(c) for c in children))
-
-    result = TreeMonomial(strip(combined))
-    sign = inversion_sign(tagged_degrees, target_order)
-    return result, sign
+    result = TreeMonomial(walk(f.root))
+    letters += [(-i, assignment[i].degree) for i in sorted(assignment)]
+    return result, inversion_sign(letters, planar)
 
 
 # ---------------------------------------------------------------------------

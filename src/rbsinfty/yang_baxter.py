@@ -25,6 +25,7 @@ from .graded import (
     tensor_product_multiply,
 )
 from .residuals import HomotopyRBS
+from .signs import parity_sign
 
 
 def F_map(t: TensorElem) -> MultiMap:
@@ -243,10 +244,6 @@ def _zero_tensor(pair: InfinityYBPair, order: int) -> TensorElem:
     return TensorElem.zero(pair.algebra, order)
 
 
-def _parity_sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
-
-
 def _piece_1(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
     """-sum_k ( d^k * t_{n+1} - (-1)^{n-1} t_{n+1} * d^k )."""
     t = _family(pair, family)(n + 1)
@@ -256,7 +253,7 @@ def _piece_1(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
     d = pair.d()
     if d.is_zero():
         return total
-    sign = _parity_sign(n - 1)
+    sign = parity_sign(n - 1)
     for k in range(1, n + 2):
         dk = raise_indices(d, (k,), n + 1)
         total = total - (
@@ -276,7 +273,7 @@ def _piece_2(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
             continue
         left_raised = raise_indices(left, tuple(range(1, i + 2)), n + 1)
         right_raised = raise_indices(right, tuple(range(i + 1, n + 2)), n + 1)
-        total = total + _parity_sign(1 + i) * tensor_product_multiply(
+        total = total + parity_sign(1 + i) * tensor_product_multiply(
             left_raised, right_raised
         )
     return total
@@ -298,7 +295,7 @@ def _piece_3(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
         for s in range(1, i + 1):
             outer_raised = raise_indices(outer, _straddle_slots(s, j, n), n + 1)
             inner_raised = raise_indices(inner, tuple(range(s, s + j + 1)), n + 1)
-            sign = _parity_sign((s - 1) + (j - 1) * (i - s + 1))
+            sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
             total = total + sign * tensor_product_multiply(outer_raised, inner_raised)
     return total
 
@@ -317,7 +314,7 @@ def _piece_4(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
             inner_raised = raise_indices(
                 inner, tuple(range(s + 1, s + j + 2)), n + 1
             )
-            sign = _parity_sign((s - 1) + (j - 1) * (i - s))
+            sign = parity_sign((s - 1) + (j - 1) * (i - s))
             total = total + sign * tensor_product_multiply(inner_raised, outer_raised)
     return total
 
@@ -370,7 +367,7 @@ def inner_derivation(d: TensorElem, algebra: BasedAlgebra) -> MultiMap:
             name: -c
             for name, c in algebra.multiply(d_coeffs, {x: Fraction(1)}).items()
         }
-        sign = _parity_sign(space.degree(x))
+        sign = parity_sign(space.degree(x))
         for name, c in algebra.multiply({x: Fraction(1)}, d_coeffs).items():
             value[name] = value.get(name, Fraction(0)) + sign * c
         if any(value.values()):
@@ -394,7 +391,7 @@ def equivalence_identity_1(
     m1 = inner_derivation(pair.d(), pair.algebra)
     T = _operator(pair, family, n)
     map_side = compose_tensor(m1, [T])
-    sign = _parity_sign(n - 1)
+    sign = parity_sign(n - 1)
     for i in range(n):
         map_side = map_side - sign * insert(T, i + 1, m1)
     return map_side, _piece_1(pair, n, family)
@@ -409,7 +406,7 @@ def equivalence_identity_2(
     map_side = MultiMap.zero(space, space, n, n - 2)
     for i in range(1, n):
         j = n - i
-        map_side = map_side + _parity_sign(1 + i) * compose_tensor(
+        map_side = map_side + parity_sign(1 + i) * compose_tensor(
             m2, [_operator(pair, family, i), _operator(pair, family, j)]
         )
     return map_side, _piece_2(pair, n, family)
@@ -427,7 +424,7 @@ def equivalence_identity_3(
         outer = _operator(pair, family, i)
         inner = compose_tensor(m2, [_operator(pair, "r", j), None])
         for s in range(1, i + 1):
-            sign = _parity_sign((s - 1) + (j - 1) * (i - s + 1))
+            sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
             map_side = map_side + sign * insert(outer, s, inner)
     return map_side, _piece_3(pair, n, family)
 
@@ -444,7 +441,7 @@ def equivalence_identity_4(
         outer = _operator(pair, family, i)
         inner = compose_tensor(m2, [None, _operator(pair, "s", j)])
         for s in range(1, i + 1):
-            sign = _parity_sign((s - 1) + (j - 1) * (i - s))
+            sign = parity_sign((s - 1) + (j - 1) * (i - s))
             map_side = map_side + sign * insert(outer, s, inner)
     return map_side, _piece_4(pair, n, family)
 

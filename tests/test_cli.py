@@ -373,6 +373,33 @@ def test_non_object_top_level_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_zero_denominator_coefficient_exits_2(capsys, tmp_path):
+    algebra, R, S = diagonal_triple()
+    product = algebra.product_map().to_json()
+    first = product["entries"][0]
+    first["out"] = {name: "1/0" for name in first["out"]}
+    path = dump(
+        tmp_path,
+        "mc_zero_denominator.json",
+        {
+            "space": PLANE.to_json(),
+            "product": product,
+            "R": R.to_json(),
+            "S": S.to_json(),
+        },
+    )
+    code, report = run(capsys, "check", "mc", path)
+    assert code == 2
+    assert "1/0" in report["error"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_linfinity_refuses_an_empty_trial_count(capsys, trials):
+    code, report = run(capsys, "verify", "linfinity", "--trials", trials)
+    assert code == 2
+    assert "trials" in report["error"]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "nonsense"])
