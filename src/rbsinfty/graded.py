@@ -19,6 +19,8 @@ Rational = Union[Fraction, int]
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -50,7 +52,10 @@ class GradedSpace:
         return self._names
 
     def degree(self, name: str) -> int:
-        return self._degrees[name]
+        try:
+            return self._degrees[name]
+        except KeyError:
+            raise ValueError(f"unknown basis name {name!r}") from None
 
     @property
     def dim(self) -> int:
@@ -88,6 +93,11 @@ class MultiMap:
 
     `table` maps input basis-name tuples to output coefficient dicts; every
     stored entry satisfies deg(out) = sum(deg(inputs)) + degree.
+
+    The constructor is the one place where coefficients are combined: it
+    takes a mapping or an iterable of ``(inputs, outputs)`` pairs in which an
+    input tuple may repeat, sums the outputs of a repeated tuple, drops the
+    coefficients that cancel and validates what is left.
     """
 
     __slots__ = ("space_in", "space_out", "arity", "degree", "table")
@@ -98,7 +108,9 @@ class MultiMap:
         space_out: GradedSpace,
         arity: int,
         degree: int,
-        table: Optional[Mapping[tuple, Mapping[str, Rational]]] = None,
+        table: Union[
+            Mapping[tuple, Mapping[str, Rational]], Iterable[tuple], None
+        ] = None,
     ):
         if arity < 1:
             raise ValueError(f"arity must be >= 1, got {arity}")
@@ -106,22 +118,28 @@ class MultiMap:
         self.space_out = space_out
         self.arity = arity
         self.degree = degree
-        clean: dict[tuple[str, ...], dict[str, Fraction]] = {}
-        for ins, outs in (table or {}).items():
+        if hasattr(table, "items"):
+            table = table.items()
+        merged: dict[tuple[str, ...], dict[str, Fraction]] = {}
+        for ins, outs in table or ():
             ins = tuple(ins)
-            if len(ins) != arity:
-                raise ValueError(f"input tuple {ins} does not match arity {arity}")
-            in_degree = sum(space_in.degree(name) for name in ins)
-            row: dict[str, Fraction] = {}
+            row = merged.get(ins)
+            if row is None:
+                row = merged[ins] = {}
             for out, coeff in outs.items():
                 coeff = _frac(coeff)
-                if coeff == 0:
-                    continue
-                if space_out.degree(out) != in_degree + degree:
+                row[out] = row[out] + coeff if out in row else coeff
+        clean: dict[tuple[str, ...], dict[str, Fraction]] = {}
+        for ins, row in merged.items():
+            if len(ins) != arity:
+                raise ValueError(f"input tuple {ins} does not match arity {arity}")
+            out_degree = sum(space_in.degree(name) for name in ins) + degree
+            row = {out: coeff for out, coeff in row.items() if coeff}
+            for out in row:
+                if space_out.degree(out) != out_degree:
                     raise ValueError(
                         f"entry {ins} -> {out} violates homogeneity of degree {degree}"
                     )
-                row[out] = coeff
             if row:
                 clean[ins] = row
         self.table = clean
@@ -135,6 +153,23 @@ class MultiMap:
     @classmethod
     def identity(cls, space: GradedSpace) -> "MultiMap":
         return cls(space, space, 1, 0, {(n,): {n: Fraction(1)} for n in space})
+
+    @classmethod
+    def sum(
+        cls, space_in, space_out, arity, degree, maps: Iterable["MultiMap"]
+    ) -> "MultiMap":
+        """The sum of maps of one shape, built in one table.
+
+        The sum takes the degree of its first nonzero term; `degree` is the
+        degree of the zero map returned when every term is zero.
+        """
+        maps = list(maps)
+        for m in maps:
+            if m.space_in != space_in or m.space_out != space_out or m.arity != arity:
+                raise ValueError("maps live on different spaces or arities")
+        degree = next((m.degree for m in maps if m.table), degree)
+        rows = (row for m in maps for row in m.table.items())
+        return cls(space_in, space_out, arity, degree, rows)
 
     # -- queries ------------------------------------------------------------
 
@@ -150,28 +185,10 @@ class MultiMap:
 
     # -- linear structure ---------------------------------------------------
 
-    def _compatible(self, other: "MultiMap"):
-        if (
-            self.space_in != other.space_in
-            or self.space_out != other.space_out
-            or self.arity != other.arity
-        ):
-            raise ValueError("maps live on different spaces or arities")
-        if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
-            raise ValueError(
-                f"cannot combine maps of degrees {self.degree} and {other.degree}"
-            )
-
     def __add__(self, other: "MultiMap") -> "MultiMap":
-        self._compatible(other)
-        degree = other.degree if self.is_zero() else self.degree
-        table: dict[tuple, dict[str, Fraction]] = {}
-        for source in (self.table, other.table):
-            for ins, outs in source.items():
-                row = table.setdefault(ins, {})
-                for out, coeff in outs.items():
-                    row[out] = row.get(out, Fraction(0)) + coeff
-        return MultiMap(self.space_in, self.space_out, self.arity, degree, table)
+        return MultiMap.sum(
+            self.space_in, self.space_out, self.arity, other.degree, (self, other)
+        )
 
     def __neg__(self) -> "MultiMap":
         return self.__rmul__(-1)
@@ -227,11 +244,18 @@ class MultiMap:
 
     @classmethod
     def from_json(cls, space_in, space_out, data: Mapping) -> "MultiMap":
-        table = {
-            tuple(e["in"]): {o: _frac(c) for o, c in e["out"].items()}
-            for e in data.get("entries", [])
-        }
+        table = [(tuple(e["in"]), e["out"]) for e in data.get("entries", [])]
+        _reject_repeats(ins for ins, _ in table)
         return cls(space_in, space_out, data["arity"], data["degree"], table)
+
+
+def _reject_repeats(keys: Iterable[tuple]) -> None:
+    """Refuse a serialized table that lists one key twice."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"entry {list(key)} is listed more than once")
+        seen.add(key)
 
 
 def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap:
@@ -259,7 +283,7 @@ def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap
 
     arity = sum(1 if part is None else part.arity for part in parts)
     degree = f.degree + sum(0 if part is None else part.degree for part in parts)
-    out = MultiMap.zero(space_in, f.space_out, arity, degree)
+    rows = []
     for fins, fouts in f.table.items():
         options = []
         feasible = True
@@ -279,7 +303,6 @@ def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap
             options.append(slot_options)
         if not feasible:
             continue
-        table: dict[tuple, dict[str, Fraction]] = {}
         for choice in itertools.product(*options):
             sign_exp = 0
             left_degree = 0
@@ -294,11 +317,8 @@ def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap
             if sign_exp % 2:
                 coeff = -coeff
             ins = tuple(itertools.chain.from_iterable(blocks))
-            row = table.setdefault(ins, {})
-            for fout, fc in fouts.items():
-                row[fout] = row.get(fout, Fraction(0)) + coeff * fc
-        out = out + MultiMap(space_in, f.space_out, arity, degree, table)
-    return out
+            rows.append((ins, {fout: coeff * fc for fout, fc in fouts.items()}))
+    return MultiMap(space_in, f.space_out, arity, degree, rows)
 
 
 def insert(f: MultiMap, position: int, g: MultiMap) -> MultiMap:
@@ -314,19 +334,15 @@ def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
     """Sum of compositions of f with args at all increasing slot choices."""
     if not args:
         return f
-    if len(args) > f.arity:
-        first = args[0]
-        arity = f.arity - len(args) + sum(a.arity for a in args)
-        degree = f.degree + sum(a.degree for a in args)
-        return MultiMap.zero(first.space_in, f.space_out, max(arity, 1), degree)
-    total = None
+    arity = f.arity - len(args) + sum(a.arity for a in args)
+    degree = f.degree + sum(a.degree for a in args)
+    terms = []
     for slots in itertools.combinations(range(f.arity), len(args)):
         parts: list[Optional[MultiMap]] = [None] * f.arity
         for slot, arg in zip(slots, args):
             parts[slot] = arg
-        term = compose_tensor(f, parts)
-        total = term if total is None else total + term
-    return total
+        terms.append(compose_tensor(f, parts))
+    return MultiMap.sum(args[0].space_in, f.space_out, max(arity, 1), degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +362,7 @@ class BasedAlgebra:
         unit: Mapping[str, Rational],
     ):
         self.space = space
-        clean: dict[tuple[str, str], dict[str, Fraction]] = {}
-        for (a, b), outs in products.items():
-            row = {c: _frac(v) for c, v in outs.items() if _frac(v) != 0}
-            for c in row:
-                if space.degree(c) != space.degree(a) + space.degree(b):
-                    raise ValueError(f"product {a}*{b} -> {c} breaks the grading")
-            if row:
-                clean[(a, b)] = row
-        self.products = clean
+        self.products = MultiMap(space, space, 2, 0, products).table
         self.unit = {n: _frac(c) for n, c in unit.items() if _frac(c) != 0}
 
     def multiply_basis(self, a: str, b: str) -> dict[str, Fraction]:
@@ -363,16 +371,17 @@ class BasedAlgebra:
     def multiply(
         self, x: Mapping[str, Fraction], y: Mapping[str, Fraction]
     ) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for c, v in self.products.get((a, b), {}).items():
-                    coeff = out.get(c, Fraction(0)) + ca * cb * v
-                    if coeff:
-                        out[c] = coeff
-                    elif c in out:
-                        del out[c]
-        return out
+        product = TensorElem(
+            self,
+            1,
+            (
+                ((c,), ca * cb * v)
+                for a, ca in x.items()
+                for b, cb in y.items()
+                for c, v in self.products.get((a, b), {}).items()
+            ),
+        )
+        return {c: coeff for (c,), coeff in product.table.items()}
 
     def is_associative(self) -> bool:
         for a, b, c in itertools.product(self.space.names, repeat=3):
@@ -392,8 +401,7 @@ class BasedAlgebra:
 
     def product_map(self) -> MultiMap:
         """The multiplication as an arity-2, degree-0 MultiMap."""
-        table = {(a, b): outs for (a, b), outs in self.products.items()}
-        return MultiMap(self.space, self.space, 2, 0, table)
+        return MultiMap(self.space, self.space, 2, 0, self.products)
 
     def __eq__(self, other):
         if not isinstance(other, BasedAlgebra):
@@ -442,7 +450,13 @@ class MatrixAlgebra(BasedAlgebra):
 
 
 class TensorElem:
-    """A sparse element of A^(⊗ order) over a based algebra A."""
+    """A sparse element of A^(⊗ order) over a based algebra A.
+
+    The constructor is the one place where coefficients are combined: it
+    takes a mapping or an iterable of ``(factors, coefficient)`` pairs in
+    which a factor tuple may repeat, sums repeated tuples, drops those that
+    cancel and checks each tuple's length and basis names.
+    """
 
     __slots__ = ("algebra", "order", "table")
 
@@ -450,30 +464,37 @@ class TensorElem:
         self,
         algebra: BasedAlgebra,
         order: int,
-        table: Optional[Mapping[tuple, Rational]] = None,
+        table: Union[Mapping[tuple, Rational], Iterable[tuple], None] = None,
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         self.algebra = algebra
         self.order = order
-        clean: dict[tuple[str, ...], Fraction] = {}
-        for factors, coeff in (table or {}).items():
+        if hasattr(table, "items"):
+            table = table.items()
+        merged: dict[tuple[str, ...], Fraction] = {}
+        for factors, coeff in table or ():
             factors = tuple(factors)
+            coeff = _frac(coeff)
+            merged[factors] = merged[factors] + coeff if factors in merged else coeff
+        for factors in merged:
             if len(factors) != order:
                 raise ValueError(f"factor tuple {factors} does not match order {order}")
             for name in factors:
-                if name not in algebra.space.names:
-                    raise ValueError(f"unknown basis name {name!r}")
-            coeff = _frac(coeff)
-            if coeff:
-                clean[factors] = clean.get(factors, Fraction(0)) + coeff
-                if not clean[factors]:
-                    del clean[factors]
-        self.table = clean
+                algebra.space.degree(name)
+        self.table = {factors: c for factors, c in merged.items() if c}
 
     @classmethod
     def zero(cls, algebra, order) -> "TensorElem":
         return cls(algebra, order, {})
+
+    @classmethod
+    def sum(cls, algebra, order, tensors: Iterable["TensorElem"]) -> "TensorElem":
+        """The sum of tensors of one algebra and order, built in one table."""
+        tensors = list(tensors)
+        if any(t.algebra != algebra or t.order != order for t in tensors):
+            raise ValueError("tensor mismatch in algebra or order")
+        return cls(algebra, order, (term for t in tensors for term in t.table.items()))
 
     def is_zero(self) -> bool:
         return not self.table
@@ -494,12 +515,7 @@ class TensorElem:
             yield factors, self.table[factors]
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
-        if self.algebra != other.algebra or self.order != other.order:
-            raise ValueError("tensor mismatch in algebra or order")
-        table = dict(self.table)
-        for factors, coeff in other.table.items():
-            table[factors] = table.get(factors, Fraction(0)) + coeff
-        return TensorElem(self.algebra, self.order, table)
+        return TensorElem.sum(self.algebra, self.order, (self, other))
 
     def __neg__(self):
         return self.__rmul__(-1)
@@ -542,7 +558,8 @@ class TensorElem:
 
     @classmethod
     def from_json(cls, algebra, data: Mapping) -> "TensorElem":
-        table = {tuple(e["factors"]): _frac(e["coeff"]) for e in data.get("entries", [])}
+        table = [(tuple(e["factors"]), e["coeff"]) for e in data.get("entries", [])]
+        _reject_repeats(factors for factors, _ in table)
         return cls(algebra, data["order"], table)
 
 
@@ -552,8 +569,7 @@ def tensor_product_multiply(a: TensorElem, b: TensorElem) -> TensorElem:
         raise ValueError("tensor mismatch in algebra or order")
     algebra = a.algebra
     space = algebra.space
-    out = TensorElem.zero(algebra, a.order)
-    table: dict[tuple, Fraction] = {}
+    terms = []
     for xf, xc in a.table.items():
         for yf, yc in b.table.items():
             # each y-factor moves left past the x-factors strictly to its right
@@ -571,8 +587,8 @@ def tensor_product_multiply(a: TensorElem, b: TensorElem) -> TensorElem:
                 value = coeff
                 for _, v in combo:
                     value *= v
-                table[names] = table.get(names, Fraction(0)) + value
-    return out + TensorElem(algebra, a.order, table)
+                terms.append((names, value))
+    return TensorElem(algebra, a.order, terms)
 
 
 def raise_indices(t: TensorElem, slots: Sequence[int], order: int) -> TensorElem:
@@ -586,7 +602,7 @@ def raise_indices(t: TensorElem, slots: Sequence[int], order: int) -> TensorElem
         raise ValueError(f"slots {slots} out of range 1..{order}")
     algebra = t.algebra
     free = [k for k in range(1, order + 1) if k not in set(slots)]
-    table: dict[tuple, Fraction] = {}
+    terms = []
     for factors, coeff in t.table.items():
         for unit_choice in itertools.product(algebra.unit.items(), repeat=len(free)):
             names = [""] * order
@@ -596,6 +612,5 @@ def raise_indices(t: TensorElem, slots: Sequence[int], order: int) -> TensorElem
             for position, (name, unit_coeff) in zip(free, unit_choice):
                 names[position - 1] = name
                 value *= unit_coeff
-            key = tuple(names)
-            table[key] = table.get(key, Fraction(0)) + value
-    return TensorElem(algebra, order, table)
+            terms.append((tuple(names), value))
+    return TensorElem(algebra, order, terms)

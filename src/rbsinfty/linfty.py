@@ -35,9 +35,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .graded import GradedSpace, MultiMap, brace_map, compose_tensor
+from .graded import GradedSpace, MultiMap, _reject_repeats, brace_map, compose_tensor
 from .sampling import random_multimap
 from .signs import koszul_chi, parity_sign, shuffles
 
@@ -84,8 +84,11 @@ class CochainElement:
 
     ``space`` is the unsuspended module; all stored maps act on its
     suspension (same basis names, degrees shifted up by one).  ``parts``
-    maps column tags to ``{arity: MultiMap}`` families.  All components of a
-    cochain must share one intrinsic degree; zero maps are dropped.
+    maps column tags to ``{arity: MultiMap}`` families, or is an iterable of
+    ``(tag, MultiMap)`` pairs.  The constructor is the one place where
+    components are combined: the maps given for one tag and arity are
+    summed in one table, and zero maps are dropped.  All components of a
+    cochain must share one intrinsic degree.
     """
 
     __slots__ = ("space", "suspended", "parts", "degree", "truncation")
@@ -93,32 +96,45 @@ class CochainElement:
     def __init__(
         self,
         space: GradedSpace,
-        parts: Optional[Mapping[str, Mapping[int, MultiMap]]] = None,
+        parts: Union[
+            Mapping[str, Mapping[int, MultiMap]], Iterable[tuple], None
+        ] = None,
         truncation: Optional[int] = None,
         degree: Optional[int] = None,
     ):
         self.space = space
         self.suspended = space.suspend()
-        clean: dict[str, dict[int, MultiMap]] = {}
-        inferred = degree
-        for tag, family in (parts or {}).items():
+        if hasattr(parts, "items"):
+            for family in parts.values():
+                for arity, m in family.items():
+                    if m.arity != arity:
+                        raise ValueError(
+                            f"map of arity {m.arity} stored under key {arity}"
+                        )
+            parts = [(tag, m) for tag, family in parts.items() for m in family.values()]
+        grouped: dict[tuple[str, int], list[MultiMap]] = {}
+        for tag, m in parts or ():
             if tag not in TAGS:
                 raise ValueError(f"unknown column tag {tag!r}")
-            for arity, m in family.items():
-                if m.is_zero():
-                    continue
-                if m.arity != arity:
-                    raise ValueError(f"map of arity {m.arity} stored under key {arity}")
-                if m.space_in != self.suspended or m.space_out != self.suspended:
-                    raise ValueError("component does not act on the suspended module")
-                d = m.degree if tag == TAG_ALG else m.degree - 1
-                if inferred is None:
-                    inferred = d
-                elif d != inferred:
-                    raise ValueError(
-                        f"components of mixed degrees {inferred} and {d} in one cochain"
-                    )
-                clean.setdefault(tag, {})[arity] = m
+            grouped.setdefault((tag, m.arity), []).append(m)
+        clean: dict[str, dict[int, MultiMap]] = {}
+        inferred = degree
+        for (tag, arity), maps in grouped.items():
+            m = maps[0]
+            if len(maps) > 1:
+                m = MultiMap.sum(self.suspended, self.suspended, arity, m.degree, maps)
+            if m.is_zero():
+                continue
+            if m.space_in != self.suspended or m.space_out != self.suspended:
+                raise ValueError("component does not act on the suspended module")
+            d = m.degree if tag == TAG_ALG else m.degree - 1
+            if inferred is None:
+                inferred = d
+            elif d != inferred:
+                raise ValueError(
+                    f"components of mixed degrees {inferred} and {d} in one cochain"
+                )
+            clean.setdefault(tag, {})[arity] = m
         self.parts = clean
         self.degree = inferred
         arities = [a for family in clean.values() for a in family]
@@ -155,17 +171,27 @@ class CochainElement:
 
     # -- linear structure -------------------------------------------------
 
+    @classmethod
+    def sum(
+        cls, space: GradedSpace, cochains: Iterable["CochainElement"]
+    ) -> "CochainElement":
+        """The sum of cochains on one module, each component built in one table.
+
+        The sum takes the degree of the first cochain that has one.
+        """
+        degree = None
+        pairs = []
+        for c in cochains:
+            if c.space != space:
+                raise ValueError("cochains live on different modules")
+            if degree is None:
+                degree = c.degree
+            for tag, family in c.parts.items():
+                pairs += [(tag, m) for m in family.values()]
+        return cls(space, pairs, degree=degree)
+
     def __add__(self, other: "CochainElement") -> "CochainElement":
-        if self.space != other.space:
-            raise ValueError("cochains live on different modules")
-        merged: dict[str, dict[int, MultiMap]] = {}
-        for source in (self.parts, other.parts):
-            for tag, family in source.items():
-                slot = merged.setdefault(tag, {})
-                for arity, m in family.items():
-                    slot[arity] = slot[arity] + m if arity in slot else m
-        degree = self.degree if self.degree is not None else other.degree
-        return CochainElement(self.space, merged, degree=degree)
+        return CochainElement.sum(self.space, (self, other))
 
     def __rmul__(self, scalar) -> "CochainElement":
         scalar = Fraction(scalar)
@@ -215,10 +241,11 @@ class CochainElement:
     def from_json(cls, data: Mapping) -> "CochainElement":
         space = GradedSpace.from_json(data["space"])
         suspended = space.suspend()
-        parts: dict[str, dict[int, MultiMap]] = {}
-        for entry in data.get("parts", []):
-            m = MultiMap.from_json(suspended, suspended, entry["map"])
-            parts.setdefault(entry["tag"], {})[m.arity] = m
+        parts = [
+            (entry["tag"], MultiMap.from_json(suspended, suspended, entry["map"]))
+            for entry in data.get("parts", [])
+        ]
+        _reject_repeats((tag, m.arity) for tag, m in parts)
         return cls(
             space, parts, truncation=data.get("truncation"), degree=data.get("degree")
         )
@@ -295,20 +322,9 @@ def classical_cochain(
 # -- the bracket family ------------------------------------------------------
 
 
-def _add(acc: dict[tuple[str, int], MultiMap], tag: str, m: MultiMap) -> None:
-    if m.is_zero():
-        return
-    key = (tag, m.arity)
-    acc[key] = acc[key] + m if key in acc else m
-
-
 def _operator_terms(
-    F: MultiMap,
-    gs: Sequence[MultiMap],
-    hs: Sequence[MultiMap],
-    outer: int,
-    acc: dict[tuple[str, int], MultiMap],
-) -> None:
+    F: MultiMap, gs: Sequence[MultiMap], hs: Sequence[MultiMap], outer: int
+) -> Iterator[tuple[str, MultiMap]]:
     """All terms of the bracket of one algebra cochain with operator cochains.
 
     ``gs`` feed the first operator column, ``hs`` the second; ``F.arity``
@@ -329,7 +345,7 @@ def _operator_terms(
             permuted = [maps[s - 1] for s in sigma]
             pdeg = [degrees[s - 1] for s in sigma]
             sign = koszul_chi(sigma, degrees) * parity_sign(n * f1 + _staircase(pdeg))
-            _add(acc, tag, (outer * sign) * compose_tensor(F, permuted))
+            yield tag, (outer * sign) * compose_tensor(F, permuted)
 
     # Brace terms: one operator climbs outside, the identity fills the slot
     # between the two columns inside.
@@ -351,11 +367,8 @@ def _operator_terms(
                     + (pgd[0] + 1) * f1
                 )
                 inner = compose_tensor(F, list(pg[1:]) + [None] + list(ph))
-                _add(
-                    acc,
-                    TAG_R,
-                    (outer * chi * parity_sign(exponent)) * brace_map(pg[0], [inner]),
-                )
+                sign = outer * chi * parity_sign(exponent)
+                yield TAG_R, sign * brace_map(pg[0], [inner])
             if n - j >= 1:
                 exponent = (
                     1
@@ -366,11 +379,8 @@ def _operator_terms(
                     + sum_g * (n - j)
                 )
                 inner = compose_tensor(F, list(pg) + [None] + list(ph[1:]))
-                _add(
-                    acc,
-                    TAG_S,
-                    (outer * chi * parity_sign(exponent)) * brace_map(ph[0], [inner]),
-                )
+                sign = outer * chi * parity_sign(exponent)
+                yield TAG_S, sign * brace_map(ph[0], [inner])
 
 
 def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
@@ -393,7 +403,7 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
         sf, sh = pieces[0].map, pieces[1].map
         swap = parity_sign(sf.degree * sh.degree)
         gerstenhaber = brace_map(sf, [sh]) - swap * brace_map(sh, [sf])
-        return CochainElement(space, {TAG_ALG: {gerstenhaber.arity: gerstenhaber}})
+        return CochainElement(space, [(TAG_ALG, gerstenhaber)])
     if len(alg_positions) != 1:
         return CochainElement(space)
     a = alg_positions[0]
@@ -403,18 +413,13 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
     F = pieces[a].map
     if F.arity != n - 1:
         return CochainElement(space)
-    acc: dict[tuple[str, int], MultiMap] = {}
-    _operator_terms(
+    terms = _operator_terms(
         F,
         [pieces[i].map for i in first],
         [pieces[i].map for i in second],
         koszul_chi([i + 1 for i in order], [p.degree for p in pieces]),
-        acc,
     )
-    parts: dict[str, dict[int, MultiMap]] = {}
-    for (tag, arity), m in acc.items():
-        parts.setdefault(tag, {})[arity] = m
-    return CochainElement(space, parts)
+    return CochainElement(space, terms)
 
 
 # -- the homotopy Jacobi identities ------------------------------------------
@@ -445,10 +450,9 @@ def generalized_jacobi_defect(
     ``sum_{i+j=n+1} sum_{(i,n-i)-shuffles} (-1)**(i*(j-1)) * chi(sigma) *
     l_j(l_i(x_{sigma(1..i)}), x_{sigma(i+1..n)})``.
     """
-    total = CochainElement(space)
-    for sign, term in _jacobi_terms(space, pieces):
-        total = total + sign * term
-    return total
+    return CochainElement.sum(
+        space, (sign * term for sign, term in _jacobi_terms(space, pieces))
+    )
 
 
 # -- Maurer-Cartan theory -----------------------------------------------------
@@ -466,17 +470,14 @@ def mc_residual(alpha: CochainElement) -> CochainElement:
         raise ValueError(
             f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
         )
+    space = alpha.space
     pieces = alpha.pieces()
-    total = CochainElement(alpha.space)
-    if not pieces:
-        return total
+    total = CochainElement(space)
     max_alg = max((p.arity for p in pieces if p.tag == TAG_ALG), default=1)
     for k in range(2, max(2, max_alg + 1) + 1):
-        weight = Fraction(1, factorial(k))
-        for chosen in itertools.product(pieces, repeat=k):
-            term = l_bracket(alpha.space, list(chosen))
-            if not term.is_zero():
-                total = total + weight * term
+        tuples = itertools.product(pieces, repeat=k)
+        level = CochainElement.sum(space, (l_bracket(space, list(t)) for t in tuples))
+        total = total + Fraction(1, factorial(k)) * level
     return total
 
 
@@ -500,18 +501,14 @@ def twisted_differential(
         x = CochainElement(alpha.space, {x.tag: {x.arity: x.map}})
     if x.space != alpha.space:
         raise ValueError("cochains live on different modules")
+    space = alpha.space
     alpha_pieces = alpha.pieces()
-    total = CochainElement(alpha.space)
-    if not alpha_pieces or x.is_zero():
-        return total
+    total = CochainElement(space)
     arities = [p.arity for p in alpha_pieces + x.pieces() if p.tag == TAG_ALG]
     for k in range(1, max(arities, default=1) + 1):
-        weight = Fraction(1, factorial(k))
-        for chosen in itertools.product(alpha_pieces, repeat=k):
-            for xp in x.pieces():
-                term = l_bracket(alpha.space, [xp] + list(chosen))
-                if not term.is_zero():
-                    total = total + weight * term
+        tuples = itertools.product(x.pieces(), *[alpha_pieces] * k)
+        level = CochainElement.sum(space, (l_bracket(space, list(t)) for t in tuples))
+        total = total + Fraction(1, factorial(k)) * level
     return total
 
 
@@ -633,13 +630,9 @@ def verify_generalized_jacobi(
             else:
                 tag, arity = rng.choice((TAG_R, TAG_S)), rng.randint(1, truncation)
             pieces.append(random_piece(rng, space, arity, tag=tag))
-        defect = CochainElement(space)
-        saw_term = False
-        for sign, term in _jacobi_terms(space, pieces):
-            if not term.is_zero():
-                saw_term = True
-            defect = defect + sign * term
-        if saw_term:
+        terms = list(_jacobi_terms(space, pieces))
+        defect = CochainElement.sum(space, (sign * term for sign, term in terms))
+        if any(not term.is_zero() for _, term in terms):
             active += 1
         if not defect.is_zero():
             failures.append(

@@ -17,10 +17,9 @@ expansion.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .signs import parity_sign
+from .signs import compositions, parity_sign
 from .trees import (
     _FAMILY_MIN_ARITY,
     Generator,
@@ -73,29 +72,18 @@ def eta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
     return i + load * k + before_j + tail
 
 
-def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered k-tuples of positive integers summing to n.
-
-    >>> sorted(compositions(4, 2))
-    [(1, 3), (2, 2), (3, 1)]
-    """
-    for cuts in itertools.combinations(range(1, n), k - 1):
-        bounds = (0,) + cuts + (n,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 # ---------------------------------------------------------------------------
 # generator differentials
 # ---------------------------------------------------------------------------
 
 
 def _diff_m(n: int) -> OperadElement:
-    total = OperadElement.zero(n)
+    terms = []
     for j in range(2, n):
         for i in range(1, n - j + 2):
             sign = parity_sign(i + j * (n - i))
-            total = total + sign * compose_at(gen("m", n - j + 1), i, gen("m", j))
-    return total
+            terms.append(sign * compose_at(gen("m", n - j + 1), i, gen("m", j)))
+    return OperadElement.sum(n, terms)
 
 
 def _operator_row(k: int, parts: Sequence[int], family: str) -> OperadElement:
@@ -127,11 +115,12 @@ def _mixed_row(p: int, j: int, parts: Sequence[int]) -> OperadElement:
 
 
 def _diff_operator(n: int, family: str) -> OperadElement:
-    total = OperadElement.zero(n)
+    rows = []
     for k in range(2, n + 1):
         for parts in compositions(n, k):
             sign = parity_sign(alpha_exponent(k, parts))
-            total = total + sign * _operator_row(k, parts, family)
+            rows.append(sign * _operator_row(k, parts, family))
+    mixed = []
     for p in range(2, n + 1):
         for parts in compositions(n, p):
             r1 = parts[0]
@@ -140,23 +129,23 @@ def _diff_operator(n: int, family: str) -> OperadElement:
                 inner = _mixed_row(p, j, parts)
                 for i in range(1, r1 + 1):
                     sign = parity_sign(beta_exponent(p, j, i, parts))
-                    total = total + sign * compose_at(outer, i, inner)
-    return total
+                    mixed.append(sign * compose_at(outer, i, inner))
+    return OperadElement.sum(n, rows) + OperadElement.sum(n, mixed)
 
 
 def _diff_x(n: int) -> OperadElement:
-    total = OperadElement.zero(n)
-    for j in range(2, n):
-        total = total - brace(gen("x", n - j + 1), [as_element(gen("x", j))])
-    return total
+    return -OperadElement.sum(
+        n, (brace(gen("x", n - j + 1), [as_element(gen("x", j))]) for j in range(2, n))
+    )
 
 
 def _diff_yz(n: int, family: str) -> OperadElement:
-    total = OperadElement.zero(n)
+    rows = []
     for k in range(2, n + 1):
         for parts in compositions(n, k):
             args = [as_element(gen(family, r)) for r in parts]
-            total = total - brace(gen("x", k), args)
+            rows.append(brace(gen("x", k), args))
+    mixed = []
     for p in range(2, n + 1):
         for parts in compositions(n, p):
             outer = gen(family, parts[0])
@@ -167,8 +156,8 @@ def _diff_yz(n: int, family: str) -> OperadElement:
                     + [as_element(gen("z", parts[t - 1])) for t in range(j + 1, p + 1)]
                 )
                 inner = brace(gen("x", p), args)
-                total = total + brace(outer, [inner])
-    return total
+                mixed.append(brace(outer, [inner]))
+    return OperadElement.sum(n, mixed) - OperadElement.sum(n, rows)
 
 
 def diff_generator(g: Generator) -> OperadElement:
@@ -246,23 +235,16 @@ def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
     of its label, with the prefactor (-1)^(sum of the degrees of the vertices
     strictly preceding it in planar order).
     """
-    accum: dict[TreeMonomial, Fraction] = {}
+    terms = []
     for tree, coeff in e.terms.items():
         prefix = 0
         for index, label in enumerate(tree.vertices()):
-            image = diff_of(label)
-            if not image.is_zero():
-                outer_sign = parity_sign(prefix)
-                for u_tree, u_coeff in image.terms.items():
-                    new_tree, sign = replace_vertex(tree, index, u_tree)
-                    value = accum.get(new_tree, Fraction(0))
-                    value += outer_sign * sign * coeff * u_coeff
-                    if value:
-                        accum[new_tree] = value
-                    else:
-                        accum.pop(new_tree, None)
+            outer_sign = parity_sign(prefix)
+            for u_tree, u_coeff in diff_of(label).terms.items():
+                new_tree, sign = replace_vertex(tree, index, u_tree)
+                terms.append((new_tree, outer_sign * sign * coeff * u_coeff))
             prefix += label.degree
-    return OperadElement(e.arity, accum)
+    return OperadElement(e.arity, terms)
 
 
 def differential(e: OperadElement) -> OperadElement:

@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .minimal_model import compositions, extend_derivation
-from .signs import parity_sign
+from .minimal_model import extend_derivation
+from .signs import compositions, parity_sign
 from .trees import (
     Generator,
     Node,
@@ -51,12 +51,12 @@ def diff_bar(g: Generator) -> OperadElement:
     True
     """
     n = g.arity
-    total = OperadElement.zero(n)
+    terms = []
     if g.family == "m":
         for j in range(2, n):
             sign = parity_sign(1 + j * (n - 1))
-            total = total + sign * compose_at(gen("m", n - j + 1), 1, gen("m", j))
-        return total
+            terms.append(sign * compose_at(gen("m", n - j + 1), 1, gen("m", j)))
+        return OperadElement.sum(n, terms)
     if g.family in ("R", "S"):
         for r1 in range(1, n):
             r2 = n - r1
@@ -64,8 +64,8 @@ def diff_bar(g: Generator) -> OperadElement:
             term = compose_at(
                 compose_at(gen(g.family, r1), 1, gen("m", 2)), 1, gen("R", r2)
             )
-            total = total + sign * term
-        return total
+            terms.append(sign * term)
+        return OperadElement.sum(n, terms)
     raise ValueError(f"no monomial differential for family {g.family!r}")
 
 
@@ -248,10 +248,9 @@ def homotopy_H(t: TreeMonomial) -> OperadElement:
 
 
 def apply_homotopy(e: OperadElement) -> OperadElement:
-    total = OperadElement.zero(e.arity)
-    for tree, coeff in e.terms.items():
-        total = total + coeff * homotopy_H(tree)
-    return total
+    return OperadElement.sum(
+        e.arity, (coeff * homotopy_H(tree) for tree, coeff in e.terms.items())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .graded import BasedAlgebra, GradedSpace, MultiMap, compose_tensor
-from .minimal_model import compositions
-from .signs import parity_sign
+from .signs import compositions, parity_sign
 
 
 def _validated_family(
@@ -124,7 +123,7 @@ def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
     """
     _check_arity(structure, n)
     space = structure.space
-    total = MultiMap.zero(space, space, n, n - 3)
+    terms = []
     for j in range(1, n + 1):
         inner = structure.m_at(j)
         if inner is None:
@@ -135,14 +134,13 @@ def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
             continue
         for i in range(outer_arity):
             k = outer_arity - 1 - i
-            sign = parity_sign(i + j * k)
-            total = total + sign * _plug(outer, i, inner, k)
-    return total
+            terms.append(parity_sign(i + j * k) * _plug(outer, i, inner, k))
+    return MultiMap.sum(space, space, n, n - 3, terms)
 
 
 def _operator_lhs(structure: HomotopyRBS, n: int, family) -> MultiMap:
     space = structure.space
-    total = MultiMap.zero(space, space, n, n - 2)
+    terms = []
     for k in range(1, n + 1):
         m_k = structure.m_at(k)
         if m_k is None:
@@ -154,14 +152,13 @@ def _operator_lhs(structure: HomotopyRBS, n: int, family) -> MultiMap:
             delta = k * (k - 1) // 2 + sum(
                 (k - j) * parts_arities[j - 1] for j in range(1, k + 1)
             )
-            sign = parity_sign(delta)
-            total = total + sign * compose_tensor(m_k, parts)
-    return total
+            terms.append(parity_sign(delta) * compose_tensor(m_k, parts))
+    return MultiMap.sum(space, space, n, n - 2, terms)
 
 
 def _operator_rhs(structure: HomotopyRBS, n: int, outer_family) -> MultiMap:
     space = structure.space
-    total = MultiMap.zero(space, space, n, n - 2)
+    terms = []
     for p in range(1, n + 1):
         m_p = structure.m_at(p)
         if m_p is None:
@@ -190,9 +187,8 @@ def _operator_rhs(structure: HomotopyRBS, n: int, outer_family) -> MultiMap:
                 for i in range(r[0]):
                     k = r[0] - 1 - i
                     eta = i + (p + tail_weight) * k + base
-                    sign = parity_sign(eta)
-                    total = total + sign * _plug(outer, i, inner, k)
-    return total
+                    terms.append(parity_sign(eta) * _plug(outer, i, inner, k))
+    return MultiMap.sum(space, space, n, n - 2, terms)
 
 
 def hrbs_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:
@@ -218,18 +214,17 @@ def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:
     space = structure.space
     m1 = structure.m_at(1)
     m2 = structure.m_at(2)
-    lhs = MultiMap.zero(space, space, n, n - 2)
+    lhs = []
     if m1 is not None and family(n) is not None:
-        lhs = lhs + compose_tensor(m1, [family(n)])
+        lhs.append(compose_tensor(m1, [family(n)]))
     if m2 is not None:
         for i in range(1, n):
             j = n - i
             left, right = family(i), family(j)
             if left is None or right is None:
                 continue
-            sign = parity_sign(i + 1)
-            lhs = lhs + sign * compose_tensor(m2, [left, right])
-    rhs = MultiMap.zero(space, space, n, n - 2)
+            lhs.append(parity_sign(i + 1) * compose_tensor(m2, [left, right]))
+    rhs = []
     if m2 is not None:
         for p in range(1, n):
             q = n - p
@@ -241,17 +236,19 @@ def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:
                 inner = compose_tensor(m2, [r_q, None])
                 for i in range(p):
                     sign = parity_sign(i + (q - 1) * (p - i))
-                    rhs = rhs + sign * _plug(outer, i, inner, p - i - 1)
+                    rhs.append(sign * _plug(outer, i, inner, p - i - 1))
             if s_q is not None:
                 inner = compose_tensor(m2, [None, s_q])
                 for i in range(p):
                     sign = parity_sign(i + (q - 1) * (p - i - 1))
-                    rhs = rhs + sign * _plug(outer, i, inner, p - i - 1)
+                    rhs.append(sign * _plug(outer, i, inner, p - i - 1))
     if m1 is not None and family(n) is not None:
         sign = parity_sign(n - 1)
         for i in range(n):
-            rhs = rhs + sign * _plug(family(n), i, m1, n - i - 1)
-    return lhs - rhs
+            rhs.append(sign * _plug(family(n), i, m1, n - i - 1))
+    return MultiMap.sum(space, space, n, n - 2, lhs) - MultiMap.sum(
+        space, space, n, n - 2, rhs
+    )
 
 
 def dga_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:

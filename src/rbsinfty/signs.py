@@ -12,7 +12,8 @@ live in exactly one place:
 * ``chi`` is ``epsilon`` times the ordinary signature of the permutation;
 * ``parity_sign(e)`` is ``(-1)**e``;
 * shuffles enumerate the permutations that stay increasing on each of a
-  list of consecutive blocks.
+  list of consecutive blocks, and compositions the ordered ways of
+  splitting an arity into positive parts.
 
 Permutations are 1-indexed tuples ``(sigma(1), ..., sigma(n))`` throughout.
 All scalars in this package are exact: signs are Python ints, coefficients
@@ -22,7 +23,7 @@ are ``fractions.Fraction``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Permutation = tuple[int, ...]
 
@@ -102,6 +103,17 @@ def shuffles(block_sizes: Sequence[int]) -> list[Permutation]:
     fill(list(block_sizes), tuple(range(1, n + 1)), ())
     results.sort()
     return results
+
+
+def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Ordered k-tuples of positive integers summing to n.
+
+    >>> sorted(compositions(4, 2))
+    [(1, 3), (2, 2), (3, 1)]
+    """
+    for cuts in combinations(range(1, n), k - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def inversion_sign(tagged: Sequence[tuple[int, int]], target_order: Sequence[int]) -> int:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .signs import inversion_sign
 
@@ -331,22 +331,38 @@ Scalar = Union[int, Fraction]
 
 
 class OperadElement:
-    """Finite rational linear combination of tree monomials of one arity."""
+    """Finite rational linear combination of tree monomials of one arity.
+
+    The constructor is the one place where coefficients are combined:
+    ``terms`` is a mapping or an iterable of ``(tree, coefficient)`` pairs in
+    which a tree may repeat; repeated trees are summed, trees whose
+    coefficient cancels are dropped, and every tree must have the given
+    arity.
+    """
 
     __slots__ = ("arity", "terms")
 
-    def __init__(self, arity: int, terms: Mapping[TreeMonomial, Scalar] = ()):
-        cleaned: dict[TreeMonomial, Fraction] = {}
-        for tree, coeff in dict(terms).items():
+    def __init__(
+        self,
+        arity: int,
+        terms: Union[Mapping[TreeMonomial, Scalar], Iterable[tuple]] = (),
+    ):
+        if hasattr(terms, "items"):
+            terms = terms.items()
+        merged: dict[TreeMonomial, Fraction] = {}
+        for tree, coeff in terms:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            merged[tree] = merged[tree] + coeff if tree in merged else coeff
+        for tree in merged:
             if tree.arity != arity:
                 raise ValueError(
                     f"monomial {tree} has arity {tree.arity}, expected {arity}"
                 )
-            value = Fraction(coeff)
-            if value:
-                cleaned[tree] = value
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(
+            self, "terms", {tree: c for tree, c in merged.items() if c}
+        )
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("OperadElement is immutable")
@@ -360,6 +376,16 @@ class OperadElement:
         cls, tree: TreeMonomial, coeff: Scalar = 1
     ) -> "OperadElement":
         return cls(tree.arity, {tree: coeff})
+
+    @classmethod
+    def sum(
+        cls, arity: int, elements: Iterable["OperadElement"]
+    ) -> "OperadElement":
+        """The sum of elements of the given arity, built in one table."""
+        elements = list(elements)
+        if any(e.arity != arity for e in elements):
+            raise ValueError("cannot add elements of different arity")
+        return cls(arity, (term for e in elements for term in e.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -385,25 +411,18 @@ class OperadElement:
         return hash((self.arity, frozenset(self.terms.items())))
 
     def __add__(self, other: "OperadElement") -> "OperadElement":
-        if self.arity != other.arity:
-            raise ValueError("cannot add elements of different arity")
-        merged = dict(self.terms)
-        for tree, coeff in other.terms.items():
-            merged[tree] = merged.get(tree, Fraction(0)) + coeff
-        return OperadElement(self.arity, merged)
+        return OperadElement.sum(self.arity, (self, other))
 
     def __sub__(self, other: "OperadElement") -> "OperadElement":
         return self + (-other)
 
     def __neg__(self) -> "OperadElement":
-        return OperadElement(
-            self.arity, {tree: -coeff for tree, coeff in self.terms.items()}
-        )
+        return self * -1
 
     def __mul__(self, scalar: Scalar) -> "OperadElement":
         value = Fraction(scalar)
         return OperadElement(
-            self.arity, {tree: coeff * value for tree, coeff in self.terms.items()}
+            self.arity, ((tree, c * value) for tree, c in self.terms.items())
         )
 
     __rmul__ = __mul__
@@ -460,16 +479,12 @@ def compose_at(f: ElementLike, i: int, g: ElementLike) -> OperadElement:
     g = as_element(g)
     if not 1 <= i <= f.arity:
         raise ValueError(f"leaf index {i} out of range 1..{f.arity}")
-    result: dict[TreeMonomial, Fraction] = {}
+    terms = []
     for tf, cf in f.terms.items():
         for tg, cg in g.terms.items():
             tree, sign = graft_with_sign(tf, {i: tg})
-            coeff = result.get(tree, Fraction(0)) + sign * cf * cg
-            if coeff:
-                result[tree] = coeff
-            else:
-                result.pop(tree, None)
-    return OperadElement(f.arity + g.arity - 1, result)
+            terms.append((tree, sign * cf * cg))
+    return OperadElement(f.arity + g.arity - 1, terms)
 
 
 def brace(f: ElementLike, args: Sequence[ElementLike]) -> OperadElement:
@@ -492,7 +507,7 @@ def brace(f: ElementLike, args: Sequence[ElementLike]) -> OperadElement:
         return f
     k = len(arg_elements)
     out_arity = f.arity + sum(a.arity - 1 for a in arg_elements)
-    accum: dict[TreeMonomial, Fraction] = {}
+    terms = []
     for tf, cf in f.terms.items():
         if k > tf.arity:
             continue
@@ -506,12 +521,8 @@ def brace(f: ElementLike, args: Sequence[ElementLike]) -> OperadElement:
             for slots in itertools.combinations(range(1, tf.arity + 1), k):
                 assignment = dict(zip(slots, arg_trees))
                 tree, sign = graft_with_sign(tf, assignment)
-                value = accum.get(tree, Fraction(0)) + sign * coeff
-                if value:
-                    accum[tree] = value
-                else:
-                    accum.pop(tree, None)
-    return OperadElement(out_arity, accum)
+                terms.append((tree, sign * coeff))
+    return OperadElement(out_arity, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def F_map(t: TensorElem) -> MultiMap:
     degree = t.homogeneous_degree()
     if degree is None:
         return MultiMap.zero(space, space, n, 0)
-    table: dict[tuple[str, ...], dict[str, Fraction]] = {}
+    rows = []
     for factors, coeff in t.table.items():
         factor_degrees = [space.degree(a) for a in factors]
         tails = [sum(factor_degrees[k:]) for k in range(n + 1)]
@@ -50,20 +50,17 @@ def F_map(t: TensorElem) -> MultiMap:
             exponent = sum(
                 space.degree(x) * tails[k] for k, x in enumerate(xs, start=1)
             )
-            value = {factors[0]: -coeff if exponent % 2 else coeff}
-            for k, x in enumerate(xs):
-                value = algebra.multiply(value, {x: Fraction(1)})
-                if not value:
-                    break
-                value = algebra.multiply(value, {factors[k + 1]: Fraction(1)})
-                if not value:
-                    break
-            if not value:
-                continue
-            row = table.setdefault(xs, {})
-            for name, c in value.items():
-                row[name] = row.get(name, Fraction(0)) + c
-    return MultiMap(space, space, n, degree, table)
+            # one term per path through the structure constants; the map's
+            # constructor sums the paths that end in the same basis element
+            terms = [(factors[0], parity_sign(exponent) * coeff)]
+            for b in itertools.chain.from_iterable(zip(xs, factors[1:])):
+                terms = [
+                    (c, v * w)
+                    for a, v in terms
+                    for c, w in algebra.products.get((a, b), {}).items()
+                ]
+            rows += [(xs, {c: v}) for c, v in terms]
+    return MultiMap(space, space, n, degree, rows)
 
 
 def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
@@ -78,7 +75,7 @@ def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
         raise ValueError("map is not defined on the given matrix algebra")
     space = algebra.space
     n = f.arity
-    table: dict[tuple[str, ...], Fraction] = {}
+    terms = []
     for ins, outs in f.table.items():
         rows_cols = [MatrixAlgebra.unit_indices(x) for x in ins]
         us = [rc[0] for rc in rows_cols]
@@ -95,9 +92,8 @@ def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
                 space.degree(x) * sum(factor_degrees[k:])
                 for k, x in enumerate(ins, start=1)
             )
-            value = -coeff if exponent % 2 else coeff
-            table[factors] = table.get(factors, Fraction(0)) + value
-    return TensorElem(algebra, n + 1, table)
+            terms.append((factors, parity_sign(exponent) * coeff))
+    return TensorElem(algebra, n + 1, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +236,24 @@ def _family(pair: InfinityYBPair, name: str):
     return pair.r_at if name == "r" else pair.s_at
 
 
-def _zero_tensor(pair: InfinityYBPair, order: int) -> TensorElem:
-    return TensorElem.zero(pair.algebra, order)
-
-
 def _piece_1(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
     """-sum_k ( d^k * t_{n+1} - (-1)^{n-1} t_{n+1} * d^k )."""
     t = _family(pair, family)(n + 1)
-    total = _zero_tensor(pair, n + 1)
-    if t is None:
-        return total
     d = pair.d()
-    if d.is_zero():
-        return total
-    sign = parity_sign(n - 1)
-    for k in range(1, n + 2):
-        dk = raise_indices(d, (k,), n + 1)
-        total = total - (
-            tensor_product_multiply(dk, t) - sign * tensor_product_multiply(t, dk)
-        )
-    return total
+    terms = []
+    if t is not None and not d.is_zero():
+        sign = parity_sign(n - 1)
+        for k in range(1, n + 2):
+            dk = raise_indices(d, (k,), n + 1)
+            terms.append(tensor_product_multiply(dk, t))
+            terms.append(-sign * tensor_product_multiply(t, dk))
+    return -TensorElem.sum(pair.algebra, n + 1, terms)
 
 
 def _piece_2(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
     """sum_{i+j=n} (-1)^{1+i} t_{i+1}^{1..i+1} * t_{j+1}^{i+1..n+1}."""
     at = _family(pair, family)
-    total = _zero_tensor(pair, n + 1)
+    terms = []
     for i in range(1, n):
         j = n - i
         left, right = at(i + 1), at(j + 1)
@@ -273,10 +261,10 @@ def _piece_2(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
             continue
         left_raised = raise_indices(left, tuple(range(1, i + 2)), n + 1)
         right_raised = raise_indices(right, tuple(range(i + 1, n + 2)), n + 1)
-        total = total + parity_sign(1 + i) * tensor_product_multiply(
-            left_raised, right_raised
+        terms.append(
+            parity_sign(1 + i) * tensor_product_multiply(left_raised, right_raised)
         )
-    return total
+    return TensorElem.sum(pair.algebra, n + 1, terms)
 
 
 def _straddle_slots(s: int, j: int, n: int) -> tuple[int, ...]:
@@ -286,7 +274,7 @@ def _straddle_slots(s: int, j: int, n: int) -> tuple[int, ...]:
 def _piece_3(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
     """sum (-1)^{(s-1)+(j-1)(i-s+1)} t_{i+1}^{straddle} * r_{j+1}^{s..s+j}."""
     at = _family(pair, family)
-    total = _zero_tensor(pair, n + 1)
+    terms = []
     for i in range(1, n):
         j = n - i
         outer, inner = at(i + 1), pair.r_at(j + 1)
@@ -296,14 +284,14 @@ def _piece_3(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
             outer_raised = raise_indices(outer, _straddle_slots(s, j, n), n + 1)
             inner_raised = raise_indices(inner, tuple(range(s, s + j + 1)), n + 1)
             sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
-            total = total + sign * tensor_product_multiply(outer_raised, inner_raised)
-    return total
+            terms.append(sign * tensor_product_multiply(outer_raised, inner_raised))
+    return TensorElem.sum(pair.algebra, n + 1, terms)
 
 
 def _piece_4(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
     """sum (-1)^{(s-1)+(j-1)(i-s)} s_{j+1}^{s+1..s+j+1} * t_{i+1}^{straddle}."""
     at = _family(pair, family)
-    total = _zero_tensor(pair, n + 1)
+    terms = []
     for i in range(1, n):
         j = n - i
         outer, inner = at(i + 1), pair.s_at(j + 1)
@@ -315,8 +303,8 @@ def _piece_4(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
                 inner, tuple(range(s + 1, s + j + 2)), n + 1
             )
             sign = parity_sign((s - 1) + (j - 1) * (i - s))
-            total = total + sign * tensor_product_multiply(inner_raised, outer_raised)
-    return total
+            terms.append(sign * tensor_product_multiply(inner_raised, outer_raised))
+    return TensorElem.sum(pair.algebra, n + 1, terms)
 
 
 def check_infinity_ybp(
@@ -361,18 +349,15 @@ def inner_derivation(d: TensorElem, algebra: BasedAlgebra) -> MultiMap:
     if degree is None:
         return MultiMap.zero(space, space, 1, -1)
     d_coeffs = {factors[0]: c for factors, c in d.table.items()}
-    table: dict[tuple[str, ...], dict[str, Fraction]] = {}
+    rows = []
     for x in space.names:
-        value = {
-            name: -c
-            for name, c in algebra.multiply(d_coeffs, {x: Fraction(1)}).items()
-        }
+        x_basis = {x: Fraction(1)}
         sign = parity_sign(space.degree(x))
-        for name, c in algebra.multiply({x: Fraction(1)}, d_coeffs).items():
-            value[name] = value.get(name, Fraction(0)) + sign * c
-        if any(value.values()):
-            table[(x,)] = value
-    return MultiMap(space, space, 1, degree, table)
+        left = algebra.multiply(d_coeffs, x_basis)
+        right = algebra.multiply(x_basis, d_coeffs)
+        rows.append(((x,), {name: -c for name, c in left.items()}))
+        rows.append(((x,), {name: sign * c for name, c in right.items()}))
+    return MultiMap(space, space, 1, degree, rows)
 
 
 def _operator(pair: InfinityYBPair, family: str, arity: int) -> MultiMap:
@@ -388,13 +373,13 @@ def equivalence_identity_1(
     pair: InfinityYBPair, n: int, family: str = "r"
 ) -> tuple[MultiMap, TensorElem]:
     """Differential piece: map side and tensor side (they agree under F_map)."""
+    space = pair.algebra.space
     m1 = inner_derivation(pair.d(), pair.algebra)
     T = _operator(pair, family, n)
-    map_side = compose_tensor(m1, [T])
     sign = parity_sign(n - 1)
-    for i in range(n):
-        map_side = map_side - sign * insert(T, i + 1, m1)
-    return map_side, _piece_1(pair, n, family)
+    terms = [compose_tensor(m1, [T])]
+    terms += [-sign * insert(T, i + 1, m1) for i in range(n)]
+    return MultiMap.sum(space, space, n, n - 2, terms), _piece_1(pair, n, family)
 
 
 def equivalence_identity_2(
@@ -403,13 +388,11 @@ def equivalence_identity_2(
     """Pairwise-product piece."""
     space = pair.algebra.space
     m2 = pair.algebra.product_map()
-    map_side = MultiMap.zero(space, space, n, n - 2)
+    terms = []
     for i in range(1, n):
-        j = n - i
-        map_side = map_side + parity_sign(1 + i) * compose_tensor(
-            m2, [_operator(pair, family, i), _operator(pair, family, j)]
-        )
-    return map_side, _piece_2(pair, n, family)
+        parts = [_operator(pair, family, i), _operator(pair, family, n - i)]
+        terms.append(parity_sign(1 + i) * compose_tensor(m2, parts))
+    return MultiMap.sum(space, space, n, n - 2, terms), _piece_2(pair, n, family)
 
 
 def equivalence_identity_3(
@@ -418,15 +401,15 @@ def equivalence_identity_3(
     """First straddling piece: inner first-family composition."""
     space = pair.algebra.space
     m2 = pair.algebra.product_map()
-    map_side = MultiMap.zero(space, space, n, n - 2)
+    terms = []
     for i in range(1, n):
         j = n - i
         outer = _operator(pair, family, i)
         inner = compose_tensor(m2, [_operator(pair, "r", j), None])
         for s in range(1, i + 1):
             sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
-            map_side = map_side + sign * insert(outer, s, inner)
-    return map_side, _piece_3(pair, n, family)
+            terms.append(sign * insert(outer, s, inner))
+    return MultiMap.sum(space, space, n, n - 2, terms), _piece_3(pair, n, family)
 
 
 def equivalence_identity_4(
@@ -435,15 +418,15 @@ def equivalence_identity_4(
     """Second straddling piece: inner second-family composition."""
     space = pair.algebra.space
     m2 = pair.algebra.product_map()
-    map_side = MultiMap.zero(space, space, n, n - 2)
+    terms = []
     for i in range(1, n):
         j = n - i
         outer = _operator(pair, family, i)
         inner = compose_tensor(m2, [None, _operator(pair, "s", j)])
         for s in range(1, i + 1):
             sign = parity_sign((s - 1) + (j - 1) * (i - s))
-            map_side = map_side + sign * insert(outer, s, inner)
-    return map_side, _piece_4(pair, n, family)
+            terms.append(sign * insert(outer, s, inner))
+    return MultiMap.sum(space, space, n, n - 2, terms), _piece_4(pair, n, family)
 
 
 # ---------------------------------------------------------------------------

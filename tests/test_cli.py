@@ -393,6 +393,74 @@ def test_zero_denominator_coefficient_exits_2(capsys, tmp_path):
     assert "1/0" in report["error"]
 
 
+def hrbs_payload():
+    algebra, R, S = diagonal_triple()
+    return HomotopyRBS(
+        PLANE, m={2: algebra.product_map()}, r={1: R}, s={1: S}, truncation=2
+    ).to_json()
+
+
+def repeated_map_input():
+    payload = hrbs_payload()
+    # R sends v1 to 2 v1; listing the input v1 twice must not pass as 1 or 2
+    payload["r"]["1"]["entries"] = [
+        {"in": ["v1"], "out": {"v1": "1"}},
+        {"in": ["v1"], "out": {"v1": "2"}},
+    ]
+    return "hrbs", payload
+
+
+def repeated_tensor_factors():
+    nil = {"order": 2, "entries": [{"factors": ["e1^2", "e1^2"], "coeff": "1"}] * 2}
+    return "ybp", {"space": PLANE.to_json(), "r": nil, "s": nil}
+
+
+def repeated_cochain_part():
+    from rbsinfty.linfty import classical_cochain
+
+    algebra, R, S = diagonal_triple()
+    payload = classical_cochain(algebra.product_map(), R, S).to_json()
+    payload["parts"].append(payload["parts"][-1])
+    return "mc", payload
+
+
+@pytest.mark.parametrize(
+    "build", [repeated_map_input, repeated_tensor_factors, repeated_cochain_part]
+)
+def test_repeated_entries_exit_2(capsys, tmp_path, build):
+    command, payload = build()
+    code, report = run(capsys, "check", command, dump(tmp_path, "rep.json", payload))
+    assert code == 2
+    assert "more than once" in report["error"]
+
+
+def test_boolean_coefficient_exits_2(capsys, tmp_path):
+    payload = hrbs_payload()
+    payload["r"]["1"]["entries"] = [{"in": ["v1"], "out": {"v1": True}}]
+    code, report = run(capsys, "check", "hrbs", dump(tmp_path, "bool.json", payload))
+    assert code == 2
+    assert "True" in report["error"]
+
+
+def unknown_map_input():
+    payload = hrbs_payload()
+    payload["r"]["1"]["entries"][0]["in"] = ["nope"]
+    return "hrbs", payload
+
+
+def unknown_tensor_factor():
+    bad = {"order": 2, "entries": [{"factors": ["e1^2", "nope"], "coeff": "1"}]}
+    return "ybp", {"space": PLANE.to_json(), "r": bad, "s": bad}
+
+
+@pytest.mark.parametrize("build", [unknown_map_input, unknown_tensor_factor])
+def test_unknown_basis_name_is_named(capsys, tmp_path, build):
+    command, payload = build()
+    code, report = run(capsys, "check", command, dump(tmp_path, "nope.json", payload))
+    assert code == 2
+    assert report["error"] == "unknown basis name 'nope'"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_linfinity_refuses_an_empty_trial_count(capsys, trials):
     code, report = run(capsys, "verify", "linfinity", "--trials", trials)

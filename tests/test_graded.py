@@ -1,6 +1,8 @@
 """Tests for graded spaces, sparse multilinear maps, and tensor algebra."""
 
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from rbsinfty.graded import (
     raise_indices,
     tensor_product_multiply,
 )
+from rbsinfty.sampling import random_multimap, random_tensor
 
 ONE = Fraction(1)
 
@@ -107,6 +110,50 @@ def test_multimap_linear_algebra():
     assert total.evaluate(("u1",)) == {"u2": Fraction(3)}
     assert (f - f).is_zero()
     assert (Fraction(1, 2) * f).evaluate(("u0",)) == {"u1": ONE}
+
+
+def test_multimap_accumulates_repeated_inputs():
+    space = _mult_space()
+    rows = [
+        (("u0",), {"u1": 2}),
+        (("u1",), {"u2": 1}),
+        (("u0",), {"u1": -2}),
+        (("u1",), {"u2": 2}),
+    ]
+    assert MultiMap(space, space, 1, 1, rows).table == {("u1",): {"u2": 3}}
+    # a non-homogeneous entry that cancels is dropped; one that survives raises
+    cancelled = [(("u0",), {"u2": 1}), (("u0",), {"u2": -1})]
+    assert MultiMap(space, space, 1, 1, cancelled).is_zero()
+    with pytest.raises(ValueError):
+        MultiMap(space, space, 1, 1, [(("u0",), {"u2": 1}), (("u0",), {"u2": 1})])
+    with pytest.raises(ValueError):
+        MultiMap(space, space, 1, 1, [(("u0", "u0"), {"u1": 1})] * 2)
+
+
+def _map_add_oracle(f: MultiMap, g: MultiMap) -> MultiMap:
+    """Binary addition as it was before sums were built in one table."""
+    table = {}
+    for source in (f.table, g.table):
+        for ins, outs in source.items():
+            row = table.setdefault(ins, {})
+            for out, coeff in outs.items():
+                row[out] = row.get(out, Fraction(0)) + coeff
+    degree = g.degree if f.is_zero() else f.degree
+    return MultiMap(f.space_in, f.space_out, f.arity, degree, table)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_multimap_sum_matches_a_fold_of_binary_addition(seed):
+    rng = random.Random(seed)
+    space = _mult_space()
+    maps = [
+        random_multimap(rng, space, space, 2, 0, density=0.4, coefficients=(-1, 1))
+        for _ in range(8)
+    ]
+    zero = MultiMap.zero(space, space, 2, 0)
+    total = MultiMap.sum(space, space, 2, 0, maps)
+    assert total == reduce(_map_add_oracle, maps, zero)
+    assert total == reduce(lambda f, g: f + g, maps)
 
 
 def test_multimap_zero_equality_ignores_degree():
@@ -348,6 +395,35 @@ def test_tensor_elem_validation_and_arith():
         TensorElem(M, 1, {("nope",): 1})
     assert (t - t).is_zero()
     assert (3 * t).table[("e1^1", "e1^1")] == ONE
+
+
+def test_tensor_elem_accumulates_repeated_factors():
+    M = _ungraded_m2()
+    terms = [(("e1^2", "e2^1"), 1), (("e1^1", "e1^1"), 2), (("e1^2", "e2^1"), -1)]
+    assert TensorElem(M, 2, terms).table == {("e1^1", "e1^1"): 2}
+    with pytest.raises(ValueError):
+        TensorElem(M, 2, [(("e1^2",), 1), (("e1^2",), 1)])
+
+
+def _tensor_add_oracle(a: TensorElem, b: TensorElem) -> TensorElem:
+    """Binary addition as it was before sums were built in one table."""
+    table = dict(a.table)
+    for factors, coeff in b.table.items():
+        table[factors] = table.get(factors, Fraction(0)) + coeff
+    return TensorElem(a.algebra, a.order, table)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tensor_sum_matches_a_fold_of_binary_addition(seed):
+    rng = random.Random(seed)
+    M = _graded_m2()
+    tensors = [
+        random_tensor(rng, M, 2, degree=1, density=0.3, coefficients=(-1, 1))
+        for _ in range(8)
+    ]
+    total = TensorElem.sum(M, 2, tensors)
+    assert total == reduce(_tensor_add_oracle, tensors, TensorElem.zero(M, 2))
+    assert total == reduce(lambda a, b: a + b, tensors)
 
 
 def test_tensor_elem_homogeneous_degree():

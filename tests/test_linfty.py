@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -153,6 +154,51 @@ def test_cochain_rejects_wrong_space_and_small_truncation():
         CochainElement(PLANE, {TAG_ALG: {2: avatar}}, truncation=1)
     with pytest.raises(ValueError):
         CochainElement(PLANE, {"wrong": {2: avatar}})
+
+
+def test_cochain_accumulates_repeated_components():
+    avatar = suspend_alg_map(PRODUCT)
+    op = MultiMap.identity(SPLANE)
+    pairs = [(TAG_ALG, avatar), (TAG_R, op), (TAG_ALG, avatar), (TAG_R, -1 * op)]
+    summed = CochainElement(PLANE, pairs)
+    assert summed == CochainElement(PLANE, {TAG_ALG: {2: 2 * avatar}})
+    assert summed.degree == -1
+    # a component of the wrong degree that cancels is dropped; one that survives raises
+    sV3 = GRADED.suspend()
+    unary = MultiMap(sV3, sV3, 1, 1, {("w1",): {"w2": 1}})
+    cancelled = [(TAG_ALG, unary), (TAG_R, unary), (TAG_R, -1 * unary)]
+    assert set(CochainElement(GRADED, cancelled).parts) == {TAG_ALG}
+    with pytest.raises(ValueError):
+        CochainElement(GRADED, [(TAG_ALG, unary), (TAG_R, unary), (TAG_R, unary)])
+
+
+def _cochain_add_oracle(a: CochainElement, b: CochainElement) -> CochainElement:
+    """Binary addition as it was before sums were built in one table."""
+    merged = {}
+    for source in (a.parts, b.parts):
+        for tag, family in source.items():
+            slot = merged.setdefault(tag, {})
+            for arity, m in family.items():
+                slot[arity] = slot[arity] + m if arity in slot else m
+    degree = a.degree if a.degree is not None else b.degree
+    return CochainElement(a.space, merged, degree=degree)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cochain_sum_matches_a_fold_of_binary_addition(seed):
+    rng = random.Random(seed)
+
+    def random_operator():
+        return operator(*(rng.choice((-1, 0, 1)) for _ in range(4)))
+
+    cochains = [
+        rng.choice((-1, 1, 2)) * rbs_alpha(random_operator(), random_operator())
+        for _ in range(6)
+    ]
+    total = CochainElement.sum(PLANE, cochains)
+    assert total == reduce(_cochain_add_oracle, cochains, CochainElement(PLANE))
+    assert total == reduce(lambda a, b: a + b, cochains)
+    assert total.degree == -1
 
 
 def test_cochain_json_round_trip():

@@ -10,7 +10,6 @@ from rbsinfty.minimal_model import (
     alpha_exponent,
     beta_exponent,
     check_d_squared,
-    compositions,
     delta_exponent,
     diff_generator,
     differential,
@@ -18,6 +17,7 @@ from rbsinfty.minimal_model import (
     extend_derivation,
     replace_vertex,
 )
+from rbsinfty.signs import compositions
 from rbsinfty.trees import (
     OperadElement,
     as_element,

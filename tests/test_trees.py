@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,41 @@ def test_element_arity_mismatch_rejected():
         as_element(M2) + as_element(M3)
     with pytest.raises(ValueError):
         OperadElement(2, {identity_tree(): 1})
+    with pytest.raises(ValueError):
+        OperadElement(2, [(identity_tree(), 1), (identity_tree(), 1)])
+
+
+def test_element_repeated_terms_sum_and_cancel():
+    left, right = parse_tree("m2(m2(1, 2), 3)"), parse_tree("m2(1, m2(2, 3))")
+    e = OperadElement(3, [(left, 1), (right, 2), (left, Fraction(1, 2)), (right, -2)])
+    assert e.terms == {left: Fraction(3, 2)}
+
+
+def _add_oracle(a: OperadElement, b: OperadElement) -> OperadElement:
+    """Binary addition as it was before sums were built in one table."""
+    if a.arity != b.arity:
+        raise ValueError("cannot add elements of different arity")
+    merged = dict(a.terms)
+    for tree, coeff in b.terms.items():
+        merged[tree] = merged.get(tree, Fraction(0)) + coeff
+    return OperadElement(a.arity, merged)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_element_sum_matches_a_fold_of_binary_addition(seed):
+    rng = random.Random(seed)
+    pool = [
+        compose_at(M2, 1, M2),
+        compose_at(M2, 2, M2),
+        compose_at(M2, 1, S2),
+        compose_at(R2, 2, M2),
+        as_element(M3),
+        brace(X2, [X2]),
+    ]
+    elements = [rng.choice((-2, -1, 1, 2)) * rng.choice(pool) for _ in range(12)]
+    total = OperadElement.sum(3, elements)
+    assert total == reduce(_add_oracle, elements, OperadElement.zero(3))
+    assert total == reduce(lambda a, b: a + b, elements)
 
 
 def test_element_repr_is_deterministic():
