@@ -244,9 +244,23 @@ class MultiMap:
 
     @classmethod
     def from_json(cls, space_in, space_out, data: Mapping) -> "MultiMap":
-        table = [(tuple(e["in"]), e["out"]) for e in data.get("entries", [])]
+        table = [
+            (tuple(_field(e, "in", list)), _field(e, "out", dict))
+            for e in data.get("entries", [])
+        ]
         _reject_repeats(ins for ins, _ in table)
         return cls(space_in, space_out, data["arity"], data["degree"], table)
+
+
+def _field(entry, key: str, kind: type):
+    """``entry[key]``, refusing an entry that is not an object or a value
+    that is not a JSON array of names (``kind`` list) or object (dict)."""
+    value = entry.get(key) if isinstance(entry, dict) else None
+    names = kind is not list or all(isinstance(n, str) for n in value or ())
+    if not isinstance(value, kind) or not names:
+        name = "an array of names" if kind is list else "an object"
+        raise ValueError(f"entry {entry!r} needs {key!r} as {name}")
+    return value
 
 
 def _reject_repeats(keys: Iterable[tuple]) -> None:
@@ -558,7 +572,10 @@ class TensorElem:
 
     @classmethod
     def from_json(cls, algebra, data: Mapping) -> "TensorElem":
-        table = [(tuple(e["factors"]), e["coeff"]) for e in data.get("entries", [])]
+        table = [
+            (tuple(_field(e, "factors", list)), e["coeff"])
+            for e in data.get("entries", [])
+        ]
         _reject_repeats(factors for factors, _ in table)
         return cls(algebra, data["order"], table)
 

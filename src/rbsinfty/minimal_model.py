@@ -5,7 +5,7 @@ derivation differential defined on generators:
 
 * the (m, R, S) presentation: generators m_n (n >= 2, degree n-2) and
   R_n, S_n (n >= 1, degree n-1), with the differential given by explicit
-  signed sums of left-to-right materialized composites;
+  signed sums of left-to-right composites (`generator_differential`);
 * the (x, y, z) presentation: generators x_n (n >= 2, degree -1) and
   y_n, z_n (n >= 1, degree 0), with the differential written in terms of
   brace operations (the operad unit occupies the distinguished slot).
@@ -52,85 +52,92 @@ def beta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
     return 1 + i + load * (r1 - i) + before_j + tail
 
 
-def delta_exponent(k: int, parts: Sequence[int]) -> int:
-    """Exponent on the m_k(R...R) terms of the map-level operator residual."""
-    return k * (k - 1) // 2 + sum((k - j) * parts[j - 1] for j in range(1, k + 1))
-
-
-def eta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
-    """Exponent on the mixed-row terms of the map-level operator residual.
-
-    ``i`` counts identity slots before the inner block; it relates to the
-    plug position of `beta_exponent` by i = plug - 1, and the two exponents
-    agree mod 2.
-    """
-    r1 = parts[0]
-    k = r1 - 1 - i
-    load = p + sum(r - 1 for r in parts[1:])
-    before_j = sum(parts[t - 1] - 1 for t in range(2, j + 1))
-    tail = sum((parts[t - 1] - 1) * (p - t) for t in range(2, p + 1))
-    return i + load * k + before_j + tail
-
-
 # ---------------------------------------------------------------------------
 # generator differentials
 # ---------------------------------------------------------------------------
 
 
-def _diff_m(n: int) -> OperadElement:
-    terms = []
-    for j in range(2, n):
-        for i in range(1, n - j + 2):
-            sign = parity_sign(i + j * (n - i))
-            terms.append(sign * compose_at(gen("m", n - j + 1), i, gen("m", j)))
-    return OperadElement.sum(n, terms)
+class FreeOperad:
+    """The free operad on m, R, S as a `generator_differential` target."""
+
+    gen = staticmethod(gen)
+
+    @staticmethod
+    def compose_at(f, i, g):
+        # the module binding, read per call, so that a wrapper of it sees each call
+        return compose_at(f, i, g)
+
+    @staticmethod
+    def sum(arity, degree, terms):
+        signed = ((t, s * c) for s, e in terms for t, c in e.terms.items())
+        return OperadElement(arity, signed)
 
 
-def _operator_row(k: int, parts: Sequence[int], family: str) -> OperadElement:
-    """(...((m_k o_1 F_{l_1}) o_{l_1+1} F_{l_2}) ...) with F the operator family."""
-    term = as_element(gen("m", k))
-    leaf = 1
-    for part in parts:
-        term = compose_at(term, leaf, gen(family, part))
-        leaf += part
-    return term
+def generator_differential(family: str, n: int, target):
+    """d m_n, d R_n or d S_n, written once and built in the operad ``target``.
 
+    ``target`` supplies ``gen(family, arity)``, ``compose_at(f, i, g)`` and
+    ``sum(arity, degree, terms)`` of ``(sign, element)`` pairs.  `FreeOperad`
+    builds d in the free operad; `rbsinfty.residuals` evaluates it in End(V),
+    where ``gen`` gives None for a generator sent to zero and the terms
+    through it are left out.  With F = R, S, composites grafted left to right
+    and l, r running over the compositions of n:
 
-def _mixed_row(p: int, j: int, parts: Sequence[int]) -> OperadElement:
-    """m_p with R's in slots 1..j-1, slot j left open, S's in slots j+1..p.
+        d m_n = sum_{1 < j < n, i} (-1)^(i + j(n-i)) m_{n-j+1} o_i m_j
+        d F_n = sum_{k > 1, l} (-1)^alpha m_k(F_{l_1}, ..., F_{l_k})
+              + sum_{p > 1, r, j, i} (-1)^beta
+                F_{r_1} o_i m_p(R_{r_2}, ..., R_{r_j}, id, S_{r_{j+1}}, ..., S_{r_p})
 
-    ``parts`` is the full composition (r_1, ..., r_p); only r_2..r_p are
-    consumed here.  Grafts happen left to right at recomputed leaf positions.
+    >>> generator_differential("R", 1, FreeOperad).is_zero()
+    True
+    >>> generator_differential("m", 2, FreeOperad).is_zero()
+    True
+    >>> len(generator_differential("R", 3, FreeOperad).terms)
+    12
     """
-    term = as_element(gen("m", p))
-    leaf = 1
-    for t in range(2, j + 1):
-        term = compose_at(term, leaf, gen("R", parts[t - 1]))
-        leaf += parts[t - 1]
-    leaf += 1  # the open slot j
-    for t in range(j + 1, p + 1):
-        term = compose_at(term, leaf, gen("S", parts[t - 1]))
-        leaf += parts[t - 1]
-    return term
+    gen, compose = target.gen, target.compose_at
 
+    def grafted(k, slots):
+        # m_k with the generators (family, arity) of ``slots`` grafted left
+        # to right, a (None, 1) slot left open; None if one of them is zero
+        row, leaf = gen("m", k), 1
+        if row is None or any(f and gen(f, a) is None for f, a in slots):
+            return None
+        for f, a in slots:
+            if f:
+                row = compose(row, leaf, gen(f, a))
+            leaf += a
+        return row
 
-def _diff_operator(n: int, family: str) -> OperadElement:
-    rows = []
+    terms = []
+    if family == "m":
+        for j in range(2, n):
+            outer, inner = gen("m", n - j + 1), gen("m", j)
+            if outer is not None and inner is not None:
+                terms += [
+                    (parity_sign(i + j * (n - i)), compose(outer, i, inner))
+                    for i in range(1, n - j + 2)
+                ]
+        return target.sum(n, n - 3, terms)
     for k in range(2, n + 1):
         for parts in compositions(n, k):
-            sign = parity_sign(alpha_exponent(k, parts))
-            rows.append(sign * _operator_row(k, parts, family))
-    mixed = []
+            row = grafted(k, [(family, l) for l in parts])
+            if row is not None:
+                terms.append((parity_sign(alpha_exponent(k, parts)), row))
     for p in range(2, n + 1):
         for parts in compositions(n, p):
-            r1 = parts[0]
-            outer = gen(family, r1)
+            outer = gen(family, parts[0])
+            if outer is None:
+                continue
             for j in range(1, p + 1):
-                inner = _mixed_row(p, j, parts)
-                for i in range(1, r1 + 1):
+                slots = [("R", r) for r in parts[1:j]] + [(None, 1)]
+                inner = grafted(p, slots + [("S", r) for r in parts[j:]])
+                if inner is None:
+                    continue
+                for i in range(1, parts[0] + 1):
                     sign = parity_sign(beta_exponent(p, j, i, parts))
-                    mixed.append(sign * compose_at(outer, i, inner))
-    return OperadElement.sum(n, rows) + OperadElement.sum(n, mixed)
+                    terms.append((sign, compose(outer, i, inner)))
+    return target.sum(n, n - 2, terms)
 
 
 def _diff_x(n: int) -> OperadElement:
@@ -163,17 +170,11 @@ def _diff_yz(n: int, family: str) -> OperadElement:
 def diff_generator(g: Generator) -> OperadElement:
     """Differential of a builtin-family generator.
 
-    >>> diff_generator(gen("R", 1)).is_zero()
-    True
-    >>> diff_generator(gen("m", 2)).is_zero()
-    True
     >>> diff_generator(gen("y", 1)).is_zero()
     True
     """
-    if g.family == "m":
-        return _diff_m(g.arity)
-    if g.family in ("R", "S"):
-        return _diff_operator(g.arity, g.family)
+    if g.family in ("m", "R", "S"):
+        return generator_differential(g.family, g.arity, FreeOperad)
     if g.family == "x":
         return _diff_x(g.arity)
     if g.family in ("y", "z"):

@@ -1,18 +1,25 @@
 """Residuals of the defining identities of homotopy Rota-Baxter systems.
 
-A structure is a graded space with three families of homogeneous maps:
-products m_n (arity n, degree n-2) and two coupled operator families
-R_n, S_n (arity n, degree n-1), stored up to a truncation arity. Each
-defining identity at arity n yields a residual map — the left side minus
-the right side — which vanishes exactly when the identity holds there.
+A structure is a graded space with products m_n (arity n, degree n-2) and
+two coupled operator families R_n, S_n (arity n, degree n-1), stored up to a
+truncation arity: an operad map φ from the minimal model to End(V), given on
+the generators. Its identities say that φ commutes with the differentials,
+so the residual of X_n (X = m, R, S) is
+
+    ∂φ(X_n) − φ(dX_n),   ∂f = m_1∘f − (−1)^|f| Σ_i f∘_i m_1,
+
+with dX_n the minimal model's `generator_differential` evaluated in End(V).
+At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
+generator. A residual vanishes exactly when its identity holds at that arity.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .graded import BasedAlgebra, GradedSpace, MultiMap, compose_tensor
-from .signs import compositions, parity_sign
+from .graded import BasedAlgebra, GradedSpace, MultiMap, compose_tensor, insert
+from .minimal_model import generator_differential
+from .signs import parity_sign
 
 
 def _validated_family(
@@ -116,95 +123,55 @@ def _plug(outer: MultiMap, i: int, inner: MultiMap, k: int) -> MultiMap:
     return compose_tensor(outer, [None] * i + [inner] + [None] * k)
 
 
-def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
-    """Defect of the arity-n associativity-up-to-homotopy identity.
+class _Endomorphisms:
+    """End(V) as a `generator_differential` target: φ on the generators.
 
-    Sum over i + j + k = n of (-1)^{i+jk} m_{i+1+k} o (id^i (x) m_j (x) id^k).
+    ``gen`` returns None for a generator the structure lacks, the zero map.
     """
+
+    compose_at = staticmethod(insert)
+
+    def __init__(self, structure: HomotopyRBS):
+        self.space = structure.space
+        self.images = {"m": structure.m, "R": structure.r, "S": structure.s}
+
+    def gen(self, family: str, arity: int) -> Optional[MultiMap]:
+        return self.images[family].get(arity)
+
+    def sum(self, arity: int, degree: int, terms) -> MultiMap:
+        maps = (sign * f for sign, f in terms)
+        return MultiMap.sum(self.space, self.space, arity, degree, maps)
+
+
+def _residual(structure: HomotopyRBS, family: str, n: int) -> MultiMap:
+    """∂φ(X_n) − φ(dX_n), and m_1∘m_1 for the m-identity at n = 1."""
     _check_arity(structure, n)
-    space = structure.space
-    terms = []
-    for j in range(1, n + 1):
-        inner = structure.m_at(j)
-        if inner is None:
-            continue
-        outer_arity = n - j + 1
-        outer = structure.m_at(outer_arity)
-        if outer is None:
-            continue
-        for i in range(outer_arity):
-            k = outer_arity - 1 - i
-            terms.append(parity_sign(i + j * k) * _plug(outer, i, inner, k))
-    return MultiMap.sum(space, space, n, n - 3, terms)
+    phi = _Endomorphisms(structure)
+    m1 = structure.m_at(1)
+    if family == "m" and n == 1:
+        return phi.sum(1, -2, [] if m1 is None else [(1, insert(m1, 1, m1))])
+    x = phi.gen(family, n)
+    degree = n - 2 if family == "m" else n - 1
+    terms = [(-1, generator_differential(family, n, phi))]
+    if m1 is not None and x is not None:
+        terms.append((1, insert(m1, 1, x)))
+        terms += [(-parity_sign(degree), insert(x, i, m1)) for i in range(1, n + 1)]
+    return phi.sum(n, degree - 1, terms)
 
 
-def _operator_lhs(structure: HomotopyRBS, n: int, family) -> MultiMap:
-    space = structure.space
-    terms = []
-    for k in range(1, n + 1):
-        m_k = structure.m_at(k)
-        if m_k is None:
-            continue
-        for parts_arities in compositions(n, k):
-            parts = [family(a) for a in parts_arities]
-            if any(p is None for p in parts):
-                continue
-            delta = k * (k - 1) // 2 + sum(
-                (k - j) * parts_arities[j - 1] for j in range(1, k + 1)
-            )
-            terms.append(parity_sign(delta) * compose_tensor(m_k, parts))
-    return MultiMap.sum(space, space, n, n - 2, terms)
-
-
-def _operator_rhs(structure: HomotopyRBS, n: int, outer_family) -> MultiMap:
-    space = structure.space
-    terms = []
-    for p in range(1, n + 1):
-        m_p = structure.m_at(p)
-        if m_p is None:
-            continue
-        for r in compositions(n, p):
-            outer = outer_family(r[0])
-            if outer is None:
-                continue
-            tail_weight = sum(rt - 1 for rt in r[1:])
-            for j in range(1, p + 1):
-                inner_parts: list[Optional[MultiMap]] = []
-                for t in range(2, j + 1):
-                    inner_parts.append(structure.r_at(r[t - 1]))
-                inner_parts.append(None)
-                for t in range(j + 1, p + 1):
-                    inner_parts.append(structure.s_at(r[t - 1]))
-                if any(
-                    part is None for slot, part in enumerate(inner_parts) if slot != j - 1
-                ):
-                    continue
-                inner = compose_tensor(m_p, inner_parts)
-                base = (
-                    sum(r[t - 1] - 1 for t in range(2, j + 1))
-                    + sum((r[t - 1] - 1) * (p - t) for t in range(2, p + 1))
-                )
-                for i in range(r[0]):
-                    k = r[0] - 1 - i
-                    eta = i + (p + tail_weight) * k + base
-                    terms.append(parity_sign(eta) * _plug(outer, i, inner, k))
-    return MultiMap.sum(space, space, n, n - 2, terms)
+def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
+    """Defect of the arity-n associativity-up-to-homotopy identity."""
+    return _residual(structure, "m", n)
 
 
 def hrbs_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n identity for the first operator family."""
-    _check_arity(structure, n)
-    return _operator_lhs(structure, n, structure.r_at) - _operator_rhs(
-        structure, n, structure.r_at
-    )
+    return _residual(structure, "R", n)
 
 
 def hrbs_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n identity for the second operator family."""
-    _check_arity(structure, n)
-    return _operator_lhs(structure, n, structure.s_at) - _operator_rhs(
-        structure, n, structure.s_at
-    )
+    return _residual(structure, "S", n)
 
 
 def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:

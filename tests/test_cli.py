@@ -461,6 +461,53 @@ def test_unknown_basis_name_is_named(capsys, tmp_path, build):
     assert report["error"] == "unknown basis name 'nope'"
 
 
+def map_output_as_array():
+    payload = hrbs_payload()
+    payload["r"]["1"]["entries"] = [{"in": ["v1"], "out": ["v1", "2"]}]
+    return "hrbs", payload
+
+
+def map_input_as_string():
+    # on the basis {a, b} the string "ab" must not be read as ("a", "b")
+    space = GradedSpace([("a", 0), ("b", 0)])
+    m2 = {"arity": 2, "degree": 0, "entries": [{"in": "ab", "out": {"a": "1"}}]}
+    return "hrbs", {"space": space.to_json(), "m": {"2": m2}}
+
+
+def map_input_not_names():
+    payload = hrbs_payload()
+    payload["r"]["1"]["entries"] = [{"in": [["v1"]], "out": {"v1": "2"}}]
+    return "hrbs", payload
+
+
+def tensor_factors_as_string():
+    bad = {"order": 2, "entries": [{"factors": "e1^2", "coeff": "1"}]}
+    return "ybp", {"space": PLANE.to_json(), "r": bad, "s": bad}
+
+
+def map_entry_not_an_object():
+    payload = hrbs_payload()
+    payload["r"]["1"]["entries"] = [["v1", "v1", "2"]]
+    return "hrbs", payload
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        map_output_as_array,
+        map_input_as_string,
+        map_input_not_names,
+        tensor_factors_as_string,
+        map_entry_not_an_object,
+    ],
+)
+def test_malformed_entry_shape_exits_2(capsys, tmp_path, build):
+    command, payload = build()
+    code, report = run(capsys, "check", command, dump(tmp_path, "shape.json", payload))
+    assert code == 2
+    assert report["error"].startswith("entry ")
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_linfinity_refuses_an_empty_trial_count(capsys, trials):
     code, report = run(capsys, "verify", "linfinity", "--trials", trials)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsinfty.minimal_model import (
+    FreeOperad,
     alpha_exponent,
     beta_exponent,
     check_d_squared,
-    delta_exponent,
     diff_generator,
     differential,
-    eta_exponent,
     extend_derivation,
+    generator_differential,
     replace_vertex,
 )
 from rbsinfty.signs import compositions
@@ -52,24 +52,6 @@ def test_alpha_beta_frozen_values():
     assert alpha_exponent(2, (2, 1)) == 2
     assert beta_exponent(2, 1, 1, (1, 1)) == 2
     assert beta_exponent(2, 2, 1, (1, 1)) == 2
-
-
-def test_beta_and_eta_agree_mod_two():
-    # eta is phrased with i = number of identity slots before the plug,
-    # beta with the plug position itself; they differ by exactly 2.
-    for p in range(2, 5):
-        for parts in compositions(6, p):
-            for j in range(1, p + 1):
-                for plug in range(1, parts[0] + 1):
-                    b = beta_exponent(p, j, plug, parts)
-                    e = eta_exponent(p, j, plug - 1, parts)
-                    assert b - e == 2
-
-
-def test_delta_frozen_values():
-    assert delta_exponent(1, (1,)) == 0
-    assert delta_exponent(2, (1, 1)) == 2
-    assert delta_exponent(2, (2, 1)) == 3
 
 
 def test_compositions():
@@ -136,6 +118,72 @@ def test_diff_y2_structure():
         + compose_at(y1, 1, compose_at(x2, 1, y1))
     )
     assert e == expected
+
+
+# The builders below are the chained-composition forms of d m_n and d R_n,
+# d S_n that `generator_differential` replaced, kept as its oracle.
+
+
+def _oracle_diff_m(n):
+    terms = []
+    for j in range(2, n):
+        for i in range(1, n - j + 2):
+            sign = (-1) ** (i + j * (n - i))
+            terms.append(sign * compose_at(gen("m", n - j + 1), i, gen("m", j)))
+    return OperadElement.sum(n, terms)
+
+
+def _oracle_operator_row(k, parts, family):
+    term = as_element(gen("m", k))
+    leaf = 1
+    for part in parts:
+        term = compose_at(term, leaf, gen(family, part))
+        leaf += part
+    return term
+
+
+def _oracle_mixed_row(p, j, parts):
+    term = as_element(gen("m", p))
+    leaf = 1
+    for t in range(2, j + 1):
+        term = compose_at(term, leaf, gen("R", parts[t - 1]))
+        leaf += parts[t - 1]
+    leaf += 1  # the open slot j
+    for t in range(j + 1, p + 1):
+        term = compose_at(term, leaf, gen("S", parts[t - 1]))
+        leaf += parts[t - 1]
+    return term
+
+
+def _oracle_diff_operator(n, family):
+    rows = []
+    for k in range(2, n + 1):
+        for parts in compositions(n, k):
+            sign = (-1) ** alpha_exponent(k, parts)
+            rows.append(sign * _oracle_operator_row(k, parts, family))
+    mixed = []
+    for p in range(2, n + 1):
+        for parts in compositions(n, p):
+            outer = gen(family, parts[0])
+            for j in range(1, p + 1):
+                inner = _oracle_mixed_row(p, j, parts)
+                for i in range(1, parts[0] + 1):
+                    sign = (-1) ** beta_exponent(p, j, i, parts)
+                    mixed.append(sign * compose_at(outer, i, inner))
+    return OperadElement.sum(n, rows) + OperadElement.sum(n, mixed)
+
+
+@pytest.mark.parametrize("family", ["m", "R", "S"])
+def test_generator_differential_matches_chained_builders(family):
+    for n in range(2 if family == "m" else 1, 6):
+        if family == "m":
+            oracle = _oracle_diff_m(n)
+        else:
+            oracle = _oracle_diff_operator(n, family)
+        built = generator_differential(family, n, FreeOperad)
+        assert built == oracle
+        assert diff_generator(gen(family, n)) == oracle
+        assert n < 3 or not built.is_zero()
 
 
 def test_diff_unsupported_family():

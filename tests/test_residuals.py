@@ -12,6 +12,7 @@ from rbsinfty.graded import (
     compose_tensor,
     insert,
 )
+from rbsinfty.minimal_model import beta_exponent
 from rbsinfty.residuals import (
     HomotopyRBS,
     check_classical_rbs,
@@ -22,6 +23,7 @@ from rbsinfty.residuals import (
     stasheff_residual,
 )
 from rbsinfty.sampling import random_multimap
+from rbsinfty.signs import compositions
 
 ONE = Fraction(1)
 
@@ -322,3 +324,153 @@ def test_dg_residual_zero_structure():
     for n in range(1, 4):
         assert dga_residual_R(s, n).is_zero()
         assert dga_residual_S(s, n).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# hand-written residuals: the oracle for the evaluated differential
+# ---------------------------------------------------------------------------
+#
+# The identities as they were written out before the residuals were obtained
+# by evaluating `generator_differential` in End(V), with their own sign
+# exponents delta and eta next to alpha and beta of the free operad.
+
+
+def delta_exponent(k, parts):
+    """Exponent on the m_k(R...R) terms of the map-level operator residual."""
+    return k * (k - 1) // 2 + sum((k - j) * parts[j - 1] for j in range(1, k + 1))
+
+
+def eta_exponent(p, j, i, parts):
+    """Exponent on the mixed-row terms of the map-level operator residual.
+
+    ``i`` counts identity slots before the inner block; it relates to the
+    plug position of `beta_exponent` by i = plug - 1.
+    """
+    r1 = parts[0]
+    k = r1 - 1 - i
+    load = p + sum(r - 1 for r in parts[1:])
+    before_j = sum(parts[t - 1] - 1 for t in range(2, j + 1))
+    tail = sum((parts[t - 1] - 1) * (p - t) for t in range(2, p + 1))
+    return i + load * k + before_j + tail
+
+
+def _plug(outer, i, inner, k):
+    return compose_tensor(outer, [None] * i + [inner] + [None] * k)
+
+
+def oracle_stasheff(structure, n):
+    """Sum over i + j + k = n of (-1)^{i+jk} m_{i+1+k} o (id^i (x) m_j (x) id^k)."""
+    space = structure.space
+    terms = []
+    for j in range(1, n + 1):
+        inner = structure.m_at(j)
+        outer = structure.m_at(n - j + 1)
+        if inner is None or outer is None:
+            continue
+        for i in range(n - j + 1):
+            k = n - j - i
+            terms.append((-1) ** (i + j * k) * _plug(outer, i, inner, k))
+    return MultiMap.sum(space, space, n, n - 3, terms)
+
+
+def _oracle_operator_lhs(structure, n, family):
+    space = structure.space
+    terms = []
+    for k in range(1, n + 1):
+        m_k = structure.m_at(k)
+        if m_k is None:
+            continue
+        for arities in compositions(n, k):
+            parts = [family(a) for a in arities]
+            if any(p is None for p in parts):
+                continue
+            sign = (-1) ** delta_exponent(k, arities)
+            terms.append(sign * compose_tensor(m_k, parts))
+    return MultiMap.sum(space, space, n, n - 2, terms)
+
+
+def _oracle_operator_rhs(structure, n, family):
+    space = structure.space
+    terms = []
+    for p in range(1, n + 1):
+        m_p = structure.m_at(p)
+        if m_p is None:
+            continue
+        for r in compositions(n, p):
+            outer = family(r[0])
+            if outer is None:
+                continue
+            for j in range(1, p + 1):
+                inner_parts = (
+                    [structure.r_at(rt) for rt in r[1:j]]
+                    + [None]
+                    + [structure.s_at(rt) for rt in r[j:]]
+                )
+                if any(g is None for t, g in enumerate(inner_parts) if t != j - 1):
+                    continue
+                inner = compose_tensor(m_p, inner_parts)
+                for i in range(r[0]):
+                    sign = (-1) ** eta_exponent(p, j, i, r)
+                    terms.append(sign * _plug(outer, i, inner, r[0] - 1 - i))
+    return MultiMap.sum(space, space, n, n - 2, terms)
+
+
+def oracle_operator(structure, n, family):
+    return _oracle_operator_lhs(structure, n, family) - _oracle_operator_rhs(
+        structure, n, family
+    )
+
+
+def test_beta_and_eta_agree_mod_two():
+    # eta is phrased with i = number of identity slots before the plug,
+    # beta with the plug position itself; they differ by exactly 2.
+    for p in range(2, 5):
+        for parts in compositions(6, p):
+            for j in range(1, p + 1):
+                for plug in range(1, parts[0] + 1):
+                    b = beta_exponent(p, j, plug, parts)
+                    e = eta_exponent(p, j, plug - 1, parts)
+                    assert b - e == 2
+
+
+def test_delta_frozen_values():
+    assert delta_exponent(1, (1,)) == 0
+    assert delta_exponent(2, (1, 1)) == 2
+    assert delta_exponent(2, (2, 1)) == 3
+
+
+def _random_structure(seed, degrees):
+    space = GradedSpace([(f"v{i}", d) for i, d in enumerate(degrees, 1)])
+    rng = random.Random(seed)
+
+    def family(degree_of_arity):
+        return {
+            n: random_multimap(rng, space, space, n, degree_of_arity(n), density=0.9)
+            for n in range(1, 6)
+        }
+
+    return HomotopyRBS(
+        space,
+        m=family(lambda n: n - 2),
+        r=family(lambda n: n - 1),
+        s=family(lambda n: n - 1),
+        truncation=5,
+    )
+
+
+@pytest.mark.parametrize("degrees", [(0, 1, 2), (0, 1, -1)])
+@pytest.mark.parametrize("seed", range(4))
+def test_residuals_match_the_hand_written_identities(seed, degrees):
+    s = _random_structure(seed, degrees)
+    nonzero = checked = 0
+    for n in range(1, 6):
+        for residual, oracle in (
+            (stasheff_residual(s, n), oracle_stasheff(s, n)),
+            (hrbs_residual_R(s, n), oracle_operator(s, n, s.r_at)),
+            (hrbs_residual_S(s, n), oracle_operator(s, n, s.s_at)),
+        ):
+            assert residual == oracle
+            nonzero += not oracle.is_zero()
+            checked += 1
+    # most residuals of a random structure are nonzero, so the check has teeth
+    assert nonzero > checked // 2
