@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 from typing import Optional
 
 from .graded import GradedSpace, MatrixAlgebra, MultiMap, TensorElem
@@ -39,7 +41,7 @@ from .linfty import (
     twist_square_defects,
     verify_generalized_jacobi,
 )
-from .minimal_model import PRESENTATIONS, check_d_squared
+from .minimal_model import _WITNESS_CAP, PRESENTATIONS, check_d_squared
 from .monomial_model import check_homotopy
 from .residuals import (
     HomotopyRBS,
@@ -56,9 +58,6 @@ from .yang_baxter import (
     rbs_to_ybp,
     ybp_to_rbs,
 )
-
-_WITNESS_CAP = 8
-
 
 # -- report helpers -------------------------------------------------------------
 
@@ -368,15 +367,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(report: dict) -> None:
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader left early (``| head``); the interpreter flushes stdout
+        # again at exit, so send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        message = str(exc) or type(exc).__name__
-        print(json.dumps({"error": message}, indent=2, sort_keys=True))
+        _print({"error": str(exc) or type(exc).__name__})
         return 2
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print(report)
     return 0 if report.get("ok", True) else 1
 
 

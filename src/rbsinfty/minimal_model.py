@@ -17,6 +17,7 @@ expansion.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .signs import compositions, parity_sign
@@ -25,11 +26,11 @@ from .trees import (
     Generator,
     OperadElement,
     TreeMonomial,
+    _graft_nodes,
     as_element,
     brace,
     compose_at,
     gen,
-    graft_with_sign,
     identity_element,
 )
 
@@ -167,8 +168,9 @@ def _diff_yz(n: int, family: str) -> OperadElement:
     return OperadElement.sum(n, mixed) - OperadElement.sum(n, rows)
 
 
+@lru_cache(maxsize=None)
 def diff_generator(g: Generator) -> OperadElement:
-    """Differential of a builtin-family generator.
+    """Differential of a builtin-family generator, built once per process.
 
     >>> diff_generator(gen("y", 1)).is_zero()
     True
@@ -197,12 +199,16 @@ def replace_vertex(
     reordering the vertex list (with the block of ``u``'s vertices standing
     in the removed vertex's position) into the planar order of the result.
     The vertices outside the removed vertex's subtree keep their places, so
-    that sign is the sign of grafting the vertex's subtrees onto ``u``.
+    that sign is the sign of grafting the vertex's subtrees onto ``u``; the
+    subtrees are grafted as bare nodes, and only the result is validated.
     """
     if not 0 <= index < t.weight:
         raise ValueError(f"no vertex at planar index {index}")
     planar_index = itertools.count()
     sign = 1
+
+    def degree(node) -> int:
+        return 0 if node is None else node[0].degree + sum(map(degree, node[1]))
 
     def rebuild(node):
         nonlocal sign
@@ -216,12 +222,12 @@ def replace_vertex(
                 f"replacement arity {u.arity} != vertex arity {generator.arity}"
             )
         subtrees = {
-            leaf: TreeMonomial(child)
+            leaf: (child, degree(child))
             for leaf, child in enumerate(children, 1)
             if child is not None
         }
-        grafted, sign = graft_with_sign(u, subtrees)
-        return grafted.root
+        grafted, sign = _graft_nodes(u.root, subtrees)
+        return grafted
 
     return TreeMonomial(rebuild(t.root)), sign
 
@@ -257,6 +263,9 @@ def differential(e: OperadElement) -> OperadElement:
 # d-squared verification
 # ---------------------------------------------------------------------------
 
+# the most residual terms (or entries) a failing check lists in its report
+_WITNESS_CAP = 8
+
 PRESENTATIONS = {
     "mrs": ("m", "R", "S"),
     "xyz": ("x", "y", "z"),
@@ -275,21 +284,26 @@ def presentation_generators(
 def check_d_squared(families: Iterable[str], max_arity: int) -> dict:
     """Verify d(d(g)) = 0 for every listed generator of arity <= max_arity.
 
-    Returns a JSON-ready report; a nonzero residual is reported, not raised.
+    Returns a JSON-ready report; a nonzero residual is reported, not raised,
+    with its first `_WITNESS_CAP` terms in serialization order.
     """
     if max_arity < 2:
         raise ValueError("max_arity must be >= 2")
     results = []
     for g in presentation_generators(families, max_arity):
         residual = differential(diff_generator(g))
-        results.append(
-            {
-                "generator": g.name,
-                "arity": g.arity,
-                "residual_terms": len(residual.terms),
-                "ok": residual.is_zero(),
-            }
-        )
+        result = {
+            "generator": g.name,
+            "arity": g.arity,
+            "residual_terms": len(residual.terms),
+            "ok": residual.is_zero(),
+        }
+        if not residual.is_zero():
+            result["witnesses"] = [
+                {"tree": tree.to_text(), "coeff": str(coeff)}
+                for tree, coeff in itertools.islice(residual.items(), _WITNESS_CAP)
+            ]
+        results.append(result)
     return {
         "families": sorted(set(families)),
         "max_arity": max_arity,

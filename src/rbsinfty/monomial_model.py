@@ -40,8 +40,9 @@ from .trees import (
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def diff_bar(g: Generator) -> OperadElement:
-    """First-slot differential of an m/R/S generator.
+    """First-slot differential of an m/R/S generator, built once per process.
 
     >>> diff_bar(gen("m", 3))
     -m2(m2(1, 2), 3)

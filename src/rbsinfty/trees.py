@@ -299,8 +299,21 @@ def graft_with_sign(
     for i in assignment:
         if not 1 <= i <= f.arity:
             raise ValueError(f"leaf index {i} out of range 1..{f.arity}")
+    root, sign = _graft_nodes(
+        f.root, {i: (t.root, t.degree) for i, t in assignment.items()}
+    )
+    return TreeMonomial(root), sign
 
-    # letters: the vertices of f tagged 0, 1, ... in planar order, then the
+
+def _graft_nodes(
+    root: Node, grafts: Mapping[int, tuple[Node, int]]
+) -> tuple[Node, int]:
+    """The node walk of `graft_with_sign`, on bare nodes.
+
+    ``grafts`` maps leaves of ``root`` to ``(node, total degree)`` pairs.
+    Returns the grafted node, unvalidated, and the Koszul sign.
+    """
+    # letters: the outer vertices tagged 0, 1, ... in planar order, then the
     # grafted tree at leaf i tagged -i
     letters: list[tuple[int, int]] = []
     planar: list[int] = []
@@ -309,18 +322,18 @@ def graft_with_sign(
     def walk(node: Node) -> Node:
         if node is None:
             i = next(leaf_numbers)
-            if i not in assignment:
+            if i not in grafts:
                 return None
             planar.append(-i)
-            return assignment[i].root
+            return grafts[i][0]
         generator, children = node
         planar.append(len(letters))
         letters.append((len(letters), generator.degree))
         return (generator, tuple(walk(c) for c in children))
 
-    result = TreeMonomial(walk(f.root))
-    letters += [(-i, assignment[i].degree) for i in sorted(assignment)]
-    return result, inversion_sign(letters, planar)
+    grafted = walk(root)
+    letters += [(-i, grafts[i][1]) for i in sorted(grafts)]
+    return grafted, inversion_sign(letters, planar)
 
 
 # ---------------------------------------------------------------------------

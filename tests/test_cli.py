@@ -6,15 +6,23 @@ passes, 1 on a verification failure, 2 on unparseable input.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rbsinfty.cli import main
+import rbsinfty
+from rbsinfty import minimal_model
+from rbsinfty.cli import _WITNESS_CAP, main
 from rbsinfty.graded import BasedAlgebra, GradedSpace, MatrixAlgebra, MultiMap, TensorElem
+from rbsinfty.minimal_model import extend_derivation
 from rbsinfty.residuals import HomotopyRBS
 from rbsinfty.sampling import random_tensor
+from rbsinfty.trees import OperadElement, gen
 
 PLANE = GradedSpace([("v1", 0), ("v2", 0)])
 GRADED = GradedSpace([("v1", 0), ("v2", 1)])
@@ -95,6 +103,45 @@ def test_verify_d_squared_rejects_tiny_bound(capsys):
     code, report = run(capsys, "verify", "d-squared", "--max-arity", "1")
     assert code == 2
     assert "error" in report
+
+
+def test_verify_d_squared_failure_carries_witnesses(capsys, monkeypatch):
+    real = minimal_model.diff_generator
+    m4 = gen("m", 4)
+    flipped_tree, flipped_coeff = next(real(m4).items())
+
+    def stand_in(g):
+        # a copy of d m4 with one sign flipped; the real cache is only read
+        image = real(g)
+        if g != m4:
+            return image
+        return OperadElement(
+            image.arity,
+            ((t, -c if t == flipped_tree else c) for t, c in image.terms.items()),
+        )
+
+    monkeypatch.setattr(minimal_model, "diff_generator", stand_in)
+    code, report = run(capsys, "verify", "d-squared", "--max-arity", "5")
+    monkeypatch.undo()
+    assert code == 1 and report["ok"] is False
+    by_name = {r["generator"]: r for r in report["results"]}
+    # d(d m4) keeps only -2c d(t) for the flipped term c t
+    residual = extend_derivation(
+        real, OperadElement.monomial(flipped_tree, -2 * flipped_coeff)
+    )
+    assert by_name["m4"]["residual_terms"] == len(residual.terms)
+    assert by_name["m4"]["witnesses"] == [
+        {"tree": t.to_text(), "coeff": str(c)} for t, c in residual.items()
+    ]
+    # d R5 reaches m4 through its m4(R, R, R, R) rows: more terms than the cap
+    assert by_name["R5"]["residual_terms"] > _WITNESS_CAP
+    assert len(by_name["R5"]["witnesses"]) == _WITNESS_CAP
+    for result in report["results"]:
+        if result["ok"]:
+            assert set(result) == {"generator", "arity", "residual_terms", "ok"}
+        else:
+            assert 0 < len(result["witnesses"]) <= _WITNESS_CAP
+    assert real(m4) == real.__wrapped__(m4)
 
 
 def test_verify_homotopy_passes(capsys):
@@ -513,6 +560,28 @@ def test_verify_linfinity_refuses_an_empty_trial_count(capsys, trials):
     code, report = run(capsys, "verify", "linfinity", "--trials", trials)
     assert code == 2
     assert "trials" in report["error"]
+
+
+def test_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
+    # a dense dim-4 pair converts to ~15 KB, more than stdout buffers, so the
+    # report is written while it prints, into a pipe nobody reads any more
+    space = GradedSpace([(f"v{i}", 0) for i in range(1, 5)])
+    algebra = MatrixAlgebra(space)
+    rng = random.Random(3)
+    r, s = (random_tensor(rng, algebra, 2, degree=0, density=1.0) for _ in "rs")
+    payload = {"space": space.to_json(), "r": r.to_json(), "s": s.to_json()}
+    path = dump(tmp_path, "dense.json", payload)
+    env = dict(os.environ, PYTHONPATH=str(Path(rbsinfty.__file__).parent.parent))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rbsinfty.cli", "convert", "ybp-to-rbs", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    assert child.wait() == 0
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -19,6 +19,7 @@ from rbsinfty.minimal_model import (
 )
 from rbsinfty.signs import compositions
 from rbsinfty.trees import (
+    _FAMILY_MIN_ARITY,
     OperadElement,
     as_element,
     compose_at,
@@ -189,8 +190,19 @@ def test_generator_differential_matches_chained_builders(family):
 def test_diff_unsupported_family():
     from rbsinfty.trees import Generator
 
-    with pytest.raises(ValueError):
-        diff_generator(Generator("q", 2, 0))
+    # the cache keeps no failure: every call raises again
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            diff_generator(Generator("q", 2, 0))
+
+
+@pytest.mark.parametrize("family", ["m", "R", "S", "x", "y", "z"])
+def test_cached_diff_generator_matches_a_fresh_build(family):
+    for n in range(_FAMILY_MIN_ARITY[family], 7):
+        g = gen(family, n)
+        cached = diff_generator(g)
+        assert cached == diff_generator.__wrapped__(g)
+        assert diff_generator(g) is cached
 
 
 def test_diff_lowers_degree_by_one_and_keeps_arity():

@@ -75,8 +75,19 @@ def test_diff_bar_drops_degree_by_one():
 
 
 def test_diff_bar_rejects_other_families():
-    with pytest.raises(ValueError):
-        diff_bar(gen("x", 3))
+    # the cache keeps no failure: every call raises again
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            diff_bar(gen("x", 3))
+
+
+@pytest.mark.parametrize("family,lowest", [("m", 2), ("R", 1), ("S", 1)])
+def test_cached_diff_bar_matches_a_fresh_build(family, lowest):
+    for n in range(lowest, 7):
+        g = gen(family, n)
+        cached = diff_bar(g)
+        assert cached == diff_bar.__wrapped__(g)
+        assert diff_bar(g) is cached
 
 
 @pytest.mark.parametrize("family,lowest", [("m", 2), ("R", 1), ("S", 1)])

@@ -1,22 +1,40 @@
-"""Side-by-side check of the tree-substitution primitives against an oracle.
+"""Side-by-side check of the tree-substitution primitives against oracles.
 
 `graft_with_sign` walks the outer tree once and lets each grafted tree enter
 the Koszul sign as one letter of its total degree; `replace_vertex` grafts the
-removed vertex's subtrees onto the replacement with it.  The oracle below is
-the direct tag-and-strip computation: tag every vertex of every input, build
-the result, read the tags back in planar order and reorder the full
-concatenated vertex list.  Both must give the same tree and sign on every
-monomial of the enumerated universe.
+removed vertex's child nodes onto the replacement with the same node walk and
+builds only the final tree.  The first oracle is the direct tag-and-strip
+computation: tag every vertex of every input, build the result, read the tags
+back in planar order and reorder the full concatenated vertex list.  The
+second is the earlier `replace_vertex`, which wrapped each child subtree in a
+`TreeMonomial` and went through `graft_with_sign`, together with a
+derivation extension that rebuilds each generator's differential on every
+vertex.  All must give the same trees and signs on the enumerated universe.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from rbsinfty.minimal_model import replace_vertex
+import pytest
+
+from rbsinfty.minimal_model import (
+    PRESENTATIONS,
+    diff_generator,
+    extend_derivation,
+    presentation_generators,
+    replace_vertex,
+)
 from rbsinfty.monomial_model import diff_bar, enumerate_monomials
-from rbsinfty.signs import inversion_sign
-from rbsinfty.trees import TreeMonomial, corolla, gen, graft_with_sign
+from rbsinfty.signs import inversion_sign, parity_sign
+from rbsinfty.trees import (
+    OperadElement,
+    TreeMonomial,
+    as_element,
+    corolla,
+    gen,
+    graft_with_sign,
+)
 
 # ---------------------------------------------------------------------------
 # the oracle: tag every vertex, rebuild, strip, reorder the whole list
@@ -97,6 +115,42 @@ def oracle_replace(t, index, u):
     return result, inversion_sign(concatenation, order)
 
 
+def oracle_replace_by_trees(t, index, u):
+    """The earlier replace_vertex: one `TreeMonomial` per child subtree."""
+    planar_index = itertools.count()
+    sign = 1
+
+    def rebuild(node):
+        nonlocal sign
+        if node is None:
+            return None
+        generator, children = node
+        if next(planar_index) != index:
+            return (generator, tuple(rebuild(c) for c in children))
+        subtrees = {
+            leaf: TreeMonomial(child)
+            for leaf, child in enumerate(children, 1)
+            if child is not None
+        }
+        grafted, sign = graft_with_sign(u, subtrees)
+        return grafted.root
+
+    return TreeMonomial(rebuild(t.root)), sign
+
+
+def oracle_extend(diff_of, e):
+    """The derivation extension through `oracle_replace_by_trees`."""
+    terms = []
+    for tree, coeff in e.terms.items():
+        prefix = 0
+        for index, label in enumerate(tree.vertices()):
+            for u_tree, u_coeff in diff_of(label).terms.items():
+                new_tree, sign = oracle_replace_by_trees(tree, index, u_tree)
+                terms.append((new_tree, parity_sign(prefix) * sign * coeff * u_coeff))
+            prefix += label.degree
+    return OperadElement(e.arity, terms)
+
+
 # ---------------------------------------------------------------------------
 # side by side
 # ---------------------------------------------------------------------------
@@ -148,3 +202,32 @@ def test_multi_leaf_grafts_of_odd_trees_match_oracle():
                 assert graft_with_sign(t, assignment) == oracle_graft(
                     t, assignment
                 ), (t, assignment)
+
+
+def test_replace_vertex_matches_the_tree_wrapping_build():
+    # the full differentials graft odd and multi-vertex subtrees as well
+    replacements = 0
+    for t in UNIVERSE:
+        for index, label in enumerate(t.vertices()):
+            images = list(diff_bar(label).terms) + list(diff_generator(label).terms)
+            for u in images:
+                assert replace_vertex(t, index, u) == oracle_replace_by_trees(
+                    t, index, u
+                ), (t, index, u)
+                replacements += 1
+    assert replacements == 2_823
+
+
+@pytest.mark.parametrize("presentation", sorted(PRESENTATIONS))
+def test_extend_derivation_matches_the_uncached_tree_wrapping_path(presentation):
+    # d(d g) is zero on both paths, so each term of d g is compared on its own
+    build = diff_generator.__wrapped__
+    nonzero = 0
+    for g in presentation_generators(PRESENTATIONS[presentation], 5):
+        whole = diff_generator(g)
+        assert extend_derivation(diff_generator, whole) == oracle_extend(build, whole)
+        for tree in whole.terms:
+            image = extend_derivation(diff_generator, as_element(tree))
+            assert image == oracle_extend(build, as_element(tree)), (g, tree)
+            nonzero += not image.is_zero()
+    assert nonzero > 0
