@@ -33,7 +33,7 @@ import os
 import sys
 from typing import Optional
 
-from .graded import GradedSpace, MatrixAlgebra, MultiMap, TensorElem
+from .graded import GradedSpace, MatrixAlgebra, MultiMap, TensorElem, _json_object
 from .linfty import (
     CochainElement,
     classical_cochain,
@@ -64,29 +64,12 @@ from .yang_baxter import (
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("the top-level JSON value must be an object")
-    return data
+        return _json_object(json.load(handle), "the top-level JSON value")
 
 
-def _map_report(residual: MultiMap) -> dict:
-    entries = [
-        {"in": list(ins), "out": {name: str(c) for name, c in outs.items()}}
-        for ins, outs in residual.items()
-    ]
-    return {
-        "nonzero_entries": len(entries),
-        "witnesses": entries[:_WITNESS_CAP],
-        "ok": not entries,
-    }
-
-
-def _tensor_report(residual: TensorElem) -> dict:
-    entries = [
-        {"factors": list(factors), "coeff": str(coeff)}
-        for factors, coeff in residual.items()
-    ]
+def _report(residual: MultiMap | TensorElem) -> dict:
+    """Entry count, first serialized entries and verdict of a residual."""
+    entries = residual.to_json()["entries"]
     return {
         "nonzero_entries": len(entries),
         "witnesses": entries[:_WITNESS_CAP],
@@ -102,15 +85,8 @@ def _matrix_setup(data: dict) -> tuple[GradedSpace, MatrixAlgebra]:
 def _operator_pair(data: dict, algebra: MatrixAlgebra) -> tuple[MultiMap, MultiMap]:
     end = algebra.space
     return (
-        MultiMap.from_json(end, end, data["R"]),
-        MultiMap.from_json(end, end, data["S"]),
-    )
-
-
-def _tensor_pair(data: dict, algebra: MatrixAlgebra) -> YBPair:
-    return YBPair(
-        TensorElem.from_json(algebra, data["r"]),
-        TensorElem.from_json(algebra, data["s"]),
+        MultiMap.from_json(end, end, data["R"], field="R"),
+        MultiMap.from_json(end, end, data["S"], field="S"),
     )
 
 
@@ -154,8 +130,8 @@ def _cmd_check_rbs(args: argparse.Namespace) -> dict:
         "command": "check rbs",
         "module_dimension": space.dim,
         "algebra_dimension": algebra.space.dim,
-        "residual_r": _map_report(res_r),
-        "residual_s": _map_report(res_s),
+        "residual_r": _report(res_r),
+        "residual_s": _report(res_s),
         "ok": res_r.is_zero() and res_s.is_zero(),
     }
 
@@ -174,7 +150,7 @@ def _cmd_check_hrbs(args: argparse.Namespace) -> dict:
             ("operator-r", hrbs_residual_R(structure, n)),
             ("operator-s", hrbs_residual_S(structure, n)),
         ):
-            results.append({"identity": label, "arity": n, **_map_report(residual)})
+            results.append({"identity": label, "arity": n, **_report(residual)})
     return {
         "command": "check hrbs",
         "max_arity": limit,
@@ -187,13 +163,13 @@ def _cmd_check_hrbs(args: argparse.Namespace) -> dict:
 def _cmd_check_ybp(args: argparse.Namespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
-    pair = _tensor_pair(data, algebra)
+    pair = YBPair.from_json(algebra, data)
     res_r, res_s = check_classical_ybp(pair)
     return {
         "command": "check ybp",
         "module_dimension": space.dim,
-        "residual_r": _tensor_report(res_r),
-        "residual_s": _tensor_report(res_s),
+        "residual_r": _report(res_r),
+        "residual_s": _report(res_s),
         "ok": res_r.is_zero() and res_s.is_zero(),
     }
 
@@ -212,8 +188,8 @@ def _cmd_check_aybe(args: argparse.Namespace) -> dict:
         results.append(
             {
                 "index": n,
-                "residual_r": _tensor_report(res_r),
-                "residual_s": _tensor_report(res_s),
+                "residual_r": _report(res_r),
+                "residual_s": _report(res_s),
                 "ok": res_r.is_zero() and res_s.is_zero(),
             }
         )
@@ -234,15 +210,15 @@ def _cmd_check_mc(args: argparse.Namespace) -> dict:
     else:
         space = GradedSpace.from_json(data["space"])
         alpha = classical_cochain(
-            MultiMap.from_json(space, space, data["product"]),
-            MultiMap.from_json(space, space, data["R"]),
-            MultiMap.from_json(space, space, data["S"]),
+            MultiMap.from_json(space, space, data["product"], field="product"),
+            MultiMap.from_json(space, space, data["R"], field="R"),
+            MultiMap.from_json(space, space, data["S"], field="S"),
             truncation=data.get("truncation", 3),
         )
         source = "classical"
     residual = mc_residual(alpha)
     components = [
-        {"tag": piece.tag, "arity": piece.arity, **_map_report(piece.map)}
+        {"tag": piece.tag, "arity": piece.arity, **_report(piece.map)}
         for piece in residual.pieces()
     ]
     satisfied = residual.is_zero()
@@ -272,7 +248,7 @@ def _cmd_check_mc(args: argparse.Namespace) -> dict:
 def _cmd_convert_ybp_to_rbs(args: argparse.Namespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
-    R, S = ybp_to_rbs(_tensor_pair(data, algebra))
+    R, S = ybp_to_rbs(YBPair.from_json(algebra, data))
     return {"space": space.to_json(), "R": R.to_json(), "S": S.to_json()}
 
 

@@ -243,13 +243,23 @@ class MultiMap:
         return {"arity": self.arity, "degree": self.degree, "entries": entries}
 
     @classmethod
-    def from_json(cls, space_in, space_out, data: Mapping) -> "MultiMap":
+    def from_json(
+        cls, space_in, space_out, data: Mapping, field: str = "map"
+    ) -> "MultiMap":
+        data = _json_object(data, field)
         table = [
             (tuple(_field(e, "in", list)), _field(e, "out", dict))
             for e in data.get("entries", [])
         ]
         _reject_repeats(ins for ins, _ in table)
         return cls(space_in, space_out, data["arity"], data["degree"], table)
+
+
+def _json_object(value, field: str) -> dict:
+    """``value``, refusing anything but a JSON object by naming ``field``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _field(entry, key: str, kind: type):
@@ -571,7 +581,8 @@ class TensorElem:
         }
 
     @classmethod
-    def from_json(cls, algebra, data: Mapping) -> "TensorElem":
+    def from_json(cls, algebra, data: Mapping, field: str = "tensor") -> "TensorElem":
+        data = _json_object(data, field)
         table = [
             (tuple(_field(e, "factors", list)), e["coeff"])
             for e in data.get("entries", [])

@@ -254,6 +254,17 @@ class CochainElement:
 # -- suspension dictionary --------------------------------------------------
 
 
+def _suspension_signed(f: MultiMap, space: GradedSpace, degree: int) -> dict:
+    """f's table signed as in `suspend_alg_map`, for the unsuspended
+    ``degree`` of the map and input degrees read in the unsuspended ``space``."""
+    table: dict[tuple[str, ...], dict[str, Fraction]] = {}
+    for ins, outs in f.table.items():
+        degrees = [space.degree(name) for name in ins]
+        sign = parity_sign((f.arity - 1) * degree + _staircase(degrees))
+        table[ins] = {out: sign * coeff for out, coeff in outs.items()}
+    return table
+
+
 def suspend_alg_map(f: MultiMap) -> MultiMap:
     """A multilinear self-map of the module, rewritten on the suspension.
 
@@ -264,13 +275,8 @@ def suspend_alg_map(f: MultiMap) -> MultiMap:
     """
     if f.space_in != f.space_out:
         raise ValueError("only self-maps of one module can be suspended here")
-    space = f.space_in
-    suspended = space.suspend()
-    table: dict[tuple[str, ...], dict[str, Fraction]] = {}
-    for ins, outs in f.table.items():
-        degrees = [space.degree(name) for name in ins]
-        sign = parity_sign((f.arity - 1) * f.degree + _staircase(degrees))
-        table[ins] = {out: sign * coeff for out, coeff in outs.items()}
+    suspended = f.space_in.suspend()
+    table = _suspension_signed(f, f.space_in, f.degree)
     return MultiMap(suspended, suspended, f.arity, f.degree + 1 - f.arity, table)
 
 
@@ -280,12 +286,7 @@ def desuspend_alg_map(m: MultiMap) -> MultiMap:
         raise ValueError("only self-maps of one module can be desuspended here")
     space = m.space_in.suspend(-1)
     degree = m.degree + m.arity - 1
-    table: dict[tuple[str, ...], dict[str, Fraction]] = {}
-    for ins, outs in m.table.items():
-        degrees = [space.degree(name) for name in ins]
-        sign = parity_sign((m.arity - 1) * degree + _staircase(degrees))
-        table[ins] = {out: sign * coeff for out, coeff in outs.items()}
-    return MultiMap(space, space, m.arity, degree, table)
+    return MultiMap(space, space, m.arity, degree, _suspension_signed(m, space, degree))
 
 
 def classical_cochain(

@@ -7,8 +7,10 @@ derivation differential defined on generators:
   R_n, S_n (n >= 1, degree n-1), with the differential given by explicit
   signed sums of left-to-right composites (`generator_differential`);
 * the (x, y, z) presentation: generators x_n (n >= 2, degree -1) and
-  y_n, z_n (n >= 1, degree 0), with the differential written in terms of
-  brace operations (the operad unit occupies the distinguished slot).
+  y_n, z_n (n >= 1, degree 0), its operadic suspension (`Suspension`):
+  the same formula with m, R, S renamed x, y, z, each degree lowered by
+  n-1, and each composite f o_i g of arities a, b signed by
+  (-1)^((i-1)(b-1) + (a-1)|g|), |g| the (m, R, S) degree of g.
 
 Both satisfy d^2 = 0, which `check_d_squared` verifies by exact symbolic
 expansion.
@@ -28,10 +30,8 @@ from .trees import (
     TreeMonomial,
     _graft_nodes,
     as_element,
-    brace,
     compose_at,
     gen,
-    identity_element,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,10 @@ def beta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
 class FreeOperad:
     """The free operad on m, R, S as a `generator_differential` target."""
 
-    gen = staticmethod(gen)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def gen(family, arity):
+        return as_element(gen(family, arity))
 
     @staticmethod
     def compose_at(f, i, g):
@@ -74,15 +77,41 @@ class FreeOperad:
         return OperadElement(arity, signed)
 
 
+# the (x, y, z) namesake of each (m, R, S) family
+_SUSPENDED = {"m": "x", "R": "y", "S": "z"}
+
+
+class Suspension(FreeOperad):
+    """The free operad on x, y, z, the operadic suspension of `FreeOperad`.
+
+    X_n stands for its namesake in ``_SUSPENDED``, and f o_i g, f of arity
+    a and g of arity b, gets the sign (-1)^((i-1)(b-1) + (a-1)|g|) with |g|
+    the (m, R, S) degree of g: its (x, y, z) degree plus b - 1.
+    """
+
+    @staticmethod
+    def gen(family, arity):
+        return FreeOperad.gen(_SUSPENDED[family], arity)
+
+    @staticmethod
+    def compose_at(f, i, g):
+        b = g.arity
+        degree = next(iter(g.terms)).degree + b - 1
+        e = compose_at(f, i, g)
+        # negated only when odd: multiplying by +1 would rebuild the element
+        return -e if ((i - 1) * (b - 1) + (f.arity - 1) * degree) % 2 else e
+
+
 def generator_differential(family: str, n: int, target):
     """d m_n, d R_n or d S_n, written once and built in the operad ``target``.
 
     ``target`` supplies ``gen(family, arity)``, ``compose_at(f, i, g)`` and
     ``sum(arity, degree, terms)`` of ``(sign, element)`` pairs.  `FreeOperad`
-    builds d in the free operad; `rbsinfty.residuals` evaluates it in End(V),
-    where ``gen`` gives None for a generator sent to zero and the terms
-    through it are left out.  With F = R, S, composites grafted left to right
-    and l, r running over the compositions of n:
+    builds d in the free operad on m, R, S and `Suspension` builds d x_n,
+    d y_n, d z_n in the free operad on x, y, z; `rbsinfty.residuals`
+    evaluates it in End(V), where ``gen`` gives None for a generator sent to
+    zero and the terms through it are left out.  With F = R, S, composites
+    grafted left to right and l, r running over the compositions of n:
 
         d m_n = sum_{1 < j < n, i} (-1)^(i + j(n-i)) m_{n-j+1} o_i m_j
         d F_n = sum_{k > 1, l} (-1)^alpha m_k(F_{l_1}, ..., F_{l_k})
@@ -141,33 +170,6 @@ def generator_differential(family: str, n: int, target):
     return target.sum(n, n - 2, terms)
 
 
-def _diff_x(n: int) -> OperadElement:
-    return -OperadElement.sum(
-        n, (brace(gen("x", n - j + 1), [as_element(gen("x", j))]) for j in range(2, n))
-    )
-
-
-def _diff_yz(n: int, family: str) -> OperadElement:
-    rows = []
-    for k in range(2, n + 1):
-        for parts in compositions(n, k):
-            args = [as_element(gen(family, r)) for r in parts]
-            rows.append(brace(gen("x", k), args))
-    mixed = []
-    for p in range(2, n + 1):
-        for parts in compositions(n, p):
-            outer = gen(family, parts[0])
-            for j in range(1, p + 1):
-                args = (
-                    [as_element(gen("y", parts[t - 1])) for t in range(2, j + 1)]
-                    + [identity_element()]
-                    + [as_element(gen("z", parts[t - 1])) for t in range(j + 1, p + 1)]
-                )
-                inner = brace(gen("x", p), args)
-                mixed.append(brace(outer, [inner]))
-    return OperadElement.sum(n, mixed) - OperadElement.sum(n, rows)
-
-
 @lru_cache(maxsize=None)
 def diff_generator(g: Generator) -> OperadElement:
     """Differential of a builtin-family generator, built once per process.
@@ -175,12 +177,11 @@ def diff_generator(g: Generator) -> OperadElement:
     >>> diff_generator(gen("y", 1)).is_zero()
     True
     """
-    if g.family in ("m", "R", "S"):
+    if g.family in _SUSPENDED:
         return generator_differential(g.family, g.arity, FreeOperad)
-    if g.family == "x":
-        return _diff_x(g.arity)
-    if g.family in ("y", "z"):
-        return _diff_yz(g.arity, g.family)
+    for family, suspended in _SUSPENDED.items():
+        if g.family == suspended:
+            return generator_differential(family, g.arity, Suspension)
     raise ValueError(f"no differential defined for family {g.family!r}")
 
 

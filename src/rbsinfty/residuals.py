@@ -17,7 +17,14 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .graded import BasedAlgebra, GradedSpace, MultiMap, compose_tensor, insert
+from .graded import (
+    BasedAlgebra,
+    GradedSpace,
+    MultiMap,
+    _json_object,
+    compose_tensor,
+    insert,
+)
 from .minimal_model import generator_differential
 from .signs import parity_sign
 
@@ -97,8 +104,8 @@ class HomotopyRBS:
 
         def family(key):
             return {
-                int(n): MultiMap.from_json(space, space, f)
-                for n, f in data.get(key, {}).items()
+                int(n): MultiMap.from_json(space, space, f, field=f"{key}.{n}")
+                for n, f in _json_object(data.get(key, {}), key).items()
             }
 
         return cls(
@@ -117,10 +124,6 @@ def _check_arity(structure: HomotopyRBS, n: int) -> None:
         raise ValueError(
             f"arity {n} exceeds the truncation {structure.truncation}"
         )
-
-
-def _plug(outer: MultiMap, i: int, inner: MultiMap, k: int) -> MultiMap:
-    return compose_tensor(outer, [None] * i + [inner] + [None] * k)
 
 
 class _Endomorphisms:
@@ -203,16 +206,16 @@ def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:
                 inner = compose_tensor(m2, [r_q, None])
                 for i in range(p):
                     sign = parity_sign(i + (q - 1) * (p - i))
-                    rhs.append(sign * _plug(outer, i, inner, p - i - 1))
+                    rhs.append(sign * insert(outer, i + 1, inner))
             if s_q is not None:
                 inner = compose_tensor(m2, [None, s_q])
                 for i in range(p):
                     sign = parity_sign(i + (q - 1) * (p - i - 1))
-                    rhs.append(sign * _plug(outer, i, inner, p - i - 1))
+                    rhs.append(sign * insert(outer, i + 1, inner))
     if m1 is not None and family(n) is not None:
         sign = parity_sign(n - 1)
         for i in range(n):
-            rhs.append(sign * _plug(family(n), i, m1, n - i - 1))
+            rhs.append(sign * insert(family(n), i + 1, m1))
     return MultiMap.sum(space, space, n, n - 2, lhs) - MultiMap.sum(
         space, space, n, n - 2, rhs
     )

@@ -19,6 +19,7 @@ from .graded import (
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _json_object,
     compose_tensor,
     insert,
     raise_indices,
@@ -121,8 +122,8 @@ class YBPair:
     @classmethod
     def from_json(cls, algebra: BasedAlgebra, data: Mapping) -> "YBPair":
         return cls(
-            TensorElem.from_json(algebra, data["r"]),
-            TensorElem.from_json(algebra, data["s"]),
+            TensorElem.from_json(algebra, data["r"], field="r"),
+            TensorElem.from_json(algebra, data["s"], field="s"),
         )
 
 
@@ -220,8 +221,8 @@ class InfinityYBPair:
     def from_json(cls, algebra: BasedAlgebra, data: Mapping) -> "InfinityYBPair":
         def family(key):
             return {
-                int(n): TensorElem.from_json(algebra, t)
-                for n, t in data.get(key, {}).items()
+                int(n): TensorElem.from_json(algebra, t, field=f"{key}.{n}")
+                for n, t in _json_object(data.get(key, {}), key).items()
             }
 
         return cls(

@@ -555,6 +555,60 @@ def test_malformed_entry_shape_exits_2(capsys, tmp_path, build):
     assert report["error"].startswith("entry ")
 
 
+def hrbs_family_as_array():
+    payload = hrbs_payload()
+    payload["m"] = []
+    return "hrbs", payload, "m"
+
+
+def hrbs_member_as_string():
+    payload = hrbs_payload()
+    payload["m"] = {"2": "x"}
+    return "hrbs", payload, "m.2"
+
+
+def aybe_family_as_array():
+    return "aybe-infinity", {"space": PLANE.to_json(), "truncation": 2, "r": []}, "r"
+
+
+def rbs_operator_as_string():
+    end = MatrixAlgebra(PLANE).space
+    zero = MultiMap.zero(end, end, 1, 0).to_json()
+    return "rbs", {"space": PLANE.to_json(), "R": "x", "S": zero}, "R"
+
+
+def ybp_tensor_as_string():
+    nil = {"order": 2, "entries": [{"factors": ["e1^2", "e1^2"], "coeff": "1"}]}
+    return "ybp", {"space": PLANE.to_json(), "r": "x", "s": nil}, "r"
+
+
+def cochain_part_map_as_string():
+    from rbsinfty.linfty import classical_cochain
+
+    algebra, R, S = diagonal_triple()
+    payload = classical_cochain(algebra.product_map(), R, S).to_json()
+    payload["parts"][0]["map"] = "x"
+    return "mc", payload, "map"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        hrbs_family_as_array,
+        hrbs_member_as_string,
+        aybe_family_as_array,
+        rbs_operator_as_string,
+        ybp_tensor_as_string,
+        cochain_part_map_as_string,
+    ],
+)
+def test_field_that_is_not_an_object_is_named(capsys, tmp_path, build):
+    command, payload, field = build()
+    code, report = run(capsys, "check", command, dump(tmp_path, "field.json", payload))
+    assert code == 2
+    assert report["error"].startswith(f"{field} must be a JSON object, got ")
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_linfinity_refuses_an_empty_trial_count(capsys, trials):
     code, report = run(capsys, "verify", "linfinity", "--trials", trials)

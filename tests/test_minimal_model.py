@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rbsinfty.minimal_model import (
     FreeOperad,
+    Suspension,
     alpha_exponent,
     beta_exponent,
     check_d_squared,
@@ -22,9 +23,11 @@ from rbsinfty.trees import (
     _FAMILY_MIN_ARITY,
     OperadElement,
     as_element,
+    brace,
     compose_at,
     corolla,
     gen,
+    identity_element,
     identity_tree,
     parse_tree,
 )
@@ -102,8 +105,6 @@ def test_diff_S2_matches_printed_expansion():
 
 
 def test_diff_x3_is_minus_self_brace():
-    from rbsinfty.trees import brace
-
     x2 = gen("x", 2)
     e = diff_generator(gen("x", 3))
     assert e == -brace(x2, [as_element(x2)])
@@ -185,6 +186,57 @@ def test_generator_differential_matches_chained_builders(family):
         assert built == oracle
         assert diff_generator(gen(family, n)) == oracle
         assert n < 3 or not built.is_zero()
+
+
+# The brace forms of d x_n, d y_n, d z_n that the suspension of
+# `generator_differential` replaced, kept as its oracle.
+
+
+def _oracle_diff_x(n):
+    return -OperadElement.sum(
+        n, (brace(gen("x", n - j + 1), [as_element(gen("x", j))]) for j in range(2, n))
+    )
+
+
+def _oracle_diff_yz(n, family):
+    rows = []
+    for k in range(2, n + 1):
+        for parts in compositions(n, k):
+            args = [as_element(gen(family, r)) for r in parts]
+            rows.append(brace(gen("x", k), args))
+    mixed = []
+    for p in range(2, n + 1):
+        for parts in compositions(n, p):
+            outer = gen(family, parts[0])
+            for j in range(1, p + 1):
+                args = (
+                    [as_element(gen("y", parts[t - 1])) for t in range(2, j + 1)]
+                    + [identity_element()]
+                    + [as_element(gen("z", parts[t - 1])) for t in range(j + 1, p + 1)]
+                )
+                inner = brace(gen("x", p), args)
+                mixed.append(brace(outer, [inner]))
+    return OperadElement.sum(n, mixed) - OperadElement.sum(n, rows)
+
+
+@pytest.mark.parametrize("family, suspended", [("m", "x"), ("R", "y"), ("S", "z")])
+def test_suspension_matches_brace_builders(family, suspended):
+    for n in range(_FAMILY_MIN_ARITY[family], 7):
+        if suspended == "x":
+            oracle = _oracle_diff_x(n)
+        else:
+            oracle = _oracle_diff_yz(n, suspended)
+        assert generator_differential(family, n, Suspension) == oracle
+        assert diff_generator(gen(suspended, n)) == oracle
+        assert n < 3 or not oracle.is_zero()
+
+
+def test_every_coefficient_of_d_x_is_minus_one():
+    for n in range(3, 9):
+        e = diff_generator(gen("x", n))
+        # one term per x_{n-j+1} o_i x_j, none cancelled
+        assert len(e.terms) == sum(n - j + 1 for j in range(2, n))
+        assert set(e.terms.values()) == {-1}
 
 
 def test_diff_unsupported_family():
