@@ -33,7 +33,14 @@ import os
 import sys
 from typing import Optional
 
-from .graded import GradedSpace, MatrixAlgebra, MultiMap, TensorElem, _json_object
+from .graded import (
+    GradedSpace,
+    MatrixAlgebra,
+    MultiMap,
+    TensorElem,
+    _json_int,
+    _json_object,
+)
 from .linfty import (
     CochainElement,
     classical_cochain,
@@ -213,7 +220,7 @@ def _cmd_check_mc(args: argparse.Namespace) -> dict:
             MultiMap.from_json(space, space, data["product"], field="product"),
             MultiMap.from_json(space, space, data["R"], field="R"),
             MultiMap.from_json(space, space, data["S"], field="S"),
-            truncation=data.get("truncation", 3),
+            truncation=_json_int(data.get("truncation", 3), "truncation"),
         )
         source = "classical"
     residual = mc_residual(alpha)

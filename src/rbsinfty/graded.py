@@ -85,7 +85,11 @@ class GradedSpace:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GradedSpace":
-        return cls((b["name"], b["degree"]) for b in data["basis"])
+        basis = _json_object(data, "space").get("basis")
+        if not isinstance(basis, list):
+            got = type(basis).__name__
+            raise ValueError(f"space.basis must be a JSON array, got {got}")
+        return cls((_field(b, "name", str), _field(b, "degree", int)) for b in basis)
 
 
 class MultiMap:
@@ -252,7 +256,9 @@ class MultiMap:
             for e in data.get("entries", [])
         ]
         _reject_repeats(ins for ins, _ in table)
-        return cls(space_in, space_out, data["arity"], data["degree"], table)
+        arity = _json_int(data.get("arity"), f"{field}.arity")
+        degree = _json_int(data.get("degree"), f"{field}.degree")
+        return cls(space_in, space_out, arity, degree, table)
 
 
 def _json_object(value, field: str) -> dict:
@@ -262,14 +268,32 @@ def _json_object(value, field: str) -> dict:
     return value
 
 
+def _json_int(value, field: str, optional: bool = False) -> Optional[int]:
+    """``value``, refusing anything but a JSON integer (a boolean, a float, a
+    string) by naming ``field``; an ``optional`` field may be absent (None)."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
+    return value
+
+
+_FIELD_KINDS = {
+    list: "an array of names",
+    dict: "an object",
+    str: "a string",
+    int: "an integer",
+}
+
+
 def _field(entry, key: str, kind: type):
     """``entry[key]``, refusing an entry that is not an object or a value
-    that is not a JSON array of names (``kind`` list) or object (dict)."""
+    that is not of ``kind``: a JSON array of names (list), an object (dict),
+    a string (str) or an integer (int, booleans refused)."""
     value = entry.get(key) if isinstance(entry, dict) else None
     names = kind is not list or all(isinstance(n, str) for n in value or ())
-    if not isinstance(value, kind) or not names:
-        name = "an array of names" if kind is list else "an object"
-        raise ValueError(f"entry {entry!r} needs {key!r} as {name}")
+    if not isinstance(value, kind) or isinstance(value, bool) or not names:
+        raise ValueError(f"entry {entry!r} needs {key!r} as {_FIELD_KINDS[kind]}")
     return value
 
 
@@ -588,7 +612,7 @@ class TensorElem:
             for e in data.get("entries", [])
         ]
         _reject_repeats(factors for factors, _ in table)
-        return cls(algebra, data["order"], table)
+        return cls(algebra, _json_int(data.get("order"), f"{field}.order"), table)
 
 
 def tensor_product_multiply(a: TensorElem, b: TensorElem) -> TensorElem:

@@ -32,12 +32,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .graded import GradedSpace, MultiMap, _reject_repeats, brace_map, compose_tensor
+from .graded import (
+    GradedSpace,
+    MultiMap,
+    _json_int,
+    _reject_repeats,
+    brace_map,
+    compose_tensor,
+)
 from .sampling import random_multimap
 from .signs import koszul_chi, parity_sign, shuffles
 
@@ -246,9 +254,9 @@ class CochainElement:
             for entry in data.get("parts", [])
         ]
         _reject_repeats((tag, m.arity) for tag, m in parts)
-        return cls(
-            space, parts, truncation=data.get("truncation"), degree=data.get("degree")
-        )
+        truncation = _json_int(data.get("truncation"), "truncation", optional=True)
+        degree = _json_int(data.get("degree"), "degree", optional=True)
+        return cls(space, parts, truncation=truncation, degree=degree)
 
 
 # -- suspension dictionary --------------------------------------------------
@@ -423,6 +431,39 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
     return CochainElement(space, terms)
 
 
+def nonvanishing_inputs(
+    pool: Sequence[Piece], lead: Optional[Piece] = None
+) -> Iterator[tuple[Fraction, list[Piece]]]:
+    """The input lists ``[lead] + multiset`` whose bracket can be nonzero.
+
+    The multisets are drawn from ``pool`` with repetition, once each up to
+    order, and fit the vanishing rule of the module docstring: two algebra
+    inputs, or one algebra input of arity ``n`` with ``n`` operator inputs.
+    Each comes with the weight ``1/prod m_i!`` of its multiplicities
+    ``m_i``; ``lead`` is not counted in them.
+    """
+    head = [] if lead is None else [lead]
+    algebra = [p for p in pool if p.tag == TAG_ALG]
+    operators = [p for p in pool if p.tag != TAG_ALG]
+    if lead is None or lead.tag == TAG_ALG:
+        yield from _multisets(head, algebra, 2 - len(head))
+    if lead is not None and lead.tag == TAG_ALG:
+        yield from _multisets(head, operators, lead.arity)
+    else:
+        for F in algebra:
+            yield from _multisets(head + [F], operators, F.arity - len(head))
+
+
+def _multisets(
+    head: list[Piece], items: Sequence[Piece], size: int
+) -> Iterator[tuple[Fraction, list[Piece]]]:
+    """``head`` followed by each ``size``-multiset of ``items``, weighted by
+    ``1/prod m_i!``."""
+    for combo in itertools.combinations_with_replacement(range(len(items)), size):
+        weight = prod(factorial(m) for m in Counter(combo).values())
+        yield Fraction(1, weight), head + [items[i] for i in combo]
+
+
 # -- the homotopy Jacobi identities ------------------------------------------
 
 
@@ -462,24 +503,14 @@ def generalized_jacobi_defect(
 def mc_residual(alpha: CochainElement) -> CochainElement:
     """``sum_{k>=2} (1/k!) l_k(alpha, ..., alpha)``, expanded over components.
 
-    Raises unless ``alpha`` is homogeneous of intrinsic degree ``-1``.  The
-    sum is finite: a bracket needs one algebra component of arity ``k - 1``
-    (or two algebra components for ``k = 2``), so ``k`` is bounded by the
-    largest algebra arity plus one.
+    Raises unless ``alpha`` is homogeneous of intrinsic degree ``-1``.  Every
+    piece of such an ``alpha`` is odd, so graded antisymmetry makes ``l_k``
+    symmetric in its inputs: the ``k!/prod m_i!`` orderings of a multiset of
+    pieces (multiplicities ``m_i``) give one bracket, and the sum runs once
+    over each multiset of :func:`nonvanishing_inputs` with weight
+    ``1/prod m_i!``.
     """
-    if alpha.degree not in (None, -1):
-        raise ValueError(
-            f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
-        )
-    space = alpha.space
-    pieces = alpha.pieces()
-    total = CochainElement(space)
-    max_alg = max((p.arity for p in pieces if p.tag == TAG_ALG), default=1)
-    for k in range(2, max(2, max_alg + 1) + 1):
-        tuples = itertools.product(pieces, repeat=k)
-        level = CochainElement.sum(space, (l_bracket(space, list(t)) for t in tuples))
-        total = total + Fraction(1, factorial(k)) * level
-    return total
+    return _expand(alpha, [None])
 
 
 def is_mc(alpha: CochainElement) -> bool:
@@ -496,21 +527,33 @@ def twisted_differential(
     intrinsic degree by one.  The argument occupies the leading slot: under
     the graded antisymmetry convention used here, leading placement is what
     makes the square vanish (for odd-degree arguments the two placements
-    agree, since ``alpha`` is odd).
+    agree, since ``alpha`` is odd).  Raises unless ``alpha`` has intrinsic
+    degree ``-1``: its odd pieces make each bracket symmetric in the ``alpha``
+    slots, whatever the parity of ``x``, so the sum runs once over each
+    multiset of ``alpha`` pieces of :func:`nonvanishing_inputs` after each
+    piece of ``x``, with weight ``1/prod m_i!``.
     """
     if isinstance(x, Piece):
         x = CochainElement(alpha.space, {x.tag: {x.arity: x.map}})
     if x.space != alpha.space:
         raise ValueError("cochains live on different modules")
-    space = alpha.space
-    alpha_pieces = alpha.pieces()
-    total = CochainElement(space)
-    arities = [p.arity for p in alpha_pieces + x.pieces() if p.tag == TAG_ALG]
-    for k in range(1, max(arities, default=1) + 1):
-        tuples = itertools.product(x.pieces(), *[alpha_pieces] * k)
-        level = CochainElement.sum(space, (l_bracket(space, list(t)) for t in tuples))
-        total = total + Fraction(1, factorial(k)) * level
-    return total
+    return _expand(alpha, x.pieces())
+
+
+def _expand(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> CochainElement:
+    """The weighted brackets of :func:`nonvanishing_inputs` on the pieces of
+    ``alpha``, after each of ``leads``; ``alpha`` must have degree ``-1``."""
+    if alpha.degree not in (None, -1):
+        raise ValueError(
+            f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
+        )
+    space, pool = alpha.space, alpha.pieces()
+    terms = []
+    for lead in leads:
+        for weight, pieces in nonvanishing_inputs(pool, lead):
+            bracket = l_bracket(space, pieces)
+            terms.append(bracket if weight == 1 else weight * bracket)
+    return CochainElement.sum(space, terms)
 
 
 def basis_cochains(
@@ -600,8 +643,10 @@ def verify_generalized_jacobi(
 
     Draws tuples of random homogeneous cochain components on a graded module
     of the given dimension (basis degrees ``0, 1, ..., dim - 1``), evaluates
-    the Jacobi combination, and reports any nonzero defect.  ``active``
-    counts the trials in which at least one individual term was nonzero.
+    the Jacobi combination, and reports any nonzero defect: each failure
+    lists its inputs and the nonzero components of the defect, with the
+    number of input tuples on which each is nonzero.  ``active`` counts the
+    trials in which at least one individual term was nonzero.
     """
     if dim < 1:
         raise ValueError("module dimension must be >= 1")
@@ -643,6 +688,14 @@ def verify_generalized_jacobi(
                     "inputs": [
                         {"tag": p.tag, "arity": p.arity, "degree": p.degree}
                         for p in pieces
+                    ],
+                    "defect": [
+                        {
+                            "tag": p.tag,
+                            "arity": p.arity,
+                            "nonzero_entries": len(p.map.table),
+                        }
+                        for p in defect.pieces()
                     ],
                 }
             )

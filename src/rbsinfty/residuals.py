@@ -21,6 +21,7 @@ from .graded import (
     BasedAlgebra,
     GradedSpace,
     MultiMap,
+    _json_int,
     _json_object,
     compose_tensor,
     insert,
@@ -108,12 +109,13 @@ class HomotopyRBS:
                 for n, f in _json_object(data.get(key, {}), key).items()
             }
 
+        truncation = _json_int(data.get("truncation"), "truncation", optional=True)
         return cls(
             space,
             m=family("m"),
             r=family("r"),
             s=family("s"),
-            truncation=data.get("truncation"),
+            truncation=truncation,
         )
 
 

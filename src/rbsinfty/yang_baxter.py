@@ -19,6 +19,7 @@ from .graded import (
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _json_int,
     _json_object,
     compose_tensor,
     insert,
@@ -225,11 +226,12 @@ class InfinityYBPair:
                 for n, t in _json_object(data.get(key, {}), key).items()
             }
 
+        truncation = _json_int(data.get("truncation"), "truncation", optional=True)
         return cls(
             algebra,
             r=family("r"),
             s=family("s"),
-            truncation=data.get("truncation"),
+            truncation=truncation,
         )
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import rbsinfty
-from rbsinfty import minimal_model
+from rbsinfty import linfty, minimal_model
 from rbsinfty.cli import _WITNESS_CAP, main
 from rbsinfty.graded import BasedAlgebra, GradedSpace, MatrixAlgebra, MultiMap, TensorElem
 from rbsinfty.minimal_model import extend_derivation
@@ -173,6 +173,32 @@ def test_verify_linfinity_passes_and_reports_activity(capsys):
     assert report["trials"] == 12
     assert report["seed"] == 5
     assert report["active"] >= 1
+
+
+def test_verify_linfinity_failure_lists_the_defect(capsys, monkeypatch):
+    real = linfty.l_bracket
+
+    def flipped(space, pieces):
+        # one sign flipped: l_2 of two algebra cochains, the first unary
+        bracket = real(space, pieces)
+        tags = [p.tag for p in pieces]
+        flip = tags == [linfty.TAG_ALG] * 2 and pieces[0].arity == 1
+        return -bracket if flip else bracket
+
+    monkeypatch.setattr(linfty, "l_bracket", flipped)
+    argv = ("verify", "linfinity", "--trials", "40", "--seed", "3")
+    code, report = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 1 and report["ok"] is False
+    assert report["failures"]
+    for failure in report["failures"]:
+        assert failure["defect"]
+        for component in failure["defect"]:
+            assert set(component) == {"tag", "arity", "nonzero_entries"}
+            assert component["tag"] in linfty.TAGS
+            assert component["nonzero_entries"] > 0
+    code, passing = run(capsys, *argv)
+    assert code == 0 and passing["failures"] == []
 
 
 # -- check rbs / ybp ------------------------------------------------------------
@@ -607,6 +633,148 @@ def test_field_that_is_not_an_object_is_named(capsys, tmp_path, build):
     code, report = run(capsys, "check", command, dump(tmp_path, "field.json", payload))
     assert code == 2
     assert report["error"].startswith(f"{field} must be a JSON object, got ")
+
+
+def aybe_payload(**changes):
+    nil = {"order": 1, "entries": [{"factors": ["e1^2"], "coeff": "1"}]}
+    payload = {"space": GRADED.to_json(), "truncation": 2}
+    return dict(payload, r={"1": nil}, s={"1": nil}, **changes)
+
+
+def cochain_payload():
+    from rbsinfty.linfty import classical_cochain
+
+    algebra, R, S = diagonal_triple()
+    return classical_cochain(algebra.product_map(), R, S).to_json()
+
+
+def truncation_as(value):
+    def build():
+        payload = aybe_payload(truncation=value)
+        return "aybe-infinity", payload, "truncation must be an integer"
+
+    build.__name__ = f"truncation_as_{value!r}"
+    return build
+
+
+def hrbs_truncation_as_string():
+    return "hrbs", dict(hrbs_payload(), truncation="3"), "truncation must be an integer"
+
+
+def classical_mc_truncation_as_boolean():
+    algebra, R, S = diagonal_triple()
+    payload = {
+        "space": PLANE.to_json(),
+        "product": algebra.product_map().to_json(),
+        "R": R.to_json(),
+        "S": S.to_json(),
+        "truncation": True,
+    }
+    return "mc", payload, "truncation must be an integer, got bool"
+
+
+def map_arity_as(value):
+    def build():
+        payload = hrbs_payload()
+        payload["r"]["1"]["arity"] = value
+        return "hrbs", payload, "r.1.arity must be an integer"
+
+    build.__name__ = f"map_arity_as_{value!r}"
+    return build
+
+
+def map_degree_as_boolean():
+    payload = hrbs_payload()
+    payload["m"]["2"]["degree"] = False
+    return "hrbs", payload, "m.2.degree must be an integer, got bool"
+
+
+def cochain_part_arity_as_string():
+    payload = cochain_payload()
+    payload["parts"][0]["map"]["arity"] = "2"
+    return "mc", payload, "map.arity must be an integer, got str"
+
+
+def cochain_degree_as_boolean():
+    payload = dict(cochain_payload(), degree=True)
+    return "mc", payload, "degree must be an integer, got bool"
+
+
+def tensor_order_as_boolean():
+    nil = {"order": True, "entries": [{"factors": ["e1^2"], "coeff": "1"}]}
+    return "ybp", {"space": PLANE.to_json(), "r": nil, "s": nil}, "r.order must be"
+
+
+def basis_degree_as(value):
+    def build():
+        basis = [{"name": "v1", "degree": value}, {"name": "v2", "degree": 0}]
+        payload = aybe_payload(space={"basis": basis})
+        return "aybe-infinity", payload, "needs 'degree' as an integer"
+
+    build.__name__ = f"basis_degree_as_{value!r}"
+    return build
+
+
+def basis_name_as_number():
+    space = {"basis": [{"name": 1, "degree": 0}]}
+    return "aybe-infinity", aybe_payload(space=space), "needs 'name' as a string"
+
+
+def space_as_string():
+    payload = dict(hrbs_payload(), space="x")
+    return "hrbs", payload, "space must be a JSON object, got str"
+
+
+def basis_as_string():
+    payload = dict(hrbs_payload(), space={"basis": "x"})
+    return "hrbs", payload, "space.basis must be a JSON array, got str"
+
+
+def cochain_space_as_array():
+    payload = dict(cochain_payload(), space=[])
+    return "mc", payload, "space must be a JSON object, got list"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        truncation_as(True),
+        truncation_as(1.0),
+        truncation_as(1e9),
+        truncation_as("3"),
+        hrbs_truncation_as_string,
+        classical_mc_truncation_as_boolean,
+        map_arity_as(True),
+        map_arity_as(1.0),
+        map_arity_as("1"),
+        map_degree_as_boolean,
+        cochain_part_arity_as_string,
+        cochain_degree_as_boolean,
+        tensor_order_as_boolean,
+        basis_degree_as(True),
+        basis_degree_as(0.0),
+        basis_degree_as("0"),
+        basis_name_as_number,
+        space_as_string,
+        basis_as_string,
+        cochain_space_as_array,
+    ],
+)
+def test_wrongly_typed_scalar_field_is_named(capsys, tmp_path, build):
+    command, payload, message = build()
+    code, report = run(capsys, "check", command, dump(tmp_path, "typed.json", payload))
+    assert code == 2
+    assert message in report["error"]
+
+
+def test_the_payloads_with_typed_fields_fixed_are_accepted(capsys, tmp_path):
+    for command, payload in (
+        ("aybe-infinity", aybe_payload()),
+        ("hrbs", hrbs_payload()),
+        ("mc", cochain_payload()),
+    ):
+        code, report = run(capsys, "check", command, dump(tmp_path, "ok.json", payload))
+        assert code == 0 and report["ok"] is True
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from fractions import Fraction
 from functools import reduce
+from math import factorial
 
 import pytest
 
@@ -21,12 +23,14 @@ from rbsinfty.linfty import (
     TAGS,
     CochainElement,
     Piece,
+    basis_cochains,
     classical_cochain,
     desuspend_alg_map,
     generalized_jacobi_defect,
     is_mc,
     l_bracket,
     mc_residual,
+    nonvanishing_inputs,
     random_piece,
     suspend_alg_map,
     twisted_differential,
@@ -359,6 +363,87 @@ def test_mc_degree_guard():
         mc_residual(bad)
 
 
+def _oracle_mc_residual(alpha: CochainElement) -> CochainElement:
+    """The residual summed over every ordered tuple of pieces, level k
+    scaled by 1/k!: the reference for the multiset expansion."""
+    space = alpha.space
+    pieces = alpha.pieces()
+    total = CochainElement(space)
+    max_alg = max((p.arity for p in pieces if p.tag == TAG_ALG), default=1)
+    for k in range(2, max(2, max_alg + 1) + 1):
+        tuples = itertools.product(pieces, repeat=k)
+        level = CochainElement.sum(space, (l_bracket(space, list(t)) for t in tuples))
+        total = total + Fraction(1, factorial(k)) * level
+    return total
+
+
+def _oracle_twisted_differential(alpha: CochainElement, x: CochainElement):
+    """The twisted differential summed over every ordered tuple of pieces."""
+    space = alpha.space
+    alpha_pieces = alpha.pieces()
+    total = CochainElement(space)
+    arities = [p.arity for p in alpha_pieces + x.pieces() if p.tag == TAG_ALG]
+    for k in range(1, max(arities, default=1) + 1):
+        tuples = itertools.product(x.pieces(), *[alpha_pieces] * k)
+        level = CochainElement.sum(space, (l_bracket(space, list(t)) for t in tuples))
+        total = total + Fraction(1, factorial(k)) * level
+    return total
+
+
+# a module concentrated in degree zero and a graded one
+MC_SPACES = (PLANE, GradedSpace([("u1", -1), ("u2", 0)]))
+
+
+def random_mc_candidate(rng, space, density=0.5):
+    """A random degree -1 cochain: each component of arity <= 3 present at random."""
+    suspended = space.suspend()
+    parts = []
+    for tag in TAGS:
+        for arity in range(1, 4):
+            if rng.random() < 0.6:
+                degree = -1 if tag == TAG_ALG else 0
+                m = random_multimap(rng, suspended, suspended, arity, degree, density)
+                parts.append((tag, m))
+    return CochainElement(space, parts, degree=-1)
+
+
+def test_mc_residual_matches_ordered_expansion():
+    compared = nonzero = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        alpha = random_mc_candidate(rng, MC_SPACES[seed % 2])
+        residual = mc_residual(alpha)
+        assert residual == _oracle_mc_residual(alpha)
+        compared += 1
+        nonzero += not residual.is_zero()
+    assert nonzero > compared / 2
+
+
+@pytest.mark.parametrize("space", MC_SPACES)
+def test_twisted_differential_matches_ordered_expansion(space):
+    alpha = random_mc_candidate(random.Random(7), space)
+    compared = nonzero = 0
+    for x in basis_cochains(space, 2):
+        once = twisted_differential(alpha, x)
+        assert once == _oracle_twisted_differential(alpha, x)
+        compared += 1
+        nonzero += not once.is_zero()
+    assert nonzero > compared / 2
+
+
+def test_nonvanishing_inputs_weigh_each_multiset_by_its_orderings():
+    # a multiset of k pieces stands for its k!/prod(m_i!) orderings, each weighted 1/k!
+    pieces = random_mc_candidate(random.Random(3), MC_SPACES[1], density=1.0).pieces()
+    seen = set()
+    for weight, inputs in nonvanishing_inputs(pieces):
+        key = tuple(sorted(map(pieces.index, inputs)))
+        assert key not in seen
+        seen.add(key)
+        orderings = len(set(itertools.permutations(key)))
+        assert weight == Fraction(orderings, factorial(len(key)))
+    assert len(seen) > len(pieces)
+
+
 def test_classical_cochain_validation():
     graded_product = MatrixAlgebra(GradedSpace([("u1", 0), ("u2", 1)])).product_map()
     ident = MultiMap.identity(PLANE)
@@ -417,6 +502,15 @@ def test_twist_accepts_cochains_and_matches_piecewise_sum():
     for p in pieces:
         summed = summed + twisted_differential(alpha, p)
     assert direct == summed
+
+
+def test_twisted_differential_degree_guard():
+    sV3 = GRADED.suspend()
+    unary = MultiMap(sV3, sV3, 1, 1, {("w1",): {"w2": 1}})
+    even = CochainElement(GRADED, {TAG_R: {1: unary}})
+    assert even.degree == 0
+    with pytest.raises(ValueError):
+        twisted_differential(even, even)
 
 
 # -- generalized Jacobi identities ------------------------------------------------
