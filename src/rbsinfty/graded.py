@@ -278,6 +278,17 @@ def _json_int(value, field: str, optional: bool = False) -> Optional[int]:
     return value
 
 
+def _family_key(key, field: str) -> int:
+    """A family member's arity from its key: an int, or a string that is the
+    canonical decimal form of one (no sign, space or leading zero that
+    ``int`` would pass over); anything else is refused by naming ``field``."""
+    if isinstance(key, int) and not isinstance(key, bool):
+        return key
+    if isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"{field}: family key must be a decimal integer")
+
+
 _FIELD_KINDS = {
     list: "an array of names",
     dict: "an object",

@@ -28,7 +28,8 @@ from .trees import (
     Generator,
     OperadElement,
     TreeMonomial,
-    _graft_nodes,
+    _splice,
+    _tree,
     as_element,
     compose_at,
     gen,
@@ -200,37 +201,19 @@ def replace_vertex(
     reordering the vertex list (with the block of ``u``'s vertices standing
     in the removed vertex's position) into the planar order of the result.
     The vertices outside the removed vertex's subtree keep their places, so
-    that sign is the sign of grafting the vertex's subtrees onto ``u``; the
-    subtrees are grafted as bare nodes, and only the result is validated.
+    that sign is the sign of grafting the vertex's subtrees onto ``u``: the
+    word of ``u`` with the subtrees spliced in replaces the vertex's subtree
+    in the word of ``t``.
     """
     if not 0 <= index < t.weight:
         raise ValueError(f"no vertex at planar index {index}")
-    planar_index = itertools.count()
-    sign = 1
-
-    def degree(node) -> int:
-        return 0 if node is None else node[0].degree + sum(map(degree, node[1]))
-
-    def rebuild(node):
-        nonlocal sign
-        if node is None:
-            return None
-        generator, children = node
-        if next(planar_index) != index:
-            return (generator, tuple(rebuild(c) for c in children))
-        if u.arity != generator.arity:
-            raise ValueError(
-                f"replacement arity {u.arity} != vertex arity {generator.arity}"
-            )
-        subtrees = {
-            leaf: (child, degree(child))
-            for leaf, child in enumerate(children, 1)
-            if child is not None
-        }
-        grafted, sign = _graft_nodes(u.root, subtrees)
-        return grafted
-
-    return TreeMonomial(rebuild(t.root)), sign
+    position, end, subtrees = t._vertex_layout()[index]
+    label = t.nodes[position]
+    if u.arity != label.arity:
+        raise ValueError(f"replacement arity {u.arity} != vertex arity {label.arity}")
+    word, exponent = _splice(u, subtrees)
+    nodes = t.nodes[:position] + word + t.nodes[end:]
+    return _tree(nodes, t.arity, t.degree - label.degree + u.degree), parity_sign(exponent)
 
 
 DiffMap = Callable[[Generator], OperadElement]
@@ -247,10 +230,10 @@ def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
     for tree, coeff in e.terms.items():
         prefix = 0
         for index, label in enumerate(tree.vertices()):
-            outer_sign = parity_sign(prefix)
+            scale = parity_sign(prefix) * coeff
             for u_tree, u_coeff in diff_of(label).terms.items():
                 new_tree, sign = replace_vertex(tree, index, u_tree)
-                terms.append((new_tree, outer_sign * sign * coeff * u_coeff))
+                terms.append((new_tree, sign * scale * u_coeff))
             prefix += label.degree
     return OperadElement(e.arity, terms)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -26,9 +25,9 @@ from .minimal_model import extend_derivation
 from .signs import compositions, parity_sign
 from .trees import (
     Generator,
-    Node,
     OperadElement,
     TreeMonomial,
+    _tree,
     as_element,
     compose_at,
     gen,
@@ -76,78 +75,27 @@ def diff_bar_element(e: OperadElement) -> OperadElement:
 
 
 # ---------------------------------------------------------------------------
-# indexed view of a tree monomial
-# ---------------------------------------------------------------------------
-
-
-class _TreeIndex:
-    """Planar-indexed access to vertices, leaf paths and leftmost leaves."""
-
-    def __init__(self, t: TreeMonomial):
-        self.labels: list[Generator] = []
-        self.children: list[list[tuple[str, int]]] = []
-        self.leaf_paths: dict[int, tuple[int, ...]] = {}
-        self.first_leaf: list[int] = []
-        leaf_counter = itertools.count(1)
-        self._peek = 1
-
-        def walk(node: Node, path: tuple[int, ...]) -> tuple[str, int]:
-            if node is None:
-                leaf = next(leaf_counter)
-                self.leaf_paths[leaf] = path
-                return ("leaf", leaf)
-            label, kids = node
-            idx = len(self.labels)
-            self.labels.append(label)
-            self.children.append([])
-            self.first_leaf.append(0)
-            entries = [walk(kid, path + (idx,)) for kid in kids]
-            self.children[idx] = entries
-            return ("v", idx)
-
-        walk(t.root, ())
-        # the leftmost leaf of a subtree is reached by first-child descent
-        for idx in range(len(self.labels) - 1, -1, -1):
-            kind, value = self.children[idx][0]
-            self.first_leaf[idx] = value if kind == "leaf" else self.first_leaf[value]
-
-    def typical_kind(self, idx: int) -> Optional[str]:
-        """Family letter if the vertex roots a typical divisor, else None."""
-        label = self.labels[idx]
-        kind, c = self.children[idx][0]
-        if kind != "v":
-            return None
-        if self.labels[c].family != "m" or self.labels[c].arity != 2:
-            return None
-        if label.family == "m":
-            return "m"
-        if label.family in ("R", "S"):
-            kind_d, d = self.children[c][0]
-            if kind_d == "v" and self.labels[d] == gen("R", 1):
-                return label.family
-        return None
-
-    def typical_roots(self) -> dict[int, str]:
-        found = {}
-        for idx in range(len(self.labels)):
-            kind = self.typical_kind(idx)
-            if kind is not None:
-                found[idx] = kind
-        return found
-
-    def descent_chain(self, idx: int) -> list[int]:
-        """Vertices strictly below idx on the path to its leftmost leaf."""
-        chain = []
-        kind, value = self.children[idx][0]
-        while kind == "v":
-            chain.append(value)
-            kind, value = self.children[value][0]
-        return chain
-
-
-# ---------------------------------------------------------------------------
 # effective tree monomials
 # ---------------------------------------------------------------------------
+
+_M2, _R1 = gen("m", 2), gen("R", 1)
+
+
+def _typical_kind(nodes: tuple, position: int) -> Optional[str]:
+    """Family letter if the vertex at ``position`` of a word roots a typical divisor.
+
+    In preorder a vertex's first child comes right after it, so the divisor
+    m_a o_1 m_2 is an m_2 at the next position, and (F_a o_1 m_2) o_1 R_1
+    an m_2 and then an R_1.
+    """
+    family = nodes[position].family
+    if nodes[position + 1] is not _M2:
+        return None
+    if family == "m":
+        return "m"
+    if family in ("R", "S") and nodes[position + 2] is _R1:
+        return family
+    return None
 
 
 @dataclass(frozen=True)
@@ -155,6 +103,7 @@ class EffectiveDivisorLocation:
     root_index: int  # planar index of the divisor's root vertex
     leaf: int  # the effective leaf of the monomial
     kind: str  # family letter of the divisor shape
+    position: int  # position of the divisor's root in the monomial's word
 
 
 def is_effective(t: TreeMonomial) -> Optional[EffectiveDivisorLocation]:
@@ -165,63 +114,35 @@ def is_effective(t: TreeMonomial) -> Optional[EffectiveDivisorLocation]:
     positive-degree vertices (other than the divisor root itself), and
     (ii) every leaf strictly to the left sees only degree-0, non-typical
     vertices on its path from the root of the whole tree.
+
+    In the word, the vertices on the paths of the leaves left of a leaf are
+    those before the leaf just left of it, and the vertices from the divisor
+    root down to its leftmost leaf come one after the other, right before
+    that leaf.  Call a vertex blocking if it has positive degree or roots a
+    typical divisor.  Only the first leaf with a blocking vertex before it
+    can be the effective leaf, and then only if the last blocking vertex
+    before it roots the divisor; so the occurrence is unique.
     """
-    index = _TreeIndex(t)
-    typical = index.typical_roots()
-    winners = []
-    for v, kind in typical.items():
-        leaf = index.first_leaf[v]
-        if any(
-            index.labels[w].degree > 0 or w in typical
-            for w in index.descent_chain(v)
-        ):
-            continue
-        if any(
-            index.labels[w].degree > 0 or w in typical
-            for left_leaf in range(1, leaf)
-            for w in index.leaf_paths[left_leaf]
-        ):
-            continue
-        winners.append(EffectiveDivisorLocation(v, leaf, kind))
-    if not winners:
-        return None
-    if len(winners) > 1:  # conditions (i)+(ii) pin a unique occurrence
-        raise RuntimeError(f"multiple effective divisors in {t}: {winners}")
-    return winners[0]
-
-
-def _contract_divisor(t: TreeMonomial, target: int, kind: str) -> TreeMonomial:
-    """Replace the typical divisor rooted at planar index `target` by its generator."""
-    counter = itertools.count()
-
-    def walk(node: Node) -> Node:
+    nodes = t.nodes
+    leaf = 0
+    blocker, blocker_kind = None, None  # the last blocking vertex so far
+    for position, node in enumerate(nodes):
         if node is None:
-            return None
-        label, kids = node
-        idx = next(counter)
-        if idx == target:
-            c_label, c_kids = kids[0]
-            next(counter)  # consume the m2 vertex's planar index
-            assert c_label.family == "m" and c_label.arity == 2
-            if kind == "m":
-                merged = (walk(c_kids[0]), walk(c_kids[1])) + tuple(
-                    walk(k) for k in kids[1:]
-                )
-            else:
-                d_label, d_kids = c_kids[0]
-                next(counter)  # consume the R1 vertex's planar index
-                assert d_label == gen("R", 1)
-                merged = (walk(d_kids[0]), walk(c_kids[1])) + tuple(
-                    walk(k) for k in kids[1:]
-                )
-            return (gen(kind, label.arity + 1), merged)
-        return (label, tuple(walk(k) for k in kids))
-
-    return TreeMonomial(walk(t.root))
+            leaf += 1
+            if blocker is not None:
+                break
+        else:
+            kind = _typical_kind(nodes, position)
+            if kind is not None or node.degree > 0:
+                blocker, blocker_kind = position, kind
+    if blocker_kind is None:
+        return None
+    # every leaf before the effective one lies before the divisor root
+    return EffectiveDivisorLocation(blocker - leaf + 1, leaf, blocker_kind, blocker)
 
 
 @lru_cache(maxsize=None)
-def _leading_coefficient(g: Generator) -> Fraction:
+def _leading_coefficient(g: Generator) -> int:
     coeff = leading_monomial(diff_bar(g))[1]
     if coeff not in (1, -1):
         raise RuntimeError(f"leading coefficient of d {g.name} is {coeff}, not a unit")
@@ -230,6 +151,10 @@ def _leading_coefficient(g: Generator) -> Fraction:
 
 def homotopy_H(t: TreeMonomial) -> OperadElement:
     """The contraction: zero off effective monomials, divisor contraction on them.
+
+    Contracting the divisor rooted at word position p replaces the root F_a
+    by F_{a+1} and deletes the m_2 (and the R_1) that follow it: the
+    subtrees keep their order in the word.
 
     >>> from rbsinfty.trees import parse_tree
     >>> homotopy_H(parse_tree("m2(m2(1, 2), 3)"))
@@ -240,17 +165,29 @@ def homotopy_H(t: TreeMonomial) -> OperadElement:
     location = is_effective(t)
     if location is None:
         return OperadElement.zero(t.arity)
-    labels = t.vertices()
-    omega = sum(label.degree for label in labels[: location.root_index])
-    replacement = gen(location.kind, labels[location.root_index].arity + 1)
-    contracted = _contract_divisor(t, location.root_index, location.kind)
-    coeff = Fraction(parity_sign(omega)) / _leading_coefficient(replacement)
+    nodes, position = t.nodes, location.position
+    root = nodes[position]
+    replacement = gen(location.kind, root.arity + 1)
+    omega = sum(node.degree for node in nodes[:position] if node is not None)
+    removed = 2 if location.kind == "m" else 3
+    contracted = _tree(
+        nodes[:position] + (replacement,) + nodes[position + removed :],
+        t.arity,
+        t.degree - root.degree + replacement.degree,
+    )
+    # dividing by a unit is multiplying by it
+    coeff = parity_sign(omega) * _leading_coefficient(replacement)
     return OperadElement.monomial(contracted, coeff)
 
 
 def apply_homotopy(e: OperadElement) -> OperadElement:
-    return OperadElement.sum(
-        e.arity, (coeff * homotopy_H(tree) for tree, coeff in e.terms.items())
+    return OperadElement(
+        e.arity,
+        (
+            (image, coeff * c)
+            for tree, coeff in e.terms.items()
+            for image, c in homotopy_H(tree).terms.items()
+        ),
     )
 
 
@@ -267,7 +204,11 @@ def is_normal_form(t: TreeMonomial) -> bool:
     """
     if t.degree != 0:
         raise ValueError(f"normal forms are defined for degree-0 monomials, got {t}")
-    return not _TreeIndex(t).typical_roots()
+    nodes = t.nodes
+    return not any(
+        node is not None and _typical_kind(nodes, position)
+        for position, node in enumerate(nodes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +241,10 @@ def enumerate_monomials(
         by_arity.setdefault(g.arity, []).append(g)
 
     @lru_cache(maxsize=None)
-    def exact(n: int, w: int) -> tuple[Node, ...]:
+    def exact(n: int, w: int) -> tuple[tuple[tuple, int], ...]:
+        # (word, degree) of every tree of arity n and weight w
         if w == 0:
-            return (None,) if n == 1 else ()
+            return (((None,), 0),) if n == 1 else ()
         out = []
         for k, gens_k in by_arity.items():
             if k > n:
@@ -315,14 +257,16 @@ def enumerate_monomials(
                     if any(not pool for pool in child_pools):
                         continue
                     for kids in itertools.product(*child_pools):
+                        word = tuple(itertools.chain.from_iterable(k[0] for k in kids))
+                        degree = sum(k[1] for k in kids)
                         for g in gens_k:
-                            out.append((g, kids))
+                            out.append(((g,) + word, g.degree + degree))
         return tuple(out)
 
     for n in range(1, max_arity + 1):
         for w in range(min_weight, max_weight + 1):
-            for root in exact(n, w):
-                yield TreeMonomial(root)
+            for word, degree in exact(n, w):
+                yield _tree(word, n, degree)
 
 
 def check_homotopy(max_arity: int, max_weight: int) -> dict:

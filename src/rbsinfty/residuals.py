@@ -21,6 +21,7 @@ from .graded import (
     BasedAlgebra,
     GradedSpace,
     MultiMap,
+    _family_key,
     _json_int,
     _json_object,
     compose_tensor,
@@ -38,7 +39,7 @@ def _validated_family(
 ) -> dict[int, MultiMap]:
     clean: dict[int, MultiMap] = {}
     for n, f in (family or {}).items():
-        n = int(n)
+        n = _family_key(n, f"{label}.{n}")
         if n < 1:
             raise ValueError(f"{label}_{n}: arity must be >= 1")
         if f.space_in != space or f.space_out != space:
@@ -105,7 +106,9 @@ class HomotopyRBS:
 
         def family(key):
             return {
-                int(n): MultiMap.from_json(space, space, f, field=f"{key}.{n}")
+                _family_key(n, f"{key}.{n}"): MultiMap.from_json(
+                    space, space, f, field=f"{key}.{n}"
+                )
                 for n, f in _json_object(data.get(key, {}), key).items()
             }
 

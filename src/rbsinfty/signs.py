@@ -17,7 +17,8 @@ live in exactly one place:
 
 Permutations are 1-indexed tuples ``(sigma(1), ..., sigma(n))`` throughout.
 All scalars in this package are exact: signs are Python ints, coefficients
-are ``fractions.Fraction``.
+are ``fractions.Fraction`` (ints on the operad side).  Tree grafting does
+not reorder a vertex list: its sign is linear in the degrees (see `trees`).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def inversion_sign(tagged: Sequence[tuple[int, int]], target_order: Sequence[int
     ``target_order`` lists the same tags in the desired order.  The sign is
     the product of ``(-1)**(deg_a * deg_b)`` over all pairs whose relative
     order flips.  This is the one inversion loop of the package: the Koszul
-    signs above and the grafting signs of tree monomials all reduce to it.
+    signs above all reduce to it.
     """
     position = {tag: k for k, (tag, _) in enumerate(tagged)}
     if len(position) != len(tagged):

@@ -2,31 +2,39 @@
 
 A tree monomial is a planar rooted tree whose internal vertices carry graded
 generator labels (the label's arity equals the number of children) and whose
-leaves are implicitly numbered 1..n from left to right.  Formal rational
+leaves are implicitly numbered 1..n from left to right.  Formal linear
 combinations of tree monomials of a fixed arity form the components of the
 free non-symmetric graded operad.
+
+A tree is stored as a word: the tuple of its nodes in preorder (root before
+subtrees, left to right), a `Generator` for each vertex and None for each
+leaf, so ``m2(R1(1), m2(2, 3))`` is ``(m2, R1, None, m2, None, None)``
+(Dotsenko-Khoroshkin, *Groebner bases for operads*).  Generators are
+interned, one object per (family, arity, degree), so words compare and hash
+by identity.  A subtree is a slice of the word, and grafting a tree at a
+leaf puts its word in place of that leaf's None.  The planar order of the
+vertices is their order in the word.
 
 The sign convention used everywhere: when trees are grafted, the vertices of
 the inputs are concatenated (outer tree first, then the grafted trees ordered
 by the leaf they occupy) and the coefficient is multiplied by the Koszul sign
-of reordering that list into the planar (depth-first, root before subtrees,
-left to right) order of the resulting tree.  The vertices of one grafted tree
-keep their relative order, and so do those of the outer tree, so each grafted
-tree may be taken as a single letter whose degree is its total degree: the
-sign is (-1) to the sum, over the grafted trees, of that degree times the
-degrees of the outer vertices that follow its leaf in planar order.
+of reordering that list into the planar order of the resulting tree.  The
+vertices of one grafted tree keep their relative order, and so do those of
+the outer tree, so each grafted tree moves as a single letter whose degree is
+its total degree: a tree of total degree d grafted at leaf i contributes
+d times the sum of the degrees of the outer vertices after leaf i in planar
+order, and the sign is (-1) to the sum of these contributions.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .signs import inversion_sign
+from .signs import parity_sign
 
 # ---------------------------------------------------------------------------
 # generators
@@ -43,34 +51,51 @@ _FAMILY_DEGREE = {
 }
 _FAMILY_MIN_ARITY = {"m": 2, "R": 1, "S": 1, "x": 2, "y": 1, "z": 1}
 
+# the one Generator object of each (family, arity, degree)
+_INTERNED: dict[tuple[str, int, int], "Generator"] = {}
 
-@dataclass(frozen=True)
+
 class Generator:
-    """A graded operad generator: a family tag, an arity and a degree."""
+    """A graded operad generator: a family tag, an arity and a degree.
 
-    family: str
-    arity: int
-    degree: int
+    There is one object per (family, arity, degree): the constructor returns
+    it, so generators compare and hash by identity.
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError(f"generator arity must be >= 1, got {self.arity}")
-        rule = _FAMILY_DEGREE.get(self.family)
+    >>> Generator("q", 2, 5) is Generator("q", 2, 5)
+    True
+    """
+
+    __slots__ = ("family", "arity", "degree", "name")
+
+    def __new__(cls, family: str, arity: int, degree: int) -> "Generator":
+        key = (family, arity, degree)
+        interned = _INTERNED.get(key)
+        if interned is not None:
+            return interned
+        if arity < 1:
+            raise ValueError(f"generator arity must be >= 1, got {arity}")
+        rule = _FAMILY_DEGREE.get(family)
         if rule is not None:
-            if self.arity < _FAMILY_MIN_ARITY[self.family]:
+            if arity < _FAMILY_MIN_ARITY[family]:
                 raise ValueError(
-                    f"{self.family}-generators need arity >= "
-                    f"{_FAMILY_MIN_ARITY[self.family]}, got {self.arity}"
+                    f"{family}-generators need arity >= "
+                    f"{_FAMILY_MIN_ARITY[family]}, got {arity}"
                 )
-            if self.degree != rule(self.arity):
+            if degree != rule(arity):
                 raise ValueError(
-                    f"degree of {self.family}{self.arity} must be "
-                    f"{rule(self.arity)}, got {self.degree}"
+                    f"degree of {family}{arity} must be {rule(arity)}, got {degree}"
                 )
+        self = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, key + (f"{family}{arity}",)):
+            object.__setattr__(self, slot, value)
+        return _INTERNED.setdefault(key, self)
 
-    @property
-    def name(self) -> str:
-        return f"{self.family}{self.arity}"
+    def __setattr__(self, name, value):
+        raise AttributeError("Generator is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so the interned object
+        return (Generator, (self.family, self.arity, self.degree))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.name
@@ -96,49 +121,42 @@ def gen(family: str, arity: int) -> Generator:
 # tree monomials
 # ---------------------------------------------------------------------------
 
-# Internal node representation: None is a leaf, otherwise a pair
-# (Generator, tuple-of-children).  TreeMonomial wraps the root of such a
-# structure and caches the derived quantities.
-Node = Union[None, tuple]
-
 
 class TreeMonomial:
-    """Immutable planar rooted tree with generator-labeled vertices."""
+    """Immutable planar rooted tree, stored as its preorder word ``nodes``.
 
-    __slots__ = ("root", "arity", "degree", "weight", "_hash")
+    The constructor checks that ``nodes`` spells one tree.  Trees built by
+    grafting are assembled from valid words and skip that check.
+    """
 
-    def __init__(self, root: Node):
-        arity = 0
-        degree = 0
-        weight = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
+    __slots__ = ("nodes", "arity", "degree", "weight", "_hash", "_leaves", "_vertices")
+
+    def __init__(self, nodes: Iterable[Generator | None]):
+        nodes = tuple(nodes)
+        open_slots, arity, degree = 1, 0, 0
+        for node in nodes:
+            if not open_slots:
+                raise ValueError(f"nodes after the end of the tree: {nodes}")
             if node is None:
+                open_slots -= 1
                 arity += 1
-                continue
-            generator, children = node
-            if not isinstance(generator, Generator):
-                raise TypeError(f"vertex label must be a Generator: {generator!r}")
-            if generator.arity != len(children):
-                raise ValueError(
-                    f"vertex {generator.name} has {len(children)} children, "
-                    f"expected {generator.arity}"
-                )
-            degree += generator.degree
-            weight += 1
-            stack.extend(children)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_hash", hash(root))
+            elif isinstance(node, Generator):
+                open_slots += node.arity - 1
+                degree += node.degree
+            else:
+                raise TypeError(f"vertex label must be a Generator: {node!r}")
+        if open_slots:
+            raise ValueError(f"the tree {nodes} misses {open_slots} subtrees")
+        _fill(self, nodes, arity, degree)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("TreeMonomial is immutable")
 
+    def __reduce__(self):
+        return (TreeMonomial, (self.nodes,))
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, TreeMonomial) and self.root == other.root
+        return isinstance(other, TreeMonomial) and self.nodes == other.nodes
 
     def __hash__(self) -> int:
         return self._hash
@@ -148,7 +166,7 @@ class TreeMonomial:
 
     @property
     def is_identity(self) -> bool:
-        return self.root is None
+        return self.nodes == (None,)
 
     def vertices(self) -> tuple[Generator, ...]:
         """Vertex labels in planar order (depth-first, root before subtrees).
@@ -157,18 +175,7 @@ class TreeMonomial:
         >>> [g.name for g in t.vertices()]
         ['m2', 'R1', 'm2']
         """
-        out: list[Generator] = []
-
-        def walk(node: Node) -> None:
-            if node is None:
-                return
-            generator, children = node
-            out.append(generator)
-            for child in children:
-                walk(child)
-
-        walk(self.root)
-        return tuple(out)
+        return tuple(node for node in self.nodes if node is not None)
 
     def to_text(self) -> str:
         """Serialize as a nested term with leaves numbered left to right.
@@ -178,18 +185,92 @@ class TreeMonomial:
         >>> identity_tree().to_text()
         '1'
         """
-        counter = itertools.count(1)
+        parts: list[str] = []
+        leaves = itertools.count(1)
+        for node, closed in _closings(self.nodes):
+            if node is not None:
+                parts.append(f"{node.name}(")
+            else:
+                # a node after this leaf is always the next child of an open vertex
+                parts.append(f"{next(leaves)}{')' * closed}, ")
+        return "".join(parts)[:-2]
 
-        def render(node: Node) -> str:
-            if node is None:
-                return str(next(counter))
-            generator, children = node
-            return f"{generator.name}({', '.join(render(c) for c in children)})"
+    def _leaf_layout(self) -> tuple[tuple[int, int], ...]:
+        """Per leaf: its position in ``nodes`` and the degree of the vertices after it."""
+        if self._leaves is None:
+            layout, after = [], self.degree
+            for position, node in enumerate(self.nodes):
+                if node is None:
+                    layout.append((position, after))
+                else:
+                    after -= node.degree
+            object.__setattr__(self, "_leaves", tuple(layout))
+        return self._leaves
 
-        return render(self.root)
+    def _vertex_layout(self) -> tuple[tuple[int, int, tuple], ...]:
+        """Per vertex in planar order: its position, the end of its subtree,
+        and its children that are not leaves as (child number, word, degree)."""
+        if self._vertices is None:
+            nodes = self.nodes
+            end = [0] * len(nodes)
+            degree = [0] * len(nodes)
+            layout = []
+            roots: list[int] = []  # the subtrees after the current position, nearest last
+            for position in reversed(range(len(nodes))):
+                node = nodes[position]
+                if node is None:
+                    end[position] = position + 1
+                else:
+                    children = [roots.pop() for _ in range(node.arity)]
+                    end[position] = end[children[-1]]
+                    degree[position] = node.degree + sum(degree[c] for c in children)
+                    grafts = tuple(
+                        (number, nodes[c : end[c]], degree[c])
+                        for number, c in enumerate(children, 1)
+                        if nodes[c] is not None
+                    )
+                    layout.append((position, end[position], grafts))
+                roots.append(position)
+            layout.reverse()
+            object.__setattr__(self, "_vertices", tuple(layout))
+        return self._vertices
 
 
-_IDENTITY_TREE = TreeMonomial(None)
+def _closings(nodes: tuple) -> Iterator[tuple[Generator | None, int]]:
+    """Each node of a word with the number of vertices whose subtree it ends."""
+    open_children: list[int] = []  # children still to come, per open vertex
+    for node in nodes:
+        closed = 0
+        if node is not None:
+            open_children.append(node.arity)
+        else:
+            while open_children:
+                open_children[-1] -= 1
+                if open_children[-1]:
+                    break
+                open_children.pop()
+                closed += 1
+        yield node, closed
+
+
+def _fill(tree: TreeMonomial, nodes: tuple, arity: int, degree: int) -> TreeMonomial:
+    setter = object.__setattr__
+    setter(tree, "nodes", nodes)
+    setter(tree, "arity", arity)
+    setter(tree, "degree", degree)
+    setter(tree, "weight", len(nodes) - arity)
+    setter(tree, "_hash", hash(nodes))
+    setter(tree, "_leaves", None)
+    setter(tree, "_vertices", None)
+    return tree
+
+
+def _tree(nodes: tuple, arity: int, degree: int) -> TreeMonomial:
+    """A tree from a word known to be valid, with its arity and degree."""
+    return _fill(object.__new__(TreeMonomial), nodes, arity, degree)
+
+
+_IDENTITY_TREE = _tree((None,), 1, 0)
 
 
 def identity_tree() -> TreeMonomial:
@@ -199,7 +280,7 @@ def identity_tree() -> TreeMonomial:
 
 def corolla(generator: Generator) -> TreeMonomial:
     """The single-vertex tree whose children are all leaves."""
-    return TreeMonomial((generator, (None,) * generator.arity))
+    return _tree((generator,) + (None,) * generator.arity, generator.arity, generator.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +328,39 @@ def parse_tree(
         return _default_alphabet(name)
 
     leaves: list[int] = []
+    nodes: list[Generator | None] = []
 
-    def parse_node() -> Node:
+    def parse_node() -> None:
         if not tokens:
             raise ValueError("unexpected end of input")
         token = tokens.pop()
         if token.isdigit():
             leaves.append(int(token))
-            return None
+            nodes.append(None)
+            return
         generator = lookup(token)
+        nodes.append(generator)
         if not tokens or tokens.pop() != "(":
             raise ValueError(f"expected '(' after {token}")
-        children = [parse_node()]
+        parse_node()
+        children = 1
         while tokens and tokens[-1] == ",":
             tokens.pop()
-            children.append(parse_node())
+            parse_node()
+            children += 1
         if not tokens or tokens.pop() != ")":
             raise ValueError(f"expected ')' closing {token}")
-        if len(children) != generator.arity:
+        if children != generator.arity:
             raise ValueError(
-                f"{generator.name} takes {generator.arity} children, "
-                f"got {len(children)}"
+                f"{generator.name} takes {generator.arity} children, got {children}"
             )
-        return (generator, tuple(children))
 
-    root = parse_node()
+    parse_node()
     if tokens:
         raise ValueError(f"trailing input: {' '.join(reversed(tokens))}")
     if leaves != list(range(1, len(leaves) + 1)):
         raise ValueError(f"leaves must read 1..n left to right, got {leaves}")
-    return TreeMonomial(root)
+    return TreeMonomial(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -293,47 +377,33 @@ def graft_with_sign(
     there.  The sign is that of reordering the concatenated vertex list
     (vertices of ``f`` in planar order, then the vertices of each grafted
     tree in increasing order of the occupied leaf) into the planar order of
-    the result.  A grafted tree moves as a block, so it enters the sign as a
-    single letter of its total degree.
+    the result: the linear rule of the module docstring.
     """
     for i in assignment:
         if not 1 <= i <= f.arity:
             raise ValueError(f"leaf index {i} out of range 1..{f.arity}")
-    root, sign = _graft_nodes(
-        f.root, {i: (t.root, t.degree) for i, t in assignment.items()}
-    )
-    return TreeMonomial(root), sign
+    grafts = sorted((i, t.nodes, t.degree) for i, t in assignment.items())
+    nodes, exponent = _splice(f, grafts)
+    arity = f.arity + sum(t.arity - 1 for t in assignment.values())
+    degree = f.degree + sum(t.degree for t in assignment.values())
+    return _tree(nodes, arity, degree), parity_sign(exponent)
 
 
-def _graft_nodes(
-    root: Node, grafts: Mapping[int, tuple[Node, int]]
-) -> tuple[Node, int]:
-    """The node walk of `graft_with_sign`, on bare nodes.
+def _splice(outer: TreeMonomial, grafts: Iterable[tuple[int, tuple, int]]) -> tuple[tuple, int]:
+    """The word of ``outer`` with words put in place of some of its leaves.
 
-    ``grafts`` maps leaves of ``root`` to ``(node, total degree)`` pairs.
-    Returns the grafted node, unvalidated, and the Koszul sign.
+    ``grafts`` lists ``(leaf, word, degree)`` by increasing leaf.  Returns
+    the new word and the exponent of the graft sign: each word's degree
+    times the degree of the vertices of ``outer`` after its leaf.
     """
-    # letters: the outer vertices tagged 0, 1, ... in planar order, then the
-    # grafted tree at leaf i tagged -i
-    letters: list[tuple[int, int]] = []
-    planar: list[int] = []
-    leaf_numbers = itertools.count(1)
-
-    def walk(node: Node) -> Node:
-        if node is None:
-            i = next(leaf_numbers)
-            if i not in grafts:
-                return None
-            planar.append(-i)
-            return grafts[i][0]
-        generator, children = node
-        planar.append(len(letters))
-        letters.append((len(letters), generator.degree))
-        return (generator, tuple(walk(c) for c in children))
-
-    grafted = walk(root)
-    letters += [(-i, grafts[i][1]) for i in sorted(grafts)]
-    return grafted, inversion_sign(letters, planar)
+    nodes, leaves = outer.nodes, outer._leaf_layout()
+    spliced, start, exponent = (), 0, 0
+    for leaf, word, degree in grafts:
+        position, after = leaves[leaf - 1]
+        spliced += nodes[start:position] + word
+        start = position + 1
+        exponent += degree * after
+    return spliced + nodes[start:], exponent
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +414,14 @@ Scalar = Union[int, Fraction]
 
 
 class OperadElement:
-    """Finite rational linear combination of tree monomials of one arity.
+    """Finite linear combination of tree monomials of one arity.
 
     The constructor is the one place where coefficients are combined:
     ``terms`` is a mapping or an iterable of ``(tree, coefficient)`` pairs in
     which a tree may repeat; repeated trees are summed, trees whose
     coefficient cancels are dropped, and every tree must have the given
-    arity.
+    arity.  Coefficients keep the type they are given: the operad code makes
+    only ``int`` ones, and a ``Fraction`` from a caller works as well.
     """
 
     __slots__ = ("arity", "terms")
@@ -362,11 +433,10 @@ class OperadElement:
     ):
         if hasattr(terms, "items"):
             terms = terms.items()
-        merged: dict[TreeMonomial, Fraction] = {}
+        merged: dict[TreeMonomial, Scalar] = {}
+        get = merged.get
         for tree, coeff in terms:
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            merged[tree] = merged[tree] + coeff if tree in merged else coeff
+            merged[tree] = get(tree, 0) + coeff
         for tree in merged:
             if tree.arity != arity:
                 raise ValueError(
@@ -409,7 +479,7 @@ class OperadElement:
             return degrees.pop()
         return None
 
-    def items(self) -> Iterator[tuple[TreeMonomial, Fraction]]:
+    def items(self) -> Iterator[tuple[TreeMonomial, Scalar]]:
         """Terms in a deterministic (serialization) order."""
         return iter(sorted(self.terms.items(), key=lambda kv: kv[0].to_text()))
 
@@ -433,9 +503,8 @@ class OperadElement:
         return self * -1
 
     def __mul__(self, scalar: Scalar) -> "OperadElement":
-        value = Fraction(scalar)
         return OperadElement(
-            self.arity, ((tree, c * value) for tree, c in self.terms.items())
+            self.arity, ((tree, c * scalar) for tree, c in self.terms.items())
         )
 
     __rmul__ = __mul__
@@ -563,17 +632,13 @@ def _path_sequence(t: TreeMonomial) -> list[tuple[int, tuple]]:
     realizes the length-lexicographic order on words.
     """
     sequence: list[tuple[int, tuple]] = []
-
-    def walk(node: Node, prefix: tuple) -> None:
-        if node is None:
-            sequence.append((len(prefix), prefix))
-            return
-        generator, children = node
-        extended = prefix + (_alphabet_key(generator),)
-        for child in children:
-            walk(child, extended)
-
-    walk(t.root, ())
+    path: list[tuple[int, int]] = []  # keys of the open vertices, root first
+    for node, closed in _closings(t.nodes):
+        if node is not None:
+            path.append(_alphabet_key(node))
+        else:
+            sequence.append((len(path), tuple(path)))
+            del path[len(path) - closed :]
     return sequence
 
 
@@ -603,7 +668,7 @@ def compare_graded_pathlex(t1: TreeMonomial, t2: TreeMonomial) -> int:
     return 1 if p1 > p2 else -1
 
 
-def leading_monomial(e: OperadElement) -> tuple[TreeMonomial, Fraction]:
+def leading_monomial(e: OperadElement) -> tuple[TreeMonomial, Scalar]:
     """Maximal monomial of a nonzero element under the graded path-lex order."""
     if e.is_zero():
         raise ValueError("zero element has no leading monomial")

@@ -19,6 +19,7 @@ from .graded import (
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _family_key,
     _json_int,
     _json_object,
     compose_tensor,
@@ -188,7 +189,7 @@ class InfinityYBPair:
     def _validated(self, family, label) -> dict[int, TensorElem]:
         clean: dict[int, TensorElem] = {}
         for n, t in (family or {}).items():
-            n = int(n)
+            n = _family_key(n, f"{label}.{n}")
             if t.algebra != self.algebra:
                 raise ValueError(f"{label}_{n} lives over a different algebra")
             if t.order != n:
@@ -222,7 +223,9 @@ class InfinityYBPair:
     def from_json(cls, algebra: BasedAlgebra, data: Mapping) -> "InfinityYBPair":
         def family(key):
             return {
-                int(n): TensorElem.from_json(algebra, t, field=f"{key}.{n}")
+                _family_key(n, f"{key}.{n}"): TensorElem.from_json(
+                    algebra, t, field=f"{key}.{n}"
+                )
                 for n, t in _json_object(data.get(key, {}), key).items()
             }
 

@@ -777,6 +777,26 @@ def test_the_payloads_with_typed_fields_fixed_are_accepted(capsys, tmp_path):
         assert code == 0 and report["ok"] is True
 
 
+@pytest.mark.parametrize("key", ["x", " 2", "+2", "2.0", "02"])
+@pytest.mark.parametrize("command", ["hrbs", "aybe-infinity"])
+def test_family_key_that_is_not_a_decimal_integer_is_named(
+    capsys, tmp_path, command, key
+):
+    payload = hrbs_payload() if command == "hrbs" else aybe_payload()
+    family = "m" if command == "hrbs" else "r"
+    good = "2" if command == "hrbs" else "1"
+    payload[family][key] = payload[family].pop(good)
+    code, report = run(capsys, "check", command, dump(tmp_path, "key.json", payload))
+    assert code == 2
+    assert report["error"] == f"{family}.{key}: family key must be a decimal integer"
+
+
+def test_family_keys_of_the_unmodified_payloads_are_accepted(capsys, tmp_path):
+    for command, payload in (("hrbs", hrbs_payload()), ("aybe-infinity", aybe_payload())):
+        code, report = run(capsys, "check", command, dump(tmp_path, "ok.json", payload))
+        assert code == 0 and report["ok"] is True
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_linfinity_refuses_an_empty_trial_count(capsys, trials):
     code, report = run(capsys, "verify", "linfinity", "--trials", trials)

@@ -1,0 +1,62 @@
+"""Byte-for-byte comparison of operad reports with saved golden files.
+
+The files under ``tests/data/`` hold the exact stdout of `main` for three
+passing verifications and one failing ``verify d-squared`` whose witnesses
+print their coefficients as strings, so a change of coefficient type or of a
+sign shows up as a changed byte.  The failing report comes from a copy of
+d m4 with its first term's sign flipped, as in
+``tests/test_cli.py::test_verify_d_squared_failure_carries_witnesses``.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from rbsinfty import minimal_model
+from rbsinfty.cli import main
+from rbsinfty.trees import OperadElement, gen
+
+DATA = Path(__file__).parent / "data"
+
+CASES = {
+    "d_squared_mrs_4.json": ["verify", "d-squared", "--presentation", "mrs", "--max-arity", "4"],
+    "d_squared_xyz_5.json": ["verify", "d-squared", "--presentation", "xyz", "--max-arity", "5"],
+    "homotopy_3_3.json": ["verify", "homotopy", "--max-arity", "3", "--max-weight", "3"],
+    "d_squared_flipped_m4.json": ["verify", "d-squared", "--max-arity", "5"],
+}
+EXIT_CODES = {name: 1 if "flipped" in name else 0 for name in CASES}
+
+
+def _flip_first_term_of_d_m4(monkeypatch):
+    real = minimal_model.diff_generator
+    m4 = gen("m", 4)
+    flipped_tree = next(real(m4).items())[0]
+
+    def stand_in(g):
+        image = real(g)
+        if g != m4:
+            return image
+        return OperadElement(
+            image.arity,
+            ((t, -c if t == flipped_tree else c) for t, c in image.terms.items()),
+        )
+
+    monkeypatch.setattr(minimal_model, "diff_generator", stand_in)
+
+
+def report_bytes(name, capsys, monkeypatch):
+    """The exit code and stdout of `main` for one case."""
+    if "flipped" in name:
+        _flip_first_term_of_d_m4(monkeypatch)
+    code = main(CASES[name])
+    monkeypatch.undo()
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_file(name, capsys, monkeypatch):
+    code, out = report_bytes(name, capsys, monkeypatch)
+    assert code == EXIT_CODES[name]
+    assert out == (DATA / name).read_text()

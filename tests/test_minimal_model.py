@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsinfty.minimal_model import (
+    PRESENTATIONS,
     FreeOperad,
     Suspension,
     alpha_exponent,
@@ -16,6 +17,7 @@ from rbsinfty.minimal_model import (
     differential,
     extend_derivation,
     generator_differential,
+    presentation_generators,
     replace_vertex,
 )
 from rbsinfty.signs import compositions
@@ -417,3 +419,10 @@ def test_extend_derivation_detects_broken_diff():
 
     residual = extend_derivation(bad_diff, bad_diff(gen("R", 2)))
     assert not residual.is_zero()
+
+
+def test_every_coefficient_of_a_generator_differential_is_an_int():
+    for families in PRESENTATIONS.values():
+        for g in presentation_generators(families, 5):
+            image = diff_generator(g)
+            assert all(type(c) is int for c in image.terms.values()), g

@@ -309,3 +309,10 @@ def test_contraction_identity_random(tree):
 def test_diff_bar_squares_to_zero_random(tree):
     residual = diff_bar_element(diff_bar_element(as_element(tree)))
     assert residual.is_zero()
+
+
+def test_every_coefficient_of_the_contraction_is_an_int():
+    images = [homotopy_H(t) for t in enumerate_monomials(3, 3)]
+    assert any(not image.is_zero() for image in images)
+    for image in images:
+        assert all(type(c) is int for c in image.terms.values()), image

@@ -1,15 +1,20 @@
 """Side-by-side check of the tree-substitution primitives against oracles.
 
-`graft_with_sign` walks the outer tree once and lets each grafted tree enter
-the Koszul sign as one letter of its total degree; `replace_vertex` grafts the
-removed vertex's child nodes onto the replacement with the same node walk and
-builds only the final tree.  The first oracle is the direct tag-and-strip
+`graft_with_sign` splices each grafted tree's word in place of its leaf and
+lets it enter the Koszul sign as one letter of its total degree;
+`replace_vertex` splices the removed vertex's child subtrees into the
+replacement's word with the same helper and builds only the final tree.  The
+first oracle is the direct tag-and-strip
 computation: tag every vertex of every input, build the result, read the tags
 back in planar order and reorder the full concatenated vertex list.  The
 second is the earlier `replace_vertex`, which wrapped each child subtree in a
 `TreeMonomial` and went through `graft_with_sign`, together with a
 derivation extension that rebuilds each generator's differential on every
 vertex.  All must give the same trees and signs on the enumerated universe.
+
+The oracles walk nested trees, ``None`` for a leaf and ``(generator,
+children)`` for a vertex; `_nested` and `_from_nested` convert between that
+form and the preorder word a `TreeMonomial` stores.
 """
 
 from __future__ import annotations
@@ -35,6 +40,41 @@ from rbsinfty.trees import (
     gen,
     graft_with_sign,
 )
+
+# ---------------------------------------------------------------------------
+# nested trees
+# ---------------------------------------------------------------------------
+
+
+def _nested(t):
+    """The nested form of a tree monomial's preorder word."""
+    nodes = iter(t.nodes)
+
+    def take():
+        node = next(nodes)
+        if node is None:
+            return None
+        return (node, tuple(take() for _ in range(node.arity)))
+
+    return take()
+
+
+def _from_nested(root):
+    """The tree monomial of a nested tree."""
+    word = []
+
+    def put(node):
+        if node is None:
+            word.append(None)
+            return
+        generator, children = node
+        word.append(generator)
+        for child in children:
+            put(child)
+
+    put(root)
+    return TreeMonomial(word)
+
 
 # ---------------------------------------------------------------------------
 # the oracle: tag every vertex, rebuild, strip, reorder the whole list
@@ -71,8 +111,10 @@ def oracle_graft(f, assignment):
         tagged.append((tag, generator.degree))
         return (tag, generator, tuple(tag_outer(c) for c in children))
 
-    outer = tag_outer(f.root)
-    grafted = {i: _tag(assignment[i].root, tags, tagged) for i in sorted(assignment)}
+    outer = tag_outer(_nested(f))
+    grafted = {
+        i: _tag(_nested(assignment[i]), tags, tagged) for i in sorted(assignment)
+    }
 
     def substitute(node):
         if node is None:
@@ -83,15 +125,15 @@ def oracle_graft(f, assignment):
         return (tag, generator, tuple(substitute(c) for c in children))
 
     order = []
-    result = TreeMonomial(_strip(substitute(outer), order))
+    result = _from_nested(_strip(substitute(outer), order))
     return result, inversion_sign(tagged, order)
 
 
 def oracle_replace(t, index, u):
     tags = itertools.count()
     t_tags, u_tags = [], []
-    tagged_t = _tag(t.root, tags, t_tags)
-    tagged_u = _tag(u.root, tags, u_tags)
+    tagged_t = _tag(_nested(t), tags, t_tags)
+    tagged_u = _tag(_nested(u), tags, u_tags)
 
     def splice_u(node, children):
         if node is None:
@@ -108,7 +150,7 @@ def oracle_replace(t, index, u):
         return (tag, generator, tuple(rebuild(c) for c in children))
 
     order = []
-    result = TreeMonomial(_strip(rebuild(tagged_t), order))
+    result = _from_nested(_strip(rebuild(tagged_t), order))
     concatenation = t_tags[:index] + u_tags + t_tags[index + 1 :]
     if not concatenation:
         return result, 1
@@ -128,14 +170,14 @@ def oracle_replace_by_trees(t, index, u):
         if next(planar_index) != index:
             return (generator, tuple(rebuild(c) for c in children))
         subtrees = {
-            leaf: TreeMonomial(child)
+            leaf: _from_nested(child)
             for leaf, child in enumerate(children, 1)
             if child is not None
         }
         grafted, sign = graft_with_sign(u, subtrees)
-        return grafted.root
+        return _nested(grafted)
 
-    return TreeMonomial(rebuild(t.root)), sign
+    return _from_nested(rebuild(_nested(t))), sign
 
 
 def oracle_extend(diff_of, e):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -63,6 +65,51 @@ def test_custom_generators_allowed():
     custom = Generator("q", 2, 5)
     assert custom.name == "q2"
     assert corolla(custom).degree == 5
+
+
+def test_generators_are_interned():
+    assert Generator("q", 2, 5) is Generator("q", 2, 5)
+    assert gen("m", 2) is Generator("m", 2, 0)
+    assert gen("R", 3) is Generator(family="R", arity=3, degree=2)
+    assert Generator("q", 2, 5) is not Generator("q", 2, 4)
+
+
+def test_copy_and_pickle_return_the_interned_generator():
+    for g in (gen("m", 3), gen("z", 2), Generator("q", 2, 5)):
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+    t = parse_tree("m2(R1(1), m2(2, 3))")
+    assert copy.deepcopy(t) == t
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_invalid_generator_is_refused_and_not_interned():
+    from rbsinfty.trees import _INTERNED
+
+    for args in (("m", 3, 0), ("q", 0, 0), ("x", 1, -1)):
+        with pytest.raises(ValueError):
+            Generator(*args)
+        assert args not in _INTERNED
+        with pytest.raises(ValueError):  # refused again, not served from a table
+            Generator(*args)
+
+
+def test_generator_attributes_cannot_be_set():
+    g = gen("m", 2)
+    for name, value in (("degree", 1), ("arity", 3), ("family", "R"), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert (g.family, g.arity, g.degree, g.name) == ("m", 2, 0, "m2")
+
+
+def test_tree_constructor_checks_the_word():
+    m2, r1 = gen("m", 2), gen("R", 1)
+    assert TreeMonomial((m2, r1, None, None)) == parse_tree("m2(R1(1), 2)")
+    assert TreeMonomial([None]) == identity_tree()
+    for word in ((m2, None), (m2, None, None, None), (), (None, None), (m2, "x", None)):
+        with pytest.raises((ValueError, TypeError)):
+            TreeMonomial(word)
 
 
 # ---------------------------------------------------------------------------
