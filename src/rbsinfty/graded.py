@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
 
@@ -131,16 +131,23 @@ class MultiMap:
             if row is None:
                 row = merged[ins] = {}
             for out, coeff in outs.items():
-                coeff = _frac(coeff)
+                if coeff.__class__ is not Fraction:
+                    coeff = _frac(coeff)
                 row[out] = row[out] + coeff if out in row else coeff
+        # degrees read from the spaces' tables, once per input tuple
+        degrees_in, degrees_out = space_in._degrees, space_out._degrees
         clean: dict[tuple[str, ...], dict[str, Fraction]] = {}
         for ins, row in merged.items():
             if len(ins) != arity:
                 raise ValueError(f"input tuple {ins} does not match arity {arity}")
-            out_degree = sum(space_in.degree(name) for name in ins) + degree
+            try:
+                out_degree = sum(map(degrees_in.__getitem__, ins)) + degree
+            except KeyError as unknown:
+                raise ValueError(f"unknown basis name {unknown.args[0]!r}") from None
             row = {out: coeff for out, coeff in row.items() if coeff}
             for out in row:
-                if space_out.degree(out) != out_degree:
+                if degrees_out.get(out) != out_degree:
+                    space_out.degree(out)  # an unknown name is refused as such
                     raise ValueError(
                         f"entry {ins} -> {out} violates homogeneity of degree {degree}"
                     )
@@ -317,14 +324,8 @@ def _reject_repeats(keys: Iterable[tuple]) -> None:
         seen.add(key)
 
 
-def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap:
-    """f composed with one map (or the identity, passed as None) per input slot.
-
-    Evaluation carries the Koszul sign of each part crossing all inputs
-    feeding the slots to its left.
-    """
-    if len(parts) != f.arity:
-        raise ValueError(f"need {f.arity} parts, got {len(parts)}")
+def _input_space(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> GradedSpace:
+    """The common input space of ``parts``, checked against the host ``f``."""
     space_in = None
     for part in parts:
         if part is None:
@@ -336,47 +337,88 @@ def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap
         elif part.space_in != space_in:
             raise ValueError("parts have mismatched input spaces")
     if space_in is None:
-        space_in = f.space_in
-    elif any(part is None for part in parts) and space_in != f.space_in:
+        return f.space_in
+    if any(part is None for part in parts) and space_in != f.space_in:
         raise ValueError("identity slots require matching input space")
+    return space_in
 
+
+def _slot_choices(f: MultiMap, args: Sequence[MultiMap]) -> Iterator[list]:
+    """The parts of each increasing choice of slots of f for ``args``, the
+    identity (None) in the other slots."""
+    for chosen in itertools.combinations(range(f.arity), len(args)):
+        parts: list[Optional[MultiMap]] = [None] * f.arity
+        for slot, arg in zip(chosen, args):
+            parts[slot] = arg
+        yield parts
+
+
+def _signed_rows(
+    f: MultiMap, layouts: Iterable[Sequence], space_in: GradedSpace, scale=1
+) -> Iterator[tuple[tuple, dict]]:
+    """The ``(inputs, outputs)`` rows of f composed with each layout of parts
+    (a map on ``space_in``, or None for the identity, per slot), each
+    coefficient times ``scale``.
+
+    Each part is indexed once by output name: target -> [(inputs, numerator,
+    denominator, input degree)].  A host entry grows its input tuples slot by
+    slot from the options of its targets, carrying each coefficient as an
+    integer fraction and the degree of the inputs so far: a part of odd
+    degree flips the sign past inputs of odd total degree.
+    """
+    degrees = space_in._degrees
+    indexes: dict[int, dict] = {}
+    for parts in layouts:
+        slots = []
+        for part in parts:
+            if part is not None and id(part) not in indexes:
+                index = indexes[id(part)] = {}
+                for ins, outs in part.table.items():
+                    d = sum(map(degrees.__getitem__, ins))
+                    for out, c in outs.items():
+                        option = (ins, c.numerator, c.denominator, d)
+                        index.setdefault(out, []).append(option)
+            slots.append(None if part is None else (part.degree & 1, indexes[id(part)]))
+        for fins, fouts in f.table.items():
+            partial = [((), scale.numerator, scale.denominator, 0)]
+            for target, slot in zip(fins, slots):
+                if slot is None:
+                    d = degrees[target]
+                    partial = [
+                        (ins + (target,), n, q, left + d) for ins, n, q, left in partial
+                    ]
+                    continue
+                odd, index = slot
+                options = index.get(target)
+                if options is None:
+                    break
+                partial = [
+                    (ins + gins, -n * gn if odd & left else n * gn, q * gq, left + gd)
+                    for ins, n, q, left in partial
+                    for gins, gn, gq, gd in options
+                ]
+            else:
+                for ins, n, q, _ in partial:
+                    yield ins, {
+                        out: Fraction(n * c.numerator, q * c.denominator)
+                        for out, c in fouts.items()
+                    }
+
+
+def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap:
+    """f composed with one map (or the identity, passed as None) per input slot.
+
+    Evaluation carries the Koszul sign of each part crossing all inputs
+    feeding the slots to its left.  Each part is indexed once by output name,
+    each host entry looks up the options of its slots there, and the signed
+    rows are streamed into one `MultiMap` constructor (`_signed_rows`).
+    """
+    if len(parts) != f.arity:
+        raise ValueError(f"need {f.arity} parts, got {len(parts)}")
+    space_in = _input_space(f, parts)
     arity = sum(1 if part is None else part.arity for part in parts)
     degree = f.degree + sum(0 if part is None else part.degree for part in parts)
-    rows = []
-    for fins, fouts in f.table.items():
-        options = []
-        feasible = True
-        for slot, part in enumerate(parts):
-            target = fins[slot]
-            if part is None:
-                options.append([((target,), Fraction(1))])
-                continue
-            slot_options = [
-                (gins, gcoeffs[target])
-                for gins, gcoeffs in part.table.items()
-                if target in gcoeffs
-            ]
-            if not slot_options:
-                feasible = False
-                break
-            options.append(slot_options)
-        if not feasible:
-            continue
-        for choice in itertools.product(*options):
-            sign_exp = 0
-            left_degree = 0
-            coeff = Fraction(1)
-            blocks = []
-            for part, (gins, gc) in zip(parts, choice):
-                part_degree = 0 if part is None else part.degree
-                sign_exp += part_degree * left_degree
-                left_degree += sum(space_in.degree(name) for name in gins)
-                coeff *= gc
-                blocks.append(gins)
-            if sign_exp % 2:
-                coeff = -coeff
-            ins = tuple(itertools.chain.from_iterable(blocks))
-            rows.append((ins, {fout: coeff * fc for fout, fc in fouts.items()}))
+    rows = _signed_rows(f, [parts], space_in)
     return MultiMap(space_in, f.space_out, arity, degree, rows)
 
 
@@ -390,18 +432,15 @@ def insert(f: MultiMap, position: int, g: MultiMap) -> MultiMap:
 
 
 def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
-    """Sum of compositions of f with args at all increasing slot choices."""
+    """Sum of compositions of f with args at all increasing slot choices,
+    built in one table."""
     if not args:
         return f
+    space_in = _input_space(f, list(args) + [None] * (f.arity - len(args)))
     arity = f.arity - len(args) + sum(a.arity for a in args)
     degree = f.degree + sum(a.degree for a in args)
-    terms = []
-    for slots in itertools.combinations(range(f.arity), len(args)):
-        parts: list[Optional[MultiMap]] = [None] * f.arity
-        for slot, arg in zip(slots, args):
-            parts[slot] = arg
-        terms.append(compose_tensor(f, parts))
-    return MultiMap.sum(args[0].space_in, f.space_out, max(arity, 1), degree, terms)
+    rows = _signed_rows(f, _slot_choices(f, args), space_in)
+    return MultiMap(space_in, f.space_out, max(arity, 1), degree, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ from .graded import (
     MultiMap,
     _json_int,
     _reject_repeats,
+    _signed_rows,
+    _slot_choices,
     brace_map,
     compose_tensor,
 )
@@ -331,14 +333,35 @@ def classical_cochain(
 # -- the bracket family ------------------------------------------------------
 
 
+def _orderings(
+    maps: Sequence[MultiMap], degrees: Sequence[int]
+) -> list[tuple[list[MultiMap], int]]:
+    """Each distinct ordering of ``maps`` once, with the summed Koszul sign
+    ``chi`` of the permutations that give it.
+
+    Permutations that only exchange equal maps (the same object) give the
+    same ordering.  Their signs are summed, not counted: two equal odd maps
+    add, two equal even maps cancel, and an ordering whose signs cancel is
+    left out.
+    """
+    groups: dict[tuple[int, ...], list] = {}
+    for sigma in itertools.permutations(range(1, len(maps) + 1)):
+        ordered = [maps[s - 1] for s in sigma]
+        group = groups.setdefault(tuple(map(id, ordered)), [ordered, 0])
+        group[1] += koszul_chi(sigma, degrees)
+    return [(ordered, chi) for ordered, chi in groups.values() if chi]
+
+
 def _operator_terms(
     F: MultiMap, gs: Sequence[MultiMap], hs: Sequence[MultiMap], outer: int
 ) -> Iterator[tuple[str, MultiMap]]:
-    """All terms of the bracket of one algebra cochain with operator cochains.
+    """The bracket of one algebra cochain with operator cochains, per column.
 
     ``gs`` feed the first operator column, ``hs`` the second; ``F.arity``
     equals ``len(gs) + len(hs)``.  Degrees written ``|f| + 1 = F.degree`` and
-    ``|g| = (map degree) - 1`` below are the intrinsic ones.
+    ``|g| = (map degree) - 1`` below are the intrinsic ones.  Each distinct
+    ordering of the operators (see `_orderings`) is composed once, and the
+    signed rows of every term of a column go into one `MultiMap`.
     """
     n = len(gs) + len(hs)
     j = len(gs)
@@ -346,26 +369,24 @@ def _operator_terms(
     gdeg = [m.degree - 1 for m in gs]
     hdeg = [m.degree - 1 for m in hs]
     sum_g = sum(gdeg)
+    space = F.space_in
+    rows: dict[str, list] = {TAG_R: [], TAG_S: []}
 
     # Plain substitution terms exist only when all operators feed one column.
     if j == n or j == 0:
         maps, degrees, tag = (gs, gdeg, TAG_R) if j == n else (hs, hdeg, TAG_S)
-        for sigma in itertools.permutations(range(1, n + 1)):
-            permuted = [maps[s - 1] for s in sigma]
-            pdeg = [degrees[s - 1] for s in sigma]
-            sign = koszul_chi(sigma, degrees) * parity_sign(n * f1 + _staircase(pdeg))
-            yield tag, (outer * sign) * compose_tensor(F, permuted)
+        for permuted, chi in _orderings(maps, degrees):
+            pdeg = [m.degree - 1 for m in permuted]
+            sign = outer * chi * parity_sign(n * f1 + _staircase(pdeg))
+            rows[tag].append(_signed_rows(F, [permuted], space, sign))
 
     # Brace terms: one operator climbs outside, the identity fills the slot
     # between the two columns inside.
-    for sp in itertools.permutations(range(1, j + 1)):
-        pg = [gs[s - 1] for s in sp]
-        pgd = [gdeg[s - 1] for s in sp]
-        chi_g = koszul_chi(sp, gdeg)
-        for ss in itertools.permutations(range(1, n - j + 1)):
-            ph = [hs[s - 1] for s in ss]
-            phd = [hdeg[s - 1] for s in ss]
-            chi = chi_g * koszul_chi(ss, hdeg)
+    for pg, chi_g in _orderings(gs, gdeg):
+        pgd = [m.degree - 1 for m in pg]
+        for ph, chi_h in _orderings(hs, hdeg):
+            phd = [m.degree - 1 for m in ph]
+            chi = chi_g * chi_h
             if j >= 1:
                 exponent = (
                     1
@@ -375,9 +396,10 @@ def _operator_terms(
                     + _staircase(pgd)
                     + (pgd[0] + 1) * f1
                 )
-                inner = compose_tensor(F, list(pg[1:]) + [None] + list(ph))
+                inner = compose_tensor(F, pg[1:] + [None] + ph)
                 sign = outer * chi * parity_sign(exponent)
-                yield TAG_R, sign * brace_map(pg[0], [inner])
+                braces = _slot_choices(pg[0], [inner])
+                rows[TAG_R].append(_signed_rows(pg[0], braces, space, sign))
             if n - j >= 1:
                 exponent = (
                     1
@@ -387,9 +409,15 @@ def _operator_terms(
                     + _staircase(phd)
                     + sum_g * (n - j)
                 )
-                inner = compose_tensor(F, list(pg) + [None] + list(ph[1:]))
+                inner = compose_tensor(F, pg + [None] + ph[1:])
                 sign = outer * chi * parity_sign(exponent)
-                yield TAG_S, sign * brace_map(ph[0], [inner])
+                braces = _slot_choices(ph[0], [inner])
+                rows[TAG_S].append(_signed_rows(ph[0], braces, space, sign))
+
+    arity = sum(m.arity for m in [*gs, *hs])
+    degree = F.degree + sum(m.degree for m in [*gs, *hs])
+    for tag, streams in rows.items():
+        yield tag, MultiMap(space, space, arity, degree, itertools.chain(*streams))
 
 
 def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:

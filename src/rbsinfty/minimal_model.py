@@ -72,6 +72,17 @@ class FreeOperad:
         # the module binding, read per call, so that a wrapper of it sees each call
         return compose_at(f, i, g)
 
+    @classmethod
+    def compose_row(cls, f, parts):
+        """f with ``parts`` grafted left to right, each by one ``compose_at``;
+        a None part leaves its leaf open."""
+        leaf = 1
+        for g in parts:
+            if g is not None:
+                f = cls.compose_at(f, leaf, g)
+            leaf += 1 if g is None else g.arity
+        return f
+
     @staticmethod
     def sum(arity, degree, terms):
         signed = ((t, s * c) for s, e in terms for t, c in e.terms.items())
@@ -106,8 +117,10 @@ class Suspension(FreeOperad):
 def generator_differential(family: str, n: int, target):
     """d m_n, d R_n or d S_n, written once and built in the operad ``target``.
 
-    ``target`` supplies ``gen(family, arity)``, ``compose_at(f, i, g)`` and
-    ``sum(arity, degree, terms)`` of ``(sign, element)`` pairs.  `FreeOperad`
+    ``target`` supplies ``gen(family, arity)``, ``compose_at(f, i, g)``,
+    ``compose_row(f, parts)`` (f with one part per input grafted left to
+    right, None for an open slot) and ``sum(arity, degree, terms)`` of
+    ``(sign, element)`` pairs.  `FreeOperad`
     builds d in the free operad on m, R, S and `Suspension` builds d x_n,
     d y_n, d z_n in the free operad on x, y, z; `rbsinfty.residuals`
     evaluates it in End(V), where ``gen`` gives None for a generator sent to
@@ -131,14 +144,11 @@ def generator_differential(family: str, n: int, target):
     def grafted(k, slots):
         # m_k with the generators (family, arity) of ``slots`` grafted left
         # to right, a (None, 1) slot left open; None if one of them is zero
-        row, leaf = gen("m", k), 1
-        if row is None or any(f and gen(f, a) is None for f, a in slots):
+        parts = [f and gen(f, a) for f, a in slots]
+        row = gen("m", k)
+        if row is None or any(f and g is None for (f, _), g in zip(slots, parts)):
             return None
-        for f, a in slots:
-            if f:
-                row = compose(row, leaf, gen(f, a))
-            leaf += a
-        return row
+        return target.compose_row(row, parts)
 
     terms = []
     if family == "m":

@@ -138,6 +138,7 @@ class _Endomorphisms:
     """
 
     compose_at = staticmethod(insert)
+    compose_row = staticmethod(compose_tensor)
 
     def __init__(self, structure: HomotopyRBS):
         self.space = structure.space
@@ -147,8 +148,13 @@ class _Endomorphisms:
         return self.images[family].get(arity)
 
     def sum(self, arity: int, degree: int, terms) -> MultiMap:
-        maps = (sign * f for sign, f in terms)
-        return MultiMap.sum(self.space, self.space, arity, degree, maps)
+        """The signed sum of the ``(±1, map)`` terms, streamed into one table."""
+        rows = (
+            (ins, outs if sign == 1 else {out: -c for out, c in outs.items()})
+            for sign, f in terms
+            for ins, outs in f.table.items()
+        )
+        return MultiMap(self.space, self.space, arity, degree, rows)
 
 
 def _residual(structure: HomotopyRBS, family: str, n: int) -> MultiMap:

@@ -450,6 +450,9 @@ class OperadElement:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("OperadElement is immutable")
 
+    def __reduce__(self):
+        return (OperadElement, (self.arity, self.terms))
+
     @classmethod
     def zero(cls, arity: int) -> "OperadElement":
         return cls(arity)

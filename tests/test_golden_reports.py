@@ -1,4 +1,4 @@
-"""Byte-for-byte comparison of operad reports with saved golden files.
+"""Byte-for-byte comparison of CLI reports with saved golden files.
 
 The files under ``tests/data/`` hold the exact stdout of `main` for three
 passing verifications and one failing ``verify d-squared`` whose witnesses
@@ -6,6 +6,8 @@ print their coefficients as strings, so a change of coefficient type or of a
 sign shows up as a changed byte.  The failing report comes from a copy of
 d m4 with its first term's sign flipped, as in
 ``tests/test_cli.py::test_verify_d_squared_failure_carries_witnesses``.
+Two more hold the reports of ``check mc`` on the saved cochains described
+at ``MC_CASES``.
 """
 
 from __future__ import annotations
@@ -60,3 +62,20 @@ def test_report_matches_golden_file(name, capsys, monkeypatch):
     code, out = report_bytes(name, capsys, monkeypatch)
     assert code == EXIT_CODES[name]
     assert out == (DATA / name).read_text()
+
+
+# `check mc` on saved inputs: the dense cochain of the ``mc-dense`` benchmark
+# workload (V = (-1, 0, 0), truncation 3, seed 12345), which is not
+# Maurer-Cartan, and the diagonal Rota-Baxter system (3/2 P_1, -2 P_2), which
+# is, so its twisted square runs over every basis cochain of arity <= 2.
+MC_CASES = {
+    "check_mc_dense.json": ("mc_dense_input.json", 1),
+    "check_mc_system.json": ("mc_system_input.json", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_CASES))
+def test_check_mc_report_matches_golden_file(name, capsys):
+    source, exit_code = MC_CASES[name]
+    assert main(["check", "mc", str(DATA / source)]) == exit_code
+    assert capsys.readouterr().out == (DATA / name).read_text()

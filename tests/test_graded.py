@@ -1,5 +1,6 @@
 """Tests for graded spaces, sparse multilinear maps, and tensor algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -13,6 +14,8 @@ from rbsinfty.graded import (
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _signed_rows,
+    _slot_choices,
     brace_map,
     compose_tensor,
     insert,
@@ -320,6 +323,132 @@ def test_brace_map_two_args_in_order():
     assert braced == expected
     # g at slot 1, h at slot 2: host(g(u0), h(u2), u1) = host(u1, u0, u1) = u2
     assert braced.evaluate(("u0", "u2", "u1")) == {"u2": ONE}
+
+
+def _oracle_compose_tensor(f, parts):
+    """`compose_tensor` as it was before the indexed kernel: every part's
+    whole table scanned for every host entry and slot, input degrees summed
+    per product choice, one `Fraction` product per factor."""
+    if len(parts) != f.arity:
+        raise ValueError(f"need {f.arity} parts, got {len(parts)}")
+    given = [part for part in parts if part is not None]
+    space_in = given[0].space_in if given else f.space_in
+    arity = sum(1 if part is None else part.arity for part in parts)
+    degree = f.degree + sum(0 if part is None else part.degree for part in parts)
+    rows = []
+    for fins, fouts in f.table.items():
+        options = []
+        for slot, part in enumerate(parts):
+            target = fins[slot]
+            if part is None:
+                options.append([((target,), Fraction(1))])
+                continue
+            options.append(
+                [(gins, gcoeffs[target]) for gins, gcoeffs in part.table.items() if target in gcoeffs]
+            )
+        for choice in itertools.product(*options):
+            sign_exp = 0
+            left_degree = 0
+            coeff = Fraction(1)
+            blocks = []
+            for part, (gins, gc) in zip(parts, choice):
+                part_degree = 0 if part is None else part.degree
+                sign_exp += part_degree * left_degree
+                left_degree += sum(space_in.degree(name) for name in gins)
+                coeff *= gc
+                blocks.append(gins)
+            if sign_exp % 2:
+                coeff = -coeff
+            ins = tuple(itertools.chain.from_iterable(blocks))
+            rows.append((ins, {fout: coeff * fc for fout, fc in fouts.items()}))
+    return MultiMap(space_in, f.space_out, arity, degree, rows)
+
+
+def _oracle_brace_map(f, args):
+    """`brace_map` as it was: one oracle composition per slot choice, summed."""
+    arity = f.arity - len(args) + sum(a.arity for a in args)
+    degree = f.degree + sum(a.degree for a in args)
+    terms = []
+    for slots in itertools.combinations(range(f.arity), len(args)):
+        parts = [None] * f.arity
+        for slot, arg in zip(slots, args):
+            parts[slot] = arg
+        terms.append(_oracle_compose_tensor(f, parts))
+    return MultiMap.sum(args[0].space_in, f.space_out, max(arity, 1), degree, terms)
+
+
+# odd and even degrees, so that the Koszul signs matter
+KERNEL_SPACE = GradedSpace([("a", -1), ("b", 0), ("c", 1), ("d", 1), ("e", 2)])
+KERNEL_COEFFICIENTS = tuple(Fraction(x) for x in ("-3/2", "2/3", "5", "-1/4", "1", "-1"))
+
+
+def _kernel_map(rng, arity, zero_chance=0.0):
+    if rng.random() < zero_chance:
+        return MultiMap.zero(KERNEL_SPACE, KERNEL_SPACE, arity, rng.choice((-1, 0, 1)))
+    return random_multimap(
+        rng,
+        KERNEL_SPACE,
+        KERNEL_SPACE,
+        arity,
+        rng.choice((-1, 0, 1)),
+        density=0.6,
+        coefficients=KERNEL_COEFFICIENTS,
+    )
+
+
+def test_compose_tensor_matches_the_scanning_oracle():
+    rng = random.Random(20261018)
+    nonzero = unreached = identity_slots = zero_parts = 0
+    trials = 150
+    for _ in range(trials):
+        f = _kernel_map(rng, rng.randint(1, 3))
+        parts = [
+            None if rng.random() < 0.35 else _kernel_map(rng, rng.randint(1, 2), 0.1)
+            for _ in range(f.arity)
+        ]
+        identity_slots += parts.count(None)
+        zero_parts += sum(1 for p in parts if p is not None and p.is_zero())
+        reached = [
+            None if p is None else {out for outs in p.table.values() for out in outs}
+            for p in parts
+        ]
+        unreached += any(
+            r is not None and target not in r
+            for fins in f.table
+            for target, r in zip(fins, reached)
+        )
+        composite = compose_tensor(f, parts)
+        assert composite == _oracle_compose_tensor(f, parts)
+        nonzero += not composite.is_zero()
+    assert nonzero > trials // 2
+    assert unreached and identity_slots and zero_parts
+
+
+def test_brace_map_matches_the_scanning_oracle():
+    rng = random.Random(1810)
+    nonzero = 0
+    trials = 100
+    for _ in range(trials):
+        f = _kernel_map(rng, rng.randint(1, 3))
+        args = [_kernel_map(rng, rng.randint(1, 2), 0.05) for _ in range(rng.randint(1, 2))]
+        braced = brace_map(f, args)
+        assert braced == _oracle_brace_map(f, args)
+        nonzero += not braced.is_zero()
+    assert nonzero > trials // 2
+
+
+def test_signed_rows_fold_their_scale_into_each_coefficient():
+    rng = random.Random(7)
+    for scale in (-1, Fraction(-3, 2), Fraction(2, 5)):
+        f = _kernel_map(rng, 2)
+        parts = [_kernel_map(rng, 2), None]
+        rows = _signed_rows(f, [parts], KERNEL_SPACE, scale)
+        composite = _oracle_compose_tensor(f, parts)
+        scaled = MultiMap(KERNEL_SPACE, KERNEL_SPACE, 3, composite.degree, rows)
+        assert not composite.is_zero() and scaled == scale * composite
+        rows = _signed_rows(f, _slot_choices(f, parts[:1]), KERNEL_SPACE, scale)
+        braced = MultiMap(KERNEL_SPACE, KERNEL_SPACE, 3, composite.degree, rows)
+        assert braced == scale * _oracle_brace_map(f, parts[:1])
 
 
 # ---------------------------------------------------------------------------

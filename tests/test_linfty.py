@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from rbsinfty import linfty
 from rbsinfty.graded import (
     BasedAlgebra,
     GradedSpace,
@@ -442,6 +443,88 @@ def test_nonvanishing_inputs_weigh_each_multiset_by_its_orderings():
         orderings = len(set(itertools.permutations(key)))
         assert weight == Fraction(orderings, factorial(len(key)))
     assert len(seen) > len(pieces)
+
+
+def _oracle_operator_terms(F, gs, hs, outer):
+    """`linfty._operator_terms` as it was before distinct orderings were
+    grouped: every ordering of each column composed, repeated pieces or not,
+    each term a signed map of its own."""
+
+    def staircase(degrees):
+        return sum(sum(degrees[:k]) for k in range(1, len(degrees)))
+
+    def parity(e):
+        return -1 if e % 2 else 1
+
+    n = len(gs) + len(hs)
+    j = len(gs)
+    f1 = F.degree
+    gdeg = [m.degree - 1 for m in gs]
+    hdeg = [m.degree - 1 for m in hs]
+    sum_g = sum(gdeg)
+    if j == n or j == 0:
+        maps, degrees, tag = (gs, gdeg, TAG_R) if j == n else (hs, hdeg, TAG_S)
+        for sigma in itertools.permutations(range(1, n + 1)):
+            permuted = [maps[s - 1] for s in sigma]
+            pdeg = [degrees[s - 1] for s in sigma]
+            sign = koszul_chi(sigma, degrees) * parity(n * f1 + staircase(pdeg))
+            yield tag, (outer * sign) * compose_tensor(F, permuted)
+    for sp in itertools.permutations(range(1, j + 1)):
+        pg = [gs[s - 1] for s in sp]
+        pgd = [gdeg[s - 1] for s in sp]
+        chi_g = koszul_chi(sp, gdeg)
+        for ss in itertools.permutations(range(1, n - j + 1)):
+            ph = [hs[s - 1] for s in ss]
+            phd = [hdeg[s - 1] for s in ss]
+            chi = chi_g * koszul_chi(ss, hdeg)
+            if j >= 1:
+                exponent = (
+                    1 + n * f1 + staircase(phd) + sum_g * (n - j) + staircase(pgd)
+                    + (pgd[0] + 1) * f1
+                )
+                inner = compose_tensor(F, list(pg[1:]) + [None] + list(ph))
+                yield TAG_R, (outer * chi * parity(exponent)) * brace_map(pg[0], [inner])
+            if n - j >= 1:
+                exponent = (
+                    1 + n * f1 + staircase(pgd) + (phd[0] + 1) * (f1 + sum_g + j)
+                    + staircase(phd) + sum_g * (n - j)
+                )
+                inner = compose_tensor(F, list(pg) + [None] + list(ph[1:]))
+                yield TAG_S, (outer * chi * parity(exponent)) * brace_map(ph[0], [inner])
+
+
+@pytest.mark.parametrize("op_degree", [0, -1], ids=["odd-pieces", "even-pieces"])
+def test_operator_terms_compose_each_distinct_ordering_once(op_degree):
+    # operator map degree 0 is intrinsic degree -1 (odd), map degree -1 is -2 (even)
+    space = GradedSpace([("u1", -1), ("u2", 0), ("u3", 1)])
+    suspended = space.suspend()
+    rng = random.Random(1810 + op_degree)
+    compared = repeated = 0
+    nonzero = {True: 0, False: 0}
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        F = random_multimap(rng, suspended, suspended, n, rng.choice((-1, 0, 1)), 0.8)
+        pool = [
+            random_multimap(rng, suspended, suspended, rng.randint(1, 2), op_degree, 0.8)
+            for _ in range(3)
+        ]
+        ops = [rng.choice(pool) for _ in range(n)]
+        j = rng.randint(0, n)
+        gs, hs = ops[:j], ops[j:]
+        repeats = any(len(set(map(id, column))) < len(column) for column in (gs, hs))
+        outer = rng.choice((1, -1))
+        grouped = CochainElement(space, linfty._operator_terms(F, gs, hs, outer))
+        walked = CochainElement(space, _oracle_operator_terms(F, gs, hs, outer))
+        assert grouped == walked
+        compared += 1
+        repeated += repeats
+        nonzero[repeats] += not grouped.is_zero()
+    assert compared / 2 <= repeated < compared
+    assert nonzero[False] > (compared - repeated) / 2
+    if op_degree == 0:  # equal odd pieces add up
+        assert nonzero[True] > repeated / 2
+    else:  # equal even pieces in one column cancel, and so does the bracket
+        assert nonzero[True] == 0
 
 
 def test_classical_cochain_validation():

@@ -84,6 +84,15 @@ def test_copy_and_pickle_return_the_interned_generator():
     assert pickle.loads(pickle.dumps(t)) == t
 
 
+def test_copy_and_pickle_rebuild_an_equal_element():
+    m2 = as_element(M2)
+    e = compose_at(m2, 1, m2) + Fraction(1, 2) * compose_at(m2, 2, m2)
+    assert not e.is_zero()
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e
+        assert twin.arity == e.arity and twin.terms == e.terms
+
+
 def test_invalid_generator_is_refused_and_not_interned():
     from rbsinfty.trees import _INTERNED
 
