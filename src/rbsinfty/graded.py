@@ -296,6 +296,30 @@ def _family_key(key, field: str) -> int:
     raise ValueError(f"{field}: family key must be a decimal integer")
 
 
+def _json_family(data: Mapping, key: str, parse) -> dict:
+    """The family stored under ``key`` (absent: empty), one member per arity:
+    each value read by ``parse(value, field)`` with its field named ``key.n``."""
+    return {
+        _family_key(n, f"{key}.{n}"): parse(value, f"{key}.{n}")
+        for n, value in _json_object(data.get(key, {}), key).items()
+    }
+
+
+def _truncation(truncation: Optional[int], families: Mapping[str, Iterable[int]]) -> int:
+    """``truncation``, or the highest arity in the labelled ``families`` (at
+    least 1) when it is None; a truncation below 1, or a member above it
+    (which no check would read), is refused by naming it."""
+    members = [(label, n) for label, family in families.items() for n in family]
+    if truncation is None:
+        truncation = max([1, *(n for _, n in members)])
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    for label, n in members:
+        if n > truncation:
+            raise ValueError(f"{label}_{n} is above the truncation {truncation}")
+    return truncation
+
+
 _FIELD_KINDS = {
     list: "an array of names",
     dict: "an object",

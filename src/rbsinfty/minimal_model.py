@@ -123,8 +123,10 @@ def generator_differential(family: str, n: int, target):
     ``(sign, element)`` pairs.  `FreeOperad`
     builds d in the free operad on m, R, S and `Suspension` builds d x_n,
     d y_n, d z_n in the free operad on x, y, z; `rbsinfty.residuals`
-    evaluates it in End(V), where ``gen`` gives None for a generator sent to
-    zero and the terms through it are left out.  With F = R, S, composites
+    evaluates it in End(V), and `rbsinfty.yang_baxter` in the tensor operad
+    of an algebra A (an order-(n+1) tensor for an arity-n operation), where
+    ``gen`` gives None for a generator sent to zero and the terms through it
+    are left out.  With F = R, S, composites
     grafted left to right and l, r running over the compositions of n:
 
         d m_n = sum_{1 < j < n, i} (-1)^(i + j(n-i)) m_{n-j+1} o_i m_j

@@ -11,10 +11,13 @@ so the residual of X_n (X = m, R, S) is
 with dX_n the minimal model's `generator_differential` evaluated in End(V).
 At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
 generator. A residual vanishes exactly when its identity holds at that arity.
+The residual is written once for any `generator_differential` target with a
+differential m_1; `rbsinfty.yang_baxter` evaluates it in the tensor operad.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping, Optional
 
 from .graded import (
@@ -22,8 +25,9 @@ from .graded import (
     GradedSpace,
     MultiMap,
     _family_key,
+    _json_family,
     _json_int,
-    _json_object,
+    _truncation,
     compose_tensor,
     insert,
 )
@@ -72,11 +76,7 @@ class HomotopyRBS:
         self.m = _validated_family(space, m, "m", lambda n: n - 2)
         self.r = _validated_family(space, r, "R", lambda n: n - 1)
         self.s = _validated_family(space, s, "S", lambda n: n - 1)
-        if truncation is None:
-            truncation = max([1, *self.m, *self.r, *self.s])
-        if truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {truncation}")
-        self.truncation = truncation
+        self.truncation = _truncation(truncation, {"m": self.m, "R": self.r, "S": self.s})
 
     def m_at(self, n: int) -> Optional[MultiMap]:
         return self.m.get(n)
@@ -103,22 +103,13 @@ class HomotopyRBS:
     @classmethod
     def from_json(cls, data: Mapping) -> "HomotopyRBS":
         space = GradedSpace.from_json(data["space"])
-
-        def family(key):
-            return {
-                _family_key(n, f"{key}.{n}"): MultiMap.from_json(
-                    space, space, f, field=f"{key}.{n}"
-                )
-                for n, f in _json_object(data.get(key, {}), key).items()
-            }
-
-        truncation = _json_int(data.get("truncation"), "truncation", optional=True)
+        parse = partial(MultiMap.from_json, space, space)
         return cls(
             space,
-            m=family("m"),
-            r=family("r"),
-            s=family("s"),
-            truncation=truncation,
+            m=_json_family(data, "m", parse),
+            r=_json_family(data, "r", parse),
+            s=_json_family(data, "s", parse),
+            truncation=_json_int(data.get("truncation"), "truncation", optional=True),
         )
 
 
@@ -134,7 +125,8 @@ def _check_arity(structure: HomotopyRBS, n: int) -> None:
 class _Endomorphisms:
     """End(V) as a `generator_differential` target: φ on the generators.
 
-    ``gen`` returns None for a generator the structure lacks, the zero map.
+    ``gen`` returns None for a generator the structure lacks, the zero map;
+    ``gen("m", 1)`` is the differential m_1 of End(V).
     """
 
     compose_at = staticmethod(insert)
@@ -157,35 +149,48 @@ class _Endomorphisms:
         return MultiMap(self.space, self.space, arity, degree, rows)
 
 
-def _residual(structure: HomotopyRBS, family: str, n: int) -> MultiMap:
-    """∂φ(X_n) − φ(dX_n), and m_1∘m_1 for the m-identity at n = 1."""
-    _check_arity(structure, n)
-    phi = _Endomorphisms(structure)
-    m1 = structure.m_at(1)
+def _residual(target, family: str, n: int):
+    """∂φ(X_n) − φ(dX_n) in ``target``, and m_1∘m_1 for the m-identity at n = 1.
+
+    ``target`` is a `generator_differential` target whose ``gen("m", 1)`` is
+    its differential m_1 (None when zero): `_Endomorphisms` here, and the
+    tensor operad of `rbsinfty.yang_baxter`.
+    """
     if family == "m" and n == 1:
-        return phi.sum(1, -2, [] if m1 is None else [(1, insert(m1, 1, m1))])
-    x = phi.gen(family, n)
+        m1 = target.gen("m", 1)
+        return target.sum(1, -2, [] if m1 is None else [(1, target.compose_at(m1, 1, m1))])
     degree = n - 2 if family == "m" else n - 1
-    terms = [(-1, generator_differential(family, n, phi))]
-    if m1 is not None and x is not None:
-        terms.append((1, insert(m1, 1, x)))
-        terms += [(-parity_sign(degree), insert(x, i, m1)) for i in range(1, n + 1)]
-    return phi.sum(n, degree - 1, terms)
+    terms = [(-1, generator_differential(family, n, target))]
+    return target.sum(n, degree - 1, terms + _boundary(target, family, n, degree))
+
+
+def _boundary(target, family: str, n: int, degree: int) -> list:
+    """The ``(sign, element)`` terms of ∂φ(X_n) = m_1∘X_n − (−1)^degree Σ_i X_n∘_i m_1
+    in ``target``, none when m_1 or X_n is zero there."""
+    m1, x = target.gen("m", 1), target.gen(family, n)
+    if m1 is None or x is None:
+        return []
+    compose = target.compose_at
+    sign = -parity_sign(degree)
+    return [(1, compose(m1, 1, x))] + [(sign, compose(x, i, m1)) for i in range(1, n + 1)]
 
 
 def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n associativity-up-to-homotopy identity."""
-    return _residual(structure, "m", n)
+    _check_arity(structure, n)
+    return _residual(_Endomorphisms(structure), "m", n)
 
 
 def hrbs_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n identity for the first operator family."""
-    return _residual(structure, "R", n)
+    _check_arity(structure, n)
+    return _residual(_Endomorphisms(structure), "R", n)
 
 
 def hrbs_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n identity for the second operator family."""
-    return _residual(structure, "S", n)
+    _check_arity(structure, n)
+    return _residual(_Endomorphisms(structure), "S", n)
 
 
 def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:

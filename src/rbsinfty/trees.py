@@ -506,6 +506,10 @@ class OperadElement:
         return self * -1
 
     def __mul__(self, scalar: Scalar) -> "OperadElement":
+        """The element times an int or `Fraction`; a float is refused, as it
+        would make every coefficient inexact (``(-1) ** -1`` is one)."""
+        if isinstance(scalar, float):
+            raise TypeError(f"not an exact scalar: {scalar!r}")
         return OperadElement(
             self.arity, ((tree, c * scalar) for tree, c in self.terms.items())
         )

@@ -1,17 +1,39 @@
 """Classical and homotopy associative Yang-Baxter pairs.
 
-A pair of tensors over a unital algebra induces a pair of multilinear
-operators: an order-(n+1) tensor a_1 (x) ... (x) a_{n+1} acts on n inputs by
-interleaved multiplication, with a Koszul sign for moving the inputs into
-place. On a full matrix algebra this dictionary is a bijection, and it
-matches the homotopy Yang-Baxter residuals with the operator-family
-residuals of the differential graded specialization, piece by piece.
+A pair of tensors over a unital algebra A induces a pair of multilinear
+operators: the dictionary F sends an order-(n+1) tensor
+a_1 (x) ... (x) a_{n+1} to the operator of interleaved multiplication on n
+inputs, with a Koszul sign for moving the inputs into place.  On a full
+matrix algebra F is a bijection.
+
+The tensors form the tensor operad of A, an order-(k+1) tensor standing for
+an arity-k operation, and F is an operad map from it to End(A).  The
+composite of t = a_1 (x) ... (x) a_{k+1} and u = b_1 (x) ... (x) b_{l+1} at
+slot i puts u between a_i and a_{i+1}:
+
+    t o_i u = (-1)^(|u| (|a_{i+1}| + ... + |a_{k+1}|))
+              a_1 (x) ... (x) a_i b_1 (x) b_2 (x) ... (x) b_l (x) b_{l+1} a_{i+1}
+              (x) ... (x) a_{k+1},
+
+the sign of u passing the factors right of the slot, the same linear rule as
+a tree graft.  A homotopy pair r_n, s_n with d = r_1 = s_1 is a map from the
+minimal model to this operad, with differential m_1 = -d (x) 1 + 1 (x) d:
+
+    m_2 -> 1 (x) 1 (x) 1,   m_k -> 0 (k >= 3),   R_n -> r_{n+1},   S_n -> s_{n+1},
+
+whose images under F are -[d, -], the product of A and the operators of the
+pair.  So `check_infinity_ybp` is `generator_differential`'s residual of
+`rbsinfty.residuals` evaluated in the tensor operad, negated, and F sends it
+to the residual of the differential graded structure `chi_map`.  The four
+differential graded pieces of that residual are written once and evaluated
+in both operads by `equivalence_identity_1` ... `equivalence_identity_4`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Optional
 
 from .graded import (
@@ -20,14 +42,13 @@ from .graded import (
     MultiMap,
     TensorElem,
     _family_key,
+    _json_family,
     _json_int,
-    _json_object,
-    compose_tensor,
-    insert,
+    _truncation,
     raise_indices,
     tensor_product_multiply,
 )
-from .residuals import HomotopyRBS
+from .residuals import HomotopyRBS, _boundary, _Endomorphisms, _residual
 from .signs import parity_sign
 
 
@@ -164,7 +185,7 @@ def rbs_to_ybp(R: MultiMap, S: MultiMap, algebra: MatrixAlgebra) -> YBPair:
 class InfinityYBPair:
     """Families of tensors r_n, s_n (order n, degree n-2) with r_1 = s_1."""
 
-    __slots__ = ("algebra", "r", "s", "truncation")
+    __slots__ = ("algebra", "r", "s", "truncation", "_operad")
 
     def __init__(
         self,
@@ -180,11 +201,8 @@ class InfinityYBPair:
         d_s = self.s.get(1, TensorElem.zero(algebra, 1))
         if d_r != d_s:
             raise ValueError("the order-1 members of both families must agree")
-        if truncation is None:
-            truncation = max([1, *self.r, *self.s])
-        if truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {truncation}")
-        self.truncation = truncation
+        self.truncation = _truncation(truncation, {"r": self.r, "s": self.s})
+        self._operad = _TensorOperad(self)
 
     def _validated(self, family, label) -> dict[int, TensorElem]:
         clean: dict[int, TensorElem] = {}
@@ -221,96 +239,70 @@ class InfinityYBPair:
 
     @classmethod
     def from_json(cls, algebra: BasedAlgebra, data: Mapping) -> "InfinityYBPair":
-        def family(key):
-            return {
-                _family_key(n, f"{key}.{n}"): TensorElem.from_json(
-                    algebra, t, field=f"{key}.{n}"
-                )
-                for n, t in _json_object(data.get(key, {}), key).items()
-            }
-
-        truncation = _json_int(data.get("truncation"), "truncation", optional=True)
+        parse = partial(TensorElem.from_json, algebra)
         return cls(
             algebra,
-            r=family("r"),
-            s=family("s"),
-            truncation=truncation,
+            r=_json_family(data, "r", parse),
+            s=_json_family(data, "s", parse),
+            truncation=_json_int(data.get("truncation"), "truncation", optional=True),
         )
 
 
-def _family(pair: InfinityYBPair, name: str):
-    return pair.r_at if name == "r" else pair.s_at
+class _TensorOperad:
+    """The tensor operad of a pair's algebra as a `generator_differential`
+    target; ``gen`` gives the images of the module docstring, None for zero."""
 
+    def __init__(self, pair: InfinityYBPair):
+        algebra = pair.algebra
+        self.algebra = algebra
+        self.degrees = algebra.space._degrees
+        one = TensorElem(algebra, 1, (((u,), c) for u, c in algebra.unit.items()))
+        m = {2: raise_indices(one, (1,), 3)}
+        d = pair.d()
+        if not d.is_zero():
+            m[1] = raise_indices(d, (2,), 2) - raise_indices(d, (1,), 2)
+        self.images = {
+            "m": m,
+            "R": {n - 1: t for n, t in pair.r.items() if n > 1},
+            "S": {n - 1: t for n, t in pair.s.items() if n > 1},
+        }
 
-def _piece_1(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
-    """-sum_k ( d^k * t_{n+1} - (-1)^{n-1} t_{n+1} * d^k )."""
-    t = _family(pair, family)(n + 1)
-    d = pair.d()
-    terms = []
-    if t is not None and not d.is_zero():
-        sign = parity_sign(n - 1)
-        for k in range(1, n + 2):
-            dk = raise_indices(d, (k,), n + 1)
-            terms.append(tensor_product_multiply(dk, t))
-            terms.append(-sign * tensor_product_multiply(t, dk))
-    return -TensorElem.sum(pair.algebra, n + 1, terms)
+    def gen(self, family: str, arity: int) -> Optional[TensorElem]:
+        return self.images[family].get(arity)
 
+    def compose_at(self, t: TensorElem, i: int, u: TensorElem) -> TensorElem:
+        """t o_i u: u's outer factors multiplied onto a_i and a_{i+1}."""
+        products, degrees = self.algebra.products, self.degrees
+        rows = []
+        for a, ca in t.table.items():
+            tail = sum(degrees[x] for x in a[i:])
+            head, ai, aj, rest = a[: i - 1], a[i - 1], a[i], a[i + 1 :]
+            for b, cb in u.table.items():
+                odd = tail % 2 and sum(degrees[y] for y in b) % 2
+                coeff = -ca * cb if odd else ca * cb
+                middle = b[1:-1]
+                for left, v in products.get((ai, b[0]), {}).items():
+                    for right, w in products.get((b[-1], aj), {}).items():
+                        rows.append((head + (left,) + middle + (right,) + rest, coeff * v * w))
+        return TensorElem(self.algebra, t.order + u.order - 2, rows)
 
-def _piece_2(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
-    """sum_{i+j=n} (-1)^{1+i} t_{i+1}^{1..i+1} * t_{j+1}^{i+1..n+1}."""
-    at = _family(pair, family)
-    terms = []
-    for i in range(1, n):
-        j = n - i
-        left, right = at(i + 1), at(j + 1)
-        if left is None or right is None:
-            continue
-        left_raised = raise_indices(left, tuple(range(1, i + 2)), n + 1)
-        right_raised = raise_indices(right, tuple(range(i + 1, n + 2)), n + 1)
-        terms.append(
-            parity_sign(1 + i) * tensor_product_multiply(left_raised, right_raised)
+    def compose_row(self, f: TensorElem, parts) -> TensorElem:
+        """f with ``parts`` grafted left to right; a None part leaves its slot open."""
+        slot = 1
+        for u in parts:
+            if u is not None:
+                f = self.compose_at(f, slot, u)
+            slot += 1 if u is None else u.order - 1
+        return f
+
+    def sum(self, arity: int, degree: int, terms) -> TensorElem:
+        """The signed sum of the ``(±1, tensor)`` terms, in one table."""
+        rows = (
+            (factors, c if sign == 1 else -c)
+            for sign, t in terms
+            for factors, c in t.table.items()
         )
-    return TensorElem.sum(pair.algebra, n + 1, terms)
-
-
-def _straddle_slots(s: int, j: int, n: int) -> tuple[int, ...]:
-    return tuple(range(1, s + 1)) + tuple(range(s + j + 1, n + 2))
-
-
-def _piece_3(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
-    """sum (-1)^{(s-1)+(j-1)(i-s+1)} t_{i+1}^{straddle} * r_{j+1}^{s..s+j}."""
-    at = _family(pair, family)
-    terms = []
-    for i in range(1, n):
-        j = n - i
-        outer, inner = at(i + 1), pair.r_at(j + 1)
-        if outer is None or inner is None:
-            continue
-        for s in range(1, i + 1):
-            outer_raised = raise_indices(outer, _straddle_slots(s, j, n), n + 1)
-            inner_raised = raise_indices(inner, tuple(range(s, s + j + 1)), n + 1)
-            sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
-            terms.append(sign * tensor_product_multiply(outer_raised, inner_raised))
-    return TensorElem.sum(pair.algebra, n + 1, terms)
-
-
-def _piece_4(pair: InfinityYBPair, n: int, family: str) -> TensorElem:
-    """sum (-1)^{(s-1)+(j-1)(i-s)} s_{j+1}^{s+1..s+j+1} * t_{i+1}^{straddle}."""
-    at = _family(pair, family)
-    terms = []
-    for i in range(1, n):
-        j = n - i
-        outer, inner = at(i + 1), pair.s_at(j + 1)
-        if outer is None or inner is None:
-            continue
-        for s in range(1, i + 1):
-            outer_raised = raise_indices(outer, _straddle_slots(s, j, n), n + 1)
-            inner_raised = raise_indices(
-                inner, tuple(range(s + 1, s + j + 2)), n + 1
-            )
-            sign = parity_sign((s - 1) + (j - 1) * (i - s))
-            terms.append(sign * tensor_product_multiply(inner_raised, outer_raised))
-    return TensorElem.sum(pair.algebra, n + 1, terms)
+        return TensorElem(self.algebra, arity + 1, rows)
 
 
 def check_infinity_ybp(
@@ -318,7 +310,8 @@ def check_infinity_ybp(
 ) -> tuple[TensorElem, TensorElem]:
     """Defects of the two homotopy Yang-Baxter identities at index n.
 
-    Order-(n+1) tensors; n = 0 degenerates to the square of d = r_1 = s_1.
+    Order-(n+1) tensors: the residuals of R_n and S_n in the tensor operad,
+    negated; n = 0 degenerates to the square of d = r_1 = s_1.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
@@ -330,15 +323,8 @@ def check_infinity_ybp(
         d = pair.d()
         dd = tensor_product_multiply(d, d)
         return dd, dd
-    residuals = []
-    for family in ("r", "s"):
-        residuals.append(
-            -_piece_1(pair, n, family)
-            - _piece_2(pair, n, family)
-            + _piece_3(pair, n, family)
-            + _piece_4(pair, n, family)
-        )
-    return residuals[0], residuals[1]
+    operad = pair._operad
+    return -_residual(operad, "R", n), -_residual(operad, "S", n)
 
 
 # ---------------------------------------------------------------------------
@@ -366,73 +352,81 @@ def inner_derivation(d: TensorElem, algebra: BasedAlgebra) -> MultiMap:
     return MultiMap(space, space, 1, degree, rows)
 
 
-def _operator(pair: InfinityYBPair, family: str, arity: int) -> MultiMap:
-    t = _family(pair, family)(arity + 1)
-    if t is None:
-        return MultiMap.zero(
-            pair.algebra.space, pair.algebra.space, arity, arity - 1
-        )
-    return F_map(t)
+# The pieces of the residual of X_n (X = R, S) in a differential graded
+# `generator_differential` target, each a sum of arity-n elements there (maps
+# of End(A), order-(n+1) tensors): the residual is (1) + (2) - (3) - (4).  For
+# n >= 2 the target must have m_2, which `_in_both_operads` ensures.
+
+
+def _differential_piece(target, family: str, n: int):
+    """(1) m_1 o X_n - (-1)^(n-1) sum_i X_n o_i m_1."""
+    return target.sum(n, n - 2, _boundary(target, family, n, n - 1))
+
+
+def _product_piece(target, family: str, n: int):
+    """(2) sum_{i+j=n} (-1)^(1+i) m_2(X_i, X_j)."""
+    m2, terms = target.gen("m", 2), []
+    for i in range(1, n):
+        left, right = target.gen(family, i), target.gen(family, n - i)
+        if left is not None and right is not None:
+            terms.append((parity_sign(1 + i), target.compose_row(m2, [left, right])))
+    return target.sum(n, n - 2, terms)
+
+
+def _straddle_piece(target, family: str, n: int, inner_family: str):
+    """(3) sum (-1)^((s-1) + (j-1)(i-s+1)) X_i o_s m_2(R_j, id) for R, and
+    (4) sum (-1)^((s-1) + (j-1)(i-s)) X_i o_s m_2(id, S_j) for S, over
+    i + j = n and 1 <= s <= i."""
+    m2, first, terms = target.gen("m", 2), inner_family == "R", []
+    for i in range(1, n):
+        j = n - i
+        outer, inner = target.gen(family, i), target.gen(inner_family, j)
+        if outer is None or inner is None:
+            continue
+        row = target.compose_row(m2, [inner, None] if first else [None, inner])
+        for s in range(1, i + 1):
+            sign = parity_sign((s - 1) + (j - 1) * (i - s + first))
+            terms.append((sign, target.compose_at(outer, s, row)))
+    return target.sum(n, n - 2, terms)
+
+
+def _in_both_operads(
+    pair: InfinityYBPair, piece, family: str, n: int, *args
+) -> tuple[MultiMap, TensorElem]:
+    """The piece at index n in End(A), through `chi_map` of the pair read up
+    to order n + 1 (so that it has m_2 for n >= 2), and in the tensor
+    operad; F_map sends the second to the first."""
+    wide = InfinityYBPair(pair.algebra, pair.r, pair.s, max(pair.truncation, n + 1))
+    args = (family.upper(), n, *args)
+    return piece(_Endomorphisms(chi_map(wide)), *args), piece(wide._operad, *args)
 
 
 def equivalence_identity_1(
     pair: InfinityYBPair, n: int, family: str = "r"
 ) -> tuple[MultiMap, TensorElem]:
     """Differential piece: map side and tensor side (they agree under F_map)."""
-    space = pair.algebra.space
-    m1 = inner_derivation(pair.d(), pair.algebra)
-    T = _operator(pair, family, n)
-    sign = parity_sign(n - 1)
-    terms = [compose_tensor(m1, [T])]
-    terms += [-sign * insert(T, i + 1, m1) for i in range(n)]
-    return MultiMap.sum(space, space, n, n - 2, terms), _piece_1(pair, n, family)
+    return _in_both_operads(pair, _differential_piece, family, n)
 
 
 def equivalence_identity_2(
     pair: InfinityYBPair, n: int, family: str = "r"
 ) -> tuple[MultiMap, TensorElem]:
     """Pairwise-product piece."""
-    space = pair.algebra.space
-    m2 = pair.algebra.product_map()
-    terms = []
-    for i in range(1, n):
-        parts = [_operator(pair, family, i), _operator(pair, family, n - i)]
-        terms.append(parity_sign(1 + i) * compose_tensor(m2, parts))
-    return MultiMap.sum(space, space, n, n - 2, terms), _piece_2(pair, n, family)
+    return _in_both_operads(pair, _product_piece, family, n)
 
 
 def equivalence_identity_3(
     pair: InfinityYBPair, n: int, family: str = "r"
 ) -> tuple[MultiMap, TensorElem]:
     """First straddling piece: inner first-family composition."""
-    space = pair.algebra.space
-    m2 = pair.algebra.product_map()
-    terms = []
-    for i in range(1, n):
-        j = n - i
-        outer = _operator(pair, family, i)
-        inner = compose_tensor(m2, [_operator(pair, "r", j), None])
-        for s in range(1, i + 1):
-            sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
-            terms.append(sign * insert(outer, s, inner))
-    return MultiMap.sum(space, space, n, n - 2, terms), _piece_3(pair, n, family)
+    return _in_both_operads(pair, _straddle_piece, family, n, "R")
 
 
 def equivalence_identity_4(
     pair: InfinityYBPair, n: int, family: str = "r"
 ) -> tuple[MultiMap, TensorElem]:
     """Second straddling piece: inner second-family composition."""
-    space = pair.algebra.space
-    m2 = pair.algebra.product_map()
-    terms = []
-    for i in range(1, n):
-        j = n - i
-        outer = _operator(pair, family, i)
-        inner = compose_tensor(m2, [None, _operator(pair, "s", j)])
-        for s in range(1, i + 1):
-            sign = parity_sign((s - 1) + (j - 1) * (i - s))
-            terms.append(sign * insert(outer, s, inner))
-    return MultiMap.sum(space, space, n, n - 2, terms), _piece_4(pair, n, family)
+    return _in_both_operads(pair, _straddle_piece, family, n, "S")
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +437,20 @@ def equivalence_identity_4(
 def chi_map(pair: InfinityYBPair) -> HomotopyRBS:
     """The differential graded structure induced by a homotopy pair.
 
-    m_1 = -[d, -], m_2 = the algebra product, operators = the tensor images.
+    m_1 = -[d, -], m_2 = the algebra product, operators = the tensor images,
+    up to the arity pair.truncation - 1 (at least 1).
     """
     algebra = pair.algebra
-    m1 = inner_derivation(pair.d(), algebra)
+    truncation = max(1, pair.truncation - 1)
+    m = {1: inner_derivation(pair.d(), algebra), 2: algebra.product_map()}
     r = {n - 1: F_map(t) for n, t in pair.r.items() if n >= 2}
     s = {n - 1: F_map(t) for n, t in pair.s.items() if n >= 2}
     return HomotopyRBS(
         algebra.space,
-        m={1: m1, 2: algebra.product_map()},
+        m={n: f for n, f in m.items() if n <= truncation},
         r=r,
         s=s,
-        truncation=max(1, pair.truncation - 1),
+        truncation=truncation,
     )
 
 

@@ -276,6 +276,26 @@ def test_check_hrbs_detects_broken_operator(capsys, tmp_path):
     assert all(r["witnesses"] for r in failing)
 
 
+def test_check_hrbs_refuses_a_member_above_the_truncation(capsys, tmp_path):
+    # m_2 = product, R_1 = S_1 = Id on a 1-dim V fails at truncation 2; at
+    # truncation 1 its m_2 would be read by no identity and the file would pass
+    line = GradedSpace([("v", 0)])
+    identity = MultiMap.identity(line).to_json()
+    payload = {
+        "space": line.to_json(),
+        "truncation": 1,
+        "m": {"2": MultiMap(line, line, 2, 0, {("v", "v"): {"v": 1}}).to_json()},
+        "r": {"1": identity},
+        "s": {"1": identity},
+    }
+    code, report = run(capsys, "check", "hrbs", dump(tmp_path, "above.json", payload))
+    assert code == 2
+    assert report["error"] == "m_2 is above the truncation 1"
+    payload["truncation"] = 2
+    code, report = run(capsys, "check", "hrbs", dump(tmp_path, "within.json", payload))
+    assert code == 1
+
+
 # -- check aybe-infinity ----------------------------------------------------------
 
 
@@ -310,6 +330,18 @@ def test_check_aybe_infinity_flags_bad_member(capsys, tmp_path):
     outcomes = {r["index"]: r["ok"] for r in report["results"]}
     assert outcomes[0] is True
     assert outcomes[1] is False
+
+
+def test_check_aybe_infinity_refuses_a_member_above_the_truncation(capsys, tmp_path):
+    # an order-2 member read by no index at truncation 1; at truncation 3 it fails
+    e = TensorElem(MatrixAlgebra(PLANE), 2, {("e1^1", "e1^1"): Fraction(1)}).to_json()
+    payload = {"space": PLANE.to_json(), "truncation": 1, "r": {"2": e}, "s": {"2": e}}
+    code, report = run(capsys, "check", "aybe-infinity", dump(tmp_path, "above.json", payload))
+    assert code == 2
+    assert report["error"] == "r_2 is above the truncation 1"
+    payload["truncation"] = 3
+    code, report = run(capsys, "check", "aybe-infinity", dump(tmp_path, "within.json", payload))
+    assert code == 1
 
 
 # -- check mc ---------------------------------------------------------------------
@@ -851,3 +883,19 @@ def test_reports_are_byte_for_byte_reproducible(capsys, tmp_path):
         )
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("degrees", [["0", "0"], ["-1", "0"]])
+def test_dense_cochain_tool_returns_a_checkable_cochain(capsys, tmp_path, degrees):
+    # with V = (0, 0) the arity-1 algebra map is empty; every arity-1 operator
+    # commutes with it, and redrawing those would never end
+    tool = Path(__file__).parent.parent / "tools" / "dense_cochain.py"
+    out = subprocess.run(
+        [sys.executable, str(tool), "--degrees", *degrees, "--truncation", "2", "--seed", "1"],
+        capture_output=True,
+        check=True,
+        timeout=30,
+    ).stdout
+    path = tmp_path / "dense.json"
+    path.write_bytes(out)
+    assert main(["check", "mc", str(path)]) in (0, 1)

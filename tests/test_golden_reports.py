@@ -7,7 +7,8 @@ sign shows up as a changed byte.  The failing report comes from a copy of
 d m4 with its first term's sign flipped, as in
 ``tests/test_cli.py::test_verify_d_squared_failure_carries_witnesses``.
 Two more hold the reports of ``check mc`` on the saved cochains described
-at ``MC_CASES``.
+at ``MC_CASES``, and two the reports of ``check aybe-infinity`` on the
+saved pairs described at ``AYBE_CASES``.
 """
 
 from __future__ import annotations
@@ -78,4 +79,21 @@ MC_CASES = {
 def test_check_mc_report_matches_golden_file(name, capsys):
     source, exit_code = MC_CASES[name]
     assert main(["check", "mc", str(DATA / source)]) == exit_code
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+# `check aybe-infinity` on saved pairs over End(V), V = (v1: 0, v2: 1): a
+# passing pair (r_2 = 1/2 e1^1 (x) e1^1, s_2 = -e2^2 (x) e2^2 and an order-3
+# s_3 with odd factors, no d) and a failing seeded pair (d, r_n, s_n up to
+# order 4), whose residuals at n = 1, 2, 3 carry witnesses.
+AYBE_CASES = {
+    "check_aybe_system.json": ("aybe_system_input.json", 0),
+    "check_aybe_random.json": ("aybe_random_input.json", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AYBE_CASES))
+def test_check_aybe_infinity_report_matches_golden_file(name, capsys):
+    source, exit_code = AYBE_CASES[name]
+    assert main(["check", "aybe-infinity", str(DATA / source)]) == exit_code
     assert capsys.readouterr().out == (DATA / name).read_text()

@@ -20,7 +20,7 @@ from rbsinfty.minimal_model import (
     presentation_generators,
     replace_vertex,
 )
-from rbsinfty.signs import compositions
+from rbsinfty.signs import compositions, parity_sign
 from rbsinfty.trees import (
     _FAMILY_MIN_ARITY,
     OperadElement,
@@ -364,7 +364,7 @@ def _check_leibniz(tf, tg):
     f, g = as_element(tf), as_element(tg)
     for i in range(1, tf.arity + 1):
         lhs = differential(compose_at(f, i, g))
-        rhs = compose_at(differential(f), i, g) + (-1) ** tf.degree * compose_at(
+        rhs = compose_at(differential(f), i, g) + parity_sign(tf.degree) * compose_at(
             f, i, differential(g)
         )
         assert lhs == rhs

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbsinfty.signs import koszul_epsilon
+from rbsinfty.signs import koszul_epsilon, parity_sign
 from rbsinfty.trees import (
     Generator,
     OperadElement,
@@ -91,6 +91,16 @@ def test_copy_and_pickle_rebuild_an_equal_element():
     for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
         assert twin == e
         assert twin.arity == e.arity and twin.terms == e.terms
+
+
+def test_scaling_by_a_float_is_refused():
+    m2 = as_element(M2)
+    for scale in ((-1) ** -1, 0.5):
+        with pytest.raises(TypeError):
+            m2 * scale
+        with pytest.raises(TypeError):
+            scale * m2
+    assert list((Fraction(1, 2) * m2).terms.values()) == [Fraction(1, 2)]
 
 
 def test_invalid_generator_is_refused_and_not_interned():
@@ -317,7 +327,7 @@ def _tree_strategy():
 @given(_tree_strategy(), _tree_strategy(), _tree_strategy())
 def test_pre_jacobi_identity(tf, tg, th):
     f, g, h = map(as_element, (tf, tg, th))
-    sign = (-1) ** (tg.degree * th.degree)
+    sign = parity_sign(tg.degree * th.degree)
     lhs = brace(brace(f, [g]), [h])
     rhs = brace(f, [brace(g, [h])]) + brace(f, [g, h]) + sign * brace(f, [h, g])
     assert lhs == rhs
@@ -329,8 +339,8 @@ def test_pre_jacobi_two_then_one(tf, tg1, tg2, th):
     # (f{g1, g2}){h} expands into h landing inside g1, inside g2, or in one
     # of the three slots of f relative to the two arguments.
     f, g1, g2, h = map(as_element, (tf, tg1, tg2, th))
-    s1 = (-1) ** (th.degree * (tg1.degree + tg2.degree))
-    s2 = (-1) ** (th.degree * tg2.degree)
+    s1 = parity_sign(th.degree * (tg1.degree + tg2.degree))
+    s2 = parity_sign(th.degree * tg2.degree)
     lhs = brace(brace(f, [g1, g2]), [h])
     # each term's sign moves the vertices of h left past the argument
     # blocks that follow its landing spot in the concatenation order

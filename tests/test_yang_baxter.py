@@ -1,15 +1,19 @@
 """Tests for tensor pairs, the operator dictionary, and their residuals."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from rbsinfty.graded import (
+    BasedAlgebra,
     GradedSpace,
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    compose_tensor,
+    insert,
     raise_indices,
     tensor_product_multiply,
 )
@@ -20,6 +24,7 @@ from rbsinfty.residuals import (
     dga_residual_S,
 )
 from rbsinfty.sampling import random_multimap, random_tensor
+from rbsinfty.signs import parity_sign
 from rbsinfty.yang_baxter import (
     F_inverse,
     F_map,
@@ -50,8 +55,6 @@ def _graded_m2():
 
 
 def _unit_tensor(algebra, order):
-    import itertools
-
     table = {}
     for combo in itertools.product(algebra.unit.items(), repeat=order):
         names = tuple(n for n, _ in combo)
@@ -434,18 +437,244 @@ def test_equivalence_identities_hold(seed, family):
 
 
 def test_identity_pieces_assemble_the_residual():
-    from rbsinfty.yang_baxter import _piece_1, _piece_2, _piece_3, _piece_4
-
     pair = _random_pair(40)
     for n in (1, 2):
         for family, residual in zip(("r", "s"), check_infinity_ybp(pair, n)):
             combined = (
-                -_piece_1(pair, n, family)
-                - _piece_2(pair, n, family)
-                + _piece_3(pair, n, family)
-                + _piece_4(pair, n, family)
+                -equivalence_identity_1(pair, n, family)[1]
+                - equivalence_identity_2(pair, n, family)[1]
+                + equivalence_identity_3(pair, n, family)[1]
+                + equivalence_identity_4(pair, n, family)[1]
             )
             assert residual == combined
+
+
+# ---------------------------------------------------------------------------
+# the hand-written pieces and map sides, kept as oracles of the pieces and
+# the residual evaluated in the tensor operad
+# ---------------------------------------------------------------------------
+
+
+def _oracle_family(pair, name):
+    return pair.r_at if name == "r" else pair.s_at
+
+
+def _oracle_piece_1(pair, n, family):
+    """-sum_k ( d^k * t_{n+1} - (-1)^{n-1} t_{n+1} * d^k )."""
+    t = _oracle_family(pair, family)(n + 1)
+    d = pair.d()
+    terms = []
+    if t is not None and not d.is_zero():
+        sign = parity_sign(n - 1)
+        for k in range(1, n + 2):
+            dk = raise_indices(d, (k,), n + 1)
+            terms.append(tensor_product_multiply(dk, t))
+            terms.append(-sign * tensor_product_multiply(t, dk))
+    return -TensorElem.sum(pair.algebra, n + 1, terms)
+
+
+def _oracle_piece_2(pair, n, family):
+    """sum_{i+j=n} (-1)^{1+i} t_{i+1}^{1..i+1} * t_{j+1}^{i+1..n+1}."""
+    at = _oracle_family(pair, family)
+    terms = []
+    for i in range(1, n):
+        left, right = at(i + 1), at(n - i + 1)
+        if left is None or right is None:
+            continue
+        left_raised = raise_indices(left, tuple(range(1, i + 2)), n + 1)
+        right_raised = raise_indices(right, tuple(range(i + 1, n + 2)), n + 1)
+        terms.append(
+            parity_sign(1 + i) * tensor_product_multiply(left_raised, right_raised)
+        )
+    return TensorElem.sum(pair.algebra, n + 1, terms)
+
+
+def _oracle_straddle_slots(s, j, n):
+    return tuple(range(1, s + 1)) + tuple(range(s + j + 1, n + 2))
+
+
+def _oracle_piece_3(pair, n, family):
+    """sum (-1)^{(s-1)+(j-1)(i-s+1)} t_{i+1}^{straddle} * r_{j+1}^{s..s+j}."""
+    at = _oracle_family(pair, family)
+    terms = []
+    for i in range(1, n):
+        j = n - i
+        outer, inner = at(i + 1), pair.r_at(j + 1)
+        if outer is None or inner is None:
+            continue
+        for s in range(1, i + 1):
+            outer_raised = raise_indices(outer, _oracle_straddle_slots(s, j, n), n + 1)
+            inner_raised = raise_indices(inner, tuple(range(s, s + j + 1)), n + 1)
+            sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
+            terms.append(sign * tensor_product_multiply(outer_raised, inner_raised))
+    return TensorElem.sum(pair.algebra, n + 1, terms)
+
+
+def _oracle_piece_4(pair, n, family):
+    """sum (-1)^{(s-1)+(j-1)(i-s)} s_{j+1}^{s+1..s+j+1} * t_{i+1}^{straddle}."""
+    at = _oracle_family(pair, family)
+    terms = []
+    for i in range(1, n):
+        j = n - i
+        outer, inner = at(i + 1), pair.s_at(j + 1)
+        if outer is None or inner is None:
+            continue
+        for s in range(1, i + 1):
+            outer_raised = raise_indices(outer, _oracle_straddle_slots(s, j, n), n + 1)
+            inner_raised = raise_indices(inner, tuple(range(s + 1, s + j + 2)), n + 1)
+            sign = parity_sign((s - 1) + (j - 1) * (i - s))
+            terms.append(sign * tensor_product_multiply(inner_raised, outer_raised))
+    return TensorElem.sum(pair.algebra, n + 1, terms)
+
+
+def _oracle_operator(pair, family, arity):
+    t = _oracle_family(pair, family)(arity + 1)
+    if t is None:
+        return MultiMap.zero(pair.algebra.space, pair.algebra.space, arity, arity - 1)
+    return F_map(t)
+
+
+def _oracle_map_1(pair, n, family):
+    space = pair.algebra.space
+    m1 = inner_derivation(pair.d(), pair.algebra)
+    T = _oracle_operator(pair, family, n)
+    sign = parity_sign(n - 1)
+    terms = [compose_tensor(m1, [T])]
+    terms += [-sign * insert(T, i + 1, m1) for i in range(n)]
+    return MultiMap.sum(space, space, n, n - 2, terms)
+
+
+def _oracle_map_2(pair, n, family):
+    space = pair.algebra.space
+    m2 = pair.algebra.product_map()
+    terms = []
+    for i in range(1, n):
+        parts = [_oracle_operator(pair, family, i), _oracle_operator(pair, family, n - i)]
+        terms.append(parity_sign(1 + i) * compose_tensor(m2, parts))
+    return MultiMap.sum(space, space, n, n - 2, terms)
+
+
+def _oracle_map_3(pair, n, family):
+    space = pair.algebra.space
+    m2 = pair.algebra.product_map()
+    terms = []
+    for i in range(1, n):
+        j = n - i
+        outer = _oracle_operator(pair, family, i)
+        inner = compose_tensor(m2, [_oracle_operator(pair, "r", j), None])
+        for s in range(1, i + 1):
+            sign = parity_sign((s - 1) + (j - 1) * (i - s + 1))
+            terms.append(sign * insert(outer, s, inner))
+    return MultiMap.sum(space, space, n, n - 2, terms)
+
+
+def _oracle_map_4(pair, n, family):
+    space = pair.algebra.space
+    m2 = pair.algebra.product_map()
+    terms = []
+    for i in range(1, n):
+        j = n - i
+        outer = _oracle_operator(pair, family, i)
+        inner = compose_tensor(m2, [None, _oracle_operator(pair, "s", j)])
+        for s in range(1, i + 1):
+            sign = parity_sign((s - 1) + (j - 1) * (i - s))
+            terms.append(sign * insert(outer, s, inner))
+    return MultiMap.sum(space, space, n, n - 2, terms)
+
+
+_ORACLES = [
+    (equivalence_identity_1, _oracle_map_1, _oracle_piece_1),
+    (equivalence_identity_2, _oracle_map_2, _oracle_piece_2),
+    (equivalence_identity_3, _oracle_map_3, _oracle_piece_3),
+    (equivalence_identity_4, _oracle_map_4, _oracle_piece_4),
+]
+
+
+def _diagonal_algebra(dim):
+    space = GradedSpace([(f"v{k}", 0) for k in range(1, dim + 1)])
+    products = {(f"v{k}", f"v{k}"): {f"v{k}": 1} for k in range(1, dim + 1)}
+    return BasedAlgebra(space, products, {f"v{k}": 1 for k in range(1, dim + 1)})
+
+
+def _end(*degrees):
+    return MatrixAlgebra(GradedSpace([(f"v{k}", d) for k, d in enumerate(degrees, 1)]))
+
+
+def _oracle_pairs():
+    """Seeded truncation-4 pairs over End(V) for V = (0, 1), (1, 0) and
+    (-1, 0, 0), and over the diagonal algebra of dimension 3, which is not a
+    matrix algebra; the densities of the orders 2, 3, 4 keep the members of
+    the 9-dimensional End(V) small."""
+    cases = [
+        (_end(0, 1), (0.5, 0.5, 0.5)),
+        (_end(1, 0), (0.5, 0.5, 0.5)),
+        (_end(-1, 0, 0), (0.3, 0.06, 0.015)),
+        (_diagonal_algebra(3), (0.5, 0.5, 0.5)),
+    ]
+    for index, (algebra, densities) in enumerate(cases):
+        for seed in (2 * index, 2 * index + 1):
+            rng = random.Random(seed)
+            d = random_tensor(rng, algebra, 1, degree=-1, density=0.9)
+            families = {}
+            for name in ("r", "s"):
+                families[name] = {1: d}
+                for order, density in enumerate(densities, 2):
+                    families[name][order] = random_tensor(
+                        rng, algebra, order, degree=order - 2, density=density
+                    )
+            yield InfinityYBPair(algebra, r=families["r"], s=families["s"], truncation=4)
+
+
+def test_pieces_and_residual_match_the_hand_written_oracles():
+    compared = nonzero = 0
+    for pair in _oracle_pairs():
+        for n in (1, 2, 3):
+            for family in ("r", "s"):
+                for identity, oracle_map, oracle_piece in _ORACLES:
+                    map_side, tensor_side = identity(pair, n, family)
+                    assert map_side == oracle_map(pair, n, family)
+                    assert tensor_side == oracle_piece(pair, n, family)
+                    compared += 1
+                    nonzero += not tensor_side.is_zero()
+            oracle = [
+                -_oracle_piece_1(pair, n, family)
+                - _oracle_piece_2(pair, n, family)
+                + _oracle_piece_3(pair, n, family)
+                + _oracle_piece_4(pair, n, family)
+                for family in ("r", "s")
+            ]
+            assert list(check_infinity_ybp(pair, n)) == oracle
+            compared += 2
+            nonzero += sum(not residual.is_zero() for residual in oracle)
+    assert compared == 8 * 3 * (2 * 4 + 2)
+    assert nonzero > compared / 2, (nonzero, compared)
+
+
+def test_f_map_is_an_operad_map_from_the_tensor_operad():
+    # F(t o_i u) = F(t) o_i F(u) on homogeneous tensors of every degree, and
+    # F sends the images of m_1 and m_2 to -[d, -] and to the product
+    checked = nonzero = 0
+    for seed, (algebra, density) in enumerate(
+        [(_end(0, 1), 0.5), (_end(1, 0), 0.5), (_end(0, 0), 0.3), (_end(-1, 0, 0), 0.05)]
+    ):
+        rng = random.Random(seed)
+        d = random_tensor(rng, algebra, 1, degree=-1, density=0.9)
+        operad = InfinityYBPair(algebra, r={1: d}, s={1: d})._operad
+        if d.is_zero():
+            assert operad.gen("m", 1) is None
+        else:
+            assert F_map(operad.gen("m", 1)) == inner_derivation(d, algebra)
+        assert F_map(operad.gen("m", 2)) == algebra.product_map()
+        for t_order, u_order in itertools.product((2, 3), repeat=2):
+            for t_degree, u_degree in itertools.product((-1, 0, 1), repeat=2):
+                t = random_tensor(rng, algebra, t_order, degree=t_degree, density=density)
+                u = random_tensor(rng, algebra, u_order, degree=u_degree, density=density)
+                for i in range(1, t_order):
+                    composite = operad.compose_at(t, i, u)
+                    assert F_map(composite) == insert(F_map(t), i, F_map(u))
+                    checked += 1
+                    nonzero += not composite.is_zero()
+    assert nonzero > checked / 2, (nonzero, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +744,16 @@ def test_chi_zero_pair_gives_zero_operators():
         assert dga_residual_R(structure, n).is_zero()
         res_r, res_s = check_infinity_ybp(pair, n)
         assert res_r.is_zero() and res_s.is_zero()
+
+
+def test_identity_pieces_above_the_truncation_keep_the_product():
+    # at truncation 2 the structure chi_map gives stops at arity 1, without
+    # m_2; the pieces at index 2 still multiply with it on both sides
+    pair = _random_pair(41, truncation=2)
+    assert chi_map(pair).m_at(2) is None
+    for family in ("r", "s"):
+        for identity, _, oracle_piece in _ORACLES:
+            map_side, tensor_side = identity(pair, 2, family)
+            assert tensor_side == oracle_piece(pair, 2, family)
+            assert F_map(tensor_side) == map_side
+    assert not equivalence_identity_2(pair, 2)[1].is_zero()

@@ -26,7 +26,8 @@ from perfbench.workloads import SCALARS, commutes, map_json, space_json  # noqa:
 
 def dense_cochain(rng: random.Random, degrees: list[int], truncation: int) -> dict:
     """Every tag at every arity <= ``truncation``; an arity-1 operator that
-    commutes with the arity-1 algebra map is drawn again."""
+    commutes with a nonzero arity-1 algebra map is drawn again (every one
+    commutes with the zero map, so none is redrawn then)."""
     suspended = {f"v{k + 1}": d + 1 for k, d in enumerate(degrees)}
     parts, tables = [], {}
     for tag in ("alg", "rbo_r", "rbo_s"):
@@ -39,7 +40,8 @@ def dense_cochain(rng: random.Random, degrees: list[int], truncation: int) -> di
                     outs = [n for n in suspended if suspended[n] == target]
                     if outs:
                         table[ins] = {outs[k % len(outs)]: rng.choice(SCALARS)}
-                if tag == "alg" or arity > 1 or not commutes(table, tables["alg", 1], suspended):
+                m1 = tables.get(("alg", 1))
+                if tag == "alg" or arity > 1 or not m1 or not commutes(table, m1, suspended):
                     break
             tables[tag, arity] = table
             parts.append({"tag": tag, "map": map_json(arity, degree, table)})
