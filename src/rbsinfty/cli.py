@@ -14,7 +14,7 @@ File formats (all JSON; coefficients are strings parsed as exact rationals):
   algebra End(V), whose basis element ``e{p}^{q}`` sends basis vector q
   to basis vector p.
 * ``check ybp`` / ``convert ybp-to-rbs``: ``{"space", "r", "s"}`` with two
-  order-2 tensors over End(V).
+  order-2 tensors of degree 0 over End(V).
 * ``check hrbs``: the serialized homotopy structure
   ``{"space", "truncation", "m", "r", "s"}`` with one multilinear map per
   arity; the maps act on the given space directly.
@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .graded import (
@@ -270,7 +271,9 @@ def _cmd_convert_rbs_to_ybp(args: argparse.Namespace) -> dict:
 # -- parser ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="rbsinfty",
         description="Exact symbolic checks for Rota-Baxter systems, their "

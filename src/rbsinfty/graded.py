@@ -85,10 +85,7 @@ class GradedSpace:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GradedSpace":
-        basis = _json_object(data, "space").get("basis")
-        if not isinstance(basis, list):
-            got = type(basis).__name__
-            raise ValueError(f"space.basis must be a JSON array, got {got}")
+        basis = _json_array(_json_object(data, "space").get("basis"), "space.basis")
         return cls((_field(b, "name", str), _field(b, "degree", int)) for b in basis)
 
 
@@ -260,7 +257,7 @@ class MultiMap:
         data = _json_object(data, field)
         table = [
             (tuple(_field(e, "in", list)), _field(e, "out", dict))
-            for e in data.get("entries", [])
+            for e in _json_array(data.get("entries", []), f"{field}.entries")
         ]
         _reject_repeats(ins for ins, _ in table)
         arity = _json_int(data.get("arity"), f"{field}.arity")
@@ -272,6 +269,13 @@ def _json_object(value, field: str) -> dict:
     """``value``, refusing anything but a JSON object by naming ``field``."""
     if not isinstance(value, dict):
         raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_array(value, field: str) -> list:
+    """``value``, refusing anything but a JSON array by naming ``field``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, got {type(value).__name__}")
     return value
 
 
@@ -325,13 +329,15 @@ _FIELD_KINDS = {
     dict: "an object",
     str: "a string",
     int: "an integer",
+    (str, int): "a string or an integer",
 }
 
 
 def _field(entry, key: str, kind: type):
     """``entry[key]``, refusing an entry that is not an object or a value
     that is not of ``kind``: a JSON array of names (list), an object (dict),
-    a string (str) or an integer (int, booleans refused)."""
+    a string (str), an integer (int, booleans refused) or either of the last
+    two (a coefficient)."""
     value = entry.get(key) if isinstance(entry, dict) else None
     names = kind is not list or all(isinstance(n, str) for n in value or ())
     if not isinstance(value, kind) or isinstance(value, bool) or not names:
@@ -682,8 +688,8 @@ class TensorElem:
     def from_json(cls, algebra, data: Mapping, field: str = "tensor") -> "TensorElem":
         data = _json_object(data, field)
         table = [
-            (tuple(_field(e, "factors", list)), e["coeff"])
-            for e in data.get("entries", [])
+            (tuple(_field(e, "factors", list)), _field(e, "coeff", (str, int)))
+            for e in _json_array(data.get("entries", []), f"{field}.entries")
         ]
         _reject_repeats(factors for factors, _ in table)
         return cls(algebra, _json_int(data.get("order"), f"{field}.order"), table)

@@ -41,6 +41,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 from .graded import (
     GradedSpace,
     MultiMap,
+    _field,
+    _json_array,
     _json_int,
     _reject_repeats,
     _signed_rows,
@@ -252,8 +254,11 @@ class CochainElement:
         space = GradedSpace.from_json(data["space"])
         suspended = space.suspend()
         parts = [
-            (entry["tag"], MultiMap.from_json(suspended, suspended, entry["map"]))
-            for entry in data.get("parts", [])
+            (
+                _field(entry, "tag", str),
+                MultiMap.from_json(suspended, suspended, entry.get("map")),
+            )
+            for entry in _json_array(data.get("parts", []), "parts")
         ]
         _reject_repeats((tag, m.arity) for tag, m in parts)
         truncation = _json_int(data.get("truncation"), "truncation", optional=True)

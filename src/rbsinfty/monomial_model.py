@@ -1,10 +1,11 @@
 """The monomial operad, its simplified differential and the contraction.
 
 This is the one-relation-per-shape skeleton of the theory: the differential
-of each generator keeps only the "first slot" composites,
+of each generator is `generator_differential` built in `_FirstSlot`, where
+f o_i g is zero for i > 1, so it keeps only the "first slot" composites,
 
     d m_n = sum_j (-1)^(1+j(n-1)) m_{n-j+1} o_1 m_j,
-    d R_n = sum_{r1+r2=n} (-1)^(r1(r2-1)) (R_{r1} o_1 m_2) o_1 R_{r2},
+    d R_n = sum_{r1+r2=n} (-1)^(r1(r2-1)) R_{r1} o_1 (m_2 o_1 R_{r2}),
     d S_n = likewise with S_{r1} outside,
 
 and admits an explicit contracting homotopy in positive degrees built from
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .minimal_model import extend_derivation
+from .minimal_model import FreeOperad, extend_derivation, generator_differential
 from .signs import compositions, parity_sign
 from .trees import (
     Generator,
@@ -29,7 +30,6 @@ from .trees import (
     TreeMonomial,
     _tree,
     as_element,
-    compose_at,
     gen,
     leading_monomial,
 )
@@ -37,6 +37,16 @@ from .trees import (
 # ---------------------------------------------------------------------------
 # the simplified differential
 # ---------------------------------------------------------------------------
+
+
+class _FirstSlot(FreeOperad):
+    """The free operad on m, R, S with f o_i g set to zero for i > 1."""
+
+    @staticmethod
+    def compose_at(f, i, g):
+        if i > 1:
+            return OperadElement.zero(f.arity + g.arity - 1)
+        return FreeOperad.compose_at(f, i, g)
 
 
 @lru_cache(maxsize=None)
@@ -50,23 +60,9 @@ def diff_bar(g: Generator) -> OperadElement:
     >>> diff_bar(gen("R", 1)).is_zero()
     True
     """
-    n = g.arity
-    terms = []
-    if g.family == "m":
-        for j in range(2, n):
-            sign = parity_sign(1 + j * (n - 1))
-            terms.append(sign * compose_at(gen("m", n - j + 1), 1, gen("m", j)))
-        return OperadElement.sum(n, terms)
-    if g.family in ("R", "S"):
-        for r1 in range(1, n):
-            r2 = n - r1
-            sign = parity_sign(r1 * (r2 - 1))
-            term = compose_at(
-                compose_at(gen(g.family, r1), 1, gen("m", 2)), 1, gen("R", r2)
-            )
-            terms.append(sign * term)
-        return OperadElement.sum(n, terms)
-    raise ValueError(f"no monomial differential for family {g.family!r}")
+    if g.family not in ("m", "R", "S"):
+        raise ValueError(f"no monomial differential for family {g.family!r}")
+    return generator_differential(g.family, g.arity, _FirstSlot)
 
 
 def diff_bar_element(e: OperadElement) -> OperadElement:

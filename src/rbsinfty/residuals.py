@@ -13,6 +13,9 @@ At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
 generator. A residual vanishes exactly when its identity holds at that arity.
 The residual is written once for any `generator_differential` target with a
 differential m_1; `rbsinfty.yang_baxter` evaluates it in the tensor operad.
+Without m_k for k >= 3 the R/S residual splits into four pieces, also written
+once for any target: `dga_residual_R/S` sum them in End(V), and
+`rbsinfty.yang_baxter` evaluates each in End(A) and in the tensor operad.
 """
 
 from __future__ import annotations
@@ -193,58 +196,67 @@ def hrbs_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
     return _residual(_Endomorphisms(structure), "S", n)
 
 
-def _dga_residual(structure: HomotopyRBS, n: int, family) -> MultiMap:
+# The pieces of the residual of X_n (X = R, S) in a differential graded
+# `generator_differential` target, each a sum of arity-n elements there (maps
+# of End(V), order-(n+1) tensors): the residual is (1) + (2) - (3) - (4).
+# Pieces (2) to (4) run through m_2 and are zero in a target without it.
+
+
+def _differential_piece(target, family: str, n: int):
+    """(1) m_1 o X_n - (-1)^(n-1) sum_i X_n o_i m_1."""
+    return target.sum(n, n - 2, _boundary(target, family, n, n - 1))
+
+
+def _product_piece(target, family: str, n: int):
+    """(2) sum_{i+j=n} (-1)^(1+i) m_2(X_i, X_j)."""
+    m2, terms = target.gen("m", 2), []
+    for i in range(1, n):
+        left, right = target.gen(family, i), target.gen(family, n - i)
+        if m2 is not None and left is not None and right is not None:
+            terms.append((parity_sign(1 + i), target.compose_row(m2, [left, right])))
+    return target.sum(n, n - 2, terms)
+
+
+def _straddle_piece(target, family: str, n: int, inner_family: str):
+    """(3) sum (-1)^((s-1) + (j-1)(i-s+1)) X_i o_s m_2(R_j, id) for R, and
+    (4) sum (-1)^((s-1) + (j-1)(i-s)) X_i o_s m_2(id, S_j) for S, over
+    i + j = n and 1 <= s <= i."""
+    m2, first, terms = target.gen("m", 2), inner_family == "R", []
+    for i in range(1, n):
+        j = n - i
+        outer, inner = target.gen(family, i), target.gen(inner_family, j)
+        if m2 is None or outer is None or inner is None:
+            continue
+        row = target.compose_row(m2, [inner, None] if first else [None, inner])
+        for s in range(1, i + 1):
+            sign = parity_sign((s - 1) + (j - 1) * (i - s + first))
+            terms.append((sign, target.compose_at(outer, s, row)))
+    return target.sum(n, n - 2, terms)
+
+
+def _sum_of_pieces(structure: HomotopyRBS, n: int, family: str) -> MultiMap:
+    """The residual of X_n as the sum of its four pieces in End(V)."""
     _check_arity(structure, n)
     if not structure.is_dg():
         raise ValueError("structure has products of arity >= 3")
-    space = structure.space
-    m1 = structure.m_at(1)
-    m2 = structure.m_at(2)
-    lhs = []
-    if m1 is not None and family(n) is not None:
-        lhs.append(compose_tensor(m1, [family(n)]))
-    if m2 is not None:
-        for i in range(1, n):
-            j = n - i
-            left, right = family(i), family(j)
-            if left is None or right is None:
-                continue
-            lhs.append(parity_sign(i + 1) * compose_tensor(m2, [left, right]))
-    rhs = []
-    if m2 is not None:
-        for p in range(1, n):
-            q = n - p
-            outer = family(p)
-            if outer is None:
-                continue
-            r_q, s_q = structure.r_at(q), structure.s_at(q)
-            if r_q is not None:
-                inner = compose_tensor(m2, [r_q, None])
-                for i in range(p):
-                    sign = parity_sign(i + (q - 1) * (p - i))
-                    rhs.append(sign * insert(outer, i + 1, inner))
-            if s_q is not None:
-                inner = compose_tensor(m2, [None, s_q])
-                for i in range(p):
-                    sign = parity_sign(i + (q - 1) * (p - i - 1))
-                    rhs.append(sign * insert(outer, i + 1, inner))
-    if m1 is not None and family(n) is not None:
-        sign = parity_sign(n - 1)
-        for i in range(n):
-            rhs.append(sign * insert(family(n), i + 1, m1))
-    return MultiMap.sum(space, space, n, n - 2, lhs) - MultiMap.sum(
-        space, space, n, n - 2, rhs
-    )
+    target = _Endomorphisms(structure)
+    pieces = [
+        (1, _differential_piece(target, family, n)),
+        (1, _product_piece(target, family, n)),
+        (-1, _straddle_piece(target, family, n, "R")),
+        (-1, _straddle_piece(target, family, n, "S")),
+    ]
+    return target.sum(n, n - 2, pieces)
 
 
 def dga_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:
     """First-family residual specialized to a differential graded algebra."""
-    return _dga_residual(structure, n, structure.r_at)
+    return _sum_of_pieces(structure, n, "R")
 
 
 def dga_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
     """Second-family residual specialized to a differential graded algebra."""
-    return _dga_residual(structure, n, structure.s_at)
+    return _sum_of_pieces(structure, n, "S")
 
 
 def check_classical_rbs(

@@ -25,8 +25,9 @@ whose images under F are -[d, -], the product of A and the operators of the
 pair.  So `check_infinity_ybp` is `generator_differential`'s residual of
 `rbsinfty.residuals` evaluated in the tensor operad, negated, and F sends it
 to the residual of the differential graded structure `chi_map`.  The four
-differential graded pieces of that residual are written once and evaluated
-in both operads by `equivalence_identity_1` ... `equivalence_identity_4`.
+differential graded pieces of that residual, written once in
+`rbsinfty.residuals`, are evaluated in both operads by
+`equivalence_identity_1` ... `equivalence_identity_4`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,14 @@ from .graded import (
     raise_indices,
     tensor_product_multiply,
 )
-from .residuals import HomotopyRBS, _boundary, _Endomorphisms, _residual
+from .residuals import (
+    HomotopyRBS,
+    _differential_piece,
+    _Endomorphisms,
+    _product_piece,
+    _residual,
+    _straddle_piece,
+)
 from .signs import parity_sign
 
 
@@ -125,8 +133,20 @@ def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
 # ---------------------------------------------------------------------------
 
 
+def _check_degree(t: TensorElem, label: str, expected: int) -> None:
+    """Refuse ``t`` unless it is zero or homogeneous of degree ``expected``,
+    naming it by ``label``."""
+    try:
+        degree = t.homogeneous_degree()
+    except ValueError as err:
+        raise ValueError(f"{label}: {err}") from None
+    if degree is not None and degree != expected:
+        raise ValueError(f"{label} has degree {degree}, expected {expected}")
+
+
 class YBPair:
-    """A pair of order-2 tensors over one unital based algebra."""
+    """A pair of order-2 tensors over one unital based algebra, each
+    homogeneous of degree 0 (or zero)."""
 
     __slots__ = ("algebra", "r", "s")
 
@@ -135,6 +155,8 @@ class YBPair:
             raise ValueError("both tensors must live over the same algebra")
         if r.order != 2 or s.order != 2:
             raise ValueError("classical pairs consist of order-2 tensors")
+        for label, t in (("r", r), ("s", s)):
+            _check_degree(t, label, 0)
         self.algebra = r.algebra
         self.r = r
         self.s = s
@@ -212,11 +234,7 @@ class InfinityYBPair:
                 raise ValueError(f"{label}_{n} lives over a different algebra")
             if t.order != n:
                 raise ValueError(f"{label}_{n} has order {t.order}, expected {n}")
-            degree = t.homogeneous_degree()
-            if degree is not None and degree != n - 2:
-                raise ValueError(
-                    f"{label}_{n} has degree {degree}, expected {n - 2}"
-                )
+            _check_degree(t, f"{label}_{n}", n - 2)
             if not t.is_zero():
                 clean[n] = t
         return clean
@@ -350,44 +368,6 @@ def inner_derivation(d: TensorElem, algebra: BasedAlgebra) -> MultiMap:
         rows.append(((x,), {name: -c for name, c in left.items()}))
         rows.append(((x,), {name: sign * c for name, c in right.items()}))
     return MultiMap(space, space, 1, degree, rows)
-
-
-# The pieces of the residual of X_n (X = R, S) in a differential graded
-# `generator_differential` target, each a sum of arity-n elements there (maps
-# of End(A), order-(n+1) tensors): the residual is (1) + (2) - (3) - (4).  For
-# n >= 2 the target must have m_2, which `_in_both_operads` ensures.
-
-
-def _differential_piece(target, family: str, n: int):
-    """(1) m_1 o X_n - (-1)^(n-1) sum_i X_n o_i m_1."""
-    return target.sum(n, n - 2, _boundary(target, family, n, n - 1))
-
-
-def _product_piece(target, family: str, n: int):
-    """(2) sum_{i+j=n} (-1)^(1+i) m_2(X_i, X_j)."""
-    m2, terms = target.gen("m", 2), []
-    for i in range(1, n):
-        left, right = target.gen(family, i), target.gen(family, n - i)
-        if left is not None and right is not None:
-            terms.append((parity_sign(1 + i), target.compose_row(m2, [left, right])))
-    return target.sum(n, n - 2, terms)
-
-
-def _straddle_piece(target, family: str, n: int, inner_family: str):
-    """(3) sum (-1)^((s-1) + (j-1)(i-s+1)) X_i o_s m_2(R_j, id) for R, and
-    (4) sum (-1)^((s-1) + (j-1)(i-s)) X_i o_s m_2(id, S_j) for S, over
-    i + j = n and 1 <= s <= i."""
-    m2, first, terms = target.gen("m", 2), inner_family == "R", []
-    for i in range(1, n):
-        j = n - i
-        outer, inner = target.gen(family, i), target.gen(inner_family, j)
-        if outer is None or inner is None:
-            continue
-        row = target.compose_row(m2, [inner, None] if first else [None, inner])
-        for s in range(1, i + 1):
-            sign = parity_sign((s - 1) + (j - 1) * (i - s + first))
-            terms.append((sign, target.compose_at(outer, s, row)))
-    return target.sum(n, n - 2, terms)
 
 
 def _in_both_operads(

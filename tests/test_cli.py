@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import rbsinfty
-from rbsinfty import linfty, minimal_model
+from rbsinfty import cli, linfty, minimal_model
 from rbsinfty.cli import _WITNESS_CAP, main
 from rbsinfty.graded import BasedAlgebra, GradedSpace, MatrixAlgebra, MultiMap, TensorElem
 from rbsinfty.minimal_model import extend_derivation
@@ -899,3 +899,141 @@ def test_dense_cochain_tool_returns_a_checkable_cochain(capsys, tmp_path, degree
     path = tmp_path / "dense.json"
     path.write_bytes(out)
     assert main(["check", "mc", str(path)]) in (0, 1)
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def _run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def _run_alone(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(rbsinfty.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-m", "rbsinfty.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    return child.returncode, child.stdout.decode()
+
+
+def test_repeated_main_calls_match_each_call_run_alone(capsys, tmp_path):
+    data = Path(__file__).parent / "data"
+    calls = [
+        ["check", "rbs", str(data / "rbs_graded_input.json")],
+        ["verify", "d-squared", "--max-arity", "3", "--bogus"],
+        ["check", "ybp", nilpotent_tensor_file(tmp_path)],
+        ["verify", "d-squared", "--presentation", "xyz", "--max-arity", "3"],
+        ["check", "rbs", str(data / "rbs_graded_input.json")],
+    ]
+    in_process = [_run_in_process(capsys, argv) for argv in calls]
+    assert [code for code, _ in in_process] == [1, 2, 0, 0, 1]
+    assert in_process == [_run_alone(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+
+
+# -- refusals ---------------------------------------------------------------------
+
+
+def inhomogeneous_ybp_file(tmp_path):
+    # e1^1 (x) e1^1 has degree 0 and e1^2 (x) e1^1 degree -1 over V = (0, 1)
+    algebra = MatrixAlgebra(GRADED)
+    r = TensorElem(algebra, 2, {("e1^1", "e1^1"): 1, ("e1^2", "e1^1"): 1}).to_json()
+    zero = TensorElem.zero(algebra, 2).to_json()
+    payload = {"space": GRADED.to_json(), "r": r, "s": zero}
+    return dump(tmp_path, "inhomogeneous.json", payload)
+
+
+@pytest.mark.parametrize("command", [["check", "ybp"], ["convert", "ybp-to-rbs"]])
+def test_ybp_pair_refuses_an_inhomogeneous_tensor(capsys, tmp_path, command):
+    code, report = run(capsys, *command, inhomogeneous_ybp_file(tmp_path))
+    assert code == 2
+    assert report["error"] == "r: tensor is not homogeneous: degrees [-1, 0]"
+
+
+def test_infinity_pair_names_an_inhomogeneous_member(capsys, tmp_path):
+    ybp = json.loads(open(inhomogeneous_ybp_file(tmp_path)).read())
+    payload = {"space": ybp["space"], "truncation": 2, "s": {"2": ybp["r"]}}
+    code, report = run(capsys, "check", "aybe-infinity", dump(tmp_path, "inf.json", payload))
+    assert code == 2
+    assert report["error"] == "s_2: tensor is not homogeneous: degrees [-1, 0]"
+
+
+def test_ybp_pair_refuses_a_tensor_of_nonzero_degree(capsys, tmp_path):
+    algebra = MatrixAlgebra(GRADED)
+    odd = TensorElem(algebra, 2, {("e1^2", "e1^1"): 1}).to_json()
+    payload = {"space": GRADED.to_json(), "r": odd, "s": odd}
+    code, report = run(capsys, "check", "ybp", dump(tmp_path, "odd.json", payload))
+    assert code == 2
+    assert report["error"] == "r has degree -1, expected 0"
+    # the same tensor, as the operator it induces, is refused on the way back
+    end = algebra.space
+    operator = MultiMap(end, end, 1, -1, {("e2^1",): {"e1^1": 1}}).to_json()
+    zero = MultiMap.zero(end, end, 1, 0).to_json()
+    payload = {"space": GRADED.to_json(), "R": operator, "S": zero}
+    code, report = run(capsys, "convert", "rbs-to-ybp", dump(tmp_path, "op.json", payload))
+    assert code == 2
+    assert "expected 0" in report["error"]
+
+
+def map_entries_as_number():
+    payload = hrbs_payload()
+    payload["r"]["1"]["entries"] = 3
+    return "hrbs", payload, "r.1.entries must be a JSON array, got int"
+
+
+def tensor_entries_as_number():
+    bad = {"order": 2, "entries": 3}
+    return "ybp", {"space": PLANE.to_json(), "r": bad, "s": bad}, "r.entries must be"
+
+
+def tensor_coeff_missing():
+    bad = {"order": 2, "entries": [{"factors": ["e1^2", "e1^2"]}]}
+    return "ybp", {"space": PLANE.to_json(), "r": bad, "s": bad}, "needs 'coeff'"
+
+
+def cochain_parts_as_string():
+    payload = dict(cochain_payload(), parts="alg")
+    return "mc", payload, "parts must be a JSON array, got str"
+
+
+def cochain_part_as_string():
+    payload = dict(cochain_payload(), parts=["alg"])
+    return "mc", payload, "needs 'tag' as a string"
+
+
+def cochain_tag_missing():
+    payload = cochain_payload()
+    del payload["parts"][0]["tag"]
+    return "mc", payload, "needs 'tag' as a string"
+
+
+def cochain_tag_as_array():
+    payload = cochain_payload()
+    payload["parts"][0]["tag"] = ["alg"]
+    return "mc", payload, "needs 'tag' as a string"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        map_entries_as_number,
+        tensor_entries_as_number,
+        tensor_coeff_missing,
+        cochain_parts_as_string,
+        cochain_part_as_string,
+        cochain_tag_missing,
+        cochain_tag_as_array,
+    ],
+)
+def test_misshapen_json_field_is_named(capsys, tmp_path, build):
+    command, payload, message = build()
+    code, report = run(capsys, "check", command, dump(tmp_path, "shape.json", payload))
+    assert code == 2
+    assert message in report["error"]

@@ -7,8 +7,9 @@ sign shows up as a changed byte.  The failing report comes from a copy of
 d m4 with its first term's sign flipped, as in
 ``tests/test_cli.py::test_verify_d_squared_failure_carries_witnesses``.
 Two more hold the reports of ``check mc`` on the saved cochains described
-at ``MC_CASES``, and two the reports of ``check aybe-infinity`` on the
-saved pairs described at ``AYBE_CASES``.
+at ``MC_CASES``, two the reports of ``check aybe-infinity`` on the
+saved pairs described at ``AYBE_CASES``, and three the failing reports of
+``check rbs``, ``check ybp`` and ``check hrbs`` described at ``FILE_CASES``.
 """
 
 from __future__ import annotations
@@ -96,4 +97,22 @@ AYBE_CASES = {
 def test_check_aybe_infinity_report_matches_golden_file(name, capsys):
     source, exit_code = AYBE_CASES[name]
     assert main(["check", "aybe-infinity", str(DATA / source)]) == exit_code
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+# `check rbs`, `check ybp` and `check hrbs` on seeded inputs over V = (v1: 0,
+# v2: 1), each failing, so that witnesses with odd basis elements are printed:
+# degree-0 operators R, S on End(V); degree-0 order-2 tensors r, s over End(V);
+# and a homotopy structure with m_n, R_n, S_n for n <= 3.
+FILE_CASES = {
+    "check_rbs_graded.json": ("rbs", "rbs_graded_input.json"),
+    "check_ybp_graded.json": ("ybp", "ybp_graded_input.json"),
+    "check_hrbs_graded.json": ("hrbs", "hrbs_graded_input.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_CASES))
+def test_check_report_matches_golden_file(name, capsys):
+    command, source = FILE_CASES[name]
+    assert main(["check", command, str(DATA / source)]) == 1
     assert capsys.readouterr().out == (DATA / name).read_text()

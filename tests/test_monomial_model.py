@@ -76,9 +76,39 @@ def test_diff_bar_drops_degree_by_one():
 
 def test_diff_bar_rejects_other_families():
     # the cache keeps no failure: every call raises again
-    for _ in range(3):
-        with pytest.raises(ValueError):
-            diff_bar(gen("x", 3))
+    for family in ("x", "y", "z") * 2:
+        message = f"no monomial differential for family '{family}'"
+        with pytest.raises(ValueError, match=message):
+            diff_bar(gen(family, 3))
+
+
+def hand_diff_bar(g):
+    """The first-slot differential as it was signed by hand before `diff_bar`
+    built `generator_differential` in the first-slot operad."""
+    n = g.arity
+    terms = []
+    if g.family == "m":
+        for j in range(2, n):
+            sign = (-1) ** (1 + j * (n - 1))
+            terms.append(sign * compose_at(gen("m", n - j + 1), 1, gen("m", j)))
+        return OperadElement.sum(n, terms)
+    if g.family in ("R", "S"):
+        for r1 in range(1, n):
+            r2 = n - r1
+            sign = (-1) ** (r1 * (r2 - 1))
+            term = compose_at(
+                compose_at(gen(g.family, r1), 1, gen("m", 2)), 1, gen("R", r2)
+            )
+            terms.append(sign * term)
+        return OperadElement.sum(n, terms)
+    raise ValueError(f"no monomial differential for family {g.family!r}")
+
+
+@pytest.mark.parametrize("family,lowest", [("m", 2), ("R", 1), ("S", 1)])
+def test_diff_bar_matches_the_hand_signed_formula(family, lowest):
+    for n in range(lowest, 9):
+        g = gen(family, n)
+        assert diff_bar(g) == hand_diff_bar(g)
 
 
 @pytest.mark.parametrize("family,lowest", [("m", 2), ("R", 1), ("S", 1)])

@@ -326,6 +326,103 @@ def test_dg_residual_zero_structure():
         assert dga_residual_S(s, n).is_zero()
 
 
+# The differential graded residual as it was written out by hand before
+# `dga_residual_R/S` summed the four pieces of `rbsinfty.residuals` in End(V);
+# ``family`` is the getter ``structure.r_at`` or ``structure.s_at``.
+
+
+def hand_dga_residual(structure, n, family):
+    space = structure.space
+    m1 = structure.m_at(1)
+    m2 = structure.m_at(2)
+    lhs = []
+    if m1 is not None and family(n) is not None:
+        lhs.append(compose_tensor(m1, [family(n)]))
+    if m2 is not None:
+        for i in range(1, n):
+            j = n - i
+            left, right = family(i), family(j)
+            if left is None or right is None:
+                continue
+            lhs.append((-1) ** (i + 1) * compose_tensor(m2, [left, right]))
+    rhs = []
+    if m2 is not None:
+        for p in range(1, n):
+            q = n - p
+            outer = family(p)
+            if outer is None:
+                continue
+            r_q, s_q = structure.r_at(q), structure.s_at(q)
+            if r_q is not None:
+                inner = compose_tensor(m2, [r_q, None])
+                for i in range(p):
+                    sign = (-1) ** (i + (q - 1) * (p - i))
+                    rhs.append(sign * insert(outer, i + 1, inner))
+            if s_q is not None:
+                inner = compose_tensor(m2, [None, s_q])
+                for i in range(p):
+                    sign = (-1) ** (i + (q - 1) * (p - i - 1))
+                    rhs.append(sign * insert(outer, i + 1, inner))
+    if m1 is not None and family(n) is not None:
+        sign = (-1) ** (n - 1)
+        for i in range(n):
+            rhs.append(sign * insert(family(n), i + 1, m1))
+    return MultiMap.sum(space, space, n, n - 2, lhs) - MultiMap.sum(
+        space, space, n, n - 2, rhs
+    )
+
+
+def _seeded_dg_structure(degrees, seed, products):
+    """m_k for k in ``products`` (a subset of {1, 2}) and R_n, S_n for n <= 4."""
+    space = GradedSpace([(f"v{i}", d) for i, d in enumerate(degrees, 1)])
+    rng = random.Random(seed)
+
+    def operators():
+        return {
+            n: random_multimap(rng, space, space, n, n - 1, density=0.7)
+            for n in range(1, 5)
+        }
+
+    m = {k: random_multimap(rng, space, space, k, k - 2, density=0.8) for k in products}
+    return HomotopyRBS(space, m=m, r=operators(), s=operators(), truncation=4)
+
+
+DG_SPACES = [(0, 0), (0, 1), (1, 0), (-1, 0, 0), (0, 1, 2)]
+
+
+def _compare_with_the_hand_formula(products):
+    """(compared, nonzero) over the seeded structures of ``DG_SPACES``."""
+    compared = nonzero = 0
+    for degrees in DG_SPACES:
+        for seed in range(3):
+            structure = _seeded_dg_structure(degrees, seed, products)
+            for n in range(1, 5):
+                for derived, family in (
+                    (dga_residual_R, structure.r_at),
+                    (dga_residual_S, structure.s_at),
+                ):
+                    expected = hand_dga_residual(structure, n, family)
+                    assert derived(structure, n) == expected
+                    compared += 1
+                    nonzero += not expected.is_zero()
+    return compared, nonzero
+
+
+def test_dga_residual_matches_the_hand_written_formula():
+    counts = [_compare_with_the_hand_formula(products) for products in [(1, 2), (2,)]]
+    compared, nonzero = map(sum, zip(*counts))
+    assert compared == 240
+    # the comparison is not vacuous: more than a third of the residuals are nonzero
+    assert 3 * nonzero > compared
+
+
+def test_dga_residual_without_a_product_matches_the_hand_written_formula():
+    # pieces (2) to (4) run through m_2 and vanish without it
+    compared, nonzero = _compare_with_the_hand_formula((1,))
+    assert compared == 120 and nonzero > 0
+    assert _compare_with_the_hand_formula(()) == (120, 0)
+
+
 # ---------------------------------------------------------------------------
 # hand-written residuals: the oracle for the evaluated differential
 # ---------------------------------------------------------------------------
