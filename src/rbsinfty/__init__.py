@@ -103,7 +103,6 @@ from .yang_baxter import (
     equivalence_identity_2,
     equivalence_identity_3,
     equivalence_identity_4,
-    inner_derivation,
     rbs_to_ybp,
     ybp_to_rbs,
 )
@@ -164,7 +163,6 @@ __all__ = [
     "hrbs_residual_R",
     "hrbs_residual_S",
     "identity_element",
-    "inner_derivation",
     "insert",
     "inversion_sign",
     "is_mc",

@@ -86,16 +86,13 @@ def _report(residual: MultiMap | TensorElem) -> dict:
 
 
 def _matrix_setup(data: dict) -> tuple[GradedSpace, MatrixAlgebra]:
-    space = GradedSpace.from_json(data["space"])
+    space = GradedSpace.from_json(data.get("space"))
     return space, MatrixAlgebra(space)
 
 
-def _operator_pair(data: dict, algebra: MatrixAlgebra) -> tuple[MultiMap, MultiMap]:
-    end = algebra.space
-    return (
-        MultiMap.from_json(end, end, data["R"], field="R"),
-        MultiMap.from_json(end, end, data["S"], field="S"),
-    )
+def _operator_pair(data: dict, space: GradedSpace) -> tuple[MultiMap, MultiMap]:
+    """The fields R and S of ``data``, as maps on ``space``."""
+    return tuple(MultiMap.from_json(space, space, data.get(k), field=k) for k in "RS")
 
 
 # -- verify ---------------------------------------------------------------------
@@ -132,7 +129,7 @@ def _cmd_verify_linfinity(args: argparse.Namespace) -> dict:
 def _cmd_check_rbs(args: argparse.Namespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
-    R, S = _operator_pair(data, algebra)
+    R, S = _operator_pair(data, algebra.space)
     res_r, res_s = check_classical_rbs(algebra, R, S)
     return {
         "command": "check rbs",
@@ -216,11 +213,10 @@ def _cmd_check_mc(args: argparse.Namespace) -> dict:
         alpha = CochainElement.from_json(data)
         source = "cochain"
     else:
-        space = GradedSpace.from_json(data["space"])
+        space = GradedSpace.from_json(data.get("space"))
         alpha = classical_cochain(
-            MultiMap.from_json(space, space, data["product"], field="product"),
-            MultiMap.from_json(space, space, data["R"], field="R"),
-            MultiMap.from_json(space, space, data["S"], field="S"),
+            MultiMap.from_json(space, space, data.get("product"), field="product"),
+            *_operator_pair(data, space),
             truncation=_json_int(data.get("truncation", 3), "truncation"),
         )
         source = "classical"
@@ -263,7 +259,7 @@ def _cmd_convert_ybp_to_rbs(args: argparse.Namespace) -> dict:
 def _cmd_convert_rbs_to_ybp(args: argparse.Namespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
-    R, S = _operator_pair(data, algebra)
+    R, S = _operator_pair(data, algebra.space)
     pair = rbs_to_ybp(R, S, algebra)
     return {"space": space.to_json(), "r": pair.r.to_json(), "s": pair.s.to_json()}
 

@@ -251,7 +251,7 @@ class CochainElement:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CochainElement":
-        space = GradedSpace.from_json(data["space"])
+        space = GradedSpace.from_json(data.get("space"))
         suspended = space.suspend()
         parts = [
             (

@@ -105,7 +105,7 @@ class HomotopyRBS:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HomotopyRBS":
-        space = GradedSpace.from_json(data["space"])
+        space = GradedSpace.from_json(data.get("space"))
         parse = partial(MultiMap.from_json, space, space)
         return cls(
             space,
@@ -259,6 +259,12 @@ def dga_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
     return _sum_of_pieces(structure, n, "S")
 
 
+def _check_classical_pair(space: GradedSpace, R: MultiMap, S: MultiMap) -> None:
+    """Refuse R or S unless it is R_1 or S_1 of a structure on ``space``: a
+    map of arity 1 and, when nonzero, of degree 0."""
+    HomotopyRBS(space, r={1: R}, s={1: S})
+
+
 def check_classical_rbs(
     algebra: BasedAlgebra, R: MultiMap, S: MultiMap
 ) -> tuple[MultiMap, MultiMap]:
@@ -266,6 +272,7 @@ def check_classical_rbs(
 
     First: R(a)R(b) - R( R(a)b + aS(b) ); second: S(a)S(b) - S( R(a)b + aS(b) ).
     """
+    _check_classical_pair(algebra.space, R, S)
     mult = algebra.product_map()
     inner = compose_tensor(mult, [R, None]) + compose_tensor(mult, [None, S])
     res_r = compose_tensor(mult, [R, R]) - compose_tensor(R, [inner])

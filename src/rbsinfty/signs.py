@@ -1,8 +1,9 @@
 """Koszul sign bookkeeping for graded objects.
 
-Everything downstream (tree grafting, multilinear evaluation, L-infinity
-brackets) funnels its sign conventions through this module, so the rules
-live in exactly one place:
+The signs of reordering graded objects live here, for permutations, shuffles
+and brackets.  A sign linear in the degrees is written where it is applied:
+the tree graft (`trees`), `graded._signed_rows`, the tensor operad and
+`F_map` (`yang_baxter`).  The rules here:
 
 * reordering graded objects x_1 ... x_n into x_{sigma(1)} ... x_{sigma(n)}
   multiplies by ``(-1)**(|x_a| * |x_b|)`` for every pair that exchanges
@@ -17,8 +18,7 @@ live in exactly one place:
 
 Permutations are 1-indexed tuples ``(sigma(1), ..., sigma(n))`` throughout.
 All scalars in this package are exact: signs are Python ints, coefficients
-are ``fractions.Fraction`` (ints on the operad side).  Tree grafting does
-not reorder a vertex list: its sign is linear in the degrees (see `trees`).
+are ``fractions.Fraction`` (ints on the operad side).
 """
 
 from __future__ import annotations

@@ -22,18 +22,17 @@ minimal model to this operad, with differential m_1 = -d (x) 1 + 1 (x) d:
     m_2 -> 1 (x) 1 (x) 1,   m_k -> 0 (k >= 3),   R_n -> r_{n+1},   S_n -> s_{n+1},
 
 whose images under F are -[d, -], the product of A and the operators of the
-pair.  So `check_infinity_ybp` is `generator_differential`'s residual of
+pair: the structure `chi_map`, which `chi_inverse` inverts by round trip.  So
+`check_infinity_ybp` is `generator_differential`'s residual of
 `rbsinfty.residuals` evaluated in the tensor operad, negated, and F sends it
-to the residual of the differential graded structure `chi_map`.  The four
-differential graded pieces of that residual, written once in
-`rbsinfty.residuals`, are evaluated in both operads by
-`equivalence_identity_1` ... `equivalence_identity_4`.
+to the residual of `chi_map`.  The four differential graded pieces of that
+residual, written once in `rbsinfty.residuals`, are evaluated in both
+operads by `equivalence_identity_1` ... `equivalence_identity_4`.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 from typing import Mapping, Optional
 
@@ -52,6 +51,7 @@ from .graded import (
 from .residuals import (
     HomotopyRBS,
     _differential_piece,
+    _check_classical_pair,
     _Endomorphisms,
     _product_piece,
     _residual,
@@ -167,8 +167,8 @@ class YBPair:
     @classmethod
     def from_json(cls, algebra: BasedAlgebra, data: Mapping) -> "YBPair":
         return cls(
-            TensorElem.from_json(algebra, data["r"], field="r"),
-            TensorElem.from_json(algebra, data["s"], field="s"),
+            TensorElem.from_json(algebra, data.get("r"), field="r"),
+            TensorElem.from_json(algebra, data.get("s"), field="s"),
         )
 
 
@@ -194,8 +194,7 @@ def ybp_to_rbs(pair: YBPair) -> tuple[MultiMap, MultiMap]:
 
 def rbs_to_ybp(R: MultiMap, S: MultiMap, algebra: MatrixAlgebra) -> YBPair:
     """The tensor pair recovering the given operators on a matrix algebra."""
-    if R.arity != 1 or S.arity != 1:
-        raise ValueError("classical operators have arity 1")
+    _check_classical_pair(algebra.space, R, S)
     return YBPair(F_inverse(R, algebra), F_inverse(S, algebra))
 
 
@@ -207,7 +206,7 @@ def rbs_to_ybp(R: MultiMap, S: MultiMap, algebra: MatrixAlgebra) -> YBPair:
 class InfinityYBPair:
     """Families of tensors r_n, s_n (order n, degree n-2) with r_1 = s_1."""
 
-    __slots__ = ("algebra", "r", "s", "truncation", "_operad")
+    __slots__ = ("algebra", "r", "s", "truncation", "_operad", "_chi")
 
     def __init__(
         self,
@@ -219,12 +218,11 @@ class InfinityYBPair:
         self.algebra = algebra
         self.r = self._validated(r, "r")
         self.s = self._validated(s, "s")
-        d_r = self.r.get(1, TensorElem.zero(algebra, 1))
-        d_s = self.s.get(1, TensorElem.zero(algebra, 1))
-        if d_r != d_s:
+        if self.r.get(1) != self.s.get(1):  # zero members are dropped
             raise ValueError("the order-1 members of both families must agree")
         self.truncation = _truncation(truncation, {"r": self.r, "s": self.s})
         self._operad = _TensorOperad(self)
+        self._chi = None
 
     def _validated(self, family, label) -> dict[int, TensorElem]:
         clean: dict[int, TensorElem] = {}
@@ -350,35 +348,14 @@ def check_infinity_ybp(
 # ---------------------------------------------------------------------------
 
 
-def inner_derivation(d: TensorElem, algebra: BasedAlgebra) -> MultiMap:
-    """The map x -> -d x + (-1)^{|x|} x d for an algebra element d."""
-    if d.order != 1:
-        raise ValueError("an algebra element is an order-1 tensor")
-    space = algebra.space
-    degree = d.homogeneous_degree()
-    if degree is None:
-        return MultiMap.zero(space, space, 1, -1)
-    d_coeffs = {factors[0]: c for factors, c in d.table.items()}
-    rows = []
-    for x in space.names:
-        x_basis = {x: Fraction(1)}
-        sign = parity_sign(space.degree(x))
-        left = algebra.multiply(d_coeffs, x_basis)
-        right = algebra.multiply(x_basis, d_coeffs)
-        rows.append(((x,), {name: -c for name, c in left.items()}))
-        rows.append(((x,), {name: sign * c for name, c in right.items()}))
-    return MultiMap(space, space, 1, degree, rows)
-
-
 def _in_both_operads(
     pair: InfinityYBPair, piece, family: str, n: int, *args
 ) -> tuple[MultiMap, TensorElem]:
-    """The piece at index n in End(A), through `chi_map` of the pair read up
-    to order n + 1 (so that it has m_2 for n >= 2), and in the tensor
-    operad; F_map sends the second to the first."""
-    wide = InfinityYBPair(pair.algebra, pair.r, pair.s, max(pair.truncation, n + 1))
+    """The piece at index n on F of the images, with m_2 at any truncation,
+    and in the tensor operad; F_map sends the second to the first."""
+    structure = HomotopyRBS(pair.algebra.space, **_chi_images(pair))
     args = (family.upper(), n, *args)
-    return piece(_Endomorphisms(chi_map(wide)), *args), piece(wide._operad, *args)
+    return piece(_Endomorphisms(structure), *args), piece(pair._operad, *args)
 
 
 def equivalence_identity_1(
@@ -414,24 +391,29 @@ def equivalence_identity_4(
 # ---------------------------------------------------------------------------
 
 
-def chi_map(pair: InfinityYBPair) -> HomotopyRBS:
-    """The differential graded structure induced by a homotopy pair.
+def _chi_images(pair: InfinityYBPair) -> dict[str, dict[int, MultiMap]]:
+    """F of the pair's images in the tensor operad, keyed m, r, s, built on
+    first use and kept on the pair; m_2 is A's product, F(1 (x) 1 (x) 1)."""
+    if pair._chi is None:
+        pair._chi = {
+            family.lower(): {
+                n: F_map(t) for n, t in images.items() if (family, n) != ("m", 2)
+            }
+            for family, images in pair._operad.images.items()
+        }
+        pair._chi["m"][2] = pair.algebra.product_map()
+    return pair._chi
 
-    m_1 = -[d, -], m_2 = the algebra product, operators = the tensor images,
-    up to the arity pair.truncation - 1 (at least 1).
-    """
-    algebra = pair.algebra
+
+def chi_map(pair: InfinityYBPair) -> HomotopyRBS:
+    """The differential graded structure of a homotopy pair: F of its images,
+    up to the arity pair.truncation - 1 (at least 1)."""
     truncation = max(1, pair.truncation - 1)
-    m = {1: inner_derivation(pair.d(), algebra), 2: algebra.product_map()}
-    r = {n - 1: F_map(t) for n, t in pair.r.items() if n >= 2}
-    s = {n - 1: F_map(t) for n, t in pair.s.items() if n >= 2}
-    return HomotopyRBS(
-        algebra.space,
-        m={n: f for n, f in m.items() if n <= truncation},
-        r=r,
-        s=s,
-        truncation=truncation,
-    )
+    members = {
+        family: {n: f for n, f in images.items() if n <= truncation}
+        for family, images in _chi_images(pair).items()
+    }
+    return HomotopyRBS(pair.algebra.space, truncation=truncation, **members)
 
 
 def chi_inverse(
@@ -439,19 +421,21 @@ def chi_inverse(
 ) -> InfinityYBPair:
     """The homotopy pair recovering a differential graded structure.
 
-    The element d must reproduce the structure's differential as -[d, -];
-    it is part of the data because -[d, -] determines d only up to center.
+    It has d = r_1 = s_1 and F_inverse of the operators, and is returned only
+    if `chi_map` sends it back to the structure; else the first member that
+    differs is named.  d is part of the data: -[d, -] fixes it up to center.
     """
-    expected = inner_derivation(d, algebra)
-    actual = structure.m_at(1) or MultiMap.zero(
-        algebra.space, algebra.space, 1, -1
+    r, s = (
+        {1: d, **{n + 1: F_inverse(f, algebra) for n, f in family.items()}}
+        for family in (structure.r, structure.s)
     )
-    if expected != actual:
-        raise ValueError("m_1 is not -[d, -] for the supplied d")
-    r: dict[int, TensorElem] = {1: d}
-    s: dict[int, TensorElem] = {1: d}
-    for n, f in structure.r.items():
-        r[n + 1] = F_inverse(f, algebra)
-    for n, f in structure.s.items():
-        s[n + 1] = F_inverse(f, algebra)
-    return InfinityYBPair(algebra, r=r, s=s, truncation=structure.truncation + 1)
+    pair = InfinityYBPair(algebra, r=r, s=s, truncation=structure.truncation + 1)
+    image = chi_map(pair)
+    for label, given, recovered in zip(
+        ("m", "R", "S"), (structure.m, structure.r, structure.s), (image.m, image.r, image.s)
+    ):
+        for n in sorted(given.keys() | recovered.keys()):
+            if given.get(n) != recovered.get(n):
+                message = f"{label}_{n} differs from chi of the pair recovered with d"
+                raise ValueError(f"the structure is not an image of chi: {message}")
+    return pair

@@ -809,6 +809,89 @@ def test_the_payloads_with_typed_fields_fixed_are_accepted(capsys, tmp_path):
         assert code == 0 and report["ok"] is True
 
 
+def rbs_payload():
+    end = MatrixAlgebra(PLANE).space
+    zero = MultiMap.zero(end, end, 1, 0).to_json()
+    return {"space": PLANE.to_json(), "R": zero, "S": zero}
+
+
+def ybp_payload():
+    nil = TensorElem(MatrixAlgebra(PLANE), 2, {("e1^2", "e1^2"): 1}).to_json()
+    return {"space": PLANE.to_json(), "r": nil, "s": nil}
+
+
+def classical_mc_payload():
+    algebra, R, S = diagonal_triple()
+    product = algebra.product_map().to_json()
+    return {"space": PLANE.to_json(), "product": product, "R": R.to_json(), "S": S.to_json()}
+
+
+@pytest.mark.parametrize(
+    "command, build, field",
+    [
+        (["check", "rbs"], rbs_payload, "space"),
+        (["check", "rbs"], rbs_payload, "R"),
+        (["check", "rbs"], rbs_payload, "S"),
+        (["convert", "rbs-to-ybp"], rbs_payload, "S"),
+        (["check", "ybp"], ybp_payload, "r"),
+        (["check", "ybp"], ybp_payload, "s"),
+        (["convert", "ybp-to-rbs"], ybp_payload, "s"),
+        (["check", "mc"], classical_mc_payload, "space"),
+        (["check", "mc"], classical_mc_payload, "product"),
+        (["check", "mc"], classical_mc_payload, "S"),
+        (["check", "mc"], cochain_payload, "space"),
+        (["check", "hrbs"], hrbs_payload, "space"),
+        (["check", "aybe-infinity"], aybe_payload, "space"),
+    ],
+)
+def test_missing_top_level_field_is_named(capsys, tmp_path, command, build, field):
+    payload = build()
+    code, _ = run(capsys, *command, dump(tmp_path, "whole.json", payload))
+    assert code == 0
+    del payload[field]
+    code, report = run(capsys, *command, dump(tmp_path, "missing.json", payload))
+    assert code == 2
+    assert report["error"].startswith(f"{field} must be a JSON object")
+
+
+def classical_operator_file(tmp_path, name, operator):
+    # the pair (R, S) over End(V), V = (v1: 0, v2: 1), with ``operator`` in
+    # the place of ``name`` and the zero map of arity 1 and degree 0 in the other
+    end = MatrixAlgebra(GRADED).space
+    zero = MultiMap.zero(end, end, 1, 0).to_json()
+    payload = {"space": GRADED.to_json(), "R": zero, "S": zero, name: operator}
+    return dump(tmp_path, "operators.json", payload)
+
+
+@pytest.mark.parametrize("command", [["check", "rbs"], ["convert", "rbs-to-ybp"]])
+@pytest.mark.parametrize("name", ["R", "S"])
+def test_classical_operator_of_nonzero_degree_is_named(capsys, tmp_path, command, name):
+    # e1^1 has degree 0 and e2^1 degree 1, so this operator has degree 1
+    end = MatrixAlgebra(GRADED).space
+    odd = MultiMap(end, end, 1, 1, {("e1^1",): {"e2^1": 1}}).to_json()
+    code, report = run(capsys, *command, classical_operator_file(tmp_path, name, odd))
+    assert code == 2
+    assert report["error"] == f"{name}_1 has degree 1, expected 0"
+
+
+@pytest.mark.parametrize("command", [["check", "rbs"], ["convert", "rbs-to-ybp"]])
+@pytest.mark.parametrize("name", ["R", "S"])
+def test_classical_operator_of_arity_two_is_named(capsys, tmp_path, command, name):
+    end = MatrixAlgebra(GRADED).space
+    binary = MultiMap(end, end, 2, 0, {("e1^1", "e1^1"): {"e1^1": 1}}).to_json()
+    code, report = run(capsys, *command, classical_operator_file(tmp_path, name, binary))
+    assert code == 2
+    assert report["error"] == f"{name}_1 has arity 2, expected 1"
+
+
+@pytest.mark.parametrize("command", [["check", "rbs"], ["convert", "rbs-to-ybp"]])
+def test_classical_zero_operator_of_any_degree_is_accepted(capsys, tmp_path, command):
+    end = MatrixAlgebra(GRADED).space
+    zero = MultiMap.zero(end, end, 1, 1).to_json()
+    code, _ = run(capsys, *command, classical_operator_file(tmp_path, "R", zero))
+    assert code == 0
+
+
 @pytest.mark.parametrize("key", ["x", " 2", "+2", "2.0", "02"])
 @pytest.mark.parametrize("command", ["hrbs", "aybe-infinity"])
 def test_family_key_that_is_not_a_decimal_integer_is_named(

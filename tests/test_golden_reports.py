@@ -9,7 +9,9 @@ d m4 with its first term's sign flipped, as in
 Two more hold the reports of ``check mc`` on the saved cochains described
 at ``MC_CASES``, two the reports of ``check aybe-infinity`` on the
 saved pairs described at ``AYBE_CASES``, and three the failing reports of
-``check rbs``, ``check ybp`` and ``check hrbs`` described at ``FILE_CASES``.
+``check rbs``, ``check ybp`` and ``check hrbs`` described at ``FILE_CASES``,
+and two the reports of ``convert rbs-to-ybp`` and ``convert ybp-to-rbs``
+described at ``CONVERT_CASES``.
 """
 
 from __future__ import annotations
@@ -115,4 +117,20 @@ FILE_CASES = {
 def test_check_report_matches_golden_file(name, capsys):
     command, source = FILE_CASES[name]
     assert main(["check", command, str(DATA / source)]) == 1
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+# `convert rbs-to-ybp` and `convert ybp-to-rbs` on the inputs of
+# ``FILE_CASES``: the tensor pair of the operators R, S and the operator pair
+# of the tensors r, s, each over End(V) with V = (v1: 0, v2: 1).
+CONVERT_CASES = {
+    "convert_rbs_to_ybp_graded.json": ("rbs-to-ybp", "rbs_graded_input.json"),
+    "convert_ybp_to_rbs_graded.json": ("ybp-to-rbs", "ybp_graded_input.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERT_CASES))
+def test_convert_report_matches_golden_file(name, capsys):
+    command, source = CONVERT_CASES[name]
+    assert main(["convert", command, str(DATA / source)]) == 0
     assert capsys.readouterr().out == (DATA / name).read_text()

@@ -25,6 +25,7 @@ from rbsinfty.residuals import (
 )
 from rbsinfty.sampling import random_multimap, random_tensor
 from rbsinfty.signs import parity_sign
+from rbsinfty import yang_baxter
 from rbsinfty.yang_baxter import (
     F_inverse,
     F_map,
@@ -38,7 +39,6 @@ from rbsinfty.yang_baxter import (
     equivalence_identity_2,
     equivalence_identity_3,
     equivalence_identity_4,
-    inner_derivation,
     rbs_to_ybp,
     ybp_to_rbs,
 )
@@ -386,10 +386,36 @@ def test_infinity_pair_json_round_trip():
 # ---------------------------------------------------------------------------
 
 
+def _inner_derivation(d, algebra):
+    """The map x -> -d x + (-1)^{|x|} x d for an algebra element d, written by
+    hand: the oracle of F of the image -d (x) 1 + 1 (x) d of m_1."""
+    assert d.order == 1
+    space = algebra.space
+    degree = d.homogeneous_degree()
+    if degree is None:
+        return MultiMap.zero(space, space, 1, -1)
+    d_coeffs = {factors[0]: c for factors, c in d.table.items()}
+    rows = []
+    for x in space.names:
+        x_basis = {x: ONE}
+        sign = parity_sign(space.degree(x))
+        left = algebra.multiply(d_coeffs, x_basis)
+        right = algebra.multiply(x_basis, d_coeffs)
+        rows.append(((x,), {name: -c for name, c in left.items()}))
+        rows.append(((x,), {name: sign * c for name, c in right.items()}))
+    return MultiMap(space, space, 1, degree, rows)
+
+
+def _chi_m1(d, algebra):
+    """m_1 of chi_map: F of the image of m_1 in the tensor operad."""
+    return chi_map(InfinityYBPair(algebra, r={1: d}, s={1: d})).m_at(1)
+
+
 def test_inner_derivation_on_basis():
     M = _graded_m2()
     d = TensorElem(M, 1, {("e1^2",): 1})
-    m1 = inner_derivation(d, M)
+    m1 = _chi_m1(d, M)
+    assert m1 == _inner_derivation(d, M)
     assert m1.degree == -1
     # m1(e2^1) = -d e2^1 + (-1)^{1} e2^1 d = -e1^1 - e2^2
     assert m1.evaluate(("e2^1",)) == {"e1^1": -ONE, "e2^2": -ONE}
@@ -403,9 +429,7 @@ def test_inner_derivation_on_basis():
 def test_inner_derivation_squares_to_commutator_with_d_squared():
     M = _graded_m3()
     d = TensorElem(M, 1, {("e1^2",): 1, ("e2^3",): 1})
-    m1 = inner_derivation(d, M)
-    from rbsinfty.graded import compose_tensor
-
+    m1 = _chi_m1(d, M)
     square = compose_tensor(m1, [m1])
     # [d^2, -] since d has odd degree: m1(m1(x)) = d^2 x - x d^2
     d2 = tensor_product_multiply(d, d)
@@ -536,7 +560,7 @@ def _oracle_operator(pair, family, arity):
 
 def _oracle_map_1(pair, n, family):
     space = pair.algebra.space
-    m1 = inner_derivation(pair.d(), pair.algebra)
+    m1 = _inner_derivation(pair.d(), pair.algebra)
     T = _oracle_operator(pair, family, n)
     sign = parity_sign(n - 1)
     terms = [compose_tensor(m1, [T])]
@@ -663,7 +687,7 @@ def test_f_map_is_an_operad_map_from_the_tensor_operad():
         if d.is_zero():
             assert operad.gen("m", 1) is None
         else:
-            assert F_map(operad.gen("m", 1)) == inner_derivation(d, algebra)
+            assert F_map(operad.gen("m", 1)) == _inner_derivation(d, algebra)
         assert F_map(operad.gen("m", 2)) == algebra.product_map()
         for t_order, u_order in itertools.product((2, 3), repeat=2):
             for t_degree, u_degree in itertools.product((-1, 0, 1), repeat=2):
@@ -702,7 +726,7 @@ def test_chi_map_structure_shape():
         space = pair.algebra.space
         return MultiMap.zero(space, space, arity, degree) if f is None else f
 
-    assert stored_or_zero(structure.m_at(1), 1, -1) == inner_derivation(
+    assert stored_or_zero(structure.m_at(1), 1, -1) == _inner_derivation(
         pair.d(), pair.algebra
     )
     for n in (1, 2):
@@ -727,10 +751,69 @@ def test_chi_inverse_validates_d():
     pair = _random_pair(14, truncation=2)
     structure = chi_map(pair)
     wrong = pair.d() + TensorElem(pair.algebra, 1, {("e1^2",): 17})
-    if inner_derivation(wrong, pair.algebra) == structure.m_at(1):
+    if _inner_derivation(wrong, pair.algebra) == structure.m_at(1):
         pytest.skip("perturbation happened to be central")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an image of chi: m_1 differs"):
         chi_inverse(structure, wrong, pair.algebra)
+
+
+def _doubled_m2(structure, rng):
+    m = {**structure.m, 2: 2 * structure.m[2]}
+    return HomotopyRBS(structure.space, m, structure.r, structure.s, structure.truncation)
+
+
+def _without_m2(structure, rng):
+    m = {n: f for n, f in structure.m.items() if n != 2}
+    return HomotopyRBS(structure.space, m, structure.r, structure.s, structure.truncation)
+
+
+def _with_an_m3(structure, rng):
+    space = structure.space
+    m3 = random_multimap(rng, space, space, 3, 1, density=0.3)
+    assert not m3.is_zero()
+    m = {**structure.m, 3: m3}
+    return HomotopyRBS(space, m, structure.r, structure.s, structure.truncation)
+
+
+@pytest.mark.parametrize(
+    "change, truncation, member",
+    [(_doubled_m2, 3, "m_2"), (_without_m2, 3, "m_2"), (_with_an_m3, 4, "m_3")],
+)
+def test_chi_inverse_refuses_a_structure_that_is_not_an_image(change, truncation, member):
+    # chi of the pair recovered from each differs from it at ``member``
+    pair = _random_pair(15, truncation=truncation)
+    structure = change(chi_map(pair), random.Random(15))
+    assert structure.truncation == truncation - 1
+    with pytest.raises(ValueError, match=f"not an image of chi: {member} differs"):
+        chi_inverse(structure, pair.d(), pair.algebra)
+
+
+def test_chi_images_are_built_once_per_pair_on_first_use(monkeypatch):
+    calls = []
+    monkeypatch.setattr(yang_baxter, "F_map", lambda t: calls.append(t) or F_map(t))
+    pair = _random_pair(16, truncation=4)
+    check_infinity_ybp(pair, 3)
+    assert calls == []
+    for n in (1, 2, 3):
+        for identity, _, _ in _ORACLES:
+            identity(pair, n, "s")
+    chi_map(pair)
+    # once each for m_1 (d = r_1 = s_1 is nonzero) and the members r_n, s_n
+    # with n >= 2; m_2 is the algebra's product
+    assert 1 in pair.r and len(calls) == len(pair.r) + len(pair.s) - 1
+
+
+def test_chi_inverse_inverts_chi_on_the_matrix_algebra_pairs():
+    pairs = [p for p in _oracle_pairs() if isinstance(p.algebra, MatrixAlgebra)]
+    assert len(pairs) == 6
+    for pair in pairs:
+        structure = chi_map(pair)
+        back = chi_inverse(structure, pair.d(), pair.algebra)
+        assert (back.r, back.s, back.truncation) == (pair.r, pair.s, pair.truncation)
+        again = chi_map(back)
+        for family in ("m", "r", "s"):
+            assert getattr(again, family) == getattr(structure, family)
+        assert again.truncation == structure.truncation
 
 
 def test_chi_zero_pair_gives_zero_operators():
