@@ -39,6 +39,7 @@ from .graded import (
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _MISSING,
     _json_int,
     _json_object,
 )
@@ -86,13 +87,15 @@ def _report(residual: MultiMap | TensorElem) -> dict:
 
 
 def _matrix_setup(data: dict) -> tuple[GradedSpace, MatrixAlgebra]:
-    space = GradedSpace.from_json(data.get("space"))
+    space = GradedSpace.from_json(data.get("space", _MISSING))
     return space, MatrixAlgebra(space)
 
 
 def _operator_pair(data: dict, space: GradedSpace) -> tuple[MultiMap, MultiMap]:
     """The fields R and S of ``data``, as maps on ``space``."""
-    return tuple(MultiMap.from_json(space, space, data.get(k), field=k) for k in "RS")
+    return tuple(
+        MultiMap.from_json(space, space, data.get(k, _MISSING), field=k) for k in "RS"
+    )
 
 
 # -- verify ---------------------------------------------------------------------
@@ -213,9 +216,11 @@ def _cmd_check_mc(args: argparse.Namespace) -> dict:
         alpha = CochainElement.from_json(data)
         source = "cochain"
     else:
-        space = GradedSpace.from_json(data.get("space"))
+        space = GradedSpace.from_json(data.get("space", _MISSING))
         alpha = classical_cochain(
-            MultiMap.from_json(space, space, data.get("product"), field="product"),
+            MultiMap.from_json(
+                space, space, data.get("product", _MISSING), field="product"
+            ),
             *_operator_pair(data, space),
             truncation=_json_int(data.get("truncation", 3), "truncation"),
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -89,6 +90,47 @@ class GradedSpace:
         return cls((_field(b, "name", str), _field(b, "degree", int)) for b in basis)
 
 
+class _IntegerTable:
+    """Integer rows summed over one common denominator, the accumulator
+    behind `compose_tensor`, `brace_map`, `MultiMap.combination` and the
+    brackets of `rbsinfty.linfty`.
+
+    A row is ``(inputs, factor, {output: numerator})`` and stands for the
+    outputs' numerators times ``factor``.  `add` takes the rows of one
+    stream over that stream's denominator; a denominator that does not
+    divide the table's rescales what is stored once, to their least common
+    multiple.  A `MultiMap` built from the table takes its rows over as its
+    integer form and makes one `Fraction` per entry that does not cancel.
+    """
+
+    __slots__ = ("rows", "denominator")
+
+    def __init__(self):
+        self.rows: dict[tuple, dict[str, int]] = {}
+        self.denominator = 1
+
+    def add(self, denominator: int, rows: Iterable[tuple]) -> None:
+        """Sum ``rows``, whose values are over ``denominator``, into the table."""
+        common = self.denominator
+        if common % denominator:
+            grown = lcm(common, denominator)
+            k = grown // common
+            for row in self.rows.values():
+                for out in row:
+                    row[out] *= k
+            self.denominator = common = grown
+        k = common // denominator
+        table = self.rows
+        for ins, factor, outs in rows:
+            factor *= k
+            row = table.get(ins)
+            if row is None:
+                table[ins] = {out: factor * n for out, n in outs.items()}
+            else:
+                for out, n in outs.items():
+                    row[out] = row[out] + factor * n if out in row else factor * n
+
+
 class MultiMap:
     """A homogeneous multilinear map, stored sparsely over basis tuples.
 
@@ -98,10 +140,16 @@ class MultiMap:
     The constructor is the one place where coefficients are combined: it
     takes a mapping or an iterable of ``(inputs, outputs)`` pairs in which an
     input tuple may repeat, sums the outputs of a repeated tuple, drops the
-    coefficients that cancel and validates what is left.
+    coefficients that cancel and validates what is left.  It also takes an
+    `_IntegerTable`, already summed, whose surviving entries it normalises
+    and validates.  A map is not changed once built: the integer forms that
+    the composition kernel reads (`_numerators`, `_by_output`) are made on
+    first use and kept.
     """
 
-    __slots__ = ("space_in", "space_out", "arity", "degree", "table")
+    __slots__ = (
+        "space_in", "space_out", "arity", "degree", "table", "_integers", "_index"
+    )
 
     def __init__(
         self,
@@ -110,7 +158,7 @@ class MultiMap:
         arity: int,
         degree: int,
         table: Union[
-            Mapping[tuple, Mapping[str, Rational]], Iterable[tuple], None
+            Mapping[tuple, Mapping[str, Rational]], Iterable[tuple], _IntegerTable, None
         ] = None,
     ):
         if arity < 1:
@@ -119,18 +167,26 @@ class MultiMap:
         self.space_out = space_out
         self.arity = arity
         self.degree = degree
-        if hasattr(table, "items"):
-            table = table.items()
-        merged: dict[tuple[str, ...], dict[str, Fraction]] = {}
-        for ins, outs in table or ():
-            ins = tuple(ins)
-            row = merged.get(ins)
-            if row is None:
-                row = merged[ins] = {}
-            for out, coeff in outs.items():
-                if coeff.__class__ is not Fraction:
-                    coeff = _frac(coeff)
-                row[out] = row[out] + coeff if out in row else coeff
+        self._index = None
+        if isinstance(table, _IntegerTable):
+            # the table's numerators are the integer form (a cancelled entry
+            # stays as a zero there, which composes to zero)
+            merged, q = table.rows, table.denominator
+            self._integers = (q, merged)
+        else:
+            self._integers = q = None
+            if hasattr(table, "items"):
+                table = table.items()
+            merged = {}
+            for ins, outs in table or ():
+                ins = tuple(ins)
+                row = merged.get(ins)
+                if row is None:
+                    row = merged[ins] = {}
+                for out, coeff in outs.items():
+                    if coeff.__class__ is not Fraction:
+                        coeff = _frac(coeff)
+                    row[out] = row[out] + coeff if out in row else coeff
         # degrees read from the spaces' tables, once per input tuple
         degrees_in, degrees_out = space_in._degrees, space_out._degrees
         clean: dict[tuple[str, ...], dict[str, Fraction]] = {}
@@ -141,7 +197,13 @@ class MultiMap:
                 out_degree = sum(map(degrees_in.__getitem__, ins)) + degree
             except KeyError as unknown:
                 raise ValueError(f"unknown basis name {unknown.args[0]!r}") from None
-            row = {out: coeff for out, coeff in row.items() if coeff}
+            # drop what cancels; normalise an integer table, one Fraction per entry
+            if q is None:
+                row = {out: coeff for out, coeff in row.items() if coeff}
+            elif q == 1:
+                row = {out: Fraction(n) for out, n in row.items() if n}
+            else:
+                row = {out: Fraction(n, q) for out, n in row.items() if n}
             for out in row:
                 if degrees_out.get(out) != out_degree:
                     space_out.degree(out)  # an unknown name is refused as such
@@ -151,6 +213,44 @@ class MultiMap:
             if row:
                 clean[ins] = row
         self.table = clean
+
+    def _numerators(self) -> tuple[int, dict]:
+        """``(denominator, {inputs: {output: numerator}})``: the table as
+        integers over a common denominator, made once (the least one unless
+        the map was built from an `_IntegerTable`, whose rows it keeps)."""
+        if self._integers is None:
+            table = self.table
+            q = lcm(*{c.denominator for row in table.values() for c in row.values()})
+            if q == 1:
+                rows = {
+                    ins: {out: c.numerator for out, c in row.items()}
+                    for ins, row in table.items()
+                }
+            else:
+                rows = {
+                    ins: {out: q // c.denominator * c.numerator for out, c in row.items()}
+                    for ins, row in table.items()
+                }
+            self._integers = (q, rows)
+        return self._integers
+
+    def _by_output(self) -> tuple[int, dict]:
+        """``(denominator, {output: [(inputs, numerator, input degree)]})``:
+        the integer table indexed by output name, made once."""
+        if self._index is None:
+            q, rows = self._numerators()
+            degrees = self.space_in._degrees
+            index: dict[str, list] = {}
+            for ins, row in rows.items():
+                d = sum(map(degrees.__getitem__, ins))
+                for out, n in row.items():
+                    option = (ins, n, d)
+                    if out in index:
+                        index[out].append(option)
+                    else:
+                        index[out] = [option]
+            self._index = (q, index)
+        return self._index
 
     # -- constructors -------------------------------------------------------
 
@@ -171,13 +271,31 @@ class MultiMap:
         The sum takes the degree of its first nonzero term; `degree` is the
         degree of the zero map returned when every term is zero.
         """
-        maps = list(maps)
-        for m in maps:
-            if m.space_in != space_in or m.space_out != space_out or m.arity != arity:
+        terms = ((1, m) for m in maps)
+        return cls.combination(space_in, space_out, arity, degree, terms)
+
+    @classmethod
+    def combination(
+        cls, space_in, space_out, arity, degree, terms: Iterable[tuple]
+    ) -> "MultiMap":
+        """The linear combination of ``(scalar, map)`` terms of one shape: the
+        maps' integer forms, each scaled, summed in one `_IntegerTable`.  The
+        degree is chosen as in `sum`; a scalar is an int or a `Fraction`."""
+        table = _IntegerTable()
+        for scalar, m in terms:
+            if (
+                m.arity != arity
+                or m.space_in is not space_in and m.space_in != space_in
+                or m.space_out is not space_out and m.space_out != space_out
+            ):
                 raise ValueError("maps live on different spaces or arities")
-        degree = next((m.degree for m in maps if m.table), degree)
-        rows = (row for m in maps for row in m.table.items())
-        return cls(space_in, space_out, arity, degree, rows)
+            if m.table:
+                if not table.rows:  # the first nonzero term sets the degree
+                    degree = m.degree
+                q, rows = m._numerators()
+                n = scalar.numerator
+                table.add(q * scalar.denominator, ((ins, n, r) for ins, r in rows.items()))
+        return cls(space_in, space_out, arity, degree, table)
 
     # -- queries ------------------------------------------------------------
 
@@ -202,15 +320,17 @@ class MultiMap:
         return self.__rmul__(-1)
 
     def __sub__(self, other: "MultiMap") -> "MultiMap":
-        return self + (-other)
+        terms = ((1, self), (-1, other))
+        return MultiMap.combination(
+            self.space_in, self.space_out, self.arity, other.degree, terms
+        )
 
     def __rmul__(self, scalar) -> "MultiMap":
-        scalar = _frac(scalar)
-        table = {
-            ins: {out: scalar * c for out, c in outs.items()}
-            for ins, outs in self.table.items()
-        }
-        return MultiMap(self.space_in, self.space_out, self.arity, self.degree, table)
+        if scalar.__class__ is not int:
+            scalar = _frac(scalar)
+        return MultiMap.combination(
+            self.space_in, self.space_out, self.arity, self.degree, ((scalar, self),)
+        )
 
     __mul__ = __rmul__
 
@@ -265,17 +385,29 @@ class MultiMap:
         return cls(space_in, space_out, arity, degree, table)
 
 
+# what a reader passes for a top-level field its JSON object lacks
+# (``data.get(key, _MISSING)``), told apart from an explicit null (None)
+_MISSING = object()
+
+
+def _kind(value) -> str:
+    """The name a refusal gives the kind of ``value``: null for JSON null."""
+    return "null" if value is None else type(value).__name__
+
+
 def _json_object(value, field: str) -> dict:
     """``value``, refusing anything but a JSON object by naming ``field``."""
+    if value is _MISSING:
+        raise ValueError(f"{field} is missing")
     if not isinstance(value, dict):
-        raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+        raise ValueError(f"{field} must be a JSON object, got {_kind(value)}")
     return value
 
 
 def _json_array(value, field: str) -> list:
     """``value``, refusing anything but a JSON array by naming ``field``."""
     if not isinstance(value, list):
-        raise ValueError(f"{field} must be a JSON array, got {type(value).__name__}")
+        raise ValueError(f"{field} must be a JSON array, got {_kind(value)}")
     return value
 
 
@@ -285,7 +417,7 @@ def _json_int(value, field: str, optional: bool = False) -> Optional[int]:
     if value is None and optional:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {type(value).__name__}")
+        raise ValueError(f"{field} must be an integer, got {_kind(value)}")
     return value
 
 
@@ -384,72 +516,93 @@ def _slot_choices(f: MultiMap, args: Sequence[MultiMap]) -> Iterator[list]:
 
 
 def _signed_rows(
-    f: MultiMap, layouts: Iterable[Sequence], space_in: GradedSpace, scale=1
-) -> Iterator[tuple[tuple, dict]]:
-    """The ``(inputs, outputs)`` rows of f composed with each layout of parts
-    (a map on ``space_in``, or None for the identity, per slot), each
-    coefficient times ``scale``.
+    f: MultiMap,
+    layouts: Iterable[Sequence],
+    space_in: GradedSpace,
+    numerator: int = 1,
+    denominator: int = 1,
+) -> tuple[int, Iterator[tuple]]:
+    """f composed with each layout of parts (a map on ``space_in``, or None
+    for the identity, per slot), times ``numerator / denominator``, as
+    ``(common denominator, rows)``: each row is ``(inputs, factor, host
+    outputs)``, the integer rows of `_IntegerTable`.
 
-    Each part is indexed once by output name: target -> [(inputs, numerator,
-    denominator, input degree)].  A host entry grows its input tuples slot by
-    slot from the options of its targets, carrying each coefficient as an
-    integer fraction and the degree of the inputs so far: a part of odd
-    degree flips the sign past inputs of odd total degree.
+    Every map is read as integers over a common denominator of its own
+    (`MultiMap._numerators`), and each part is indexed once by output name
+    (`MultiMap._by_output`).  The scale, the Koszul signs and all these
+    denominators fold into the factors: a host entry grows its input tuples
+    slot by slot from the options of its targets, carrying one integer and
+    the degree of the inputs so far, and a part of odd degree flips the sign
+    past inputs of odd total degree.
     """
-    degrees = space_in._degrees
-    indexes: dict[int, dict] = {}
+    if not f.table:
+        return 1, iter(())
+    f_denominator, f_rows = f._numerators()
+    plans, common = [], 1
     for parts in layouts:
+        q = f_denominator * denominator
         slots = []
         for part in parts:
-            if part is not None and id(part) not in indexes:
-                index = indexes[id(part)] = {}
-                for ins, outs in part.table.items():
-                    d = sum(map(degrees.__getitem__, ins))
-                    for out, c in outs.items():
-                        option = (ins, c.numerator, c.denominator, d)
-                        index.setdefault(out, []).append(option)
-            slots.append(None if part is None else (part.degree & 1, indexes[id(part)]))
-        for fins, fouts in f.table.items():
-            partial = [((), scale.numerator, scale.denominator, 0)]
+            if part is None:
+                slots.append(None)
+                continue
+            if not part.table:
+                break  # a zero part: the layout gives no row
+            part_denominator, index = part._by_output()
+            q *= part_denominator
+            slots.append((part.degree & 1, index))
+        else:
+            plans.append((q, slots))
+            if common % q:
+                common = lcm(common, q)
+    return common, _layout_rows(f_rows, plans, common, numerator, space_in._degrees)
+
+
+def _layout_rows(
+    f_rows: dict, plans: list, common: int, numerator: int, degrees: dict
+) -> Iterator[tuple]:
+    """The integer rows of `_signed_rows`, layout by layout, each over
+    ``common``: a layout over a smaller denominator q starts from
+    ``numerator * common / q``."""
+    for q, slots in plans:
+        start = numerator * (common // q)
+        for fins, fouts in f_rows.items():
+            partial = [((), start, 0)]
             for target, slot in zip(fins, slots):
                 if slot is None:
                     d = degrees[target]
-                    partial = [
-                        (ins + (target,), n, q, left + d) for ins, n, q, left in partial
-                    ]
+                    partial = [(ins + (target,), n, left + d) for ins, n, left in partial]
                     continue
                 odd, index = slot
                 options = index.get(target)
                 if options is None:
                     break
                 partial = [
-                    (ins + gins, -n * gn if odd & left else n * gn, q * gq, left + gd)
-                    for ins, n, q, left in partial
-                    for gins, gn, gq, gd in options
+                    (ins + gins, -n * gn if odd & left else n * gn, left + gd)
+                    for ins, n, left in partial
+                    for gins, gn, gd in options
                 ]
             else:
-                for ins, n, q, _ in partial:
-                    yield ins, {
-                        out: Fraction(n * c.numerator, q * c.denominator)
-                        for out, c in fouts.items()
-                    }
+                for ins, n, _ in partial:
+                    yield ins, n, fouts
 
 
 def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap:
     """f composed with one map (or the identity, passed as None) per input slot.
 
     Evaluation carries the Koszul sign of each part crossing all inputs
-    feeding the slots to its left.  Each part is indexed once by output name,
-    each host entry looks up the options of its slots there, and the signed
-    rows are streamed into one `MultiMap` constructor (`_signed_rows`).
+    feeding the slots to its left.  The integer rows of `_signed_rows` are
+    summed in one `_IntegerTable`, which the `MultiMap` normalises once per
+    entry.
     """
     if len(parts) != f.arity:
         raise ValueError(f"need {f.arity} parts, got {len(parts)}")
     space_in = _input_space(f, parts)
     arity = sum(1 if part is None else part.arity for part in parts)
     degree = f.degree + sum(0 if part is None else part.degree for part in parts)
-    rows = _signed_rows(f, [parts], space_in)
-    return MultiMap(space_in, f.space_out, arity, degree, rows)
+    table = _IntegerTable()
+    table.add(*_signed_rows(f, [parts], space_in))
+    return MultiMap(space_in, f.space_out, arity, degree, table)
 
 
 def insert(f: MultiMap, position: int, g: MultiMap) -> MultiMap:
@@ -469,8 +622,9 @@ def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
     space_in = _input_space(f, list(args) + [None] * (f.arity - len(args)))
     arity = f.arity - len(args) + sum(a.arity for a in args)
     degree = f.degree + sum(a.degree for a in args)
-    rows = _signed_rows(f, _slot_choices(f, args), space_in)
-    return MultiMap(space_in, f.space_out, max(arity, 1), degree, rows)
+    table = _IntegerTable()
+    table.add(*_signed_rows(f, _slot_choices(f, args), space_in))
+    return MultiMap(space_in, f.space_out, max(arity, 1), degree, table)
 
 
 # ---------------------------------------------------------------------------

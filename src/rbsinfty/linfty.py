@@ -34,6 +34,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -41,13 +42,15 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 from .graded import (
     GradedSpace,
     MultiMap,
+    _MISSING,
     _field,
+    _frac,
+    _IntegerTable,
     _json_array,
     _json_int,
     _reject_repeats,
     _signed_rows,
     _slot_choices,
-    brace_map,
     compose_tensor,
 )
 from .sampling import random_multimap
@@ -206,7 +209,7 @@ class CochainElement:
         return CochainElement.sum(self.space, (self, other))
 
     def __rmul__(self, scalar) -> "CochainElement":
-        scalar = Fraction(scalar)
+        scalar = _frac(scalar)
         parts = {
             tag: {arity: scalar * m for arity, m in family.items()}
             for tag, family in self.parts.items()
@@ -251,7 +254,7 @@ class CochainElement:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CochainElement":
-        space = GradedSpace.from_json(data.get("space"))
+        space = GradedSpace.from_json(data.get("space", _MISSING))
         suspended = space.suspend()
         parts = [
             (
@@ -349,24 +352,37 @@ def _orderings(
     add, two equal even maps cancel, and an ordering whose signs cancel is
     left out.
     """
+    parities = tuple(d & 1 for d in degrees)
     groups: dict[tuple[int, ...], list] = {}
     for sigma in itertools.permutations(range(1, len(maps) + 1)):
         ordered = [maps[s - 1] for s in sigma]
         group = groups.setdefault(tuple(map(id, ordered)), [ordered, 0])
-        group[1] += koszul_chi(sigma, degrees)
+        group[1] += _chi(sigma, parities)
     return [(ordered, chi) for ordered, chi in groups.values() if chi]
 
 
+@lru_cache(maxsize=None)
+def _chi(sigma: tuple[int, ...], parities: tuple[int, ...]) -> int:
+    """`koszul_chi` of ``sigma`` on degrees given by their parities, all it
+    depends on; each pair is computed once per process."""
+    return koszul_chi(sigma, parities)
+
+
 def _operator_terms(
-    F: MultiMap, gs: Sequence[MultiMap], hs: Sequence[MultiMap], outer: int
-) -> Iterator[tuple[str, MultiMap]]:
-    """The bracket of one algebra cochain with operator cochains, per column.
+    F: MultiMap,
+    gs: Sequence[MultiMap],
+    hs: Sequence[MultiMap],
+    outer: int,
+    denominator: int = 1,
+) -> Iterator[tuple]:
+    """The bracket of one algebra cochain with operator cochains, times
+    ``outer / denominator``, as streams (see `_bracket_rows`).
 
     ``gs`` feed the first operator column, ``hs`` the second; ``F.arity``
     equals ``len(gs) + len(hs)``.  Degrees written ``|f| + 1 = F.degree`` and
     ``|g| = (map degree) - 1`` below are the intrinsic ones.  Each distinct
-    ordering of the operators (see `_orderings`) is composed once, and the
-    signed rows of every term of a column go into one `MultiMap`.
+    ordering of the operators (see `_orderings`) is composed once, and each
+    term is one stream of signed rows.
     """
     n = len(gs) + len(hs)
     j = len(gs)
@@ -375,7 +391,8 @@ def _operator_terms(
     hdeg = [m.degree - 1 for m in hs]
     sum_g = sum(gdeg)
     space = F.space_in
-    rows: dict[str, list] = {TAG_R: [], TAG_S: []}
+    arity = sum(m.arity for m in [*gs, *hs])
+    degree = F.degree + sum(m.degree for m in [*gs, *hs])
 
     # Plain substitution terms exist only when all operators feed one column.
     if j == n or j == 0:
@@ -383,7 +400,8 @@ def _operator_terms(
         for permuted, chi in _orderings(maps, degrees):
             pdeg = [m.degree - 1 for m in permuted]
             sign = outer * chi * parity_sign(n * f1 + _staircase(pdeg))
-            rows[tag].append(_signed_rows(F, [permuted], space, sign))
+            rows = _signed_rows(F, [permuted], space, sign, denominator)
+            yield tag, arity, degree, *rows
 
     # Brace terms: one operator climbs outside, the identity fills the slot
     # between the two columns inside.
@@ -404,7 +422,9 @@ def _operator_terms(
                 inner = compose_tensor(F, pg[1:] + [None] + ph)
                 sign = outer * chi * parity_sign(exponent)
                 braces = _slot_choices(pg[0], [inner])
-                rows[TAG_R].append(_signed_rows(pg[0], braces, space, sign))
+                yield TAG_R, arity, degree, *_signed_rows(
+                    pg[0], braces, space, sign, denominator
+                )
             if n - j >= 1:
                 exponent = (
                     1
@@ -417,12 +437,71 @@ def _operator_terms(
                 inner = compose_tensor(F, pg + [None] + ph[1:])
                 sign = outer * chi * parity_sign(exponent)
                 braces = _slot_choices(ph[0], [inner])
-                rows[TAG_S].append(_signed_rows(ph[0], braces, space, sign))
+                yield TAG_S, arity, degree, *_signed_rows(
+                    ph[0], braces, space, sign, denominator
+                )
 
-    arity = sum(m.arity for m in [*gs, *hs])
-    degree = F.degree + sum(m.degree for m in [*gs, *hs])
-    for tag, streams in rows.items():
-        yield tag, MultiMap(space, space, arity, degree, itertools.chain(*streams))
+
+def _bracket_rows(pieces: Sequence[Piece], weight=1) -> Iterator[tuple]:
+    """The bracket of ``pieces`` times ``weight`` (an int or a `Fraction`),
+    as streams ``(tag, arity, map degree, denominator, rows)`` of the
+    integer rows of `_signed_rows`; nothing when the bracket vanishes.
+    `_cochain` sums them."""
+    numerator, denominator = weight.numerator, weight.denominator
+    n = len(pieces)
+    if n < 2 or any(p.map.is_zero() for p in pieces):
+        return
+    alg_positions = [i for i, p in enumerate(pieces) if p.tag == TAG_ALG]
+    if n == 2 and len(alg_positions) == 2:
+        # the Gerstenhaber bracket {sf}{sh} - (-1)^(|sf||sh|) {sh}{sf}
+        sf, sh = pieces[0].map, pieces[1].map
+        space = sf.space_in
+        arity, degree = sf.arity + sh.arity - 1, sf.degree + sh.degree
+        swap = parity_sign(sf.degree * sh.degree)
+        yield TAG_ALG, arity, degree, *_signed_rows(
+            sf, _slot_choices(sf, [sh]), space, numerator, denominator
+        )
+        yield TAG_ALG, arity, degree, *_signed_rows(
+            sh, _slot_choices(sh, [sf]), space, -swap * numerator, denominator
+        )
+        return
+    if len(alg_positions) != 1:
+        return
+    a = alg_positions[0]
+    first = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_R]
+    second = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_S]
+    order = [a] + first + second
+    F = pieces[a].map
+    if F.arity != n - 1:
+        return
+    chi = _chi(tuple(i + 1 for i in order), tuple(p.degree & 1 for p in pieces))
+    yield from _operator_terms(
+        F,
+        [pieces[i].map for i in first],
+        [pieces[i].map for i in second],
+        numerator * chi,
+        denominator,
+    )
+
+
+def _cochain(space: GradedSpace, streams: Iterable[tuple]) -> CochainElement:
+    """The cochain on ``space`` whose ``(tag, arity)`` component sums the
+    streams given for it in one `_IntegerTable`; each component takes the
+    map degree of its first stream and is normalised once, entry by entry."""
+    tables: dict[tuple[str, int], tuple[int, _IntegerTable]] = {}
+    for tag, arity, degree, denominator, rows in streams:
+        entry = tables.get((tag, arity))
+        if entry is None:
+            entry = tables[tag, arity] = (degree, _IntegerTable())
+        entry[1].add(denominator, rows)
+    suspended = space.suspend()
+    return CochainElement(
+        space,
+        [
+            (tag, MultiMap(suspended, suspended, arity, degree, table))
+            for (tag, arity), (degree, table) in tables.items()
+        ],
+    )
 
 
 def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
@@ -431,37 +510,14 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
     Graded antisymmetric: permuting the inputs multiplies by the signature
     times the Koszul sign on intrinsic degrees.  Nonzero only for two
     algebra cochains, or for one algebra cochain of arity ``n`` together
-    with exactly ``n`` operator cochains.
+    with exactly ``n`` operator cochains.  The one-bracket case of
+    `_bracket_rows`, summed by `_cochain`.
     """
     suspended = space.suspend()
     for p in pieces:
         if p.map.space_in != suspended or p.map.space_out != suspended:
             raise ValueError("piece does not act on the suspension of the given module")
-    n = len(pieces)
-    if n < 2 or any(p.map.is_zero() for p in pieces):
-        return CochainElement(space)
-    alg_positions = [i for i, p in enumerate(pieces) if p.tag == TAG_ALG]
-    if n == 2 and len(alg_positions) == 2:
-        sf, sh = pieces[0].map, pieces[1].map
-        swap = parity_sign(sf.degree * sh.degree)
-        gerstenhaber = brace_map(sf, [sh]) - swap * brace_map(sh, [sf])
-        return CochainElement(space, [(TAG_ALG, gerstenhaber)])
-    if len(alg_positions) != 1:
-        return CochainElement(space)
-    a = alg_positions[0]
-    first = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_R]
-    second = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_S]
-    order = [a] + first + second
-    F = pieces[a].map
-    if F.arity != n - 1:
-        return CochainElement(space)
-    terms = _operator_terms(
-        F,
-        [pieces[i].map for i in first],
-        [pieces[i].map for i in second],
-        koszul_chi([i + 1 for i in order], [p.degree for p in pieces]),
-    )
-    return CochainElement(space, terms)
+    return _cochain(space, _bracket_rows(pieces))
 
 
 def nonvanishing_inputs(
@@ -541,7 +597,9 @@ def mc_residual(alpha: CochainElement) -> CochainElement:
     symmetric in its inputs: the ``k!/prod m_i!`` orderings of a multiset of
     pieces (multiplicities ``m_i``) give one bracket, and the sum runs once
     over each multiset of :func:`nonvanishing_inputs` with weight
-    ``1/prod m_i!``.
+    ``1/prod m_i!``.  The weight folds into the integer rows of each
+    bracket, which all stream into one integer table per residual
+    component; each entry that survives becomes one ``Fraction``.
     """
     return _expand(alpha, [None])
 
@@ -575,18 +633,23 @@ def twisted_differential(
 
 def _expand(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> CochainElement:
     """The weighted brackets of :func:`nonvanishing_inputs` on the pieces of
-    ``alpha``, after each of ``leads``; ``alpha`` must have degree ``-1``."""
+    ``alpha``, after each of ``leads``; ``alpha`` must have degree ``-1``.
+
+    Each bracket's rows carry its weight and stream into one integer table
+    per residual component (`_cochain`), so no bracket is built as a map of
+    its own."""
     if alpha.degree not in (None, -1):
         raise ValueError(
             f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
         )
-    space, pool = alpha.space, alpha.pieces()
-    terms = []
-    for lead in leads:
-        for weight, pieces in nonvanishing_inputs(pool, lead):
-            bracket = l_bracket(space, pieces)
-            terms.append(bracket if weight == 1 else weight * bracket)
-    return CochainElement.sum(space, terms)
+    pool = alpha.pieces()
+    streams = (
+        stream
+        for lead in leads
+        for weight, pieces in nonvanishing_inputs(pool, lead)
+        for stream in _bracket_rows(pieces, weight)
+    )
+    return _cochain(alpha.space, streams)
 
 
 def basis_cochains(

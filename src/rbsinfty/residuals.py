@@ -21,12 +21,14 @@ once for any target: `dga_residual_R/S` sum them in End(V), and
 from __future__ import annotations
 
 from functools import partial
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .graded import (
     BasedAlgebra,
     GradedSpace,
     MultiMap,
+    _MISSING,
     _family_key,
     _json_family,
     _json_int,
@@ -43,7 +45,7 @@ def _validated_family(
     family: Optional[Mapping[int, MultiMap]],
     label: str,
     degree_of_arity,
-) -> dict[int, MultiMap]:
+) -> Mapping[int, MultiMap]:
     clean: dict[int, MultiMap] = {}
     for n, f in (family or {}).items():
         n = _family_key(n, f"{label}.{n}")
@@ -59,11 +61,15 @@ def _validated_family(
             )
         if not f.is_zero():
             clean[n] = f
-    return clean
+    return MappingProxyType(clean)
 
 
 class HomotopyRBS:
-    """A homotopy Rota-Baxter system on a finite-dimensional graded space."""
+    """A homotopy Rota-Baxter system on a finite-dimensional graded space.
+
+    ``m``, ``r`` and ``s`` are read-only mappings from arity to map: the
+    families as validated, zero members dropped.
+    """
 
     __slots__ = ("space", "m", "r", "s", "truncation")
 
@@ -105,7 +111,7 @@ class HomotopyRBS:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HomotopyRBS":
-        space = GradedSpace.from_json(data.get("space"))
+        space = GradedSpace.from_json(data.get("space", _MISSING))
         parse = partial(MultiMap.from_json, space, space)
         return cls(
             space,
@@ -143,13 +149,8 @@ class _Endomorphisms:
         return self.images[family].get(arity)
 
     def sum(self, arity: int, degree: int, terms) -> MultiMap:
-        """The signed sum of the ``(±1, map)`` terms, streamed into one table."""
-        rows = (
-            (ins, outs if sign == 1 else {out: -c for out, c in outs.items()})
-            for sign, f in terms
-            for ins, outs in f.table.items()
-        )
-        return MultiMap(self.space, self.space, arity, degree, rows)
+        """The signed sum of the ``(±1, map)`` terms, summed in one table."""
+        return MultiMap.combination(self.space, self.space, arity, degree, terms)
 
 
 def _residual(target, family: str, n: int):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .graded import (
@@ -41,6 +42,7 @@ from .graded import (
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _MISSING,
     _family_key,
     _json_family,
     _json_int,
@@ -167,8 +169,8 @@ class YBPair:
     @classmethod
     def from_json(cls, algebra: BasedAlgebra, data: Mapping) -> "YBPair":
         return cls(
-            TensorElem.from_json(algebra, data.get("r"), field="r"),
-            TensorElem.from_json(algebra, data.get("s"), field="s"),
+            TensorElem.from_json(algebra, data.get("r", _MISSING), field="r"),
+            TensorElem.from_json(algebra, data.get("s", _MISSING), field="s"),
         )
 
 
@@ -204,7 +206,11 @@ def rbs_to_ybp(R: MultiMap, S: MultiMap, algebra: MatrixAlgebra) -> YBPair:
 
 
 class InfinityYBPair:
-    """Families of tensors r_n, s_n (order n, degree n-2) with r_1 = s_1."""
+    """Families of tensors r_n, s_n (order n, degree n-2) with r_1 = s_1.
+
+    ``r`` and ``s`` are read-only mappings from order to tensor, so the
+    tensor-operad images and χ, built from them once, stay theirs.
+    """
 
     __slots__ = ("algebra", "r", "s", "truncation", "_operad", "_chi")
 
@@ -224,7 +230,7 @@ class InfinityYBPair:
         self._operad = _TensorOperad(self)
         self._chi = None
 
-    def _validated(self, family, label) -> dict[int, TensorElem]:
+    def _validated(self, family, label) -> Mapping[int, TensorElem]:
         clean: dict[int, TensorElem] = {}
         for n, t in (family or {}).items():
             n = _family_key(n, f"{label}.{n}")
@@ -235,7 +241,7 @@ class InfinityYBPair:
             _check_degree(t, f"{label}_{n}", n - 2)
             if not t.is_zero():
                 clean[n] = t
-        return clean
+        return MappingProxyType(clean)
 
     def d(self) -> TensorElem:
         return self.r.get(1, TensorElem.zero(self.algebra, 1))

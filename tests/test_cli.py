@@ -826,24 +826,24 @@ def classical_mc_payload():
     return {"space": PLANE.to_json(), "product": product, "R": R.to_json(), "S": S.to_json()}
 
 
-@pytest.mark.parametrize(
-    "command, build, field",
-    [
-        (["check", "rbs"], rbs_payload, "space"),
-        (["check", "rbs"], rbs_payload, "R"),
-        (["check", "rbs"], rbs_payload, "S"),
-        (["convert", "rbs-to-ybp"], rbs_payload, "S"),
-        (["check", "ybp"], ybp_payload, "r"),
-        (["check", "ybp"], ybp_payload, "s"),
-        (["convert", "ybp-to-rbs"], ybp_payload, "s"),
-        (["check", "mc"], classical_mc_payload, "space"),
-        (["check", "mc"], classical_mc_payload, "product"),
-        (["check", "mc"], classical_mc_payload, "S"),
-        (["check", "mc"], cochain_payload, "space"),
-        (["check", "hrbs"], hrbs_payload, "space"),
-        (["check", "aybe-infinity"], aybe_payload, "space"),
-    ],
-)
+TOP_LEVEL_FIELDS = [
+    (["check", "rbs"], rbs_payload, "space"),
+    (["check", "rbs"], rbs_payload, "R"),
+    (["check", "rbs"], rbs_payload, "S"),
+    (["convert", "rbs-to-ybp"], rbs_payload, "S"),
+    (["check", "ybp"], ybp_payload, "r"),
+    (["check", "ybp"], ybp_payload, "s"),
+    (["convert", "ybp-to-rbs"], ybp_payload, "s"),
+    (["check", "mc"], classical_mc_payload, "space"),
+    (["check", "mc"], classical_mc_payload, "product"),
+    (["check", "mc"], classical_mc_payload, "S"),
+    (["check", "mc"], cochain_payload, "space"),
+    (["check", "hrbs"], hrbs_payload, "space"),
+    (["check", "aybe-infinity"], aybe_payload, "space"),
+]
+
+
+@pytest.mark.parametrize("command, build, field", TOP_LEVEL_FIELDS)
 def test_missing_top_level_field_is_named(capsys, tmp_path, command, build, field):
     payload = build()
     code, _ = run(capsys, *command, dump(tmp_path, "whole.json", payload))
@@ -851,7 +851,16 @@ def test_missing_top_level_field_is_named(capsys, tmp_path, command, build, fiel
     del payload[field]
     code, report = run(capsys, *command, dump(tmp_path, "missing.json", payload))
     assert code == 2
-    assert report["error"].startswith(f"{field} must be a JSON object")
+    assert report["error"] == f"{field} is missing"
+
+
+@pytest.mark.parametrize("command, build, field", TOP_LEVEL_FIELDS)
+def test_null_top_level_field_is_named_as_null(capsys, tmp_path, command, build, field):
+    payload = build()
+    payload[field] = None
+    code, report = run(capsys, *command, dump(tmp_path, "null.json", payload))
+    assert code == 2
+    assert report["error"] == f"{field} must be a JSON object, got null"
 
 
 def classical_operator_file(tmp_path, name, operator):

@@ -14,6 +14,7 @@ from rbsinfty.graded import (
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _IntegerTable,
     _signed_rows,
     _slot_choices,
     brace_map,
@@ -437,16 +438,25 @@ def test_brace_map_matches_the_scanning_oracle():
     assert nonzero > trials // 2
 
 
+def _summed(denominator, rows):
+    """One stream of integer rows over ``denominator``, in its own table."""
+    table = _IntegerTable()
+    table.add(denominator, rows)
+    return table
+
+
 def test_signed_rows_fold_their_scale_into_each_coefficient():
     rng = random.Random(7)
     for scale in (-1, Fraction(-3, 2), Fraction(2, 5)):
         f = _kernel_map(rng, 2)
         parts = [_kernel_map(rng, 2), None]
-        rows = _signed_rows(f, [parts], KERNEL_SPACE, scale)
+        fraction = scale.numerator, scale.denominator
+        rows = _summed(*_signed_rows(f, [parts], KERNEL_SPACE, *fraction))
         composite = _oracle_compose_tensor(f, parts)
         scaled = MultiMap(KERNEL_SPACE, KERNEL_SPACE, 3, composite.degree, rows)
         assert not composite.is_zero() and scaled == scale * composite
-        rows = _signed_rows(f, _slot_choices(f, parts[:1]), KERNEL_SPACE, scale)
+        braces = _slot_choices(f, parts[:1])
+        rows = _summed(*_signed_rows(f, braces, KERNEL_SPACE, *fraction))
         braced = MultiMap(KERNEL_SPACE, KERNEL_SPACE, 3, composite.degree, rows)
         assert braced == scale * _oracle_brace_map(f, parts[:1])
 

@@ -222,6 +222,17 @@ def test_cochain_linear_structure():
     assert (alpha - alpha).is_zero()
 
 
+@pytest.mark.parametrize("scalar", [0.1, 2.0, True, False])
+def test_cochain_scalars_refuse_floats_and_booleans(scalar):
+    # the same exact-rational rule as MultiMap: no float, no boolean
+    alpha = rbs_alpha(operator(1, 0, 0, 0), operator(0, 0, 0, 1))
+    with pytest.raises(TypeError):
+        scalar * alpha
+    with pytest.raises(TypeError):
+        alpha * scalar
+    assert Fraction(1, 2) * alpha == "1/2" * alpha == alpha * Fraction(1, 2)
+
+
 # -- bracket dispatch and vanishing ---------------------------------------------
 
 
@@ -513,7 +524,7 @@ def test_operator_terms_compose_each_distinct_ordering_once(op_degree):
         gs, hs = ops[:j], ops[j:]
         repeats = any(len(set(map(id, column))) < len(column) for column in (gs, hs))
         outer = rng.choice((1, -1))
-        grouped = CochainElement(space, linfty._operator_terms(F, gs, hs, outer))
+        grouped = linfty._cochain(space, linfty._operator_terms(F, gs, hs, outer))
         walked = CochainElement(space, _oracle_operator_terms(F, gs, hs, outer))
         assert grouped == walked
         compared += 1

@@ -100,6 +100,18 @@ def test_structure_json_round_trip():
     assert back.s_at(1) is None
 
 
+def test_structure_families_are_read_only():
+    space = _chain_space()
+    given = {1: MultiMap(space, space, 1, 0, {("v1",): {"v1": Fraction(1, 2)}})}
+    s = HomotopyRBS(space, m={1: _differential(space)}, r=given, truncation=3)
+    for family in (s.m, s.r, s.s):
+        with pytest.raises(TypeError):
+            family[2] = MultiMap.zero(space, space, 2, 0)
+    given.clear()  # the structure keeps its own copy of what it was given
+    assert s.r_at(1) is not None
+    assert HomotopyRBS.from_json(s.to_json()).to_json() == s.to_json()
+
+
 # ---------------------------------------------------------------------------
 # associativity-up-to-homotopy residuals
 # ---------------------------------------------------------------------------

@@ -381,6 +381,21 @@ def test_infinity_pair_json_round_trip():
     assert back.r == pair.r and back.s == pair.s
 
 
+def test_infinity_pair_families_are_read_only():
+    # the tensor-operad images and chi are built from r and s, so neither
+    # family can change under them
+    pair = _random_pair(5)
+    given = dict(pair.r)
+    for family in (pair.r, pair.s):
+        with pytest.raises(TypeError):
+            family[2] = TensorElem.zero(pair.algebra, 2)
+        with pytest.raises(TypeError):
+            del family[1]
+    rebuilt = InfinityYBPair(pair.algebra, given, dict(pair.s), pair.truncation)
+    given.clear()  # the pair keeps its own copy of what it was given
+    assert rebuilt.r == pair.r and rebuilt.to_json() == pair.to_json()
+
+
 # ---------------------------------------------------------------------------
 # the four term-family identities
 # ---------------------------------------------------------------------------
