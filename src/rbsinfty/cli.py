@@ -86,6 +86,15 @@ def _report(residual: MultiMap | TensorElem) -> dict:
     }
 
 
+def _pair_report(res_r: MultiMap | TensorElem, res_s: MultiMap | TensorElem) -> dict:
+    """The reports of a residual pair and their joint verdict."""
+    return {
+        "residual_r": _report(res_r),
+        "residual_s": _report(res_s),
+        "ok": res_r.is_zero() and res_s.is_zero(),
+    }
+
+
 def _matrix_setup(data: dict) -> tuple[GradedSpace, MatrixAlgebra]:
     space = GradedSpace.from_json(data.get("space", _MISSING))
     return space, MatrixAlgebra(space)
@@ -133,14 +142,11 @@ def _cmd_check_rbs(args: argparse.Namespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
     R, S = _operator_pair(data, algebra.space)
-    res_r, res_s = check_classical_rbs(algebra, R, S)
     return {
         "command": "check rbs",
         "module_dimension": space.dim,
         "algebra_dimension": algebra.space.dim,
-        "residual_r": _report(res_r),
-        "residual_s": _report(res_s),
-        "ok": res_r.is_zero() and res_s.is_zero(),
+        **_pair_report(*check_classical_rbs(algebra, R, S)),
     }
 
 
@@ -172,13 +178,10 @@ def _cmd_check_ybp(args: argparse.Namespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
     pair = YBPair.from_json(algebra, data)
-    res_r, res_s = check_classical_ybp(pair)
     return {
         "command": "check ybp",
         "module_dimension": space.dim,
-        "residual_r": _report(res_r),
-        "residual_s": _report(res_s),
-        "ok": res_r.is_zero() and res_s.is_zero(),
+        **_pair_report(*check_classical_ybp(pair)),
     }
 
 
@@ -190,17 +193,10 @@ def _cmd_check_aybe(args: argparse.Namespace) -> dict:
     limit = top if args.max_n is None else min(args.max_n, top)
     if limit < 0:
         raise ValueError(f"--max-n must be >= 0, got {limit}")
-    results = []
-    for n in range(limit + 1):
-        res_r, res_s = check_infinity_ybp(pair, n)
-        results.append(
-            {
-                "index": n,
-                "residual_r": _report(res_r),
-                "residual_s": _report(res_s),
-                "ok": res_r.is_zero() and res_s.is_zero(),
-            }
-        )
+    results = [
+        {"index": n, **_pair_report(*check_infinity_ybp(pair, n))}
+        for n in range(limit + 1)
+    ]
     return {
         "command": "check aybe-infinity",
         "max_n": limit,

@@ -643,6 +643,12 @@ class BasedAlgebra:
         products: Mapping[tuple[str, str], Mapping[str, Rational]],
         unit: Mapping[str, Rational],
     ):
+        for name in unit:
+            degree = space._degrees.get(name)
+            if degree is None:
+                raise ValueError(f"unit entry {name!r} is not a basis name")
+            if degree != 0:
+                raise ValueError(f"unit entry {name!r} has degree {degree}, expected 0")
         self.space = space
         self.products = MultiMap(space, space, 2, 0, products).table
         self.unit = {n: _frac(c) for n, c in unit.items() if _frac(c) != 0}

@@ -341,18 +341,17 @@ def classical_cochain(
 # -- the bracket family ------------------------------------------------------
 
 
-def _orderings(
-    maps: Sequence[MultiMap], degrees: Sequence[int]
-) -> list[tuple[list[MultiMap], int]]:
-    """Each distinct ordering of ``maps`` once, with the summed Koszul sign
-    ``chi`` of the permutations that give it.
+def _orderings(maps: Sequence[MultiMap]) -> list[tuple[list[MultiMap], int]]:
+    """Each distinct ordering of the operator maps ``maps`` once, with the
+    summed Koszul sign ``chi`` (on their intrinsic degrees, map degree - 1)
+    of the permutations that give it.
 
     Permutations that only exchange equal maps (the same object) give the
     same ordering.  Their signs are summed, not counted: two equal odd maps
     add, two equal even maps cancel, and an ordering whose signs cancel is
     left out.
     """
-    parities = tuple(d & 1 for d in degrees)
+    parities = tuple((m.degree - 1) & 1 for m in maps)
     groups: dict[tuple[int, ...], list] = {}
     for sigma in itertools.permutations(range(1, len(maps) + 1)):
         ordered = [maps[s - 1] for s in sigma]
@@ -379,66 +378,49 @@ def _operator_terms(
     ``outer / denominator``, as streams (see `_bracket_rows`).
 
     ``gs`` feed the first operator column, ``hs`` the second; ``F.arity``
-    equals ``len(gs) + len(hs)``.  Degrees written ``|f| + 1 = F.degree`` and
-    ``|g| = (map degree) - 1`` below are the intrinsic ones.  Each distinct
-    ordering of the operators (see `_orderings`) is composed once, and each
-    term is one stream of signed rows.
+    equals ``n = len(gs) + len(hs)`` and ``j = len(gs)``.  Each distinct
+    ordering pair ``(pg, ph)`` of the two columns (see `_orderings`) is
+    composed once, with one base exponent on intrinsic degrees
+    ``|g| = (map degree) - 1``::
+
+        base = n F.degree + stair(pg) + stair(ph) + (sum |g|)(n - j)
+
+    with ``stair`` the `_staircase` of the degrees.  When one column is
+    empty the plain substitution F(pg, ph) has sign ``(-1)^base``.  In each
+    brace term the first operator c of a nonempty column climbs outside and
+    the identity fills the slot between the columns inside; its sign is
+    ``(-1)^(1 + base + c.degree (F.degree + M))``, where M is 0 for the
+    first column and the summed map degree of ``gs`` for the second.
     """
-    n = len(gs) + len(hs)
-    j = len(gs)
-    f1 = F.degree
-    gdeg = [m.degree - 1 for m in gs]
-    hdeg = [m.degree - 1 for m in hs]
-    sum_g = sum(gdeg)
+    n, j = len(gs) + len(hs), len(gs)
     space = F.space_in
     arity = sum(m.arity for m in [*gs, *hs])
     degree = F.degree + sum(m.degree for m in [*gs, *hs])
-
-    # Plain substitution terms exist only when all operators feed one column.
-    if j == n or j == 0:
-        maps, degrees, tag = (gs, gdeg, TAG_R) if j == n else (hs, hdeg, TAG_S)
-        for permuted, chi in _orderings(maps, degrees):
-            pdeg = [m.degree - 1 for m in permuted]
-            sign = outer * chi * parity_sign(n * f1 + _staircase(pdeg))
-            rows = _signed_rows(F, [permuted], space, sign, denominator)
-            yield tag, arity, degree, *rows
-
-    # Brace terms: one operator climbs outside, the identity fills the slot
-    # between the two columns inside.
-    for pg, chi_g in _orderings(gs, gdeg):
-        pgd = [m.degree - 1 for m in pg]
-        for ph, chi_h in _orderings(hs, hdeg):
-            phd = [m.degree - 1 for m in ph]
-            chi = chi_g * chi_h
-            if j >= 1:
-                exponent = (
-                    1
-                    + n * f1
-                    + _staircase(phd)
-                    + sum_g * (n - j)
-                    + _staircase(pgd)
-                    + (pgd[0] + 1) * f1
-                )
-                inner = compose_tensor(F, pg[1:] + [None] + ph)
-                sign = outer * chi * parity_sign(exponent)
-                braces = _slot_choices(pg[0], [inner])
-                yield TAG_R, arity, degree, *_signed_rows(
-                    pg[0], braces, space, sign, denominator
-                )
-            if n - j >= 1:
-                exponent = (
-                    1
-                    + n * f1
-                    + _staircase(pgd)
-                    + (phd[0] + 1) * (f1 + sum_g + j)
-                    + _staircase(phd)
-                    + sum_g * (n - j)
-                )
-                inner = compose_tensor(F, pg + [None] + ph[1:])
-                sign = outer * chi * parity_sign(exponent)
-                braces = _slot_choices(ph[0], [inner])
-                yield TAG_S, arity, degree, *_signed_rows(
-                    ph[0], braces, space, sign, denominator
+    shift = sum(m.degree - 1 for m in gs) * (n - j)
+    g_degree = sum(m.degree for m in gs)
+    for (pg, chi_g), (ph, chi_h) in itertools.product(_orderings(gs), _orderings(hs)):
+        sign = outer * chi_g * chi_h
+        base = (
+            n * F.degree
+            + _staircase([m.degree - 1 for m in pg])
+            + _staircase([m.degree - 1 for m in ph])
+            + shift
+        )
+        if j in (0, n):
+            tag = TAG_R if j == n else TAG_S
+            yield tag, arity, degree, *_signed_rows(
+                F, [pg + ph], space, sign * parity_sign(base), denominator
+            )
+        for tag, column, layout, M in (
+            (TAG_R, pg, pg[1:] + [None] + ph, 0),
+            (TAG_S, ph, pg + [None] + ph[1:], g_degree),
+        ):
+            if column:
+                c = column[0]
+                climb = parity_sign(1 + base + c.degree * (F.degree + M))
+                braces = _slot_choices(c, [compose_tensor(F, layout)])
+                yield tag, arity, degree, *_signed_rows(
+                    c, braces, space, sign * climb, denominator
                 )
 
 

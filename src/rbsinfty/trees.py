@@ -164,10 +164,6 @@ class TreeMonomial:
     def __repr__(self) -> str:
         return self.to_text()
 
-    @property
-    def is_identity(self) -> bool:
-        return self.nodes == (None,)
-
     def vertices(self) -> tuple[Generator, ...]:
         """Vertex labels in planar order (depth-first, root before subtrees).
 

@@ -35,10 +35,11 @@ from __future__ import annotations
 import itertools
 from functools import partial
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .graded import (
     BasedAlgebra,
+    GradedSpace,
     MatrixAlgebra,
     MultiMap,
     TensorElem,
@@ -62,6 +63,17 @@ from .residuals import (
 from .signs import parity_sign
 
 
+def _interleaving_sign(
+    space: GradedSpace, factors: Sequence[str]
+) -> Callable[[Sequence[str]], int]:
+    """The sign (-1)^e of interleaving inputs x_1, ..., x_n with the factors
+    a_1, ..., a_{n+1}: e = sum_k |x_k| (|a_{k+1}| + ... + |a_{n+1}|).  Each
+    tail sum is taken once; the returned function takes the inputs."""
+    tails = list(itertools.accumulate(space.degree(a) for a in reversed(factors[1:])))
+    tails.reverse()
+    return lambda xs: parity_sign(sum(space.degree(x) * t for x, t in zip(xs, tails)))
+
+
 def F_map(t: TensorElem) -> MultiMap:
     """The interleaved-multiplication operator of an order-(n+1) tensor.
 
@@ -78,15 +90,11 @@ def F_map(t: TensorElem) -> MultiMap:
         return MultiMap.zero(space, space, n, 0)
     rows = []
     for factors, coeff in t.table.items():
-        factor_degrees = [space.degree(a) for a in factors]
-        tails = [sum(factor_degrees[k:]) for k in range(n + 1)]
+        sign = _interleaving_sign(space, factors)
         for xs in itertools.product(space.names, repeat=n):
-            exponent = sum(
-                space.degree(x) * tails[k] for k, x in enumerate(xs, start=1)
-            )
             # one term per path through the structure constants; the map's
             # constructor sums the paths that end in the same basis element
-            terms = [(factors[0], parity_sign(exponent) * coeff)]
+            terms = [(factors[0], sign(xs) * coeff)]
             for b in itertools.chain.from_iterable(zip(xs, factors[1:])):
                 terms = [
                     (c, v * w)
@@ -121,12 +129,7 @@ def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
             factors = tuple(
                 MatrixAlgebra.unit_name(qs[j], ps[j]) for j in range(n + 1)
             )
-            factor_degrees = [space.degree(a) for a in factors]
-            exponent = sum(
-                space.degree(x) * sum(factor_degrees[k:])
-                for k, x in enumerate(ins, start=1)
-            )
-            terms.append((factors, parity_sign(exponent) * coeff))
+            terms.append((factors, _interleaving_sign(space, factors)(ins) * coeff))
     return TensorElem(algebra, n + 1, terms)
 
 

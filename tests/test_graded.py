@@ -511,6 +511,18 @@ def test_based_algebra_grading_enforced():
         BasedAlgebra(space, {("a", "a"): {"b": 1}}, {"a": 1})
 
 
+def test_based_algebra_refuses_a_unit_entry_outside_the_basis():
+    space = GradedSpace([("a", 0)])
+    with pytest.raises(ValueError, match="unit entry 'bogus' is not a basis name"):
+        BasedAlgebra(space, {("a", "a"): {"a": 1}}, {"bogus": 1})
+
+
+def test_based_algebra_refuses_a_unit_entry_of_nonzero_degree():
+    space = GradedSpace([("a", 0), ("b", 1)])
+    with pytest.raises(ValueError, match="unit entry 'b' has degree 1, expected 0"):
+        BasedAlgebra(space, {("a", "a"): {"a": 1}}, {"a": 1, "b": 1})
+
+
 # ---------------------------------------------------------------------------
 # tensors over an algebra
 # ---------------------------------------------------------------------------

@@ -372,6 +372,23 @@ def test_l_bracket_matches_the_fraction_kernel(space):
         assert bracket == _fraction_l_bracket(space, pieces)
         nonzero += not bracket.is_zero()
     assert nonzero >= 10
+    # l_5: an algebra piece of arity 4 and four dense operators, of even and
+    # odd degree, shuffled, so the reordering sign meets every operator-term
+    # sign; the algebra piece takes the degree of one random entry
+    trials = wide = 8
+    for _ in range(trials):
+        ins = rng.choices(suspended.names, k=5)
+        degree = suspended.degree(ins[0]) - sum(map(suspended.degree, ins[1:]))
+        pieces = [Piece(TAG_ALG, _map(rng, suspended, 4, degree))]
+        pieces += [
+            Piece(rng.choice((TAG_R, TAG_S)), _map(rng, suspended, 1, d, 1.0))
+            for d in (0, 0, rng.choice((-1, 1)), rng.choice((-1, 0, 1)))
+        ]
+        rng.shuffle(pieces)
+        bracket = l_bracket(space, pieces)
+        assert bracket == _fraction_l_bracket(space, pieces)
+        wide -= bracket.is_zero()
+    assert wide > trials / 2
 
 
 def test_brackets_that_cancel_leave_no_entry():
