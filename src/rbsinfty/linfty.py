@@ -730,6 +730,11 @@ def verify_generalized_jacobi(
         raise ValueError("module dimension must be >= 1")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
+    if dim == 1 and truncation == 1:
+        raise ValueError(
+            "dimension 1 at truncation 1 has nothing to check: every bracket "
+            "of arity-1 cochains on a one-dimensional module vanishes"
+        )
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .signs import compositions, parity_sign
 from .trees import (
     _FAMILY_MIN_ARITY,
     Generator,
     OperadElement,
+    Scalar,
     TreeMonomial,
     _splice,
     _tree,
@@ -219,7 +220,7 @@ def replace_vertex(
     """
     if not 0 <= index < t.weight:
         raise ValueError(f"no vertex at planar index {index}")
-    position, end, subtrees = t._vertex_layout()[index]
+    position, end, subtrees = t._vertex_layout(index)
     label = t.nodes[position]
     if u.arity != label.arity:
         raise ValueError(f"replacement arity {u.arity} != vertex arity {label.arity}")
@@ -231,23 +232,38 @@ def replace_vertex(
 DiffMap = Callable[[Generator], OperadElement]
 
 
-def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
-    """Extend a generator differential to the free operad as a derivation.
+def derivation_terms(
+    diff_of: DiffMap, tree: TreeMonomial, coeff: Scalar
+) -> Iterator[tuple[TreeMonomial, Scalar]]:
+    """The terms of ``coeff`` times the derivation extension of ``diff_of`` on a tree.
 
-    Each vertex of each monomial is replaced (in place) by the differential
-    of its label, with the prefactor (-1)^(sum of the degrees of the vertices
-    strictly preceding it in planar order).
+    Each vertex is replaced (in place) by the differential of its label, with
+    the prefactor (-1)^(sum of the degrees of the vertices strictly preceding
+    it in planar order).  Terms are yielded unmerged; a label whose image is
+    zero yields none.
     """
-    terms = []
-    for tree, coeff in e.terms.items():
-        prefix = 0
-        for index, label in enumerate(tree.vertices()):
+    prefix = 0
+    for index, label in enumerate(tree.vertices()):
+        image = diff_of(label).terms
+        if image:
             scale = parity_sign(prefix) * coeff
-            for u_tree, u_coeff in diff_of(label).terms.items():
+            for u_tree, u_coeff in image.items():
                 new_tree, sign = replace_vertex(tree, index, u_tree)
-                terms.append((new_tree, sign * scale * u_coeff))
-            prefix += label.degree
-    return OperadElement(e.arity, terms)
+                yield new_tree, sign * scale * u_coeff
+        prefix += label.degree
+
+
+def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
+    """Extend a generator differential to the free operad as a derivation:
+    the merged `derivation_terms` of each monomial of ``e``."""
+    return OperadElement(
+        e.arity,
+        (
+            term
+            for tree, coeff in e.terms.items()
+            for term in derivation_terms(diff_of, tree, coeff)
+        ),
+    )
 
 
 def differential(e: OperadElement) -> OperadElement:

@@ -12,7 +12,11 @@ and admits an explicit contracting homotopy in positive degrees built from
 *effective* tree monomials: trees carrying a distinguished typical divisor
 (one of m_a o_1 m_2, (R_a o_1 m_2) o_1 R_1, (S_a o_1 m_2) o_1 R_1) in
 "left-upper-most" position.  `check_homotopy` verifies dH + Hd = Id exactly
-on an enumerated universe of positive-degree monomials.
+on an enumerated universe of positive-degree monomials, one monomial at a
+time: the unmerged terms of dH(t) and Hd(t), from `derivation_terms` and
+`_contraction`, and -t are summed in one accumulator, and an `OperadElement`
+is built only to print the residual of a failure.  `homotopy_H` and
+`apply_homotopy` wrap the same `_contraction`.
 """
 
 from __future__ import annotations
@@ -22,14 +26,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .minimal_model import FreeOperad, extend_derivation, generator_differential
+from .minimal_model import (
+    FreeOperad,
+    derivation_terms,
+    extend_derivation,
+    generator_differential,
+)
 from .signs import compositions, parity_sign
 from .trees import (
     Generator,
     OperadElement,
     TreeMonomial,
     _tree,
-    as_element,
     gen,
     leading_monomial,
 )
@@ -145,22 +153,17 @@ def _leading_coefficient(g: Generator) -> int:
     return coeff
 
 
-def homotopy_H(t: TreeMonomial) -> OperadElement:
-    """The contraction: zero off effective monomials, divisor contraction on them.
+def _contraction(t: TreeMonomial) -> tuple:
+    """The terms of H(t): () off effective monomials, else the one
+    ``(tree, coeff)`` pair of the divisor contraction.
 
     Contracting the divisor rooted at word position p replaces the root F_a
     by F_{a+1} and deletes the m_2 (and the R_1) that follow it: the
     subtrees keep their order in the word.
-
-    >>> from rbsinfty.trees import parse_tree
-    >>> homotopy_H(parse_tree("m2(m2(1, 2), 3)"))
-    -m3(1, 2, 3)
-    >>> homotopy_H(parse_tree("R1(m2(R1(1), 2))"))
-    R2(1, 2)
     """
     location = is_effective(t)
     if location is None:
-        return OperadElement.zero(t.arity)
+        return ()
     nodes, position = t.nodes, location.position
     root = nodes[position]
     replacement = gen(location.kind, root.arity + 1)
@@ -172,8 +175,19 @@ def homotopy_H(t: TreeMonomial) -> OperadElement:
         t.degree - root.degree + replacement.degree,
     )
     # dividing by a unit is multiplying by it
-    coeff = parity_sign(omega) * _leading_coefficient(replacement)
-    return OperadElement.monomial(contracted, coeff)
+    return ((contracted, parity_sign(omega) * _leading_coefficient(replacement)),)
+
+
+def homotopy_H(t: TreeMonomial) -> OperadElement:
+    """The contraction: zero off effective monomials, divisor contraction on them.
+
+    >>> from rbsinfty.trees import parse_tree
+    >>> homotopy_H(parse_tree("m2(m2(1, 2), 3)"))
+    -m3(1, 2, 3)
+    >>> homotopy_H(parse_tree("R1(m2(R1(1), 2))"))
+    R2(1, 2)
+    """
+    return OperadElement(t.arity, _contraction(t))
 
 
 def apply_homotopy(e: OperadElement) -> OperadElement:
@@ -182,7 +196,7 @@ def apply_homotopy(e: OperadElement) -> OperadElement:
         (
             (image, coeff * c)
             for tree, coeff in e.terms.items()
-            for image, c in homotopy_H(tree).terms.items()
+            for image, c in _contraction(tree)
         ),
     )
 
@@ -265,26 +279,45 @@ def enumerate_monomials(
                 yield _tree(word, n, degree)
 
 
+def _homotopy_residual(t: TreeMonomial) -> dict:
+    """The nonzero terms of (dH + Hd - Id)(t), summed in one table."""
+    residual = {t: -1}
+    get = residual.get
+    for h, h_coeff in _contraction(t):
+        for tree, coeff in derivation_terms(diff_bar, h, h_coeff):
+            residual[tree] = get(tree, 0) + coeff
+    for tree, coeff in derivation_terms(diff_bar, t, 1):
+        for image, c in _contraction(tree):
+            residual[image] = get(image, 0) + coeff * c
+    return {tree: c for tree, c in residual.items() if c}
+
+
 def check_homotopy(max_arity: int, max_weight: int) -> dict:
     """Verify dH + Hd = Id on every positive-degree monomial in the bounds.
 
     Returns a JSON-ready report {checked, failures, ok}; each failure holds
     the offending monomial and the residual (dH + Hd - Id) applied to it.
+    Arity 1 holds only the degree-0 chains of R_1 and S_1, so a bound below
+    arity 2 would check nothing and is refused.
     """
-    if max_arity < 1 or max_weight < 1:
-        raise ValueError("bounds must be >= 1")
+    if max_arity < 2:
+        raise ValueError(
+            "max_arity must be >= 2: arity 1 holds only degree-0 monomials, "
+            "so there would be nothing to check"
+        )
+    if max_weight < 1:
+        raise ValueError("max_weight must be >= 1")
     checked = 0
     failures = []
     for t in enumerate_monomials(max_arity, max_weight):
         if t.degree < 1:
             continue
         checked += 1
-        e = as_element(t)
-        residual = (
-            diff_bar_element(homotopy_H(t)) + apply_homotopy(diff_bar_element(e)) - e
-        )
-        if not residual.is_zero():
-            failures.append({"tree": t.to_text(), "residual": repr(residual)})
+        residual = _homotopy_residual(t)
+        if residual:
+            failures.append(
+                {"tree": t.to_text(), "residual": repr(OperadElement(t.arity, residual))}
+            )
     return {"checked": checked, "failures": failures, "ok": not failures}
 
 

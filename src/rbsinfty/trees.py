@@ -203,33 +203,35 @@ class TreeMonomial:
             object.__setattr__(self, "_leaves", tuple(layout))
         return self._leaves
 
-    def _vertex_layout(self) -> tuple[tuple[int, int, tuple], ...]:
-        """Per vertex in planar order: its position, the end of its subtree,
-        and its children that are not leaves as (child number, word, degree)."""
-        if self._vertices is None:
+    def _vertex_layout(self, index: int) -> tuple[int, int, list]:
+        """The vertex at planar index ``index``: its position, the end of its
+        subtree, and its children that are not leaves as (child number, word,
+        degree).  Each vertex is laid out on first use, as a derivation
+        replaces only the vertices whose image is nonzero."""
+        layouts = self._vertices
+        if layouts is None:
+            layouts = {}
+            object.__setattr__(self, "_vertices", layouts)
+        layout = layouts.get(index)
+        if layout is None:
             nodes = self.nodes
-            end = [0] * len(nodes)
-            degree = [0] * len(nodes)
-            layout = []
-            roots: list[int] = []  # the subtrees after the current position, nearest last
-            for position in reversed(range(len(nodes))):
-                node = nodes[position]
-                if node is None:
-                    end[position] = position + 1
-                else:
-                    children = [roots.pop() for _ in range(node.arity)]
-                    end[position] = end[children[-1]]
-                    degree[position] = node.degree + sum(degree[c] for c in children)
-                    grafts = tuple(
-                        (number, nodes[c : end[c]], degree[c])
-                        for number, c in enumerate(children, 1)
-                        if nodes[c] is not None
-                    )
-                    layout.append((position, end[position], grafts))
-                roots.append(position)
-            layout.reverse()
-            object.__setattr__(self, "_vertices", tuple(layout))
-        return self._vertices
+            position = [p for p, node in enumerate(nodes) if node is not None][index]
+            grafts = []
+            end = position + 1
+            for number in range(1, nodes[position].arity + 1):
+                start, open_slots, degree = end, 1, 0
+                while open_slots:
+                    node = nodes[end]
+                    end += 1
+                    if node is None:
+                        open_slots -= 1
+                    else:
+                        open_slots += node.arity - 1
+                        degree += node.degree
+                if end - start > 1:
+                    grafts.append((number, nodes[start:end], degree))
+            layout = layouts[index] = (position, end, grafts)
+        return layout
 
 
 def _closings(nodes: tuple) -> Iterator[tuple[Generator | None, int]]:

@@ -105,6 +105,21 @@ def test_verify_d_squared_rejects_tiny_bound(capsys):
     assert "error" in report
 
 
+def test_verify_homotopy_rejects_arity_one(capsys):
+    # arity 1 holds only degree-0 monomials: the check would be vacuous
+    code, report = run(
+        capsys, "verify", "homotopy", "--max-arity", "1", "--max-weight", "2"
+    )
+    assert code == 2
+    assert "nothing to check" in report["error"]
+
+
+def test_verify_linfinity_rejects_a_vacuous_bound(capsys):
+    code, report = run(capsys, "verify", "linfinity", "--dim", "1", "--trunc", "1")
+    assert code == 2
+    assert "nothing to check" in report["error"]
+
+
 def test_verify_d_squared_failure_carries_witnesses(capsys, monkeypatch):
     real = minimal_model.diff_generator
     m4 = gen("m", 4)

@@ -221,6 +221,11 @@ def _map(rng, space, arity, degree, density=0.8):
     return random_multimap(rng, space, space, arity, degree, density, COEFFICIENTS)
 
 
+def _entry_degree(space, entry):
+    """The degree of a map with a nonzero entry ``entry = [out] + ins``."""
+    return space.degree(entry[0]) - sum(map(space.degree, entry[1:]))
+
+
 def _candidate(rng, space, density=0.6):
     """A degree -1 cochain with each component of arity <= 3 present at random."""
     suspended = space.suspend()
@@ -354,32 +359,49 @@ def test_twisted_differential_matches_the_fraction_kernel(space):
 def test_l_bracket_matches_the_fraction_kernel(space):
     rng = random.Random(f"bracket:{space!r}")
     suspended = space.suspend()
-    nonzero = 0
+    nonzero = four = four_nonzero = 0
     for _ in range(40):
         n = rng.randint(1, 3)
-        pieces = [Piece(TAG_ALG, _map(rng, suspended, n, rng.choice((-1, 0))))]
-        pieces += [
-            Piece(
-                rng.choice((TAG_R, TAG_S)),
-                _map(rng, suspended, rng.randint(1, 2), rng.choice((0, 1))),
-            )
-            for _ in range(n)
-        ]
+        if n < 3:
+            pieces = [Piece(TAG_ALG, _map(rng, suspended, n, rng.choice((-1, 0))))]
+            pieces += [
+                Piece(
+                    rng.choice((TAG_R, TAG_S)),
+                    _map(rng, suspended, rng.randint(1, 2), rng.choice((0, 1))),
+                )
+                for _ in range(n)
+            ]
+        else:
+            # l_4: the algebra piece takes the degree of one random entry, and
+            # each operator the degree of an entry whose output is an input of
+            # that entry, so the plain substitution has an admissible entry
+            ins = rng.choices(suspended.names, k=4)
+            pieces = [Piece(TAG_ALG, _map(rng, suspended, 3, _entry_degree(suspended, ins)))]
+            for out in ins[1:]:
+                arity = rng.randint(1, 2)
+                entry = [out] + rng.choices(suspended.names, k=arity)
+                degree = _entry_degree(suspended, entry)
+                pieces.append(
+                    Piece(rng.choice((TAG_R, TAG_S)), _map(rng, suspended, arity, degree))
+                )
         if rng.random() < 0.3:
             pieces = [pieces[0], Piece(TAG_ALG, _map(rng, suspended, 2, -1))]
         rng.shuffle(pieces)
         bracket = l_bracket(space, pieces)
         assert bracket == _fraction_l_bracket(space, pieces)
         nonzero += not bracket.is_zero()
+        if len(pieces) == 4:
+            four += 1
+            four_nonzero += not bracket.is_zero()
     assert nonzero >= 10
+    assert four_nonzero > four / 2
     # l_5: an algebra piece of arity 4 and four dense operators, of even and
     # odd degree, shuffled, so the reordering sign meets every operator-term
     # sign; the algebra piece takes the degree of one random entry
     trials = wide = 8
     for _ in range(trials):
         ins = rng.choices(suspended.names, k=5)
-        degree = suspended.degree(ins[0]) - sum(map(suspended.degree, ins[1:]))
-        pieces = [Piece(TAG_ALG, _map(rng, suspended, 4, degree))]
+        pieces = [Piece(TAG_ALG, _map(rng, suspended, 4, _entry_degree(suspended, ins)))]
         pieces += [
             Piece(rng.choice((TAG_R, TAG_S)), _map(rng, suspended, 1, d, 1.0))
             for d in (0, 0, rng.choice((-1, 1)), rng.choice((-1, 0, 1)))

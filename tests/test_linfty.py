@@ -656,3 +656,9 @@ def test_verify_validation():
         verify_generalized_jacobi(dim=0)
     with pytest.raises(ValueError):
         verify_generalized_jacobi(truncation=0)
+    # on a line, arity-1 cochains are scalars and every bracket vanishes
+    with pytest.raises(ValueError, match="nothing to check"):
+        verify_generalized_jacobi(dim=1, truncation=1)
+    # a plane at truncation 1 still has noncommuting arity-1 cochains
+    report = verify_generalized_jacobi(dim=2, truncation=1, trials=30, seed=0)
+    assert report["ok"] is True and report["active"] > 0

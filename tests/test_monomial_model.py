@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbsinfty import monomial_model
 from rbsinfty.monomial_model import (
     apply_homotopy,
     check_homotopy,
@@ -298,6 +299,33 @@ def test_check_homotopy_rejects_bad_bounds():
         check_homotopy(0, 4)
     with pytest.raises(ValueError):
         check_homotopy(3, 0)
+    # arity 1 holds only the degree-0 chains of R1 and S1
+    assert all(t.degree == 0 for t in enumerate_monomials(1, 4))
+    with pytest.raises(ValueError, match="nothing to check"):
+        check_homotopy(1, 4)
+
+
+def _composed_residual(t):
+    # oracle: (dH + Hd - Id)(t) composed from the public element functions
+    e = as_element(t)
+    return diff_bar_element(homotopy_H(t)) + apply_homotopy(diff_bar_element(e)) - e
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_check_homotopy_matches_the_composed_oracle(monkeypatch, mutated):
+    if mutated:
+        real = monomial_model._leading_coefficient
+        monkeypatch.setattr(monomial_model, "_leading_coefficient", lambda g: -real(g))
+    expected = []
+    for t in enumerate_monomials(3, 4):
+        oracle = _composed_residual(t)
+        assert OperadElement(t.arity, monomial_model._homotopy_residual(t)) == oracle
+        if t.degree > 0 and not oracle.is_zero():
+            expected.append({"tree": t.to_text(), "residual": repr(oracle)})
+    report = check_homotopy(3, 4)
+    assert report["failures"] == expected
+    assert report["ok"] is not mutated
+    assert bool(expected) is mutated
 
 
 def test_h_squared_vanishes_on_sampled_universe():
