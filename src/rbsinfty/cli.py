@@ -7,6 +7,12 @@ violates a structural precondition).  Reports contain no timestamps and
 iterate sparse tables in sorted order, so a fixed command line (including
 any ``--seed``) always produces byte-for-byte identical output.
 
+A call builds only the parser of the command it names (`_COMMANDS`, one
+table that also feeds the full tree of `build_parser`); help, unknown
+commands and left-over arguments go to the full tree, so every message is
+the one the full tree gives.  A residual's report serializes only the
+witnesses it prints.
+
 File formats (all JSON; coefficients are strings parsed as exact rationals):
 
 * ``check rbs`` / ``convert rbs-to-ybp``: ``{"space", "R", "S"}`` where
@@ -77,12 +83,13 @@ def _load(path: str) -> dict:
 
 
 def _report(residual: MultiMap | TensorElem) -> dict:
-    """Entry count, first serialized entries and verdict of a residual."""
-    entries = residual.to_json()["entries"]
+    """Entry count, first serialized entries and verdict of a residual; the
+    entries are counted in its table, and only those printed are serialized."""
+    count = len(residual.table)
     return {
-        "nonzero_entries": len(entries),
-        "witnesses": entries[:_WITNESS_CAP],
-        "ok": not entries,
+        "nonzero_entries": count,
+        "witnesses": residual._entries(_WITNESS_CAP),
+        "ok": not count,
     }
 
 
@@ -267,10 +274,81 @@ def _cmd_convert_rbs_to_ybp(args: argparse.Namespace) -> dict:
 
 # -- parser ---------------------------------------------------------------------
 
+_GROUPS = {
+    "verify": "run built-in structural verifications",
+    "check": "check a structure loaded from JSON",
+    "convert": "convert between tensor and operator presentations",
+}
+
+_FILE = ("file", {})
+
+# (group, target) -> (help, handler, arguments): each argument is the name
+# and the keywords of one `add_argument` call, in the order of the help text
+_COMMANDS = {
+    ("verify", "d-squared"): (
+        "the differential squares to zero on free generators",
+        _cmd_verify_d_squared,
+        [
+            ("--presentation", {"choices": sorted(PRESENTATIONS), "default": "mrs"}),
+            ("--max-arity", {"type": int, "default": 4}),
+        ],
+    ),
+    ("verify", "homotopy"): (
+        "the contraction satisfies dH + Hd = Id on monomials",
+        _cmd_verify_homotopy,
+        [
+            ("--max-arity", {"type": int, "default": 3}),
+            ("--max-weight", {"type": int, "default": 4}),
+        ],
+    ),
+    ("verify", "linfinity"): (
+        "generalized Jacobi identities on random cochains",
+        _cmd_verify_linfinity,
+        [
+            ("--dim", {"type": int, "default": 2}),
+            ("--trunc", {"type": int, "default": 3}),
+            ("--trials", {"type": int, "default": 120}),
+            ("--seed", {"type": int, "default": 0}),
+        ],
+    ),
+    ("check", "rbs"): ("classical operator pair on End(V)", _cmd_check_rbs, [_FILE]),
+    ("check", "hrbs"): (
+        "homotopy operator-pair identities",
+        _cmd_check_hrbs,
+        [_FILE, ("--max-arity", {"type": int, "default": None})],
+    ),
+    ("check", "ybp"): (
+        "coupled classical Yang-Baxter equations", _cmd_check_ybp, [_FILE]
+    ),
+    ("check", "aybe-infinity"): (
+        "homotopy Yang-Baxter family identities",
+        _cmd_check_aybe,
+        [_FILE, ("--max-n", {"type": int, "default": None})],
+    ),
+    ("check", "mc"): (
+        "Maurer-Cartan equation and the twisted differential", _cmd_check_mc, [_FILE]
+    ),
+    ("convert", "ybp-to-rbs"): (
+        "tensor pair to operator pair", _cmd_convert_ybp_to_rbs, [_FILE]
+    ),
+    ("convert", "rbs-to-ybp"): (
+        "operator pair to tensor pair", _cmd_convert_rbs_to_ybp, [_FILE]
+    ),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, command: tuple) -> None:
+    """The arguments and the handler of one `_COMMANDS` entry, on ``parser``."""
+    _, handler, arguments = command
+    for name, options in arguments:
+        parser.add_argument(name, **options)
+    parser.set_defaults(handler=handler)
+
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built once per process; parsing does not change it."""
+    """The parser of every command, built once per process; parsing does not
+    change it.  `main` reaches it only for what `_command_parser` leaves."""
     parser = argparse.ArgumentParser(
         prog="rbsinfty",
         description="Exact symbolic checks for Rota-Baxter systems, their "
@@ -278,76 +356,35 @@ def build_parser() -> argparse.ArgumentParser:
         "Maurer-Cartan structures.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    verify = groups.add_parser("verify", help="run built-in structural verifications")
-    targets = verify.add_subparsers(dest="target", required=True)
-
-    p = targets.add_parser(
-        "d-squared", help="the differential squares to zero on free generators"
-    )
-    p.add_argument("--presentation", choices=sorted(PRESENTATIONS), default="mrs")
-    p.add_argument("--max-arity", type=int, default=4)
-    p.set_defaults(handler=_cmd_verify_d_squared)
-
-    p = targets.add_parser(
-        "homotopy", help="the contraction satisfies dH + Hd = Id on monomials"
-    )
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--max-weight", type=int, default=4)
-    p.set_defaults(handler=_cmd_verify_homotopy)
-
-    p = targets.add_parser(
-        "linfinity", help="generalized Jacobi identities on random cochains"
-    )
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trunc", type=int, default=3)
-    p.add_argument("--trials", type=int, default=120)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify_linfinity)
-
-    check = groups.add_parser("check", help="check a structure loaded from JSON")
-    targets = check.add_subparsers(dest="target", required=True)
-
-    p = targets.add_parser("rbs", help="classical operator pair on End(V)")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_check_rbs)
-
-    p = targets.add_parser("hrbs", help="homotopy operator-pair identities")
-    p.add_argument("file")
-    p.add_argument("--max-arity", type=int, default=None)
-    p.set_defaults(handler=_cmd_check_hrbs)
-
-    p = targets.add_parser("ybp", help="coupled classical Yang-Baxter equations")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_check_ybp)
-
-    p = targets.add_parser(
-        "aybe-infinity", help="homotopy Yang-Baxter family identities"
-    )
-    p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(handler=_cmd_check_aybe)
-
-    p = targets.add_parser(
-        "mc", help="Maurer-Cartan equation and the twisted differential"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_check_mc)
-
-    convert = groups.add_parser(
-        "convert", help="convert between tensor and operator presentations"
-    )
-    targets = convert.add_subparsers(dest="target", required=True)
-
-    p = targets.add_parser("ybp-to-rbs", help="tensor pair to operator pair")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_convert_ybp_to_rbs)
-
-    p = targets.add_parser("rbs-to-ybp", help="operator pair to tensor pair")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_convert_rbs_to_ybp)
-
+    targets = {}
+    for (group, target), command in _COMMANDS.items():
+        if group not in targets:
+            sub = groups.add_parser(group, help=_GROUPS[group])
+            targets[group] = sub.add_subparsers(dest="target", required=True)
+        _add_command(targets[group].add_parser(target, help=command[0]), command)
     return parser
+
+
+@lru_cache(maxsize=None)
+def _command_parser(group: str, target: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, equal to its subparser in
+    `build_parser` (the same prog, arguments and handler), built once per
+    process."""
+    parser = argparse.ArgumentParser(prog=f"rbsinfty {group} {target}")
+    _add_command(parser, _COMMANDS[group, target])
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv``, parsed by the parser of the command that
+    ``argv[:2]`` names.  Anything else goes to the full tree: top-level and
+    group help, an unknown command, and arguments the command's parser
+    leaves over, which argparse refuses under the top-level prog."""
+    if tuple(argv[:2]) in _COMMANDS:
+        args, rest = _command_parser(*argv[:2]).parse_known_args(argv[2:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _print(report: dict) -> None:
@@ -360,7 +397,7 @@ def _print(report: dict) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         report = args.handler(args)
     except (OSError, KeyError, TypeError, ValueError) as exc:

@@ -93,7 +93,7 @@ class GradedSpace:
 class _IntegerTable:
     """Integer rows summed over one common denominator, the accumulator
     behind `compose_tensor`, `brace_map`, `MultiMap.combination` and the
-    brackets of `rbsinfty.linfty`.
+    brackets of `rbsinfty.linfty` (and their inner compositions).
 
     A row is ``(inputs, factor, {output: numerator})`` and stands for the
     outputs' numerators times ``factor``.  `add` takes the rows of one
@@ -129,6 +129,26 @@ class _IntegerTable:
             else:
                 for out, n in outs.items():
                     row[out] = row[out] + factor * n if out in row else factor * n
+
+
+def _output_index(
+    rows: Mapping[tuple, Mapping[str, int]], space_in: GradedSpace
+) -> dict:
+    """``{output: [(inputs, numerator, input degree)]}``: integer rows on
+    ``space_in`` indexed by output name, leaving out the entries that
+    cancelled to zero (so a zero map gives an empty index)."""
+    degrees = space_in._degrees
+    index: dict[str, list] = {}
+    for ins, row in rows.items():
+        d = sum(map(degrees.__getitem__, ins))
+        for out, n in row.items():
+            if n:
+                option = (ins, n, d)
+                if out in index:
+                    index[out].append(option)
+                else:
+                    index[out] = [option]
+    return index
 
 
 class MultiMap:
@@ -234,22 +254,12 @@ class MultiMap:
             self._integers = (q, rows)
         return self._integers
 
-    def _by_output(self) -> tuple[int, dict]:
-        """``(denominator, {output: [(inputs, numerator, input degree)]})``:
-        the integer table indexed by output name, made once."""
+    def _by_output(self) -> tuple[int, int, dict]:
+        """``(degree, denominator, index)``: the map as `_signed_rows` reads
+        a part, its integer table indexed by `_output_index`, made once."""
         if self._index is None:
             q, rows = self._numerators()
-            degrees = self.space_in._degrees
-            index: dict[str, list] = {}
-            for ins, row in rows.items():
-                d = sum(map(degrees.__getitem__, ins))
-                for out, n in row.items():
-                    option = (ins, n, d)
-                    if out in index:
-                        index[out].append(option)
-                    else:
-                        index[out] = [option]
-            self._index = (q, index)
+            self._index = (self.degree, q, _output_index(rows, self.space_in))
         return self._index
 
     # -- constructors -------------------------------------------------------
@@ -363,12 +373,15 @@ class MultiMap:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
-        for ins, outs in self.items():
-            entries.append(
-                {"in": list(ins), "out": {o: str(c) for o, c in outs.items()}}
-            )
-        return {"arity": self.arity, "degree": self.degree, "entries": entries}
+        return {"arity": self.arity, "degree": self.degree, "entries": self._entries()}
+
+    def _entries(self, limit: Optional[int] = None) -> list[dict]:
+        """The serialized entries of `to_json`, only the first ``limit``
+        when it is given."""
+        return [
+            {"in": list(ins), "out": {o: str(c) for o, c in outs.items()}}
+            for ins, outs in itertools.islice(self.items(), limit)
+        ]
 
     @classmethod
     def from_json(
@@ -522,10 +535,13 @@ def _signed_rows(
     numerator: int = 1,
     denominator: int = 1,
 ) -> tuple[int, Iterator[tuple]]:
-    """f composed with each layout of parts (a map on ``space_in``, or None
-    for the identity, per slot), times ``numerator / denominator``, as
-    ``(common denominator, rows)``: each row is ``(inputs, factor, host
-    outputs)``, the integer rows of `_IntegerTable`.
+    """f composed with each layout of parts, times ``numerator /
+    denominator``, as ``(common denominator, rows)``: each row is ``(inputs,
+    factor, host outputs)``, the integer rows of `_IntegerTable`.  A layout
+    holds one part per slot: a map on ``space_in``, None for the identity,
+    or a composite never made a map, given as the triple that
+    `MultiMap._by_output` gives for a map: its degree, and the denominator
+    and `_output_index` of its summed `_IntegerTable`.
 
     Every map is read as integers over a common denominator of its own
     (`MultiMap._numerators`), and each part is indexed once by output name
@@ -546,11 +562,13 @@ def _signed_rows(
             if part is None:
                 slots.append(None)
                 continue
-            if not part.table:
+            degree, part_denominator, index = (
+                part if part.__class__ is tuple else part._by_output()
+            )
+            if not index:
                 break  # a zero part: the layout gives no row
-            part_denominator, index = part._by_output()
             q *= part_denominator
-            slots.append((part.degree & 1, index))
+            slots.append((degree & 1, index))
         else:
             plans.append((q, slots))
             if common % q:
@@ -837,12 +855,15 @@ class TensorElem:
         return f"TensorElem[{' + '.join(bits)}]"
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "entries": [
-                {"factors": list(f), "coeff": str(c)} for f, c in self.items()
-            ],
-        }
+        return {"order": self.order, "entries": self._entries()}
+
+    def _entries(self, limit: Optional[int] = None) -> list[dict]:
+        """The serialized entries of `to_json`, only the first ``limit``
+        when it is given."""
+        return [
+            {"factors": list(f), "coeff": str(c)}
+            for f, c in itertools.islice(self.items(), limit)
+        ]
 
     @classmethod
     def from_json(cls, algebra, data: Mapping, field: str = "tensor") -> "TensorElem":

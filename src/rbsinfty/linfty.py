@@ -48,10 +48,10 @@ from .graded import (
     _IntegerTable,
     _json_array,
     _json_int,
+    _output_index,
     _reject_repeats,
     _signed_rows,
     _slot_choices,
-    compose_tensor,
 )
 from .sampling import random_multimap
 from .signs import koszul_chi, parity_sign, shuffles
@@ -390,7 +390,9 @@ def _operator_terms(
     brace term the first operator c of a nonempty column climbs outside and
     the identity fills the slot between the columns inside; its sign is
     ``(-1)^(1 + base + c.degree (F.degree + M))``, where M is 0 for the
-    first column and the summed map degree of ``gs`` for the second.
+    first column and the summed map degree of ``gs`` for the second.  The
+    inner composition F(layout) of a brace term stays an `_IntegerTable`,
+    read by `_signed_rows` through its `_output_index`.
     """
     n, j = len(gs) + len(hs), len(gs)
     space = F.space_in
@@ -418,9 +420,15 @@ def _operator_terms(
             if column:
                 c = column[0]
                 climb = parity_sign(1 + base + c.degree * (F.degree + M))
-                braces = _slot_choices(c, [compose_tensor(F, layout)])
+                # `l_bracket` or `CochainElement` checked that every piece
+                # acts on one suspended space, so the composition is not
+                # checked again
+                inner = _IntegerTable()
+                inner.add(*_signed_rows(F, [layout], space))
+                index = _output_index(inner.rows, space)
+                part = (degree - c.degree, inner.denominator, index)
                 yield tag, arity, degree, *_signed_rows(
-                    c, braces, space, sign * climb, denominator
+                    c, _slot_choices(c, [part]), space, sign * climb, denominator
                 )
 
 

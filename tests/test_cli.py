@@ -21,7 +21,7 @@ from rbsinfty.cli import _WITNESS_CAP, main
 from rbsinfty.graded import BasedAlgebra, GradedSpace, MatrixAlgebra, MultiMap, TensorElem
 from rbsinfty.minimal_model import extend_derivation
 from rbsinfty.residuals import HomotopyRBS
-from rbsinfty.sampling import random_tensor
+from rbsinfty.sampling import random_multimap, random_tensor
 from rbsinfty.trees import OperadElement, gen
 
 PLANE = GradedSpace([("v1", 0), ("v2", 0)])
@@ -1008,6 +1008,26 @@ def test_dense_cochain_tool_returns_a_checkable_cochain(capsys, tmp_path, degree
     assert main(["check", "mc", str(path)]) in (0, 1)
 
 
+def test_report_serializes_only_the_witnesses_it_prints():
+    algebra = MatrixAlgebra(PLANE)
+    end = algebra.space
+    rng = random.Random(3)
+    residuals = [
+        random_multimap(rng, end, end, 2, 0, density=1.0),
+        random_tensor(rng, algebra, 2, degree=0, density=1.0),
+        MultiMap.zero(end, end, 2, 0),
+        TensorElem.zero(algebra, 2),
+    ]
+    for residual in residuals:
+        entries = residual.to_json()["entries"]
+        assert cli._report(residual) == {
+            "nonzero_entries": len(entries),
+            "witnesses": entries[:_WITNESS_CAP],
+            "ok": not entries,
+        }
+    assert all(len(r.table) > _WITNESS_CAP for r in residuals[:2])
+
+
 # -- one parser per process ---------------------------------------------------------
 
 
@@ -1043,6 +1063,84 @@ def test_repeated_main_calls_match_each_call_run_alone(capsys, tmp_path):
     assert [code for code, _ in in_process] == [1, 2, 0, 0, 1]
     assert in_process == [_run_alone(argv) for argv in calls]
     assert cli.build_parser() is cli.build_parser()
+    for command in cli._COMMANDS:
+        assert cli._command_parser(*command) is cli._command_parser(*command)
+
+
+def _equivalence_lines():
+    data = Path(__file__).parent / "data"
+    rbs, ybp, mc = (
+        str(data / f"{name}_input.json")
+        for name in ("rbs_graded", "ybp_graded", "mc_system")
+    )
+    valid = [
+        ["verify", "d-squared", "--presentation", "xyz", "--max-arity", "3"],
+        ["verify", "homotopy", "--max-arity", "2", "--max-weight", "3"],
+        ["verify", "linfinity", "--dim", "2", "--trunc", "2", "--trials", "4", "--seed", "1"],
+        ["check", "rbs", rbs],
+        ["check", "hrbs", str(data / "hrbs_graded_input.json"), "--max-arity", "2"],
+        ["check", "ybp", ybp],
+        ["check", "aybe-infinity", str(data / "aybe_system_input.json"), "--max-n", "1"],
+        ["check", "mc", mc],
+        ["convert", "ybp-to-rbs", ybp],
+        ["convert", "rbs-to-ybp", rbs],
+    ]
+    assert {tuple(argv[:2]) for argv in valid} == set(cli._COMMANDS)
+    return valid + [
+        [],
+        ["-h"],
+        ["--help"],
+        ["verify", "-h"],
+        ["check", "--help"],
+        ["check", "mc", "-h"],
+        ["verify", "homotopy", "--help"],
+        ["convert", "rbs-to-ybp", "--h"],
+        ["verify"],
+        ["check", "mc"],
+        ["check", "mc", mc, "extra"],
+        ["check", "mc", mc, "--bogus"],
+        ["verify", "d-squared", "--bogus", "--max-arity", "3"],
+        ["verify", "d-squared", "--presentation", "abc"],
+        ["verify", "homotopy", "--max-weight", "x"],
+        ["check", "hrbs", rbs, "--max-arity"],
+        ["verify", "homotopy", "--max", "2"],
+        ["verify", "d-squared", "--max-arity=3", "--presentation=mrs"],
+        ["verify", "homotopy", "--max-a", "2", "--max-w", "3"],
+        ["check", "mc", "--", mc],
+        ["verify", "d-squared", "--", "--max-arity", "3"],
+        ["check", "rbs", str(data / "no_such_file.json")],
+        ["bogus"],
+        ["check", "bogus"],
+        ["verify", "mc"],
+    ]
+
+
+def test_each_command_parser_answers_as_the_full_tree(capsys, monkeypatch):
+    lines = _equivalence_lines()
+
+    def outcomes():
+        seen = []
+        for argv in lines:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    fast = outcomes()
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert outcomes() == fast
+    assert {code for code, _, _ in fast} == {0, 1, 2}
+    by_line = dict(zip(map(tuple, lines), fast))
+    _, out, _ = by_line["check", "mc", "-h"]
+    assert out.startswith("usage: rbsinfty check mc [-h] file")
+    _, _, err = by_line["check", "mc"]
+    assert "rbsinfty check mc: error: the following arguments are required: file" in err
+    # what a command's parser leaves over is refused under the top-level prog
+    _, _, err = by_line["verify", "d-squared", "--bogus", "--max-arity", "3"]
+    assert err.endswith("rbsinfty: error: unrecognized arguments: --bogus\n")
 
 
 # -- refusals ---------------------------------------------------------------------
