@@ -546,21 +546,25 @@ def _multisets(
 # -- the homotopy Jacobi identities ------------------------------------------
 
 
-def _jacobi_terms(
+def _jacobi_sum(
     space: GradedSpace, pieces: Sequence[Piece]
-) -> Iterator[tuple[int, CochainElement]]:
+) -> tuple[CochainElement, bool]:
+    """The homotopy Jacobi combination of ``pieces``, and whether one of its
+    terms is nonzero."""
     n = len(pieces)
-    degrees = [p.degree for p in pieces]
+    parities = tuple(p.degree & 1 for p in pieces)
+    terms = []
     for i in range(2, n):  # the unary bracket vanishes, killing i = 1 and i = n
         j = n + 1 - i
         for sigma in shuffles((i, n - i)):
-            sign = parity_sign(i * (j - 1)) * koszul_chi(sigma, degrees)
+            sign = parity_sign(i * (j - 1)) * _chi(sigma, parities)
             inner = l_bracket(space, [pieces[s - 1] for s in sigma[:i]])
             if inner.is_zero():
                 continue
             rest = [pieces[s - 1] for s in sigma[i:]]
-            for piece in inner.pieces():
-                yield sign, l_bracket(space, [piece] + rest)
+            terms += [(sign, l_bracket(space, [piece] + rest)) for piece in inner.pieces()]
+    defect = CochainElement.sum(space, (sign * term for sign, term in terms))
+    return defect, any(not term.is_zero() for _, term in terms)
 
 
 def generalized_jacobi_defect(
@@ -571,9 +575,7 @@ def generalized_jacobi_defect(
     ``sum_{i+j=n+1} sum_{(i,n-i)-shuffles} (-1)**(i*(j-1)) * chi(sigma) *
     l_j(l_i(x_{sigma(1..i)}), x_{sigma(i+1..n)})``.
     """
-    return CochainElement.sum(
-        space, (sign * term for sign, term in _jacobi_terms(space, pieces))
-    )
+    return _jacobi_sum(space, pieces)[0]
 
 
 # -- Maurer-Cartan theory -----------------------------------------------------
@@ -767,10 +769,8 @@ def verify_generalized_jacobi(
             else:
                 tag, arity = rng.choice((TAG_R, TAG_S)), rng.randint(1, truncation)
             pieces.append(random_piece(rng, space, arity, tag=tag))
-        terms = list(_jacobi_terms(space, pieces))
-        defect = CochainElement.sum(space, (sign * term for sign, term in terms))
-        if any(not term.is_zero() for _, term in terms):
-            active += 1
+        defect, nonzero_term = _jacobi_sum(space, pieces)
+        active += nonzero_term
         if not defect.is_zero():
             failures.append(
                 {

@@ -121,14 +121,15 @@ def generator_differential(family: str, n: int, target):
     ``target`` supplies ``gen(family, arity)``, ``compose_at(f, i, g)``,
     ``compose_row(f, parts)`` (f with one part per input grafted left to
     right, None for an open slot) and ``sum(arity, degree, terms)`` of
-    ``(sign, element)`` pairs.  `FreeOperad`
-    builds d in the free operad on m, R, S and `Suspension` builds d x_n,
-    d y_n, d z_n in the free operad on x, y, z; `rbsinfty.residuals`
-    evaluates it in End(V), and `rbsinfty.yang_baxter` in the tensor operad
-    of an algebra A (an order-(n+1) tensor for an arity-n operation), where
-    ``gen`` gives None for a generator sent to zero and the terms through it
-    are left out.  With F = R, S, composites
-    grafted left to right and l, r running over the compositions of n:
+    ``(sign, element)`` pairs.  `FreeOperad` builds d in the free operad on
+    m, R, S and `Suspension` builds d x_n, d y_n, d z_n in the free operad
+    on x, y, z.  A `HomotopyRBS` evaluates it in End(V), and an
+    `InfinityYBPair` in the tensor operad of its algebra A (an order-(n+1)
+    tensor for an arity-n operation): each is an operad map from the
+    minimal model, whose ``gen`` gives None for a generator sent to zero,
+    and the terms through such a generator are left out.  With F = R, S,
+    composites grafted left to right and l, r running over the
+    compositions of n:
 
         d m_n = sum_{1 < j < n, i} (-1)^(i + j(n-i)) m_{n-j+1} o_i m_j
         d F_n = sum_{k > 1, l} (-1)^alpha m_k(F_{l_1}, ..., F_{l_k})

@@ -226,23 +226,13 @@ def is_normal_form(t: TreeMonomial) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        bounds = (-1,) + cuts + (total + parts - 1,)
-        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
-
-
-def enumerate_monomials(
-    max_arity: int, max_weight: int, min_weight: int = 1
-) -> Iterator[TreeMonomial]:
+def enumerate_monomials(max_arity: int, max_weight: int) -> Iterator[TreeMonomial]:
     """All m/R/S tree monomials with the given arity and weight bounds.
 
     Both bounds are required for finiteness: unary operator chains give
-    infinitely many monomials of any fixed arity.
+    infinitely many monomials of any fixed arity.  A child weighs less than
+    its parent, so only the cells below the top weight are kept, to graft
+    as children; the top-weight cells are streamed.
     """
     alphabet = [gen("m", k) for k in range(2, max_arity + 1)]
     alphabet += [gen(f, k) for f in ("R", "S") for k in range(1, max_arity + 1)]
@@ -250,19 +240,21 @@ def enumerate_monomials(
     for g in alphabet:
         by_arity.setdefault(g.arity, []).append(g)
 
-    @lru_cache(maxsize=None)
-    def exact(n: int, w: int) -> tuple[tuple[tuple, int], ...]:
+    def cell(n: int, w: int) -> Iterator[tuple[tuple, int]]:
         # (word, degree) of every tree of arity n and weight w
         if w == 0:
-            return (((None,), 0),) if n == 1 else ()
-        out = []
+            if n == 1:
+                yield (None,), 0
+            return
         for k, gens_k in by_arity.items():
             if k > n:
                 continue
             for composition in compositions(n, k):
-                for weights in _weak_compositions(w - 1, k):
+                # the child weights, each one less than a part of w - 1 + k
+                for weights in compositions(w - 1 + k, k):
                     child_pools = [
-                        exact(composition[t], weights[t]) for t in range(k)
+                        kept(arity, weight - 1)
+                        for arity, weight in zip(composition, weights)
                     ]
                     if any(not pool for pool in child_pools):
                         continue
@@ -270,12 +262,15 @@ def enumerate_monomials(
                         word = tuple(itertools.chain.from_iterable(k[0] for k in kids))
                         degree = sum(k[1] for k in kids)
                         for g in gens_k:
-                            out.append(((g,) + word, g.degree + degree))
-        return tuple(out)
+                            yield (g,) + word, g.degree + degree
+
+    @lru_cache(maxsize=None)
+    def kept(n: int, w: int) -> tuple[tuple[tuple, int], ...]:
+        return tuple(cell(n, w))
 
     for n in range(1, max_arity + 1):
-        for w in range(min_weight, max_weight + 1):
-            for word, degree in exact(n, w):
+        for w in range(1, max_weight + 1):
+            for word, degree in cell(n, w) if w == max_weight else kept(n, w):
                 yield _tree(word, n, degree)
 
 

@@ -8,14 +8,17 @@ so the residual of X_n (X = m, R, S) is
 
     ∂φ(X_n) − φ(dX_n),   ∂f = m_1∘f − (−1)^|f| Σ_i f∘_i m_1,
 
-with dX_n the minimal model's `generator_differential` evaluated in End(V).
+with dX_n the minimal model's `generator_differential` evaluated in End(V):
+a `HomotopyRBS` is itself the target, φ on the generators with the
+compositions and sums of End(V).
 At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
 generator. A residual vanishes exactly when its identity holds at that arity.
 The residual is written once for any `generator_differential` target with a
-differential m_1; `rbsinfty.yang_baxter` evaluates it in the tensor operad.
-Without m_k for k >= 3 the R/S residual splits into four pieces, also written
-once for any target: `dga_residual_R/S` sum them in End(V), and
-`rbsinfty.yang_baxter` evaluates each in End(A) and in the tensor operad.
+differential m_1; `rbsinfty.yang_baxter` evaluates it on an `InfinityYBPair`,
+a map into the tensor operad.  Without m_k for k >= 3 the R/S residual splits
+into four pieces, also written once for any target: `dga_residual_R/S` sum
+them in End(V), and `rbsinfty.yang_baxter` evaluates each in End(A) and in
+the tensor operad.
 """
 
 from __future__ import annotations
@@ -68,10 +71,14 @@ class HomotopyRBS:
     """A homotopy Rota-Baxter system on a finite-dimensional graded space.
 
     ``m``, ``r`` and ``s`` are read-only mappings from arity to map: the
-    families as validated, zero members dropped.
+    families as validated, zero members dropped.  The structure is φ, and
+    End(V) with φ is its own `generator_differential` target.
     """
 
-    __slots__ = ("space", "m", "r", "s", "truncation")
+    __slots__ = ("space", "m", "r", "s", "truncation", "_images")
+
+    compose_at = staticmethod(insert)
+    compose_row = staticmethod(compose_tensor)
 
     def __init__(
         self,
@@ -85,7 +92,17 @@ class HomotopyRBS:
         self.m = _validated_family(space, m, "m", lambda n: n - 2)
         self.r = _validated_family(space, r, "R", lambda n: n - 1)
         self.s = _validated_family(space, s, "S", lambda n: n - 1)
-        self.truncation = _truncation(truncation, {"m": self.m, "R": self.r, "S": self.s})
+        self._images = {"m": self.m, "R": self.r, "S": self.s}
+        self.truncation = _truncation(truncation, self._images)
+
+    def gen(self, family: str, arity: int) -> Optional[MultiMap]:
+        """φ on a generator, None for zero; ``gen("m", 1)`` is the differential
+        m_1 of End(V)."""
+        return self._images[family].get(arity)
+
+    def sum(self, arity: int, degree: int, terms) -> MultiMap:
+        """The signed sum of the ``(±1, map)`` terms, summed in one table."""
+        return MultiMap.combination(self.space, self.space, arity, degree, terms)
 
     def m_at(self, n: int) -> Optional[MultiMap]:
         return self.m.get(n)
@@ -131,34 +148,12 @@ def _check_arity(structure: HomotopyRBS, n: int) -> None:
         )
 
 
-class _Endomorphisms:
-    """End(V) as a `generator_differential` target: φ on the generators.
-
-    ``gen`` returns None for a generator the structure lacks, the zero map;
-    ``gen("m", 1)`` is the differential m_1 of End(V).
-    """
-
-    compose_at = staticmethod(insert)
-    compose_row = staticmethod(compose_tensor)
-
-    def __init__(self, structure: HomotopyRBS):
-        self.space = structure.space
-        self.images = {"m": structure.m, "R": structure.r, "S": structure.s}
-
-    def gen(self, family: str, arity: int) -> Optional[MultiMap]:
-        return self.images[family].get(arity)
-
-    def sum(self, arity: int, degree: int, terms) -> MultiMap:
-        """The signed sum of the ``(±1, map)`` terms, summed in one table."""
-        return MultiMap.combination(self.space, self.space, arity, degree, terms)
-
-
 def _residual(target, family: str, n: int):
     """∂φ(X_n) − φ(dX_n) in ``target``, and m_1∘m_1 for the m-identity at n = 1.
 
     ``target`` is a `generator_differential` target whose ``gen("m", 1)`` is
-    its differential m_1 (None when zero): `_Endomorphisms` here, and the
-    tensor operad of `rbsinfty.yang_baxter`.
+    its differential m_1 (None when zero): a `HomotopyRBS` here, and an
+    `InfinityYBPair` in the tensor operad of `rbsinfty.yang_baxter`.
     """
     if family == "m" and n == 1:
         m1 = target.gen("m", 1)
@@ -182,19 +177,19 @@ def _boundary(target, family: str, n: int, degree: int) -> list:
 def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n associativity-up-to-homotopy identity."""
     _check_arity(structure, n)
-    return _residual(_Endomorphisms(structure), "m", n)
+    return _residual(structure, "m", n)
 
 
 def hrbs_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n identity for the first operator family."""
     _check_arity(structure, n)
-    return _residual(_Endomorphisms(structure), "R", n)
+    return _residual(structure, "R", n)
 
 
 def hrbs_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n identity for the second operator family."""
     _check_arity(structure, n)
-    return _residual(_Endomorphisms(structure), "S", n)
+    return _residual(structure, "S", n)
 
 
 # The pieces of the residual of X_n (X = R, S) in a differential graded
@@ -240,14 +235,13 @@ def _sum_of_pieces(structure: HomotopyRBS, n: int, family: str) -> MultiMap:
     _check_arity(structure, n)
     if not structure.is_dg():
         raise ValueError("structure has products of arity >= 3")
-    target = _Endomorphisms(structure)
     pieces = [
-        (1, _differential_piece(target, family, n)),
-        (1, _product_piece(target, family, n)),
-        (-1, _straddle_piece(target, family, n, "R")),
-        (-1, _straddle_piece(target, family, n, "S")),
+        (1, _differential_piece(structure, family, n)),
+        (1, _product_piece(structure, family, n)),
+        (-1, _straddle_piece(structure, family, n, "R")),
+        (-1, _straddle_piece(structure, family, n, "S")),
     ]
-    return target.sum(n, n - 2, pieces)
+    return structure.sum(n, n - 2, pieces)
 
 
 def dga_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:

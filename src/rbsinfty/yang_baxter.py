@@ -22,12 +22,13 @@ minimal model to this operad, with differential m_1 = -d (x) 1 + 1 (x) d:
     m_2 -> 1 (x) 1 (x) 1,   m_k -> 0 (k >= 3),   R_n -> r_{n+1},   S_n -> s_{n+1},
 
 whose images under F are -[d, -], the product of A and the operators of the
-pair: the structure `chi_map`, which `chi_inverse` inverts by round trip.  So
-`check_infinity_ybp` is `generator_differential`'s residual of
-`rbsinfty.residuals` evaluated in the tensor operad, negated, and F sends it
-to the residual of `chi_map`.  The four differential graded pieces of that
-residual, written once in `rbsinfty.residuals`, are evaluated in both
-operads by `equivalence_identity_1` ... `equivalence_identity_4`.
+pair: the structure `chi_map`, which `chi_inverse` inverts by round trip.  An
+`InfinityYBPair` is this map, and so its own `generator_differential` target.
+So `check_infinity_ybp` is the residual of `rbsinfty.residuals` evaluated on
+the pair, negated, and F sends it to the residual of `chi_map`.  The four
+differential graded pieces of that residual, written once in
+`rbsinfty.residuals`, are evaluated on `chi_map` and on the pair by
+`equivalence_identity_1` ... `equivalence_identity_4`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .residuals import (
     HomotopyRBS,
     _differential_piece,
     _check_classical_pair,
-    _Endomorphisms,
     _product_piece,
     _residual,
     _straddle_piece,
@@ -212,10 +212,13 @@ class InfinityYBPair:
     """Families of tensors r_n, s_n (order n, degree n-2) with r_1 = s_1.
 
     ``r`` and ``s`` are read-only mappings from order to tensor, so the
-    tensor-operad images and χ, built from them once, stay theirs.
+    tensor-operad images and χ, built from them once, stay theirs.  The pair
+    is its map from the minimal model to the tensor operad of its algebra,
+    and so a `generator_differential` target: ``gen`` gives the images of
+    the module docstring, None for zero.
     """
 
-    __slots__ = ("algebra", "r", "s", "truncation", "_operad", "_chi")
+    __slots__ = ("algebra", "r", "s", "truncation", "_images", "_chi")
 
     def __init__(
         self,
@@ -230,7 +233,16 @@ class InfinityYBPair:
         if self.r.get(1) != self.s.get(1):  # zero members are dropped
             raise ValueError("the order-1 members of both families must agree")
         self.truncation = _truncation(truncation, {"r": self.r, "s": self.s})
-        self._operad = _TensorOperad(self)
+        one = TensorElem(algebra, 1, (((u,), c) for u, c in algebra.unit.items()))
+        m = {2: raise_indices(one, (1,), 3)}
+        d = self.d()
+        if not d.is_zero():
+            m[1] = raise_indices(d, (2,), 2) - raise_indices(d, (1,), 2)
+        self._images = {
+            "m": m,
+            "R": {n - 1: t for n, t in self.r.items() if n > 1},
+            "S": {n - 1: t for n, t in self.s.items() if n > 1},
+        }
         self._chi = None
 
     def _validated(self, family, label) -> Mapping[int, TensorElem]:
@@ -272,32 +284,12 @@ class InfinityYBPair:
             truncation=_json_int(data.get("truncation"), "truncation", optional=True),
         )
 
-
-class _TensorOperad:
-    """The tensor operad of a pair's algebra as a `generator_differential`
-    target; ``gen`` gives the images of the module docstring, None for zero."""
-
-    def __init__(self, pair: InfinityYBPair):
-        algebra = pair.algebra
-        self.algebra = algebra
-        self.degrees = algebra.space._degrees
-        one = TensorElem(algebra, 1, (((u,), c) for u, c in algebra.unit.items()))
-        m = {2: raise_indices(one, (1,), 3)}
-        d = pair.d()
-        if not d.is_zero():
-            m[1] = raise_indices(d, (2,), 2) - raise_indices(d, (1,), 2)
-        self.images = {
-            "m": m,
-            "R": {n - 1: t for n, t in pair.r.items() if n > 1},
-            "S": {n - 1: t for n, t in pair.s.items() if n > 1},
-        }
-
     def gen(self, family: str, arity: int) -> Optional[TensorElem]:
-        return self.images[family].get(arity)
+        return self._images[family].get(arity)
 
     def compose_at(self, t: TensorElem, i: int, u: TensorElem) -> TensorElem:
         """t o_i u: u's outer factors multiplied onto a_i and a_{i+1}."""
-        products, degrees = self.algebra.products, self.degrees
+        products, degrees = self.algebra.products, self.algebra.space._degrees
         rows = []
         for a, ca in t.table.items():
             tail = sum(degrees[x] for x in a[i:])
@@ -348,8 +340,7 @@ def check_infinity_ybp(
         d = pair.d()
         dd = tensor_product_multiply(d, d)
         return dd, dd
-    operad = pair._operad
-    return -_residual(operad, "R", n), -_residual(operad, "S", n)
+    return -_residual(pair, "R", n), -_residual(pair, "S", n)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +355,7 @@ def _in_both_operads(
     and in the tensor operad; F_map sends the second to the first."""
     structure = HomotopyRBS(pair.algebra.space, **_chi_images(pair))
     args = (family.upper(), n, *args)
-    return piece(_Endomorphisms(structure), *args), piece(pair._operad, *args)
+    return piece(structure, *args), piece(pair, *args)
 
 
 def equivalence_identity_1(
@@ -408,7 +399,7 @@ def _chi_images(pair: InfinityYBPair) -> dict[str, dict[int, MultiMap]]:
             family.lower(): {
                 n: F_map(t) for n, t in images.items() if (family, n) != ("m", 2)
             }
-            for family, images in pair._operad.images.items()
+            for family, images in pair._images.items()
         }
         pair._chi["m"][2] = pair.algebra.product_map()
     return pair._chi

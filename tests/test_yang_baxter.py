@@ -698,18 +698,18 @@ def test_f_map_is_an_operad_map_from_the_tensor_operad():
     ):
         rng = random.Random(seed)
         d = random_tensor(rng, algebra, 1, degree=-1, density=0.9)
-        operad = InfinityYBPair(algebra, r={1: d}, s={1: d})._operad
+        pair = InfinityYBPair(algebra, r={1: d}, s={1: d})
         if d.is_zero():
-            assert operad.gen("m", 1) is None
+            assert pair.gen("m", 1) is None
         else:
-            assert F_map(operad.gen("m", 1)) == _inner_derivation(d, algebra)
-        assert F_map(operad.gen("m", 2)) == algebra.product_map()
+            assert F_map(pair.gen("m", 1)) == _inner_derivation(d, algebra)
+        assert F_map(pair.gen("m", 2)) == algebra.product_map()
         for t_order, u_order in itertools.product((2, 3), repeat=2):
             for t_degree, u_degree in itertools.product((-1, 0, 1), repeat=2):
                 t = random_tensor(rng, algebra, t_order, degree=t_degree, density=density)
                 u = random_tensor(rng, algebra, u_order, degree=u_degree, density=density)
                 for i in range(1, t_order):
-                    composite = operad.compose_at(t, i, u)
+                    composite = pair.compose_at(t, i, u)
                     assert F_map(composite) == insert(F_map(t), i, F_map(u))
                     checked += 1
                     nonzero += not composite.is_zero()
