@@ -13,12 +13,17 @@ derivation differential defined on generators:
   (-1)^((i-1)(b-1) + (a-1)|g|), |g| the (m, R, S) degree of g.
 
 Both satisfy d^2 = 0, which `check_d_squared` verifies by exact symbolic
-expansion.
+expansion: the `derivation_terms` of every term of d g, preorder words with
+their coefficients, are summed in one table keyed by word, and trees are
+built only for the witnesses of a failure.  A composite row of the
+differential is grafted in one pass (`FreeOperad.compose_row`), each graft
+signed by the target's `graft_exponent`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -30,10 +35,12 @@ from .trees import (
     Scalar,
     TreeMonomial,
     _splice,
+    _subtrees,
     _tree,
     as_element,
     compose_at,
     gen,
+    graft_with_sign,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,12 +68,21 @@ def beta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
 
 
 class FreeOperad:
-    """The free operad on m, R, S as a `generator_differential` target."""
+    """The free operad on m, R, S as a `generator_differential` target.
+
+    A subclass changes its composition through one hook, `graft_exponent`,
+    the exponent of the extra sign of one graft, or None for a zero graft.
+    """
 
     @staticmethod
     @lru_cache(maxsize=None)
     def gen(family, arity):
         return as_element(gen(family, arity))
+
+    @staticmethod
+    def graft_exponent(arity, leaf, g_arity, g_degree):
+        """The free operad signs a graft by the graft rule of `trees` only."""
+        return 0
 
     @staticmethod
     def compose_at(f, i, g):
@@ -75,14 +91,33 @@ class FreeOperad:
 
     @classmethod
     def compose_row(cls, f, parts):
-        """f with ``parts`` grafted left to right, each by one ``compose_at``;
-        a None part leaves its leaf open."""
-        leaf = 1
-        for g in parts:
-            if g is not None:
-                f = cls.compose_at(f, leaf, g)
-            leaf += 1 if g is None else g.arity
-        return f
+        """f with ``parts`` grafted left to right, a None part leaving its
+        leaf open: one `graft_with_sign` per choice of one term from each part.
+
+        Each term of a part is signed by `graft_exponent` as if the parts were
+        composed one at a time: at its leaf and with the arity of the
+        composite so far, both counted after the parts to its left.
+        """
+        arity, leaf, grafts = f.arity, 1, []
+        for number, g in enumerate(parts, 1):
+            if g is None:
+                leaf += 1
+                continue
+            exponents = (
+                (t, c, cls.graft_exponent(arity, leaf, g.arity, t.degree))
+                for t, c in g.terms.items()
+            )
+            grafts.append(
+                [(number, t, parity_sign(e) * c) for t, c, e in exponents if e is not None]
+            )
+            arity += g.arity - 1
+            leaf += g.arity
+        terms = []
+        for tf, cf in f.terms.items():
+            for choice in itertools.product(*grafts):
+                tree, sign = graft_with_sign(tf, {number: t for number, t, _ in choice})
+                terms.append((tree, sign * cf * math.prod(c for _, _, c in choice)))
+        return OperadElement(arity, terms)
 
     @staticmethod
     def sum(arity, degree, terms):
@@ -98,8 +133,8 @@ class Suspension(FreeOperad):
     """The free operad on x, y, z, the operadic suspension of `FreeOperad`.
 
     X_n stands for its namesake in ``_SUSPENDED``, and f o_i g, f of arity
-    a and g of arity b, gets the sign (-1)^((i-1)(b-1) + (a-1)|g|) with |g|
-    the (m, R, S) degree of g: its (x, y, z) degree plus b - 1.
+    a and g a tree of arity b, gets the sign (-1)^((i-1)(b-1) + (a-1)|g|)
+    with |g| the (m, R, S) degree of g: its (x, y, z) degree plus b - 1.
     """
 
     @staticmethod
@@ -107,12 +142,12 @@ class Suspension(FreeOperad):
         return FreeOperad.gen(_SUSPENDED[family], arity)
 
     @staticmethod
-    def compose_at(f, i, g):
-        b = g.arity
-        degree = next(iter(g.terms)).degree + b - 1
-        e = compose_at(f, i, g)
-        # negated only when odd: multiplying by +1 would rebuild the element
-        return -e if ((i - 1) * (b - 1) + (f.arity - 1) * degree) % 2 else e
+    def graft_exponent(arity, leaf, g_arity, g_degree):
+        return (leaf - 1) * (g_arity - 1) + (arity - 1) * (g_degree + g_arity - 1)
+
+    @classmethod
+    def compose_at(cls, f, i, g):
+        return cls.compose_row(f, (None,) * (i - 1) + (g,))
 
 
 def generator_differential(family: str, n: int, target):
@@ -221,12 +256,14 @@ def replace_vertex(
     """
     if not 0 <= index < t.weight:
         raise ValueError(f"no vertex at planar index {index}")
-    position, end, subtrees = t._vertex_layout(index)
-    label = t.nodes[position]
+    nodes = t.nodes
+    position = [p for p, node in enumerate(nodes) if node is not None][index]
+    label = nodes[position]
     if u.arity != label.arity:
         raise ValueError(f"replacement arity {u.arity} != vertex arity {label.arity}")
+    end, subtrees = _subtrees(nodes, position)
     word, exponent = _splice(u, subtrees)
-    nodes = t.nodes[:position] + word + t.nodes[end:]
+    nodes = nodes[:position] + word + nodes[end:]
     return _tree(nodes, t.arity, t.degree - label.degree + u.degree), parity_sign(exponent)
 
 
@@ -234,35 +271,41 @@ DiffMap = Callable[[Generator], OperadElement]
 
 
 def derivation_terms(
-    diff_of: DiffMap, tree: TreeMonomial, coeff: Scalar
-) -> Iterator[tuple[TreeMonomial, Scalar]]:
-    """The terms of ``coeff`` times the derivation extension of ``diff_of`` on a tree.
+    diff_of: DiffMap, nodes: tuple, coeff: Scalar
+) -> Iterator[tuple[tuple, Scalar]]:
+    """The terms of ``coeff`` times the derivation extension of ``diff_of`` on
+    the tree with the word ``nodes``, as ``(word, coefficient)`` pairs.
 
     Each vertex is replaced (in place) by the differential of its label, with
     the prefactor (-1)^(sum of the degrees of the vertices strictly preceding
-    it in planar order).  Terms are yielded unmerged; a label whose image is
-    zero yields none.
+    it in planar order); the sign of each term is that of `replace_vertex`.
+    A vertex is laid out once, for all the terms of its image, and a label
+    whose image is zero is not laid out at all.  Terms are yielded unmerged.
     """
     prefix = 0
-    for index, label in enumerate(tree.vertices()):
+    for position, label in enumerate(nodes):
+        if label is None:
+            continue
         image = diff_of(label).terms
         if image:
+            end, subtrees = _subtrees(nodes, position)
+            head, tail = nodes[:position], nodes[end:]
             scale = parity_sign(prefix) * coeff
-            for u_tree, u_coeff in image.items():
-                new_tree, sign = replace_vertex(tree, index, u_tree)
-                yield new_tree, sign * scale * u_coeff
+            for u, u_coeff in image.items():
+                word, exponent = _splice(u, subtrees)
+                yield head + word + tail, parity_sign(exponent) * scale * u_coeff
         prefix += label.degree
 
 
 def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
     """Extend a generator differential to the free operad as a derivation:
-    the merged `derivation_terms` of each monomial of ``e``."""
-    return OperadElement(
+    the `derivation_terms` of each monomial of ``e``, summed by word."""
+    return OperadElement.from_words(
         e.arity,
         (
             term
             for tree, coeff in e.terms.items()
-            for term in derivation_terms(diff_of, tree, coeff)
+            for term in derivation_terms(diff_of, tree.nodes, coeff)
         ),
     )
 
@@ -304,17 +347,25 @@ def check_d_squared(families: Iterable[str], max_arity: int) -> dict:
         raise ValueError("max_arity must be >= 2")
     results = []
     for g in presentation_generators(families, max_arity):
-        residual = differential(diff_generator(g))
+        # the module binding, read per call, so that a stand-in for it is used
+        diff_of = diff_generator
+        residual: dict[tuple, Scalar] = {}
+        get = residual.get
+        for tree, coeff in diff_of(g).terms.items():
+            for word, c in derivation_terms(diff_of, tree.nodes, coeff):
+                residual[word] = get(word, 0) + c
+        nonzero = [(word, c) for word, c in residual.items() if c]
         result = {
             "generator": g.name,
             "arity": g.arity,
-            "residual_terms": len(residual.terms),
-            "ok": residual.is_zero(),
+            "residual_terms": len(nonzero),
+            "ok": not nonzero,
         }
-        if not residual.is_zero():
+        if nonzero:
+            witnesses = OperadElement.from_words(g.arity, nonzero).items()
             result["witnesses"] = [
                 {"tree": tree.to_text(), "coeff": str(coeff)}
-                for tree, coeff in itertools.islice(residual.items(), _WITNESS_CAP)
+                for tree, coeff in itertools.islice(witnesses, _WITNESS_CAP)
             ]
         results.append(result)
     return {

@@ -13,10 +13,12 @@ and admits an explicit contracting homotopy in positive degrees built from
 (one of m_a o_1 m_2, (R_a o_1 m_2) o_1 R_1, (S_a o_1 m_2) o_1 R_1) in
 "left-upper-most" position.  `check_homotopy` verifies dH + Hd = Id exactly
 on an enumerated universe of positive-degree monomials, one monomial at a
-time: the unmerged terms of dH(t) and Hd(t), from `derivation_terms` and
-`_contraction`, and -t are summed in one accumulator, and an `OperadElement`
-is built only to print the residual of a failure.  `homotopy_H` and
-`apply_homotopy` wrap the same `_contraction`.
+time: the unmerged terms of dH(t) and Hd(t), preorder words from
+`derivation_terms` and `_contraction`, and -t are summed in one table keyed
+by word, and trees and an `OperadElement` are built only to print the
+residual of a failure.  `_effective` finds the effective divisor in a word;
+`is_effective`, `homotopy_H` and `apply_homotopy` wrap it and `_contraction`
+for trees and elements.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ from .trees import (
 
 class _FirstSlot(FreeOperad):
     """The free operad on m, R, S with f o_i g set to zero for i > 1."""
+
+    @staticmethod
+    def graft_exponent(arity, leaf, g_arity, g_degree):
+        return None if leaf > 1 else 0
 
     @staticmethod
     def compose_at(f, i, g):
@@ -117,7 +123,20 @@ def is_effective(t: TreeMonomial) -> Optional[EffectiveDivisorLocation]:
     leftmost leaf above it carries no further typical divisors and no
     positive-degree vertices (other than the divisor root itself), and
     (ii) every leaf strictly to the left sees only degree-0, non-typical
-    vertices on its path from the root of the whole tree.
+    vertices on its path from the root of the whole tree.  `_effective`
+    finds it in the word.
+    """
+    found = _effective(t.nodes)
+    if found is None:
+        return None
+    position, leaf, kind = found
+    # every leaf before the effective one lies before the divisor root
+    return EffectiveDivisorLocation(position - leaf + 1, leaf, kind, position)
+
+
+def _effective(nodes: tuple) -> Optional[tuple[int, int, str]]:
+    """The word position of the effective divisor's root, the effective
+    leaf and the divisor's family letter, or None.
 
     In the word, the vertices on the paths of the leaves left of a leaf are
     those before the leaf just left of it, and the vertices from the divisor
@@ -127,7 +146,6 @@ def is_effective(t: TreeMonomial) -> Optional[EffectiveDivisorLocation]:
     can be the effective leaf, and then only if the last blocking vertex
     before it roots the divisor; so the occurrence is unique.
     """
-    nodes = t.nodes
     leaf = 0
     blocker, blocker_kind = None, None  # the last blocking vertex so far
     for position, node in enumerate(nodes):
@@ -136,13 +154,12 @@ def is_effective(t: TreeMonomial) -> Optional[EffectiveDivisorLocation]:
             if blocker is not None:
                 break
         else:
-            kind = _typical_kind(nodes, position)
+            kind = _typical_kind(nodes, position) if nodes[position + 1] is _M2 else None
             if kind is not None or node.degree > 0:
                 blocker, blocker_kind = position, kind
     if blocker_kind is None:
         return None
-    # every leaf before the effective one lies before the divisor root
-    return EffectiveDivisorLocation(blocker - leaf + 1, leaf, blocker_kind, blocker)
+    return blocker, leaf, blocker_kind
 
 
 @lru_cache(maxsize=None)
@@ -153,27 +170,22 @@ def _leading_coefficient(g: Generator) -> int:
     return coeff
 
 
-def _contraction(t: TreeMonomial) -> tuple:
-    """The terms of H(t): () off effective monomials, else the one
-    ``(tree, coeff)`` pair of the divisor contraction.
+def _contraction(nodes: tuple) -> tuple:
+    """The terms of H on the tree with the word ``nodes``: () off effective
+    monomials, else the one ``(word, coeff)`` pair of the divisor contraction.
 
     Contracting the divisor rooted at word position p replaces the root F_a
     by F_{a+1} and deletes the m_2 (and the R_1) that follow it: the
     subtrees keep their order in the word.
     """
-    location = is_effective(t)
-    if location is None:
+    found = _effective(nodes)
+    if found is None:
         return ()
-    nodes, position = t.nodes, location.position
-    root = nodes[position]
-    replacement = gen(location.kind, root.arity + 1)
+    position, _, kind = found
+    replacement = gen(kind, nodes[position].arity + 1)
     omega = sum(node.degree for node in nodes[:position] if node is not None)
-    removed = 2 if location.kind == "m" else 3
-    contracted = _tree(
-        nodes[:position] + (replacement,) + nodes[position + removed :],
-        t.arity,
-        t.degree - root.degree + replacement.degree,
-    )
+    removed = 2 if kind == "m" else 3
+    contracted = nodes[:position] + (replacement,) + nodes[position + removed :]
     # dividing by a unit is multiplying by it
     return ((contracted, parity_sign(omega) * _leading_coefficient(replacement)),)
 
@@ -187,16 +199,16 @@ def homotopy_H(t: TreeMonomial) -> OperadElement:
     >>> homotopy_H(parse_tree("R1(m2(R1(1), 2))"))
     R2(1, 2)
     """
-    return OperadElement(t.arity, _contraction(t))
+    return OperadElement.from_words(t.arity, _contraction(t.nodes))
 
 
 def apply_homotopy(e: OperadElement) -> OperadElement:
-    return OperadElement(
+    return OperadElement.from_words(
         e.arity,
         (
             (image, coeff * c)
             for tree, coeff in e.terms.items()
-            for image, c in _contraction(tree)
+            for image, c in _contraction(tree.nodes)
         ),
     )
 
@@ -275,16 +287,19 @@ def enumerate_monomials(max_arity: int, max_weight: int) -> Iterator[TreeMonomia
 
 
 def _homotopy_residual(t: TreeMonomial) -> dict:
-    """The nonzero terms of (dH + Hd - Id)(t), summed in one table."""
-    residual = {t: -1}
+    """The nonzero terms of (dH + Hd - Id)(t), summed in one table keyed by
+    word; a tree is built only for a term that does not cancel."""
+    nodes = t.nodes
+    residual = {nodes: -1}
     get = residual.get
-    for h, h_coeff in _contraction(t):
-        for tree, coeff in derivation_terms(diff_bar, h, h_coeff):
-            residual[tree] = get(tree, 0) + coeff
-    for tree, coeff in derivation_terms(diff_bar, t, 1):
-        for image, c in _contraction(tree):
+    for h, h_coeff in _contraction(nodes):
+        for word, coeff in derivation_terms(diff_bar, h, h_coeff):
+            residual[word] = get(word, 0) + coeff
+    for word, coeff in derivation_terms(diff_bar, nodes, 1):
+        for image, c in _contraction(word):
             residual[image] = get(image, 0) + coeff * c
-    return {tree: c for tree, c in residual.items() if c}
+    nonzero = [(word, c) for word, c in residual.items() if c]
+    return OperadElement.from_words(t.arity, nonzero).terms if nonzero else {}
 
 
 def check_homotopy(max_arity: int, max_weight: int) -> dict:

@@ -13,7 +13,10 @@ leaf, so ``m2(R1(1), m2(2, 3))`` is ``(m2, R1, None, m2, None, None)``
 interned, one object per (family, arity, degree), so words compare and hash
 by identity.  A subtree is a slice of the word, and grafting a tree at a
 leaf puts its word in place of that leaf's None.  The planar order of the
-vertices is their order in the word.
+vertices is their order in the word.  The hot loops of the operad checks
+(`minimal_model.derivation_terms`, the contraction of `monomial_model`) work
+on bare words and sum them in tables keyed by word; `OperadElement.from_words`
+builds a `TreeMonomial` only for a word whose coefficient does not cancel.
 
 The sign convention used everywhere: when trees are grafted, the vertices of
 the inputs are concatenated (outer tree first, then the grafted trees ordered
@@ -129,7 +132,7 @@ class TreeMonomial:
     grafting are assembled from valid words and skip that check.
     """
 
-    __slots__ = ("nodes", "arity", "degree", "weight", "_hash", "_leaves", "_vertices")
+    __slots__ = ("nodes", "arity", "degree", "weight", "_hash", "_leaves")
 
     def __init__(self, nodes: Iterable[Generator | None]):
         nodes = tuple(nodes)
@@ -203,36 +206,6 @@ class TreeMonomial:
             object.__setattr__(self, "_leaves", tuple(layout))
         return self._leaves
 
-    def _vertex_layout(self, index: int) -> tuple[int, int, list]:
-        """The vertex at planar index ``index``: its position, the end of its
-        subtree, and its children that are not leaves as (child number, word,
-        degree).  Each vertex is laid out on first use, as a derivation
-        replaces only the vertices whose image is nonzero."""
-        layouts = self._vertices
-        if layouts is None:
-            layouts = {}
-            object.__setattr__(self, "_vertices", layouts)
-        layout = layouts.get(index)
-        if layout is None:
-            nodes = self.nodes
-            position = [p for p, node in enumerate(nodes) if node is not None][index]
-            grafts = []
-            end = position + 1
-            for number in range(1, nodes[position].arity + 1):
-                start, open_slots, degree = end, 1, 0
-                while open_slots:
-                    node = nodes[end]
-                    end += 1
-                    if node is None:
-                        open_slots -= 1
-                    else:
-                        open_slots += node.arity - 1
-                        degree += node.degree
-                if end - start > 1:
-                    grafts.append((number, nodes[start:end], degree))
-            layout = layouts[index] = (position, end, grafts)
-        return layout
-
 
 def _closings(nodes: tuple) -> Iterator[tuple[Generator | None, int]]:
     """Each node of a word with the number of vertices whose subtree it ends."""
@@ -259,7 +232,6 @@ def _fill(tree: TreeMonomial, nodes: tuple, arity: int, degree: int) -> TreeMono
     setter(tree, "weight", len(nodes) - arity)
     setter(tree, "_hash", hash(nodes))
     setter(tree, "_leaves", None)
-    setter(tree, "_vertices", None)
     return tree
 
 
@@ -404,6 +376,28 @@ def _splice(outer: TreeMonomial, grafts: Iterable[tuple[int, tuple, int]]) -> tu
     return spliced + nodes[start:], exponent
 
 
+def _subtrees(nodes: tuple, position: int) -> tuple[int, list]:
+    """The vertex at ``position`` of a word: the end of its subtree, and its
+    children that are not leaves as (child number, word, degree)."""
+    grafts = []
+    end = position + 1
+    for number in range(1, nodes[position].arity + 1):
+        if nodes[end] is None:
+            end += 1
+            continue
+        start, open_slots, degree = end, 1, 0
+        while open_slots:
+            node = nodes[end]
+            end += 1
+            if node is None:
+                open_slots -= 1
+            else:
+                open_slots += node.arity - 1
+                degree += node.degree
+        grafts.append((number, nodes[start:end], degree))
+    return end, grafts
+
+
 # ---------------------------------------------------------------------------
 # operad elements
 # ---------------------------------------------------------------------------
@@ -460,6 +454,26 @@ class OperadElement:
         cls, tree: TreeMonomial, coeff: Scalar = 1
     ) -> "OperadElement":
         return cls(tree.arity, {tree: coeff})
+
+    @classmethod
+    def from_words(
+        cls, arity: int, terms: Iterable[tuple[tuple, Scalar]]
+    ) -> "OperadElement":
+        """The element of ``(word, coefficient)`` pairs, valid words of the
+        given arity that may repeat: the words are summed first, and a tree
+        is built only for a word whose coefficient does not cancel."""
+        merged: dict[tuple, Scalar] = {}
+        get = merged.get
+        for word, coeff in terms:
+            merged[word] = get(word, 0) + coeff
+        return cls(
+            arity,
+            (
+                (_tree(word, arity, sum(n.degree for n in word if n is not None)), c)
+                for word, c in merged.items()
+                if c
+            ),
+        )
 
     @classmethod
     def sum(

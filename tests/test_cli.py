@@ -159,6 +159,49 @@ def test_verify_d_squared_failure_carries_witnesses(capsys, monkeypatch):
     assert real(m4) == real.__wrapped__(m4)
 
 
+def test_verify_d_squared_xyz_failure_carries_witnesses(capsys, monkeypatch):
+    # the (x, y, z) twin: the word-keyed residual of check_d_squared against
+    # the tree-path residual of extend_derivation
+    real = minimal_model.diff_generator
+    x4 = gen("x", 4)
+    flipped_tree, flipped_coeff = next(real(x4).items())
+
+    def stand_in(g):
+        image = real(g)
+        if g != x4:
+            return image
+        return OperadElement(
+            image.arity,
+            ((t, -c if t == flipped_tree else c) for t, c in image.terms.items()),
+        )
+
+    monkeypatch.setattr(minimal_model, "diff_generator", stand_in)
+    code, report = run(capsys, "verify", "d-squared", "--presentation", "xyz", "--max-arity", "5")
+    residuals = {
+        g.name: extend_derivation(stand_in, stand_in(g))
+        for g in minimal_model.presentation_generators(minimal_model.PRESENTATIONS["xyz"], 5)
+    }
+    monkeypatch.undo()
+    assert code == 1 and report["ok"] is False
+    # d(d x4) keeps only -2c d(t) for the flipped term c t
+    assert residuals["x4"] == extend_derivation(
+        real, OperadElement.monomial(flipped_tree, -2 * flipped_coeff)
+    )
+    for result in report["results"]:
+        residual = residuals[result["generator"]]
+        assert result["residual_terms"] == len(residual.terms)
+        assert result["ok"] is residual.is_zero()
+        if not result["ok"]:
+            assert result["witnesses"] == [
+                {"tree": t.to_text(), "coeff": str(c)}
+                for t, c in list(residual.items())[:_WITNESS_CAP]
+            ]
+    failing = [r["generator"] for r in report["results"] if not r["ok"]]
+    assert failing == ["x4", "x5", "y4", "y5", "z4", "z5"]
+    # d y5 reaches x4 through its x4(y, y, y, y) rows: more terms than the cap
+    assert residuals["y5"] and len(residuals["y5"].terms) > _WITNESS_CAP
+
+
 def test_verify_homotopy_passes(capsys):
     code, report = run(
         capsys, "verify", "homotopy", "--max-arity", "3", "--max-weight", "3"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from rbsinfty.minimal_model import (
     presentation_generators,
     replace_vertex,
 )
+from rbsinfty.monomial_model import _FirstSlot
 from rbsinfty.signs import compositions, parity_sign
 from rbsinfty.trees import (
     _FAMILY_MIN_ARITY,
@@ -239,6 +242,93 @@ def test_every_coefficient_of_d_x_is_minus_one():
         # one term per x_{n-j+1} o_i x_j, none cancelled
         assert len(e.terms) == sum(n - j + 1 for j in range(2, n))
         assert set(e.terms.values()) == {-1}
+
+
+# ---------------------------------------------------------------------------
+# one graft per row, side by side with the left-to-right fold
+# ---------------------------------------------------------------------------
+
+
+def _oracle_compose_at(target, f, i, g):
+    """f o_i g in ``target`` by `trees.compose_at`, one term of g at a time."""
+    arity = f.arity + g.arity - 1
+    if target is _FirstSlot and i > 1:
+        return OperadElement.zero(arity)
+    b = g.arity
+    pieces = []
+    for tree, coeff in g.terms.items():
+        exponent = 0
+        if target is Suspension:
+            exponent = (i - 1) * (b - 1) + (f.arity - 1) * (tree.degree + b - 1)
+        piece = compose_at(f, i, OperadElement.monomial(tree, coeff))
+        pieces.append(piece * parity_sign(exponent))
+    return OperadElement.sum(arity, pieces)
+
+
+def _fold_row(target, f, parts):
+    """The row as the left-to-right fold of compositions that `compose_row`
+    replaced: each part composed at its leaf of the composite so far."""
+    leaf = 1
+    for g in parts:
+        if g is not None:
+            f = _oracle_compose_at(target, f, leaf, g)
+        leaf += 1 if g is None else g.arity
+    return f
+
+
+def _rows_of_the_differentials(target, max_arity):
+    rows = []
+
+    class Recording(target):
+        @classmethod
+        def compose_row(cls, f, parts):
+            rows.append((f, tuple(parts)))
+            return super().compose_row(f, parts)
+
+    for family in ("m", "R", "S"):
+        for n in range(_FAMILY_MIN_ARITY[family], max_arity + 1):
+            generator_differential(family, n, Recording)
+    return rows
+
+
+@pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
+def test_compose_row_matches_the_fold_on_every_row_of_a_differential(target):
+    rows = _rows_of_the_differentials(target, 6)
+    for f, parts in rows:
+        assert target.compose_row(f, parts) == _fold_row(target, f, parts), (f, parts)
+    assert len(rows) > 100
+
+
+@pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
+def test_compose_row_matches_the_fold_on_mixed_parts(target):
+    x2, y2, z2, m2, r2, s1 = (
+        as_element(gen(f, a))
+        for f, a in [("x", 2), ("y", 2), ("z", 2), ("m", 2), ("R", 2), ("S", 1)]
+    )
+    heads = [x2 - z2, as_element(gen("m", 3)) * 2 - as_element(gen("R", 3))]
+    # parts of two terms of different degrees, coefficients other than +-1
+    pool = [x2 - y2 * 3, m2 * 5 + r2, z2 * 2 + x2, s1 * -7, None]
+    compared = 0
+    for f in heads:
+        for parts in itertools.product(pool, repeat=f.arity):
+            row = target.compose_row(f, parts)
+            assert row == _fold_row(target, f, parts), (f, parts)
+            compared += not row.is_zero()
+    assert compared >= 10
+
+
+def test_suspension_composition_is_bilinear():
+    x2, y2 = Suspension.gen("m", 2), Suspension.gen("R", 2)
+    # x2 has (m, R, S) degree 0 and y2 degree 1: each term keeps its own sign
+    for i in (1, 2):
+        separate = Suspension.compose_at(x2, i, x2) + Suspension.compose_at(x2, i, y2)
+        for g in (OperadElement.sum(2, [x2, y2]), OperadElement.sum(2, [y2, x2])):
+            assert Suspension.compose_at(x2, i, g) == separate
+        assert Suspension.compose_at(x2, i, y2) == compose_at(x2, i, y2) * parity_sign(i)
+    # a zero part composes to zero, as in the free operad
+    zero = OperadElement.zero(2)
+    assert Suspension.compose_at(x2, 1, zero) == FreeOperad.compose_at(x2, 1, zero)
+    assert Suspension.compose_at(x2, 1, zero) == OperadElement.zero(3)
 
 
 def test_diff_unsupported_family():

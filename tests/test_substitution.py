@@ -3,7 +3,8 @@
 `graft_with_sign` splices each grafted tree's word in place of its leaf and
 lets it enter the Koszul sign as one letter of its total degree;
 `replace_vertex` splices the removed vertex's child subtrees into the
-replacement's word with the same helper and builds only the final tree.  The
+replacement's word with the same helper and builds only the final tree, and
+`derivation_terms` does the same on bare words.  The
 first oracle is the direct tag-and-strip
 computation: tag every vertex of every input, build the result, read the tags
 back in planar order and reorder the full concatenated vertex list.  The
@@ -25,6 +26,7 @@ import pytest
 
 from rbsinfty.minimal_model import (
     PRESENTATIONS,
+    derivation_terms,
     diff_generator,
     extend_derivation,
     presentation_generators,
@@ -258,6 +260,24 @@ def test_replace_vertex_matches_the_tree_wrapping_build():
                 ), (t, index, u)
                 replacements += 1
     assert replacements == 2_823
+
+
+@pytest.mark.parametrize("diff_of", [diff_bar, diff_generator], ids=["bar", "full"])
+def test_summed_derivation_words_match_extend_derivation(diff_of):
+    # the word stream that check_d_squared and check_homotopy sum by word
+    nonzero = 0
+    for t in UNIVERSE:
+        summed = {}
+        for word, c in derivation_terms(diff_of, t.nodes, 3):
+            summed[word] = summed.get(word, 0) + c
+        element = OperadElement.monomial(t, 3)
+        image = extend_derivation(diff_of, element)
+        assert {w: c for w, c in summed.items() if c} == {
+            tree.nodes: c for tree, c in image.terms.items()
+        }, t
+        assert image == oracle_extend(diff_of, element), t
+        nonzero += not image.is_zero()
+    assert nonzero > len(UNIVERSE) // 2
 
 
 @pytest.mark.parametrize("presentation", sorted(PRESENTATIONS))
