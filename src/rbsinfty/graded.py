@@ -87,6 +87,8 @@ class GradedSpace:
     @classmethod
     def from_json(cls, data: Mapping) -> "GradedSpace":
         basis = _json_array(_json_object(data, "space").get("basis"), "space.basis")
+        if not basis:  # every check would pass on the zero space
+            raise ValueError("space.basis must not be empty")
         return cls((_field(b, "name", str), _field(b, "degree", int)) for b in basis)
 
 
@@ -651,9 +653,10 @@ def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
 
 
 class BasedAlgebra:
-    """A unital graded algebra with explicit basis and structure constants."""
+    """A unital graded algebra with explicit basis and structure constants,
+    and the integer index of them that `F_map` walks (`_integer_index`)."""
 
-    __slots__ = ("space", "products", "unit")
+    __slots__ = ("space", "products", "unit", "_index")
 
     def __init__(
         self,
@@ -670,6 +673,20 @@ class BasedAlgebra:
         self.space = space
         self.products = MultiMap(space, space, 2, 0, products).table
         self.unit = {n: _frac(c) for n, c in unit.items() if _frac(c) != 0}
+        self._index = None
+
+    def _integer_index(self) -> tuple[int, dict, dict]:
+        """``(q, products, right)``: the structure constants as numerators
+        over one denominator q, ``products[a, b] = {a·b: numerator}``, and
+        ``right[a]``, the pairs ``(b, products[a, b])`` with a·b ≠ 0; made
+        on first use and kept."""
+        if self._index is None:
+            q, rows = self.product_map()._numerators()
+            right: dict[str, list] = {}
+            for (a, b), row in rows.items():
+                right.setdefault(a, []).append((b, row))
+            self._index = (q, rows, right)
+        return self._index
 
     def multiply_basis(self, a: str, b: str) -> dict[str, Fraction]:
         return dict(self.products.get((a, b), {}))

@@ -35,15 +35,16 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
+from math import lcm
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .graded import (
     BasedAlgebra,
-    GradedSpace,
     MatrixAlgebra,
     MultiMap,
     TensorElem,
+    _IntegerTable,
     _MISSING,
     _family_key,
     _json_family,
@@ -60,18 +61,15 @@ from .residuals import (
     _residual,
     _straddle_piece,
 )
-from .signs import parity_sign
 
 
-def _interleaving_sign(
-    space: GradedSpace, factors: Sequence[str]
-) -> Callable[[Sequence[str]], int]:
-    """The sign (-1)^e of interleaving inputs x_1, ..., x_n with the factors
-    a_1, ..., a_{n+1}: e = sum_k |x_k| (|a_{k+1}| + ... + |a_{n+1}|).  Each
-    tail sum is taken once; the returned function takes the inputs."""
-    tails = list(itertools.accumulate(space.degree(a) for a in reversed(factors[1:])))
+def _tails(degrees: Mapping[str, int], factors: Sequence[str]) -> list[int]:
+    """The interleaving sign of inputs x_1, ..., x_n with the factors a_1,
+    ..., a_{n+1} is (-1)^e, e = sum_k |x_k| t_k; these are the tails
+    t_k = |a_{k+1}| + ... + |a_{n+1}|."""
+    tails = list(itertools.accumulate(degrees[a] for a in reversed(factors[1:])))
     tails.reverse()
-    return lambda xs: parity_sign(sum(space.degree(x) * t for x, t in zip(xs, tails)))
+    return tails
 
 
 def F_map(t: TensorElem) -> MultiMap:
@@ -79,6 +77,13 @@ def F_map(t: TensorElem) -> MultiMap:
 
     (a_1 (x) ... (x) a_{n+1}) maps (x_1, ..., x_n) to
     (-1)^e a_1 x_1 a_2 x_2 ... x_n a_{n+1} with e = sum |x_k| |a_j| over j > k.
+
+    One step per nonzero path through the structure constants, not per input
+    tuple: a factor tuple's paths grow slot by slot, sharing their prefixes,
+    by the inputs x with c x ≠ 0 times the next factor, each x_k signed by
+    its tail (`_tails`).  Path values are integers over the tensor's and the
+    algebra's denominators (`BasedAlgebra._integer_index`), and every path
+    is a row ``(inputs, value, last product)`` of one `_IntegerTable`.
     """
     if t.order < 2:
         raise ValueError(f"need a tensor of order >= 2, got {t.order}")
@@ -88,49 +93,50 @@ def F_map(t: TensorElem) -> MultiMap:
     degree = t.homogeneous_degree()
     if degree is None:
         return MultiMap.zero(space, space, n, 0)
+    q, products, right = algebra._integer_index()
+    q_t = lcm(*(c.denominator for c in t.table.values()))
+    degrees = space._degrees
     rows = []
     for factors, coeff in t.table.items():
-        sign = _interleaving_sign(space, factors)
-        for xs in itertools.product(space.names, repeat=n):
-            # one term per path through the structure constants; the map's
-            # constructor sums the paths that end in the same basis element
-            terms = [(factors[0], sign(xs) * coeff)]
-            for b in itertools.chain.from_iterable(zip(xs, factors[1:])):
-                terms = [
-                    (c, v * w)
-                    for a, v in terms
-                    for c, w in algebra.products.get((a, b), {}).items()
-                ]
-            rows += [(xs, {c: v}) for c, v in terms]
-    return MultiMap(space, space, n, degree, rows)
+        paths = [((), q_t // coeff.denominator * coeff.numerator, {factors[0]: 1})]
+        for a, tail in zip(factors[1:], _tails(degrees, factors)):
+            paths = [
+                (ins + (x,), -v * w * u if tail & degrees[x] & 1 else v * w * u, after)
+                for ins, v, outs in paths
+                for c, w in outs.items()
+                for x, row in right.get(c, ())
+                for cx, u in row.items()
+                if (after := products.get((cx, a))) is not None
+            ]
+        rows += paths
+    table = _IntegerTable()
+    table.add(q_t * q ** (2 * n), rows)
+    return MultiMap(space, space, n, degree, table)
 
 
 def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
     """The unique tensor mapping to f, on a full matrix algebra.
 
     Reads the coefficient of e_{q_0}^{p_1} (x) e_{v_1}^{p_2} (x) ... directly
-    off the value of f on the canonical basis, undoing the interleaving sign.
+    off the value of f on the canonical basis, undoing the interleaving
+    sign: one step per entry of f, with each basis name's (p, q) read once.
     """
     if not isinstance(algebra, MatrixAlgebra):
         raise ValueError("tensor extraction needs a full matrix algebra")
     if f.space_in != algebra.space or f.space_out != algebra.space:
         raise ValueError("map is not defined on the given matrix algebra")
-    space = algebra.space
-    n = f.arity
+    degrees = algebra.space._degrees
+    indices = {name: MatrixAlgebra.unit_indices(name) for name in degrees}
+    names = {pq: name for name, pq in indices.items()}
     terms = []
     for ins, outs in f.table.items():
-        rows_cols = [MatrixAlgebra.unit_indices(x) for x in ins]
-        us = [rc[0] for rc in rows_cols]
-        vs = [rc[1] for rc in rows_cols]
+        us, vs = zip(*map(indices.__getitem__, ins))
         for out, coeff in outs.items():
-            q0, p_last = MatrixAlgebra.unit_indices(out)
-            qs = [q0] + vs
-            ps = us + [p_last]
-            factors = tuple(
-                MatrixAlgebra.unit_name(qs[j], ps[j]) for j in range(n + 1)
-            )
-            terms.append((factors, _interleaving_sign(space, factors)(ins) * coeff))
-    return TensorElem(algebra, n + 1, terms)
+            q0, p_last = indices[out]
+            factors = tuple(map(names.__getitem__, zip((q0, *vs), (*us, p_last))))
+            e = sum(degrees[x] * tail for x, tail in zip(ins, _tails(degrees, factors)))
+            terms.append((factors, -coeff if e & 1 else coeff))
+    return TensorElem(algebra, f.arity + 1, terms)
 
 
 # ---------------------------------------------------------------------------

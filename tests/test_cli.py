@@ -1285,3 +1285,46 @@ def test_misshapen_json_field_is_named(capsys, tmp_path, build):
     code, report = run(capsys, "check", command, dump(tmp_path, "shape.json", payload))
     assert code == 2
     assert message in report["error"]
+
+
+_EMPTY = {"basis": []}
+_ZERO_OPERATOR = {"arity": 1, "degree": 0, "entries": []}
+_ZERO_TENSOR = {"order": 2, "entries": []}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (("check", "rbs"), {"space": _EMPTY, "R": _ZERO_OPERATOR, "S": _ZERO_OPERATOR}),
+        (("check", "ybp"), {"space": _EMPTY, "r": _ZERO_TENSOR, "s": _ZERO_TENSOR}),
+        (("check", "hrbs"), {"space": _EMPTY, "truncation": 2}),
+        (("check", "aybe-infinity"), {"space": _EMPTY, "truncation": 2}),
+        (
+            ("check", "mc"),
+            {
+                "space": _EMPTY,
+                "product": {"arity": 2, "degree": 0, "entries": []},
+                "R": _ZERO_OPERATOR,
+                "S": _ZERO_OPERATOR,
+            },
+        ),
+        (("check", "mc"), {"space": _EMPTY, "parts": []}),
+        (("convert", "ybp-to-rbs"), {"space": _EMPTY, "r": _ZERO_TENSOR, "s": _ZERO_TENSOR}),
+        (("convert", "rbs-to-ybp"), {"space": _EMPTY, "R": _ZERO_OPERATOR, "S": _ZERO_OPERATOR}),
+    ],
+    ids=[
+        "check-rbs",
+        "check-ybp",
+        "check-hrbs",
+        "check-aybe-infinity",
+        "check-mc-classical",
+        "check-mc-cochain",
+        "convert-ybp-to-rbs",
+        "convert-rbs-to-ybp",
+    ],
+)
+def test_empty_basis_is_refused_not_passed(capsys, tmp_path, argv, payload):
+    # on the zero space every identity holds vacuously
+    code, report = run(capsys, *argv, dump(tmp_path, "empty.json", payload))
+    assert code == 2
+    assert report == {"error": "space.basis must not be empty"}
