@@ -61,10 +61,8 @@ from .monomial_model import (
     apply_homotopy,
     check_homotopy,
     diff_bar,
-    diff_bar_element,
     enumerate_monomials,
     homotopy_H,
-    measure_h_squared,
 )
 from .residuals import (
     HomotopyRBS,
@@ -149,7 +147,6 @@ __all__ = [
     "dga_residual_R",
     "dga_residual_S",
     "diff_bar",
-    "diff_bar_element",
     "diff_generator",
     "differential",
     "enumerate_monomials",
@@ -171,7 +168,6 @@ __all__ = [
     "l_bracket",
     "leading_monomial",
     "mc_residual",
-    "measure_h_squared",
     "parse_tree",
     "permutation_sign",
     "presentation_generators",

@@ -15,7 +15,8 @@ derivation differential defined on generators:
 Both satisfy d^2 = 0, which `check_d_squared` verifies by exact symbolic
 expansion: the `derivation_terms` of every term of d g, preorder words with
 their coefficients, are summed in one table keyed by word, and trees are
-built only for the witnesses of a failure.  A composite row of the
+built only for the witnesses of a failure.  Each generator's differential
+is laid out once per check, in one `Images` table.  A composite row of the
 differential is grafted in one pass (`FreeOperad.compose_row`), each graft
 signed by the target's `graft_exponent`.
 """
@@ -262,7 +263,7 @@ def replace_vertex(
     if u.arity != label.arity:
         raise ValueError(f"replacement arity {u.arity} != vertex arity {label.arity}")
     end, subtrees = _subtrees(nodes, position)
-    word, exponent = _splice(u, subtrees)
+    word, exponent = _splice(u.nodes, u._leaf_layout(), subtrees)
     nodes = nodes[:position] + word + nodes[end:]
     return _tree(nodes, t.arity, t.degree - label.degree + u.degree), parity_sign(exponent)
 
@@ -270,11 +271,33 @@ def replace_vertex(
 DiffMap = Callable[[Generator], OperadElement]
 
 
+class Images(dict):
+    """The image of each label under the generator differential ``diff_of``,
+    laid out for splicing: a tuple of ``(word, leaf layout, coefficient)``,
+    one per term, the layout that of `TreeMonomial._leaf_layout`.
+
+    A label is laid out on its first lookup, so a check that holds one table
+    calls ``diff_of`` once per label it meets.
+    """
+
+    __slots__ = ("diff_of",)
+
+    def __init__(self, diff_of: DiffMap):
+        self.diff_of = diff_of
+
+    def __missing__(self, label: Generator) -> tuple:
+        image = self[label] = tuple(
+            (u.nodes, u._leaf_layout(), c) for u, c in self.diff_of(label).terms.items()
+        )
+        return image
+
+
 def derivation_terms(
-    diff_of: DiffMap, nodes: tuple, coeff: Scalar
+    images: Images, nodes: tuple, coeff: Scalar
 ) -> Iterator[tuple[tuple, Scalar]]:
-    """The terms of ``coeff`` times the derivation extension of ``diff_of`` on
-    the tree with the word ``nodes``, as ``(word, coefficient)`` pairs.
+    """The terms of ``coeff`` times the derivation extension of the
+    differential laid out in ``images`` on the tree with the word ``nodes``,
+    as ``(word, coefficient)`` pairs.
 
     Each vertex is replaced (in place) by the differential of its label, with
     the prefactor (-1)^(sum of the degrees of the vertices strictly preceding
@@ -286,13 +309,13 @@ def derivation_terms(
     for position, label in enumerate(nodes):
         if label is None:
             continue
-        image = diff_of(label).terms
+        image = images[label]
         if image:
             end, subtrees = _subtrees(nodes, position)
             head, tail = nodes[:position], nodes[end:]
             scale = parity_sign(prefix) * coeff
-            for u, u_coeff in image.items():
-                word, exponent = _splice(u, subtrees)
+            for u_nodes, leaves, u_coeff in image:
+                word, exponent = _splice(u_nodes, leaves, subtrees)
                 yield head + word + tail, parity_sign(exponent) * scale * u_coeff
         prefix += label.degree
 
@@ -300,12 +323,13 @@ def derivation_terms(
 def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
     """Extend a generator differential to the free operad as a derivation:
     the `derivation_terms` of each monomial of ``e``, summed by word."""
+    images = Images(diff_of)
     return OperadElement.from_words(
         e.arity,
         (
             term
             for tree, coeff in e.terms.items()
-            for term in derivation_terms(diff_of, tree.nodes, coeff)
+            for term in derivation_terms(images, tree.nodes, coeff)
         ),
     )
 
@@ -346,13 +370,13 @@ def check_d_squared(families: Iterable[str], max_arity: int) -> dict:
     if max_arity < 2:
         raise ValueError("max_arity must be >= 2")
     results = []
+    # the module binding, read per call, so that a stand-in for it is used
+    images = Images(diff_generator)
     for g in presentation_generators(families, max_arity):
-        # the module binding, read per call, so that a stand-in for it is used
-        diff_of = diff_generator
         residual: dict[tuple, Scalar] = {}
         get = residual.get
-        for tree, coeff in diff_of(g).terms.items():
-            for word, c in derivation_terms(diff_of, tree.nodes, coeff):
+        for nodes, _, coeff in images[g]:
+            for word, c in derivation_terms(images, nodes, coeff):
                 residual[word] = get(word, 0) + c
         nonzero = [(word, c) for word, c in residual.items() if c]
         result = {

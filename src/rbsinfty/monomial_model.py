@@ -13,12 +13,14 @@ and admits an explicit contracting homotopy in positive degrees built from
 (one of m_a o_1 m_2, (R_a o_1 m_2) o_1 R_1, (S_a o_1 m_2) o_1 R_1) in
 "left-upper-most" position.  `check_homotopy` verifies dH + Hd = Id exactly
 on an enumerated universe of positive-degree monomials, one monomial at a
-time: the unmerged terms of dH(t) and Hd(t), preorder words from
-`derivation_terms` and `_contraction`, and -t are summed in one table keyed
-by word, and trees and an `OperadElement` are built only to print the
-residual of a failure.  `_effective` finds the effective divisor in a word;
-`is_effective`, `homotopy_H` and `apply_homotopy` wrap it and `_contraction`
-for trees and elements.
+time, on preorder words from end to end: `_monomial_words` yields each
+monomial as ``(word, arity, degree)``, and the unmerged terms of dH(t) and
+Hd(t), words from `derivation_terms` (over one `Images` table of `diff_bar`
+per check) and `_contraction`, and -t are summed in one table keyed by
+word.  Trees and an `OperadElement` are built only to print a failure.
+`_effective` finds the effective divisor in a word, with the degree before
+it; `enumerate_monomials`, `is_effective`, `homotopy_H` and
+`apply_homotopy` are the tree and element wrappers.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .minimal_model import (
-    FreeOperad,
-    derivation_terms,
-    extend_derivation,
-    generator_differential,
-)
+from .minimal_model import FreeOperad, Images, derivation_terms, generator_differential
 from .signs import compositions, parity_sign
 from .trees import (
     Generator,
@@ -77,11 +74,6 @@ def diff_bar(g: Generator) -> OperadElement:
     if g.family not in ("m", "R", "S"):
         raise ValueError(f"no monomial differential for family {g.family!r}")
     return generator_differential(g.family, g.arity, _FirstSlot)
-
-
-def diff_bar_element(e: OperadElement) -> OperadElement:
-    """Derivation extension of `diff_bar` to arbitrary elements."""
-    return extend_derivation(diff_bar, e)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +121,15 @@ def is_effective(t: TreeMonomial) -> Optional[EffectiveDivisorLocation]:
     found = _effective(t.nodes)
     if found is None:
         return None
-    position, leaf, kind = found
+    position, leaf, kind, _ = found
     # every leaf before the effective one lies before the divisor root
     return EffectiveDivisorLocation(position - leaf + 1, leaf, kind, position)
 
 
-def _effective(nodes: tuple) -> Optional[tuple[int, int, str]]:
+def _effective(nodes: tuple) -> Optional[tuple[int, int, str, int]]:
     """The word position of the effective divisor's root, the effective
-    leaf and the divisor's family letter, or None.
+    leaf, the divisor's family letter and the degree of the vertices before
+    the divisor's root, or None.
 
     In the word, the vertices on the paths of the leaves left of a leaf are
     those before the leaf just left of it, and the vertices from the divisor
@@ -146,8 +139,9 @@ def _effective(nodes: tuple) -> Optional[tuple[int, int, str]]:
     can be the effective leaf, and then only if the last blocking vertex
     before it roots the divisor; so the occurrence is unique.
     """
-    leaf = 0
-    blocker, blocker_kind = None, None  # the last blocking vertex so far
+    leaf = degree = 0
+    # the last blocking vertex so far, its kind and the degree before it
+    blocker, blocker_kind, omega = None, None, 0
     for position, node in enumerate(nodes):
         if node is None:
             leaf += 1
@@ -156,10 +150,11 @@ def _effective(nodes: tuple) -> Optional[tuple[int, int, str]]:
         else:
             kind = _typical_kind(nodes, position) if nodes[position + 1] is _M2 else None
             if kind is not None or node.degree > 0:
-                blocker, blocker_kind = position, kind
+                blocker, blocker_kind, omega = position, kind, degree
+            degree += node.degree
     if blocker_kind is None:
         return None
-    return blocker, leaf, blocker_kind
+    return blocker, leaf, blocker_kind, omega
 
 
 @lru_cache(maxsize=None)
@@ -168,6 +163,12 @@ def _leading_coefficient(g: Generator) -> int:
     if coeff not in (1, -1):
         raise RuntimeError(f"leading coefficient of d {g.name} is {coeff}, not a unit")
     return coeff
+
+
+@lru_cache(maxsize=None)
+def _raised(g: Generator) -> Generator:
+    """The generator of ``g``'s family one arity up."""
+    return gen(g.family, g.arity + 1)
 
 
 def _contraction(nodes: tuple) -> tuple:
@@ -181,9 +182,8 @@ def _contraction(nodes: tuple) -> tuple:
     found = _effective(nodes)
     if found is None:
         return ()
-    position, _, kind = found
-    replacement = gen(kind, nodes[position].arity + 1)
-    omega = sum(node.degree for node in nodes[:position] if node is not None)
+    position, _, kind, omega = found
+    replacement = _raised(nodes[position])
     removed = 2 if kind == "m" else 3
     contracted = nodes[:position] + (replacement,) + nodes[position + removed :]
     # dividing by a unit is multiplying by it
@@ -238,8 +238,9 @@ def is_normal_form(t: TreeMonomial) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_monomials(max_arity: int, max_weight: int) -> Iterator[TreeMonomial]:
-    """All m/R/S tree monomials with the given arity and weight bounds.
+def _monomial_words(max_arity: int, max_weight: int) -> Iterator[tuple[tuple, int, int]]:
+    """``(word, arity, degree)`` of every m/R/S tree monomial in the bounds,
+    by arity and then weight.
 
     Both bounds are required for finiteness: unary operator chains give
     infinitely many monomials of any fixed arity.  A child weighs less than
@@ -283,23 +284,29 @@ def enumerate_monomials(max_arity: int, max_weight: int) -> Iterator[TreeMonomia
     for n in range(1, max_arity + 1):
         for w in range(1, max_weight + 1):
             for word, degree in cell(n, w) if w == max_weight else kept(n, w):
-                yield _tree(word, n, degree)
+                yield word, n, degree
 
 
-def _homotopy_residual(t: TreeMonomial) -> dict:
-    """The nonzero terms of (dH + Hd - Id)(t), summed in one table keyed by
-    word; a tree is built only for a term that does not cancel."""
-    nodes = t.nodes
+def enumerate_monomials(max_arity: int, max_weight: int) -> Iterator[TreeMonomial]:
+    """All m/R/S tree monomials with the given arity and weight bounds: the
+    trees of `_monomial_words`, in its order."""
+    for word, n, degree in _monomial_words(max_arity, max_weight):
+        yield _tree(word, n, degree)
+
+
+def _homotopy_residual(nodes: tuple, images: Images) -> list[tuple[tuple, int]]:
+    """The nonzero terms of (dH + Hd - Id) on the tree with the word
+    ``nodes``, as ``(word, coefficient)`` pairs summed in one table keyed by
+    word; ``images`` lays out `diff_bar`."""
     residual = {nodes: -1}
     get = residual.get
     for h, h_coeff in _contraction(nodes):
-        for word, coeff in derivation_terms(diff_bar, h, h_coeff):
+        for word, coeff in derivation_terms(images, h, h_coeff):
             residual[word] = get(word, 0) + coeff
-    for word, coeff in derivation_terms(diff_bar, nodes, 1):
+    for word, coeff in derivation_terms(images, nodes, 1):
         for image, c in _contraction(word):
             residual[image] = get(image, 0) + coeff * c
-    nonzero = [(word, c) for word, c in residual.items() if c]
-    return OperadElement.from_words(t.arity, nonzero).terms if nonzero else {}
+    return [(word, c) for word, c in residual.items() if c]
 
 
 def check_homotopy(max_arity: int, max_weight: int) -> dict:
@@ -317,32 +324,17 @@ def check_homotopy(max_arity: int, max_weight: int) -> dict:
         )
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
+    # the module binding, read per call, so that a stand-in for it is used
+    images = Images(diff_bar)
     checked = 0
     failures = []
-    for t in enumerate_monomials(max_arity, max_weight):
-        if t.degree < 1:
+    for nodes, arity, degree in _monomial_words(max_arity, max_weight):
+        if degree < 1:
             continue
         checked += 1
-        residual = _homotopy_residual(t)
+        residual = _homotopy_residual(nodes, images)
         if residual:
-            failures.append(
-                {"tree": t.to_text(), "residual": repr(OperadElement(t.arity, residual))}
-            )
+            tree = _tree(nodes, arity, degree)
+            element = OperadElement.from_words(arity, residual)
+            failures.append({"tree": tree.to_text(), "residual": repr(element)})
     return {"checked": checked, "failures": failures, "ok": not failures}
-
-
-def measure_h_squared(max_arity: int, max_weight: int) -> dict:
-    """Count monomials on which H(H(T)) fails to vanish (side observation).
-
-    The contraction identity dH + Hd = Id does not by itself force H^2 = 0;
-    this measures how the implemented H behaves on the enumerated universe.
-    """
-    checked = 0
-    nonzero = 0
-    for t in enumerate_monomials(max_arity, max_weight):
-        if t.degree < 1:
-            continue
-        checked += 1
-        if not apply_homotopy(homotopy_H(t)).is_zero():
-            nonzero += 1
-    return {"checked": checked, "h_squared_nonzero": nonzero}

@@ -13,10 +13,13 @@ leaf, so ``m2(R1(1), m2(2, 3))`` is ``(m2, R1, None, m2, None, None)``
 interned, one object per (family, arity, degree), so words compare and hash
 by identity.  A subtree is a slice of the word, and grafting a tree at a
 leaf puts its word in place of that leaf's None.  The planar order of the
-vertices is their order in the word.  The hot loops of the operad checks
-(`minimal_model.derivation_terms`, the contraction of `monomial_model`) work
-on bare words and sum them in tables keyed by word; `OperadElement.from_words`
-builds a `TreeMonomial` only for a word whose coefficient does not cancel.
+vertices is their order in the word.  The operad checks work on bare words
+from end to end: `monomial_model` enumerates its monomials as words, and
+`minimal_model.derivation_terms` and the contraction of `monomial_model`
+map words to words, summed in tables keyed by word, with each generator's
+image laid out once (its words and the `_leaf_layout` that `_splice`
+reads).  `OperadElement.from_words` builds a `TreeMonomial` only for a word
+whose coefficient does not cancel.
 
 The sign convention used everywhere: when trees are grafted, the vertices of
 the inputs are concatenated (outer tree first, then the grafted trees ordered
@@ -353,20 +356,22 @@ def graft_with_sign(
         if not 1 <= i <= f.arity:
             raise ValueError(f"leaf index {i} out of range 1..{f.arity}")
     grafts = sorted((i, t.nodes, t.degree) for i, t in assignment.items())
-    nodes, exponent = _splice(f, grafts)
+    nodes, exponent = _splice(f.nodes, f._leaf_layout(), grafts)
     arity = f.arity + sum(t.arity - 1 for t in assignment.values())
     degree = f.degree + sum(t.degree for t in assignment.values())
     return _tree(nodes, arity, degree), parity_sign(exponent)
 
 
-def _splice(outer: TreeMonomial, grafts: Iterable[tuple[int, tuple, int]]) -> tuple[tuple, int]:
-    """The word of ``outer`` with words put in place of some of its leaves.
+def _splice(
+    nodes: tuple, leaves: tuple, grafts: Iterable[tuple[int, tuple, int]]
+) -> tuple[tuple, int]:
+    """The word ``nodes`` of a tree with words put in place of some of its
+    leaves; ``leaves`` is the tree's `TreeMonomial._leaf_layout`.
 
     ``grafts`` lists ``(leaf, word, degree)`` by increasing leaf.  Returns
     the new word and the exponent of the graft sign: each word's degree
-    times the degree of the vertices of ``outer`` after its leaf.
+    times the degree of the vertices of the tree after its leaf.
     """
-    nodes, leaves = outer.nodes, outer._leaf_layout()
     spliced, start, exponent = (), 0, 0
     for leaf, word, degree in grafts:
         position, after = leaves[leaf - 1]

@@ -1,5 +1,11 @@
-"""Tests for the simplified differential, effectiveness, and the contraction."""
+"""Tests for the simplified differential, effectiveness, and the contraction.
 
+`diff_bar_element` and `measure_h_squared` are tree-level oracles: the
+derivation extension of `diff_bar` to elements, and a count of the
+monomials on which H^2 does not vanish.
+"""
+
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsinfty import monomial_model
+from rbsinfty.minimal_model import Images, extend_derivation
 from rbsinfty.monomial_model import (
     apply_homotopy,
     check_homotopy,
     diff_bar,
-    diff_bar_element,
     enumerate_monomials,
     homotopy_H,
     is_effective,
     is_normal_form,
-    measure_h_squared,
 )
 from rbsinfty.trees import (
     OperadElement,
@@ -29,6 +34,28 @@ from rbsinfty.trees import (
 M2, M3 = gen("m", 2), gen("m", 3)
 R1, R2 = gen("R", 1), gen("R", 2)
 S1, S2 = gen("S", 1), gen("S", 2)
+
+
+def diff_bar_element(e):
+    """Derivation extension of `diff_bar` to arbitrary elements."""
+    return extend_derivation(diff_bar, e)
+
+
+def measure_h_squared(max_arity, max_weight):
+    """Count monomials on which H(H(T)) fails to vanish (side observation).
+
+    The contraction identity dH + Hd = Id does not by itself force H^2 = 0;
+    this measures how the implemented H behaves on the enumerated universe.
+    """
+    checked = 0
+    nonzero = 0
+    for t in enumerate_monomials(max_arity, max_weight):
+        if t.degree < 1:
+            continue
+        checked += 1
+        if not apply_homotopy(homotopy_H(t)).is_zero():
+            nonzero += 1
+    return {"checked": checked, "h_squared_nonzero": nonzero}
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +299,52 @@ def test_enumerate_weight_one():
     assert texts == ["R1(1)", "R2(1, 2)", "S1(1)", "S2(1, 2)", "m2(1, 2)"]
 
 
+def _series_cells(max_arity, max_weight):
+    """The coefficients of y = x + w sum_{n>=2} u^(n-2) y^n
+    + 2 w sum_{n>=1} u^(n-1) y^n, x marking arity, w weight and u degree,
+    as a Counter keyed by (arity, weight, degree), truncated to the bounds."""
+
+    def times(p, q):
+        out = Counter()
+        for (a1, w1, d1), c1 in p.items():
+            for (a2, w2, d2), c2 in q.items():
+                if a1 + a2 <= max_arity and w1 + w2 <= max_weight:
+                    out[a1 + a2, w1 + w2, d1 + d2] += c1 * c2
+        return out
+
+    x = Counter({(1, 0, 0): 1})
+    y = x
+    # each pass fixes the coefficients of one more weight
+    for _ in range(max_weight + 1):
+        nxt = Counter(x)
+        power = y
+        for n in range(1, max_arity + 1):
+            for (a, w, d), c in power.items():
+                if w < max_weight:
+                    if n >= 2:
+                        nxt[a, w + 1, d + n - 2] += c
+                    nxt[a, w + 1, d + n - 1] += 2 * c
+            power = times(power, y)
+        y = nxt
+    return Counter({cell: c for cell, c in y.items() if cell[1] >= 1 and c})
+
+
+def test_word_enumerator_cells_match_the_generating_series():
+    counted = Counter(
+        (arity, sum(node is not None for node in word), degree)
+        for word, arity, degree in monomial_model._monomial_words(4, 5)
+    )
+    assert counted == _series_cells(4, 5)
+    assert len(counted) == 46
+    assert sum(counted.values()) == 55_823
+
+
+def test_enumerate_monomials_wraps_the_word_enumerator():
+    trees = list(enumerate_monomials(3, 3))
+    words = list(monomial_model._monomial_words(3, 3))
+    assert [(t.nodes, t.arity, t.degree) for t in trees] == words
+
+
 def test_enumeration_respects_bounds_and_is_duplicate_free():
     trees = list(enumerate_monomials(3, 3))
     assert len(trees) == len(set(trees))
@@ -311,21 +384,35 @@ def _composed_residual(t):
     return diff_bar_element(homotopy_H(t)) + apply_homotopy(diff_bar_element(e)) - e
 
 
-@pytest.mark.parametrize("mutated", [False, True])
-def test_check_homotopy_matches_the_composed_oracle(monkeypatch, mutated):
+def _check_matches_the_composed_oracle(monkeypatch, mutated, bounds):
     if mutated:
         real = monomial_model._leading_coefficient
         monkeypatch.setattr(monomial_model, "_leading_coefficient", lambda g: -real(g))
+    images = Images(diff_bar)
     expected = []
-    for t in enumerate_monomials(3, 4):
+    for t in enumerate_monomials(*bounds):
         oracle = _composed_residual(t)
-        assert OperadElement(t.arity, monomial_model._homotopy_residual(t)) == oracle
+        residual = monomial_model._homotopy_residual(t.nodes, images)
+        assert OperadElement.from_words(t.arity, residual) == oracle
         if t.degree > 0 and not oracle.is_zero():
             expected.append({"tree": t.to_text(), "residual": repr(oracle)})
-    report = check_homotopy(3, 4)
+    report = check_homotopy(*bounds)
     assert report["failures"] == expected
     assert report["ok"] is not mutated
     assert bool(expected) is mutated
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_check_homotopy_matches_the_composed_oracle(monkeypatch, mutated):
+    _check_matches_the_composed_oracle(monkeypatch, mutated, (3, 4))
+
+
+@pytest.mark.parametrize("bounds", [(2, 5), (4, 3)], ids=["2-5", "4-3"])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_check_homotopy_matches_the_composed_oracle_at_the_benchmark_bounds(
+    monkeypatch, mutated, bounds
+):
+    _check_matches_the_composed_oracle(monkeypatch, mutated, bounds)
 
 
 def test_h_squared_vanishes_on_sampled_universe():

@@ -26,6 +26,7 @@ import pytest
 
 from rbsinfty.minimal_model import (
     PRESENTATIONS,
+    Images,
     derivation_terms,
     diff_generator,
     extend_derivation,
@@ -268,7 +269,7 @@ def test_summed_derivation_words_match_extend_derivation(diff_of):
     nonzero = 0
     for t in UNIVERSE:
         summed = {}
-        for word, c in derivation_terms(diff_of, t.nodes, 3):
+        for word, c in derivation_terms(Images(diff_of), t.nodes, 3):
             summed[word] = summed.get(word, 0) + c
         element = OperadElement.monomial(t, 3)
         image = extend_derivation(diff_of, element)
