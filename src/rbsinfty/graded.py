@@ -18,6 +18,8 @@ Rational = Union[Fraction, int]
 
 
 def _frac(value) -> Fraction:
+    """An exact rational; a string with an exponent ("1e999999999") is
+    refused, as Fraction would compute the power in full."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -25,6 +27,8 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"coefficient {value!r} has an exponent; write p/q or a decimal")
         try:
             return Fraction(value)
         except ZeroDivisionError:

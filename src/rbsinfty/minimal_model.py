@@ -16,15 +16,15 @@ Both satisfy d^2 = 0, which `check_d_squared` verifies by exact symbolic
 expansion: the `derivation_terms` of every term of d g, preorder words with
 their coefficients, are summed in one table keyed by word, and trees are
 built only for the witnesses of a failure.  Each generator's differential
-is laid out once per check, in one `Images` table.  A composite row of the
-differential is grafted in one pass (`FreeOperad.compose_row`), each graft
-signed by the target's `graft_exponent`.
+is laid out once per check, in one `Images` table.  Every composite of the
+differential, a single f o_i g included, is a row grafted in one pass
+(`FreeOperad.compose_row`), each graft signed by the target's
+`graft_exponent`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,7 +39,6 @@ from .trees import (
     _subtrees,
     _tree,
     as_element,
-    compose_at,
     gen,
     graft_with_sign,
 )
@@ -85,11 +84,6 @@ class FreeOperad:
         """The free operad signs a graft by the graft rule of `trees` only."""
         return 0
 
-    @staticmethod
-    def compose_at(f, i, g):
-        # the module binding, read per call, so that a wrapper of it sees each call
-        return compose_at(f, i, g)
-
     @classmethod
     def compose_row(cls, f, parts):
         """f with ``parts`` grafted left to right, a None part leaving its
@@ -104,20 +98,23 @@ class FreeOperad:
             if g is None:
                 leaf += 1
                 continue
-            exponents = (
-                (t, c, cls.graft_exponent(arity, leaf, g.arity, t.degree))
-                for t, c in g.terms.items()
-            )
-            grafts.append(
-                [(number, t, parity_sign(e) * c) for t, c, e in exponents if e is not None]
-            )
+            signed = []
+            for t, c in g.terms.items():
+                e = cls.graft_exponent(arity, leaf, g.arity, t.degree)
+                if e is not None:
+                    signed.append((number, t, parity_sign(e) * c))
+            grafts.append(signed)
             arity += g.arity - 1
             leaf += g.arity
         terms = []
         for tf, cf in f.terms.items():
             for choice in itertools.product(*grafts):
-                tree, sign = graft_with_sign(tf, {number: t for number, t, _ in choice})
-                terms.append((tree, sign * cf * math.prod(c for _, _, c in choice)))
+                grafted, c = {}, cf
+                for number, t, ct in choice:
+                    grafted[number] = t
+                    c *= ct
+                tree, sign = graft_with_sign(tf, grafted)
+                terms.append((tree, sign * c))
         return OperadElement(arity, terms)
 
     @staticmethod
@@ -146,20 +143,22 @@ class Suspension(FreeOperad):
     def graft_exponent(arity, leaf, g_arity, g_degree):
         return (leaf - 1) * (g_arity - 1) + (arity - 1) * (g_degree + g_arity - 1)
 
-    @classmethod
-    def compose_at(cls, f, i, g):
-        return cls.compose_row(f, (None,) * (i - 1) + (g,))
+
+def slot(k: int, i: int, g) -> tuple:
+    """The row of one part: g at slot i of a host of arity k, the others open."""
+    return (None,) * (i - 1) + (g,) + (None,) * (k - i)
 
 
 def generator_differential(family: str, n: int, target):
     """d m_n, d R_n or d S_n, written once and built in the operad ``target``.
 
-    ``target`` supplies ``gen(family, arity)``, ``compose_at(f, i, g)``,
-    ``compose_row(f, parts)`` (f with one part per input grafted left to
-    right, None for an open slot) and ``sum(arity, degree, terms)`` of
-    ``(sign, element)`` pairs.  `FreeOperad` builds d in the free operad on
-    m, R, S and `Suspension` builds d x_n, d y_n, d z_n in the free operad
-    on x, y, z.  A `HomotopyRBS` evaluates it in End(V), and an
+    ``target`` supplies ``gen(family, arity)``, ``compose_row(f, parts)``
+    (f with one part per input grafted left to right, None for an open
+    slot, so that f o_i g is ``compose_row(f, slot(k, i, g))`` for f of
+    arity k) and ``sum(arity, degree, terms)`` of ``(sign, element)``
+    pairs: one composition per target.  `FreeOperad` builds d in the free
+    operad on m, R, S and `Suspension` builds d x_n, d y_n, d z_n in the
+    free operad on x, y, z.  A `HomotopyRBS` evaluates it in End(V), and an
     `InfinityYBPair` in the tensor operad of its algebra A (an order-(n+1)
     tensor for an arity-n operation): each is an operad map from the
     minimal model, whose ``gen`` gives None for a generator sent to zero,
@@ -179,7 +178,7 @@ def generator_differential(family: str, n: int, target):
     >>> len(generator_differential("R", 3, FreeOperad).terms)
     12
     """
-    gen, compose = target.gen, target.compose_at
+    gen, compose_row = target.gen, target.compose_row
 
     def grafted(k, slots):
         # m_k with the generators (family, arity) of ``slots`` grafted left
@@ -188,16 +187,17 @@ def generator_differential(family: str, n: int, target):
         row = gen("m", k)
         if row is None or any(f and g is None for (f, _), g in zip(slots, parts)):
             return None
-        return target.compose_row(row, parts)
+        return compose_row(row, parts)
 
     terms = []
     if family == "m":
         for j in range(2, n):
-            outer, inner = gen("m", n - j + 1), gen("m", j)
+            k = n - j + 1
+            outer, inner = gen("m", k), gen("m", j)
             if outer is not None and inner is not None:
                 terms += [
-                    (parity_sign(i + j * (n - i)), compose(outer, i, inner))
-                    for i in range(1, n - j + 2)
+                    (parity_sign(i + j * (n - i)), compose_row(outer, slot(k, i, inner)))
+                    for i in range(1, k + 1)
                 ]
         return target.sum(n, n - 3, terms)
     for k in range(2, n + 1):
@@ -217,7 +217,7 @@ def generator_differential(family: str, n: int, target):
                     continue
                 for i in range(1, parts[0] + 1):
                     sign = parity_sign(beta_exponent(p, j, i, parts))
-                    terms.append((sign, compose(outer, i, inner)))
+                    terms.append((sign, compose_row(outer, slot(parts[0], i, inner))))
     return target.sum(n, n - 2, terms)
 
 

@@ -53,12 +53,6 @@ class _FirstSlot(FreeOperad):
     def graft_exponent(arity, leaf, g_arity, g_degree):
         return None if leaf > 1 else 0
 
-    @staticmethod
-    def compose_at(f, i, g):
-        if i > 1:
-            return OperadElement.zero(f.arity + g.arity - 1)
-        return FreeOperad.compose_at(f, i, g)
-
 
 @lru_cache(maxsize=None)
 def diff_bar(g: Generator) -> OperadElement:

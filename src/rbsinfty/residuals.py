@@ -9,8 +9,9 @@ so the residual of X_n (X = m, R, S) is
     ∂φ(X_n) − φ(dX_n),   ∂f = m_1∘f − (−1)^|f| Σ_i f∘_i m_1,
 
 with dX_n the minimal model's `generator_differential` evaluated in End(V):
-a `HomotopyRBS` is itself the target, φ on the generators with the
-compositions and sums of End(V).
+a `HomotopyRBS` is itself the target, φ on the generators with the one
+composition of End(V), `compose_tensor` (f∘_i g is the row
+``slot(k, i, g)`` on f of arity k), and its sums.
 At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
 generator. A residual vanishes exactly when its identity holds at that arity.
 The residual is written once for any `generator_differential` target with a
@@ -37,9 +38,8 @@ from .graded import (
     _json_int,
     _truncation,
     compose_tensor,
-    insert,
 )
-from .minimal_model import generator_differential
+from .minimal_model import generator_differential, slot
 from .signs import parity_sign
 
 
@@ -77,7 +77,6 @@ class HomotopyRBS:
 
     __slots__ = ("space", "m", "r", "s", "truncation", "_images")
 
-    compose_at = staticmethod(insert)
     compose_row = staticmethod(compose_tensor)
 
     def __init__(
@@ -103,15 +102,6 @@ class HomotopyRBS:
     def sum(self, arity: int, degree: int, terms) -> MultiMap:
         """The signed sum of the ``(±1, map)`` terms, summed in one table."""
         return MultiMap.combination(self.space, self.space, arity, degree, terms)
-
-    def m_at(self, n: int) -> Optional[MultiMap]:
-        return self.m.get(n)
-
-    def r_at(self, n: int) -> Optional[MultiMap]:
-        return self.r.get(n)
-
-    def s_at(self, n: int) -> Optional[MultiMap]:
-        return self.s.get(n)
 
     def is_dg(self) -> bool:
         """True when no product of arity >= 3 is present."""
@@ -157,7 +147,7 @@ def _residual(target, family: str, n: int):
     """
     if family == "m" and n == 1:
         m1 = target.gen("m", 1)
-        return target.sum(1, -2, [] if m1 is None else [(1, target.compose_at(m1, 1, m1))])
+        return target.sum(1, -2, [] if m1 is None else [(1, target.compose_row(m1, [m1]))])
     degree = n - 2 if family == "m" else n - 1
     terms = [(-1, generator_differential(family, n, target))]
     return target.sum(n, degree - 1, terms + _boundary(target, family, n, degree))
@@ -169,9 +159,11 @@ def _boundary(target, family: str, n: int, degree: int) -> list:
     m1, x = target.gen("m", 1), target.gen(family, n)
     if m1 is None or x is None:
         return []
-    compose = target.compose_at
+    compose_row = target.compose_row
     sign = -parity_sign(degree)
-    return [(1, compose(m1, 1, x))] + [(sign, compose(x, i, m1)) for i in range(1, n + 1)]
+    return [(1, compose_row(m1, [x]))] + [
+        (sign, compose_row(x, slot(n, i, m1))) for i in range(1, n + 1)
+    ]
 
 
 def stasheff_residual(structure: HomotopyRBS, n: int) -> MultiMap:
@@ -226,7 +218,7 @@ def _straddle_piece(target, family: str, n: int, inner_family: str):
         row = target.compose_row(m2, [inner, None] if first else [None, inner])
         for s in range(1, i + 1):
             sign = parity_sign((s - 1) + (j - 1) * (i - s + first))
-            terms.append((sign, target.compose_at(outer, s, row)))
+            terms.append((sign, target.compose_row(outer, slot(i, s, row))))
     return target.sum(n, n - 2, terms)
 
 

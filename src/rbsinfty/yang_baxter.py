@@ -23,7 +23,8 @@ minimal model to this operad, with differential m_1 = -d (x) 1 + 1 (x) d:
 
 whose images under F are -[d, -], the product of A and the operators of the
 pair: the structure `chi_map`, which `chi_inverse` inverts by round trip.  An
-`InfinityYBPair` is this map, and so its own `generator_differential` target.
+`InfinityYBPair` is this map, and so its own `generator_differential` target,
+whose `compose_row` grafts a row one slot at a time by t o_i u above.
 So `check_infinity_ybp` is the residual of `rbsinfty.residuals` evaluated on
 the pair, negated, and F sends it to the residual of `chi_map`.  The four
 differential graded pieces of that residual, written once in
@@ -267,12 +268,6 @@ class InfinityYBPair:
     def d(self) -> TensorElem:
         return self.r.get(1, TensorElem.zero(self.algebra, 1))
 
-    def r_at(self, n: int) -> Optional[TensorElem]:
-        return self.r.get(n)
-
-    def s_at(self, n: int) -> Optional[TensorElem]:
-        return self.s.get(n)
-
     def to_json(self) -> dict:
         return {
             "truncation": self.truncation,
@@ -294,7 +289,8 @@ class InfinityYBPair:
         return self._images[family].get(arity)
 
     def compose_at(self, t: TensorElem, i: int, u: TensorElem) -> TensorElem:
-        """t o_i u: u's outer factors multiplied onto a_i and a_{i+1}."""
+        """t o_i u: u's outer factors multiplied onto a_i and a_{i+1}; the
+        slot step of `compose_row`."""
         products, degrees = self.algebra.products, self.algebra.space._degrees
         rows = []
         for a, ca in t.table.items():

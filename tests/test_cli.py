@@ -5,6 +5,7 @@ stdout, and asserts on the documented exit codes: 0 when every check
 passes, 1 on a verification failure, 2 on unparseable input.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -556,6 +557,17 @@ def test_zero_denominator_coefficient_exits_2(capsys, tmp_path):
     assert "1/0" in report["error"]
 
 
+def test_exponent_coefficient_exits_2(capsys, tmp_path):
+    # Fraction reads "1e400" as 10**400, and a larger exponent would not finish
+    end = MatrixAlgebra(PLANE).space
+    R = {"arity": 1, "degree": 0, "entries": [{"in": ["e1^1"], "out": {"e1^1": "1e400"}}]}
+    zero = MultiMap.zero(end, end, 1, 0).to_json()
+    path = dump(tmp_path, "exponent.json", {"space": PLANE.to_json(), "R": R, "S": zero})
+    code, report = run(capsys, "check", "rbs", path)
+    assert code == 2
+    assert "1e400" in report["error"]
+
+
 def hrbs_payload():
     algebra, R, S = diagonal_triple()
     return HomotopyRBS(
@@ -1049,6 +1061,27 @@ def test_dense_cochain_tool_returns_a_checkable_cochain(capsys, tmp_path, degree
     path = tmp_path / "dense.json"
     path.write_bytes(out)
     assert main(["check", "mc", str(path)]) in (0, 1)
+
+
+def test_report_digest_tool_hashes_each_report(capsys):
+    tool = Path(__file__).parent.parent / "tools" / "report_digest.py"
+    argv = ["--workload", "operad-d2", "--seed", "1", "--small", "--no-extra"]
+    out = subprocess.run(
+        [sys.executable, str(tool), *argv], capture_output=True, check=True, timeout=60
+    ).stdout.decode()
+    lines = [line.split("  ", 1) for line in out.splitlines()]
+    assert [label for _, label in lines] == [
+        "operad-d2 1: verify d-squared mrs 2",
+        "operad-d2 1: verify d-squared xyz 3",
+        "operad-d2 1: verify d-squared mrs 3",
+        "total",
+    ]
+    # a digest is that of the exit code and the report, the total that of the digests
+    code = main(["verify", "d-squared", "--presentation", "mrs", "--max-arity", "2"])
+    report = f"{code}\n{capsys.readouterr().out}".encode()
+    assert lines[0][0] == hashlib.sha256(report).hexdigest()
+    digests = "".join(digest for digest, _ in lines[:-1]).encode()
+    assert lines[-1][0] == hashlib.sha256(digests).hexdigest()
 
 
 def test_report_serializes_only_the_witnesses_it_prints():

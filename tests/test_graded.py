@@ -15,6 +15,7 @@ from rbsinfty.graded import (
     MultiMap,
     TensorElem,
     _IntegerTable,
+    _frac,
     _signed_rows,
     _slot_choices,
     brace_map,
@@ -31,6 +32,15 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # graded spaces
 # ---------------------------------------------------------------------------
+
+
+def test_frac_refuses_an_exponent_before_reading_the_number():
+    # Fraction would compute 10**999999999 here
+    for value in ("1e999999999", "2E-999999999", "1.5e3"):
+        with pytest.raises(ValueError, match="exponent"):
+            _frac(value)
+    assert _frac("-3/2") == Fraction(-3, 2)
+    assert _frac("0.25") == Fraction(1, 4)
 
 
 def test_space_basics():

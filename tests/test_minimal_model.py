@@ -21,6 +21,7 @@ from rbsinfty.minimal_model import (
     generator_differential,
     presentation_generators,
     replace_vertex,
+    slot,
 )
 from rbsinfty.monomial_model import _FirstSlot
 from rbsinfty.signs import compositions, parity_sign
@@ -317,18 +318,38 @@ def test_compose_row_matches_the_fold_on_mixed_parts(target):
     assert compared >= 10
 
 
+@pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
+def test_single_slot_rows_of_the_differentials_match_the_oracle(target):
+    # every f o_i g of a differential is the row slot(k, i, g) on f of arity k
+    single = 0
+    for f, parts in _rows_of_the_differentials(target, 6):
+        slots = [i for i, g in enumerate(parts, 1) if g is not None]
+        if len(slots) != 1:
+            continue
+        (i,) = slots
+        assert len(parts) == f.arity
+        row = target.compose_row(f, parts)
+        assert row == _oracle_compose_at(target, f, i, parts[i - 1]), (f, parts)
+        single += 1
+    assert single > 100
+
+
 def test_suspension_composition_is_bilinear():
     x2, y2 = Suspension.gen("m", 2), Suspension.gen("R", 2)
+
+    def compose(f, i, g):
+        return Suspension.compose_row(f, slot(2, i, g))
+
     # x2 has (m, R, S) degree 0 and y2 degree 1: each term keeps its own sign
     for i in (1, 2):
-        separate = Suspension.compose_at(x2, i, x2) + Suspension.compose_at(x2, i, y2)
+        separate = compose(x2, i, x2) + compose(x2, i, y2)
         for g in (OperadElement.sum(2, [x2, y2]), OperadElement.sum(2, [y2, x2])):
-            assert Suspension.compose_at(x2, i, g) == separate
-        assert Suspension.compose_at(x2, i, y2) == compose_at(x2, i, y2) * parity_sign(i)
+            assert compose(x2, i, g) == separate
+        assert compose(x2, i, y2) == compose_at(x2, i, y2) * parity_sign(i)
     # a zero part composes to zero, as in the free operad
     zero = OperadElement.zero(2)
-    assert Suspension.compose_at(x2, 1, zero) == FreeOperad.compose_at(x2, 1, zero)
-    assert Suspension.compose_at(x2, 1, zero) == OperadElement.zero(3)
+    assert compose(x2, 1, zero) == compose_at(x2, 1, zero)
+    assert compose(x2, 1, zero) == OperadElement.zero(3)
 
 
 def test_diff_unsupported_family():

@@ -1,7 +1,9 @@
 """Tests for homotopy Rota-Baxter structure residuals."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from rbsinfty.graded import (
     compose_tensor,
     insert,
 )
-from rbsinfty.minimal_model import beta_exponent
+from rbsinfty.minimal_model import beta_exponent, slot
 from rbsinfty.residuals import (
     HomotopyRBS,
     check_classical_rbs,
@@ -75,7 +77,7 @@ def test_structure_accepts_zero_maps_and_sets_truncation():
         r={3: MultiMap.zero(space, space, 3, 0)},
     )
     # zero maps are dropped; truncation covers the largest arity present
-    assert s.r_at(3) is None
+    assert s.r.get(3) is None
     assert s.truncation == 1
     assert s.is_dg()
     explicit = HomotopyRBS(space, truncation=5)
@@ -95,9 +97,24 @@ def test_structure_json_round_trip():
     back = HomotopyRBS.from_json(s.to_json())
     assert back.space == s.space
     assert back.truncation == 4
-    assert back.m_at(1) == s.m_at(1)
-    assert back.r_at(1) == s.r_at(1)
-    assert back.s_at(1) is None
+    assert back.m.get(1) == s.m.get(1)
+    assert back.r.get(1) == s.r.get(1)
+    assert back.s.get(1) is None
+
+
+def test_a_single_slot_row_is_insert_on_the_check_hrbs_structure():
+    # the saved structure of the `check hrbs` golden report
+    path = Path(__file__).parent / "data" / "hrbs_graded_input.json"
+    structure = HomotopyRBS.from_json(json.loads(path.read_text()))
+    maps = [*structure.m.values(), *structure.r.values(), *structure.s.values()]
+    compared = 0
+    for f in maps:
+        for g in maps:
+            for i in range(1, f.arity + 1):
+                row = structure.compose_row(f, slot(f.arity, i, g))
+                assert row == insert(f, i, g), (f, i, g)
+                compared += not row.is_zero()
+    assert compared > 40
 
 
 def test_structure_families_are_read_only():
@@ -108,7 +125,7 @@ def test_structure_families_are_read_only():
         with pytest.raises(TypeError):
             family[2] = MultiMap.zero(space, space, 2, 0)
     given.clear()  # the structure keeps its own copy of what it was given
-    assert s.r_at(1) is not None
+    assert s.r.get(1) is not None
     assert HomotopyRBS.from_json(s.to_json()).to_json() == s.to_json()
 
 
@@ -340,13 +357,13 @@ def test_dg_residual_zero_structure():
 
 # The differential graded residual as it was written out by hand before
 # `dga_residual_R/S` summed the four pieces of `rbsinfty.residuals` in End(V);
-# ``family`` is the getter ``structure.r_at`` or ``structure.s_at``.
+# ``family`` is the getter ``structure.r.get`` or ``structure.s.get``.
 
 
 def hand_dga_residual(structure, n, family):
     space = structure.space
-    m1 = structure.m_at(1)
-    m2 = structure.m_at(2)
+    m1 = structure.m.get(1)
+    m2 = structure.m.get(2)
     lhs = []
     if m1 is not None and family(n) is not None:
         lhs.append(compose_tensor(m1, [family(n)]))
@@ -364,7 +381,7 @@ def hand_dga_residual(structure, n, family):
             outer = family(p)
             if outer is None:
                 continue
-            r_q, s_q = structure.r_at(q), structure.s_at(q)
+            r_q, s_q = structure.r.get(q), structure.s.get(q)
             if r_q is not None:
                 inner = compose_tensor(m2, [r_q, None])
                 for i in range(p):
@@ -410,8 +427,8 @@ def _compare_with_the_hand_formula(products):
             structure = _seeded_dg_structure(degrees, seed, products)
             for n in range(1, 5):
                 for derived, family in (
-                    (dga_residual_R, structure.r_at),
-                    (dga_residual_S, structure.s_at),
+                    (dga_residual_R, structure.r.get),
+                    (dga_residual_S, structure.s.get),
                 ):
                     expected = hand_dga_residual(structure, n, family)
                     assert derived(structure, n) == expected
@@ -472,8 +489,8 @@ def oracle_stasheff(structure, n):
     space = structure.space
     terms = []
     for j in range(1, n + 1):
-        inner = structure.m_at(j)
-        outer = structure.m_at(n - j + 1)
+        inner = structure.m.get(j)
+        outer = structure.m.get(n - j + 1)
         if inner is None or outer is None:
             continue
         for i in range(n - j + 1):
@@ -486,7 +503,7 @@ def _oracle_operator_lhs(structure, n, family):
     space = structure.space
     terms = []
     for k in range(1, n + 1):
-        m_k = structure.m_at(k)
+        m_k = structure.m.get(k)
         if m_k is None:
             continue
         for arities in compositions(n, k):
@@ -502,7 +519,7 @@ def _oracle_operator_rhs(structure, n, family):
     space = structure.space
     terms = []
     for p in range(1, n + 1):
-        m_p = structure.m_at(p)
+        m_p = structure.m.get(p)
         if m_p is None:
             continue
         for r in compositions(n, p):
@@ -511,9 +528,9 @@ def _oracle_operator_rhs(structure, n, family):
                 continue
             for j in range(1, p + 1):
                 inner_parts = (
-                    [structure.r_at(rt) for rt in r[1:j]]
+                    [structure.r.get(rt) for rt in r[1:j]]
                     + [None]
-                    + [structure.s_at(rt) for rt in r[j:]]
+                    + [structure.s.get(rt) for rt in r[j:]]
                 )
                 if any(g is None for t, g in enumerate(inner_parts) if t != j - 1):
                     continue
@@ -575,8 +592,8 @@ def test_residuals_match_the_hand_written_identities(seed, degrees):
     for n in range(1, 6):
         for residual, oracle in (
             (stasheff_residual(s, n), oracle_stasheff(s, n)),
-            (hrbs_residual_R(s, n), oracle_operator(s, n, s.r_at)),
-            (hrbs_residual_S(s, n), oracle_operator(s, n, s.s_at)),
+            (hrbs_residual_R(s, n), oracle_operator(s, n, s.r.get)),
+            (hrbs_residual_S(s, n), oracle_operator(s, n, s.s.get)),
         ):
             assert residual == oracle
             nonzero += not oracle.is_zero()

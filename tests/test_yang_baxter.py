@@ -340,7 +340,7 @@ def test_infinity_residual_index_zero_nilpotent():
 
 def test_infinity_residual_index_one_is_commutator_with_d():
     pair = _random_pair(31, truncation=2)
-    d, r2, s2 = pair.d(), pair.r_at(2), pair.s_at(2)
+    d, r2, s2 = pair.d(), pair.r.get(2), pair.s.get(2)
     mul = tensor_product_multiply
     for tensor, residual in zip((r2, s2), check_infinity_ybp(pair, 1)):
         expected = TensorElem.zero(pair.algebra, 2)
@@ -423,7 +423,7 @@ def _inner_derivation(d, algebra):
 
 def _chi_m1(d, algebra):
     """m_1 of chi_map: F of the image of m_1 in the tensor operad."""
-    return chi_map(InfinityYBPair(algebra, r={1: d}, s={1: d})).m_at(1)
+    return chi_map(InfinityYBPair(algebra, r={1: d}, s={1: d})).m.get(1)
 
 
 def test_inner_derivation_on_basis():
@@ -495,7 +495,7 @@ def test_identity_pieces_assemble_the_residual():
 
 
 def _oracle_family(pair, name):
-    return pair.r_at if name == "r" else pair.s_at
+    return pair.r.get if name == "r" else pair.s.get
 
 
 def _oracle_piece_1(pair, n, family):
@@ -538,7 +538,7 @@ def _oracle_piece_3(pair, n, family):
     terms = []
     for i in range(1, n):
         j = n - i
-        outer, inner = at(i + 1), pair.r_at(j + 1)
+        outer, inner = at(i + 1), pair.r.get(j + 1)
         if outer is None or inner is None:
             continue
         for s in range(1, i + 1):
@@ -555,7 +555,7 @@ def _oracle_piece_4(pair, n, family):
     terms = []
     for i in range(1, n):
         j = n - i
-        outer, inner = at(i + 1), pair.s_at(j + 1)
+        outer, inner = at(i + 1), pair.s.get(j + 1)
         if outer is None or inner is None:
             continue
         for s in range(1, i + 1):
@@ -735,22 +735,22 @@ def test_chi_map_structure_shape():
     pair = _random_pair(2, truncation=3)
     structure = chi_map(pair)
     assert structure.truncation == 2
-    assert structure.m_at(2) == pair.algebra.product_map()
+    assert structure.m.get(2) == pair.algebra.product_map()
 
     def stored_or_zero(f, arity, degree):
         space = pair.algebra.space
         return MultiMap.zero(space, space, arity, degree) if f is None else f
 
-    assert stored_or_zero(structure.m_at(1), 1, -1) == _inner_derivation(
+    assert stored_or_zero(structure.m.get(1), 1, -1) == _inner_derivation(
         pair.d(), pair.algebra
     )
     for n in (1, 2):
-        r_tensor = pair.r_at(n + 1)
+        r_tensor = pair.r.get(n + 1)
         if r_tensor is not None:
-            assert stored_or_zero(structure.r_at(n), n, n - 1) == F_map(r_tensor)
-        s_tensor = pair.s_at(n + 1)
+            assert stored_or_zero(structure.r.get(n), n, n - 1) == F_map(r_tensor)
+        s_tensor = pair.s.get(n + 1)
         if s_tensor is not None:
-            assert stored_or_zero(structure.s_at(n), n, n - 1) == F_map(s_tensor)
+            assert stored_or_zero(structure.s.get(n), n, n - 1) == F_map(s_tensor)
 
 
 def test_chi_round_trip():
@@ -766,7 +766,7 @@ def test_chi_inverse_validates_d():
     pair = _random_pair(14, truncation=2)
     structure = chi_map(pair)
     wrong = pair.d() + TensorElem(pair.algebra, 1, {("e1^2",): 17})
-    if _inner_derivation(wrong, pair.algebra) == structure.m_at(1):
+    if _inner_derivation(wrong, pair.algebra) == structure.m.get(1):
         pytest.skip("perturbation happened to be central")
     with pytest.raises(ValueError, match="not an image of chi: m_1 differs"):
         chi_inverse(structure, wrong, pair.algebra)
@@ -835,9 +835,9 @@ def test_chi_zero_pair_gives_zero_operators():
     M = _graded_m2()
     pair = InfinityYBPair(M, truncation=3)
     structure = chi_map(pair)
-    assert structure.m_at(1) is None  # -[0,-] = 0 is dropped
-    assert structure.m_at(2) == M.product_map()
-    assert structure.r_at(1) is None and structure.s_at(1) is None
+    assert structure.m.get(1) is None  # -[0,-] = 0 is dropped
+    assert structure.m.get(2) == M.product_map()
+    assert structure.r.get(1) is None and structure.s.get(1) is None
     for n in (1, 2):
         assert dga_residual_R(structure, n).is_zero()
         res_r, res_s = check_infinity_ybp(pair, n)
@@ -848,7 +848,7 @@ def test_identity_pieces_above_the_truncation_keep_the_product():
     # at truncation 2 the structure chi_map gives stops at arity 1, without
     # m_2; the pieces at index 2 still multiply with it on both sides
     pair = _random_pair(41, truncation=2)
-    assert chi_map(pair).m_at(2) is None
+    assert chi_map(pair).m.get(2) is None
     for family in ("r", "s"):
         for identity, _, oracle_piece in _ORACLES:
             map_side, tensor_side = identity(pair, 2, family)
