@@ -10,11 +10,17 @@ with their canonical basis e_p^q.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
+
+# the exponent form of Fraction's string grammar, as in "1e9", "-2.5E-3"
+_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*\s*"
+)
 
 
 def _frac(value) -> Fraction:
@@ -27,7 +33,7 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value or "E" in value:
+        if _EXPONENT.fullmatch(value):
             raise ValueError(f"coefficient {value!r} has an exponent; write p/q or a decimal")
         try:
             return Fraction(value)

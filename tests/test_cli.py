@@ -6,6 +6,7 @@ passes, 1 on a verification failure, 2 on unparseable input.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -1063,25 +1064,27 @@ def test_dense_cochain_tool_returns_a_checkable_cochain(capsys, tmp_path, degree
     assert main(["check", "mc", str(path)]) in (0, 1)
 
 
-def test_report_digest_tool_hashes_each_report(capsys):
-    tool = Path(__file__).parent.parent / "tools" / "report_digest.py"
-    argv = ["--workload", "operad-d2", "--seed", "1", "--small", "--no-extra"]
-    out = subprocess.run(
-        [sys.executable, str(tool), *argv], capture_output=True, check=True, timeout=60
-    ).stdout.decode()
-    lines = [line.split("  ", 1) for line in out.splitlines()]
-    assert [label for _, label in lines] == [
-        "operad-d2 1: verify d-squared mrs 2",
-        "operad-d2 1: verify d-squared xyz 3",
-        "operad-d2 1: verify d-squared mrs 3",
+def test_report_digest_tool_hashes_each_report(capsys, tmp_path):
+    path = Path(__file__).parent.parent / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # a report is the exit code and the stdout of main
+    argv = ["verify", "d-squared", "--presentation", "mrs", "--max-arity", "2"]
+    code = main(argv)
+    assert tool.report(argv) == f"{code}\n{capsys.readouterr().out}".encode()
+    jobs = tool.build("operad-d2", 1, tmp_path, small=True)
+    lines = list(tool.digest_lines((job["label"], job["argv"]) for job in jobs))
+    assert [line.split("  ", 1)[1] for line in lines] == [
+        "verify d-squared mrs 2",
+        "verify d-squared xyz 3",
+        "verify d-squared mrs 3",
         "total",
     ]
-    # a digest is that of the exit code and the report, the total that of the digests
-    code = main(["verify", "d-squared", "--presentation", "mrs", "--max-arity", "2"])
-    report = f"{code}\n{capsys.readouterr().out}".encode()
-    assert lines[0][0] == hashlib.sha256(report).hexdigest()
-    digests = "".join(digest for digest, _ in lines[:-1]).encode()
-    assert lines[-1][0] == hashlib.sha256(digests).hexdigest()
+    # a digest is that of the report, the total that of the digests
+    digests = [hashlib.sha256(tool.report(job["argv"])).hexdigest() for job in jobs]
+    assert [line.split("  ", 1)[0] for line in lines[:-1]] == digests
+    assert lines[-1].split("  ", 1)[0] == hashlib.sha256("".join(digests).encode()).hexdigest()
 
 
 def test_report_serializes_only_the_witnesses_it_prints():

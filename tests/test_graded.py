@@ -41,6 +41,10 @@ def test_frac_refuses_an_exponent_before_reading_the_number():
             _frac(value)
     assert _frac("-3/2") == Fraction(-3, 2)
     assert _frac("0.25") == Fraction(1, 4)
+    # a word with an "e" in it is no exponent: Fraction's own error stands
+    for value in ("three", "one", "none"):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            _frac(value)
 
 
 def test_space_basics():

@@ -298,6 +298,10 @@ def test_compose_row_matches_the_fold_on_every_row_of_a_differential(target):
     for f, parts in rows:
         assert target.compose_row(f, parts) == _fold_row(target, f, parts), (f, parts)
     assert len(rows) > 100
+    # every f o_i g of a differential is the row slot(k, i, g): one part, whose
+    # fold is the single composition _oracle_compose_at(target, f, i, g)
+    single = [parts for _, parts in rows if sum(g is not None for g in parts) == 1]
+    assert len(single) > 100
 
 
 @pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
@@ -318,20 +322,10 @@ def test_compose_row_matches_the_fold_on_mixed_parts(target):
     assert compared >= 10
 
 
-@pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
-def test_single_slot_rows_of_the_differentials_match_the_oracle(target):
-    # every f o_i g of a differential is the row slot(k, i, g) on f of arity k
-    single = 0
-    for f, parts in _rows_of_the_differentials(target, 6):
-        slots = [i for i, g in enumerate(parts, 1) if g is not None]
-        if len(slots) != 1:
-            continue
-        (i,) = slots
-        assert len(parts) == f.arity
-        row = target.compose_row(f, parts)
-        assert row == _oracle_compose_at(target, f, i, parts[i - 1]), (f, parts)
-        single += 1
-    assert single > 100
+def test_slot_is_one_part_with_open_slots_elsewhere():
+    g = as_element(gen("m", 2))
+    assert slot(3, 2, g) == (None, g, None)
+    assert slot(1, 1, g) == (g,)
 
 
 def test_suspension_composition_is_bilinear():

@@ -2,14 +2,14 @@
 
 A report is the exit code and the stdout of ``rbsinfty.cli.main`` for one
 command line.  The command lines are the jobs of the benchmark workloads
-(``perfbench/workloads.py``, only read) at the given seeds and, unless
-``--no-extra`` is given, the longer verifications in ``EXTRA`` and one
-command per saved input ``tests/data/*_input.json``.  Running it in two
+(``perfbench/workloads.py``, only read) at the given seeds, the longer
+verifications in ``EXTRA`` and one command per saved input
+``tests/data/*_input.json``.  Running it in two
 checkouts and comparing the outputs shows whether a change keeps every
 report byte for byte::
 
     python3 tools/report_digest.py > digests.txt
-    python3 tools/report_digest.py --workload operad-d2 --seed 1 --small --no-extra
+    python3 tools/report_digest.py --workload operad-d2 --seed 1
 """
 
 from __future__ import annotations
@@ -59,16 +59,25 @@ def report(argv: list[str]) -> bytes:
     return f"{code}\n{buffer.getvalue()}".encode("utf-8")
 
 
-def command_lines(workloads, seeds, small: bool, extra: bool, workdir: Path):
+def digest_lines(command_lines):
+    """One ``"<sha256>  <label>"`` line per ``(label, argv)``, then the line
+    of the total: the SHA-256 over the hex digests before it."""
+    total = hashlib.sha256()
+    for label, argv in command_lines:
+        digest = hashlib.sha256(report(argv)).hexdigest()
+        total.update(digest.encode("ascii"))
+        yield f"{digest}  {label}"
+    yield f"{total.hexdigest()}  total"
+
+
+def command_lines(workloads, seeds, workdir: Path):
     """``(label, argv)`` of every report, in a fixed order."""
     for name in workloads:
         for seed in seeds:
             jobdir = workdir / f"{name}-{seed}"
             jobdir.mkdir()
-            for job in build(name, seed, jobdir, small):
+            for job in build(name, seed, jobdir):
                 yield f"{name} {seed}: {job['label']}", job["argv"]
-    if not extra:
-        return
     for argv in EXTRA:
         yield " ".join(argv), argv
     for path in sorted((ROOT / "tests" / "data").glob("*_input.json")):
@@ -85,23 +94,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seed", action="append", type=int, help=f"a seed (repeatable; default: {SEEDS})"
     )
-    parser.add_argument("--small", action="store_true", help="the workloads' small bounds")
-    parser.add_argument("--no-extra", action="store_true", help="only the workload jobs")
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
-        lines = command_lines(
-            args.workload or sorted(JOB_LISTS),
-            args.seed or SEEDS,
-            args.small,
-            not args.no_extra,
-            Path(workdir),
-        )
-        for label, command in lines:
-            digest = hashlib.sha256(report(command)).hexdigest()
-            total.update(digest.encode("ascii"))
-            print(f"{digest}  {label}", flush=True)
-    print(f"{total.hexdigest()}  total")
+        lines = command_lines(args.workload or sorted(JOB_LISTS), args.seed or SEEDS, Path(workdir))
+        for line in digest_lines(lines):
+            print(line, flush=True)
     return 0
 
 
