@@ -734,7 +734,8 @@ def verify_generalized_jacobi(
     the Jacobi combination, and reports any nonzero defect: each failure
     lists its inputs and the nonzero components of the defect, with the
     number of input tuples on which each is nonzero.  ``active`` counts the
-    trials in which at least one individual term was nonzero.
+    trials in which at least one individual term was nonzero; a run with no
+    active trial checked nothing and is refused.
     """
     if dim < 1:
         raise ValueError("module dimension must be >= 1")
@@ -790,6 +791,11 @@ def verify_generalized_jacobi(
                     ],
                 }
             )
+    if not active:
+        raise ValueError(
+            f"active 0 of {trials} trials: every term of every Jacobi combination "
+            "vanished, so nothing was checked; draw more trials or another seed"
+        )
     return {
         "identity": "generalized-jacobi",
         "module_dimension": dim,

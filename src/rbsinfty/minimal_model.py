@@ -18,8 +18,11 @@ their coefficients, are summed in one table keyed by word, and trees are
 built only for the witnesses of a failure.  Each generator's differential
 is laid out once per check, in one `Images` table.  Every composite of the
 differential, a single f o_i g included, is a row grafted in one pass
-(`FreeOperad.compose_row`), each graft signed by the target's
-`graft_exponent`.
+(`FreeOperad.compose_row`): its words are spliced with `trees._splice`, each
+graft signed by the target's `graft_exponent`, and summed in one table, and a
+tree is built only for a word that survives.  The inner rows of the operator
+differentials, which depend on neither the family nor the outer arity, are
+composed once per target class, for every n.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .trees import (
     _tree,
     as_element,
     gen,
-    graft_with_sign,
 )
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,11 @@ def alpha_exponent(k: int, parts: Sequence[int]) -> int:
 
 
 def beta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
-    """Exponent on the operator(..m_p row..) terms of the operator differential."""
+    """Exponent on the operator(..m_p row..) terms of the operator differential.
+
+    `generator_differential` takes the same sums once per ``parts`` and
+    grows them with j and i; this closed form is their reference.
+    """
     r1 = parts[0]
     load = p + sum(r - 1 for r in parts[1:])
     before_j = sum(parts[t - 1] - 1 for t in range(2, j + 1))
@@ -72,7 +78,15 @@ class FreeOperad:
 
     A subclass changes its composition through one hook, `graft_exponent`,
     the exponent of the extra sign of one graft, or None for a zero graft.
+    Each class owns its memo ``rows`` of the inner rows of d R_n and d S_n,
+    shared by every n, as `diff_generator` keeps each differential.
     """
+
+    rows: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.rows = {}
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -87,7 +101,8 @@ class FreeOperad:
     @classmethod
     def compose_row(cls, f, parts):
         """f with ``parts`` grafted left to right, a None part leaving its
-        leaf open: one `graft_with_sign` per choice of one term from each part.
+        leaf open: one `trees._splice` per choice of one term from each part,
+        the words summed in one table and a tree built per surviving word.
 
         Each term of a part is signed by `graft_exponent` as if the parts were
         composed one at a time: at its leaf and with the arity of the
@@ -102,25 +117,30 @@ class FreeOperad:
             for t, c in g.terms.items():
                 e = cls.graft_exponent(arity, leaf, g.arity, t.degree)
                 if e is not None:
-                    signed.append((number, t, parity_sign(e) * c))
+                    signed.append(((number, t.nodes, t.degree), parity_sign(e) * c))
             grafts.append(signed)
             arity += g.arity - 1
             leaf += g.arity
         terms = []
         for tf, cf in f.terms.items():
+            nodes, leaves = tf.nodes, tf._leaf_layout()
             for choice in itertools.product(*grafts):
-                grafted, c = {}, cf
-                for number, t, ct in choice:
-                    grafted[number] = t
+                c = cf
+                for _, ct in choice:
                     c *= ct
-                tree, sign = graft_with_sign(tf, grafted)
-                terms.append((tree, sign * c))
-        return OperadElement(arity, terms)
+                word, exponent = _splice(nodes, leaves, [graft for graft, _ in choice])
+                terms.append((word, parity_sign(exponent) * c))
+        return OperadElement.from_words(arity, terms)
 
     @staticmethod
     def sum(arity, degree, terms):
-        signed = ((t, s * c) for s, e in terms for t, c in e.terms.items())
-        return OperadElement(arity, signed)
+        """The signed rows added in one table."""
+        table: dict[TreeMonomial, Scalar] = {}
+        get = table.get
+        for s, e in terms:
+            for t, c in e.terms.items():
+                table[t] = get(t, 0) + s * c
+        return OperadElement._summed(arity, {t: c for t, c in table.items() if c})
 
 
 # the (x, y, z) namesake of each (m, R, S) family
@@ -171,6 +191,11 @@ def generator_differential(family: str, n: int, target):
               + sum_{p > 1, r, j, i} (-1)^beta
                 F_{r_1} o_i m_p(R_{r_2}, ..., R_{r_j}, id, S_{r_{j+1}}, ..., S_{r_p})
 
+    The inner row m_p(R_{r_2}, ..., S_{r_p}) depends on neither F nor r_1,
+    so it is composed once per call, and once for every n in a target that
+    owns a dict ``rows`` (each `FreeOperad` class does), and the sums of
+    `beta_exponent` that depend on neither j nor i are taken once per r.
+
     >>> generator_differential("R", 1, FreeOperad).is_zero()
     True
     >>> generator_differential("m", 2, FreeOperad).is_zero()
@@ -179,6 +204,7 @@ def generator_differential(family: str, n: int, target):
     12
     """
     gen, compose_row = target.gen, target.compose_row
+    rows = getattr(target, "rows", {})  # the inner rows, by (j, r_2 .. r_p)
 
     def grafted(k, slots):
         # m_k with the generators (family, arity) of ``slots`` grafted left
@@ -207,17 +233,27 @@ def generator_differential(family: str, n: int, target):
                 terms.append((parity_sign(alpha_exponent(k, parts)), row))
     for p in range(2, n + 1):
         for parts in compositions(n, p):
-            outer = gen(family, parts[0])
+            r1, tail = parts[0], parts[1:]
+            outer = gen(family, r1)
             if outer is None:
                 continue
+            # beta_exponent(p, j, i, parts) is exponent + i (1 - load), the
+            # exponent taken once per r and grown by r_j - 1 at each j > 1
+            load = p + sum(r - 1 for r in tail)
+            exponent = 1 + load * r1 + sum((r - 1) * (p - t) for t, r in enumerate(tail, 2))
             for j in range(1, p + 1):
-                slots = [("R", r) for r in parts[1:j]] + [(None, 1)]
-                inner = grafted(p, slots + [("S", r) for r in parts[j:]])
+                if j > 1:
+                    exponent += tail[j - 2] - 1
+                key = (j, tail)
+                if key not in rows:
+                    slots = [("R", r) for r in tail[: j - 1]] + [(None, 1)]
+                    rows[key] = grafted(p, slots + [("S", r) for r in tail[j - 1 :]])
+                inner = rows[key]
                 if inner is None:
                     continue
-                for i in range(1, parts[0] + 1):
-                    sign = parity_sign(beta_exponent(p, j, i, parts))
-                    terms.append((sign, compose_row(outer, slot(parts[0], i, inner))))
+                for i in range(1, r1 + 1):
+                    sign = parity_sign(exponent + i * (1 - load))
+                    terms.append((sign, compose_row(outer, slot(r1, i, inner))))
     return target.sum(n, n - 2, terms)
 
 

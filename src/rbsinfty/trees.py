@@ -18,8 +18,9 @@ from end to end: `monomial_model` enumerates its monomials as words, and
 `minimal_model.derivation_terms` and the contraction of `monomial_model`
 map words to words, summed in tables keyed by word, with each generator's
 image laid out once (its words and the `_leaf_layout` that `_splice`
-reads).  `OperadElement.from_words` builds a `TreeMonomial` only for a word
-whose coefficient does not cancel.
+reads); the rows of the generator differentials are spliced the same way
+(`minimal_model.FreeOperad.compose_row`).  `OperadElement.from_words`
+builds a `TreeMonomial` only for a word whose coefficient does not cancel.
 
 The sign convention used everywhere: when trees are grafted, the vertices of
 the inputs are concatenated (outer tree first, then the grafted trees ordered
@@ -465,20 +466,29 @@ class OperadElement:
         cls, arity: int, terms: Iterable[tuple[tuple, Scalar]]
     ) -> "OperadElement":
         """The element of ``(word, coefficient)`` pairs, valid words of the
-        given arity that may repeat: the words are summed first, and a tree
-        is built only for a word whose coefficient does not cancel."""
+        given arity that may repeat: the words are summed in one table, and a
+        tree is built only for a word whose coefficient does not cancel."""
         merged: dict[tuple, Scalar] = {}
         get = merged.get
         for word, coeff in terms:
             merged[word] = get(word, 0) + coeff
-        return cls(
+        return cls._summed(
             arity,
-            (
-                (_tree(word, arity, sum(n.degree for n in word if n is not None)), c)
+            {
+                _tree(word, arity, sum(n.degree for n in word if n is not None)): c
                 for word, c in merged.items()
                 if c
-            ),
+            },
         )
+
+    @classmethod
+    def _summed(cls, arity: int, terms: dict) -> "OperadElement":
+        """The element of a table already summed, trees of the given arity
+        with coefficients that do not cancel: no second merge."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @classmethod
     def sum(

@@ -122,6 +122,21 @@ def test_verify_linfinity_rejects_a_vacuous_bound(capsys):
     assert "nothing to check" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--trials", "1", "--seed", "0"),
+        ("--dim", "1", "--trunc", "2", "--trials", "24", "--seed", "3"),
+    ],
+)
+def test_verify_linfinity_refuses_a_run_with_no_active_trial(capsys, argv):
+    # every term of every drawn Jacobi combination vanishes: no pass to report
+    code, report = run(capsys, "verify", "linfinity", *argv)
+    assert code == 2
+    assert report["error"].startswith("active 0 of ")
+    assert "nothing was checked" in report["error"]
+
+
 def test_verify_d_squared_failure_carries_witnesses(capsys, monkeypatch):
     real = minimal_model.diff_generator
     m4 = gen("m", 4)
@@ -1155,7 +1170,7 @@ def _equivalence_lines():
     valid = [
         ["verify", "d-squared", "--presentation", "xyz", "--max-arity", "3"],
         ["verify", "homotopy", "--max-arity", "2", "--max-weight", "3"],
-        ["verify", "linfinity", "--dim", "2", "--trunc", "2", "--trials", "4", "--seed", "1"],
+        ["verify", "linfinity", "--dim", "2", "--trunc", "2", "--trials", "4", "--seed", "2"],
         ["check", "rbs", rbs],
         ["check", "hrbs", str(data / "hrbs_graded_input.json"), "--max-arity", "2"],
         ["check", "ybp", ybp],

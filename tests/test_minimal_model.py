@@ -33,6 +33,7 @@ from rbsinfty.trees import (
     compose_at,
     corolla,
     gen,
+    graft_with_sign,
     identity_element,
     identity_tree,
     parse_tree,
@@ -183,7 +184,7 @@ def _oracle_diff_operator(n, family):
 
 @pytest.mark.parametrize("family", ["m", "R", "S"])
 def test_generator_differential_matches_chained_builders(family):
-    for n in range(2 if family == "m" else 1, 6):
+    for n in range(2 if family == "m" else 1, 7):
         if family == "m":
             oracle = _oracle_diff_m(n)
         else:
@@ -277,6 +278,35 @@ def _fold_row(target, f, parts):
     return f
 
 
+def _graft_compose_row(target, f, parts):
+    """The row as `FreeOperad.compose_row` built it before it spliced words:
+    one `trees.graft_with_sign` per choice of one term from each part, each
+    tree and coefficient merged by the validating `OperadElement`."""
+    arity, leaf, grafts = f.arity, 1, []
+    for number, g in enumerate(parts, 1):
+        if g is None:
+            leaf += 1
+            continue
+        signed = []
+        for t, c in g.terms.items():
+            e = target.graft_exponent(arity, leaf, g.arity, t.degree)
+            if e is not None:
+                signed.append((number, t, parity_sign(e) * c))
+        grafts.append(signed)
+        arity += g.arity - 1
+        leaf += g.arity
+    terms = []
+    for tf, cf in f.terms.items():
+        for choice in itertools.product(*grafts):
+            grafted, c = {}, cf
+            for number, t, ct in choice:
+                grafted[number] = t
+                c *= ct
+            tree, sign = graft_with_sign(tf, grafted)
+            terms.append((tree, sign * c))
+    return OperadElement(arity, terms)
+
+
 def _rows_of_the_differentials(target, max_arity):
     rows = []
 
@@ -305,6 +335,39 @@ def test_compose_row_matches_the_fold_on_every_row_of_a_differential(target):
 
 
 @pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
+def test_spliced_rows_match_one_graft_per_choice_to_arity_seven(target):
+    rows = _rows_of_the_differentials(target, 7)
+    for f, parts in rows:
+        assert target.compose_row(f, parts) == _graft_compose_row(target, f, parts), (f, parts)
+    assert len(rows) > 1000
+
+
+def _compose_row_calls(max_arity):
+    """The rows that d m_n, d R_n and d S_n compose for n <= max_arity when
+    each inner row m_p(R_{r_2}, .., id, .., S_{r_p}) is composed once for
+    every n and both families."""
+    calls, inner = 0, set()
+    for n in range(3, max_arity + 1):
+        calls += sum(n - j + 1 for j in range(2, n))  # m_{n-j+1} o_i m_j
+    for n in range(2, max_arity + 1):
+        for p in range(2, n + 1):
+            for parts in compositions(n, p):
+                # m_p(F, .., F) and F_{r_1} o_i (inner row), for F = R and S
+                calls += 2 * (1 + p * parts[0])
+                inner.update((j, parts[1:]) for j in range(1, p + 1))
+    return calls + len(inner)
+
+
+@pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
+def test_each_inner_row_is_composed_once_for_every_n(target):
+    for max_arity in (5, 6):
+        # a fresh Recording class owns a fresh memo of inner rows
+        rows = _rows_of_the_differentials(target, max_arity)
+        assert len(rows) == _compose_row_calls(max_arity)
+    assert _compose_row_calls(5) == 343
+
+
+@pytest.mark.parametrize("target", [FreeOperad, Suspension, _FirstSlot])
 def test_compose_row_matches_the_fold_on_mixed_parts(target):
     x2, y2, z2, m2, r2, s1 = (
         as_element(gen(f, a))
@@ -318,6 +381,7 @@ def test_compose_row_matches_the_fold_on_mixed_parts(target):
         for parts in itertools.product(pool, repeat=f.arity):
             row = target.compose_row(f, parts)
             assert row == _fold_row(target, f, parts), (f, parts)
+            assert row == _graft_compose_row(target, f, parts), (f, parts)
             compared += not row.is_zero()
     assert compared >= 10
 

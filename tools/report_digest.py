@@ -35,6 +35,8 @@ SEEDS = (1, 4242)
 EXTRA = (
     ["verify", "d-squared", "--presentation", "mrs", "--max-arity", "6"],
     ["verify", "d-squared", "--presentation", "xyz", "--max-arity", "6"],
+    ["verify", "d-squared", "--presentation", "mrs", "--max-arity", "7"],
+    ["verify", "d-squared", "--presentation", "xyz", "--max-arity", "7"],
     ["verify", "homotopy", "--max-arity", "4", "--max-weight", "5"],
 )
 
