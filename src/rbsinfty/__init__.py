@@ -54,7 +54,6 @@ from .linfty import (
 from .minimal_model import (
     check_d_squared,
     diff_generator,
-    differential,
     presentation_generators,
 )
 from .monomial_model import (
@@ -148,7 +147,6 @@ __all__ = [
     "dga_residual_S",
     "diff_bar",
     "diff_generator",
-    "differential",
     "enumerate_monomials",
     "equivalence_identity_1",
     "equivalence_identity_2",

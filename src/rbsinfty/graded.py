@@ -666,7 +666,7 @@ class BasedAlgebra:
     """A unital graded algebra with explicit basis and structure constants,
     and the integer index of them that `F_map` walks (`_integer_index`)."""
 
-    __slots__ = ("space", "products", "unit", "_index")
+    __slots__ = ("space", "products", "unit", "_product", "_index")
 
     def __init__(
         self,
@@ -681,7 +681,8 @@ class BasedAlgebra:
             if degree != 0:
                 raise ValueError(f"unit entry {name!r} has degree {degree}, expected 0")
         self.space = space
-        self.products = MultiMap(space, space, 2, 0, products).table
+        self._product = MultiMap(space, space, 2, 0, products)
+        self.products = self._product.table
         self.unit = {n: _frac(c) for n, c in unit.items() if _frac(c) != 0}
         self._index = None
 
@@ -691,7 +692,7 @@ class BasedAlgebra:
         ``right[a]``, the pairs ``(b, products[a, b])`` with a·b ≠ 0; made
         on first use and kept."""
         if self._index is None:
-            q, rows = self.product_map()._numerators()
+            q, rows = self._product._numerators()
             right: dict[str, list] = {}
             for (a, b), row in rows.items():
                 right.setdefault(a, []).append((b, row))
@@ -733,8 +734,9 @@ class BasedAlgebra:
         return True
 
     def product_map(self) -> MultiMap:
-        """The multiplication as an arity-2, degree-0 MultiMap."""
-        return MultiMap(self.space, self.space, 2, 0, self.products)
+        """The multiplication as an arity-2, degree-0 MultiMap: the one map,
+        validated once, whose table is ``products``."""
+        return self._product
 
     def __eq__(self, other):
         if not isinstance(other, BasedAlgebra):
@@ -764,11 +766,10 @@ class MatrixAlgebra(BasedAlgebra):
                 names.append((self.unit_name(p, q), degree))
         space = GradedSpace(names)
         products = {}
-        for i, j, k, l in itertools.product(range(1, dim + 1), repeat=4):
-            if j == k:
-                products[(self.unit_name(i, j), self.unit_name(k, l))] = {
-                    self.unit_name(i, l): Fraction(1)
-                }
+        for i, j, l in itertools.product(range(1, dim + 1), repeat=3):
+            products[(self.unit_name(i, j), self.unit_name(j, l))] = {
+                self.unit_name(i, l): Fraction(1)
+            }
         unit = {self.unit_name(p, p): Fraction(1) for p in range(1, dim + 1)}
         super().__init__(space, products, unit)
 

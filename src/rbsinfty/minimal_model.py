@@ -18,9 +18,9 @@ their coefficients, are summed in one table keyed by word, and trees are
 built only for the witnesses of a failure.  Each generator's differential
 is laid out once per check, in one `Images` table.  Every composite of the
 differential, a single f o_i g included, is a row grafted in one pass
-(`FreeOperad.compose_row`): its words are spliced with `trees._splice`, each
-graft signed by the target's `graft_exponent`, and summed in one table, and a
-tree is built only for a word that survives.  The inner rows of the operator
+(`FreeOperad.compose_row`): the row of `trees._row_terms`, each graft signed
+by the target's `graft_exponent`, summed in one table, and a tree is built
+only for a word that survives.  The inner rows of the operator
 differentials, which depend on neither the family nor the outer arity, are
 composed once per target class, for every n.
 """
@@ -38,6 +38,7 @@ from .trees import (
     OperadElement,
     Scalar,
     TreeMonomial,
+    _row_terms,
     _splice,
     _subtrees,
     _tree,
@@ -101,8 +102,8 @@ class FreeOperad:
     @classmethod
     def compose_row(cls, f, parts):
         """f with ``parts`` grafted left to right, a None part leaving its
-        leaf open: one `trees._splice` per choice of one term from each part,
-        the words summed in one table and a tree built per surviving word.
+        leaf open: the words of `trees._row_terms` summed in one table and a
+        tree built per surviving word.
 
         Each term of a part is signed by `graft_exponent` as if the parts were
         composed one at a time: at its leaf and with the arity of the
@@ -121,16 +122,7 @@ class FreeOperad:
             grafts.append(signed)
             arity += g.arity - 1
             leaf += g.arity
-        terms = []
-        for tf, cf in f.terms.items():
-            nodes, leaves = tf.nodes, tf._leaf_layout()
-            for choice in itertools.product(*grafts):
-                c = cf
-                for _, ct in choice:
-                    c *= ct
-                word, exponent = _splice(nodes, leaves, [graft for graft, _ in choice])
-                terms.append((word, parity_sign(exponent) * c))
-        return OperadElement.from_words(arity, terms)
+        return OperadElement.from_words(arity, _row_terms(f, grafts))
 
     @staticmethod
     def sum(arity, degree, terms):
@@ -206,14 +198,13 @@ def generator_differential(family: str, n: int, target):
     gen, compose_row = target.gen, target.compose_row
     rows = getattr(target, "rows", {})  # the inner rows, by (j, r_2 .. r_p)
 
-    def grafted(k, slots):
-        # m_k with the generators (family, arity) of ``slots`` grafted left
+    def grafted(head, slots):
+        # head with the generators (family, arity) of ``slots`` grafted left
         # to right, a (None, 1) slot left open; None if one of them is zero
         parts = [f and gen(f, a) for f, a in slots]
-        row = gen("m", k)
-        if row is None or any(f and g is None for (f, _), g in zip(slots, parts)):
+        if any(f and g is None for (f, _), g in zip(slots, parts)):
             return None
-        return compose_row(row, parts)
+        return compose_row(head, parts)
 
     terms = []
     if family == "m":
@@ -226,12 +217,19 @@ def generator_differential(family: str, n: int, target):
                     for i in range(1, k + 1)
                 ]
         return target.sum(n, n - 3, terms)
+    # no composition is drawn for a row through a zero m_k (m_p)
     for k in range(2, n + 1):
+        head = gen("m", k)
+        if head is None:
+            continue
         for parts in compositions(n, k):
-            row = grafted(k, [(family, l) for l in parts])
+            row = grafted(head, [(family, l) for l in parts])
             if row is not None:
                 terms.append((parity_sign(alpha_exponent(k, parts)), row))
     for p in range(2, n + 1):
+        head = gen("m", p)
+        if head is None:
+            continue
         for parts in compositions(n, p):
             r1, tail = parts[0], parts[1:]
             outer = gen(family, r1)
@@ -247,7 +245,7 @@ def generator_differential(family: str, n: int, target):
                 key = (j, tail)
                 if key not in rows:
                     slots = [("R", r) for r in tail[: j - 1]] + [(None, 1)]
-                    rows[key] = grafted(p, slots + [("S", r) for r in tail[j - 1 :]])
+                    rows[key] = grafted(head, slots + [("S", r) for r in tail[j - 1 :]])
                 inner = rows[key]
                 if inner is None:
                     continue
@@ -368,11 +366,6 @@ def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
             for term in derivation_terms(images, tree.nodes, coeff)
         ),
     )
-
-
-def differential(e: OperadElement) -> OperadElement:
-    """The derivation extension of `diff_generator` (either presentation)."""
-    return extend_derivation(diff_generator, e)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from end to end: `monomial_model` enumerates its monomials as words, and
 `minimal_model.derivation_terms` and the contraction of `monomial_model`
 map words to words, summed in tables keyed by word, with each generator's
 image laid out once (its words and the `_leaf_layout` that `_splice`
-reads); the rows of the generator differentials are spliced the same way
-(`minimal_model.FreeOperad.compose_row`).  `OperadElement.from_words`
-builds a `TreeMonomial` only for a word whose coefficient does not cancel.
+reads); every composition is a row spliced the same way (`_row_terms`, for
+`compose_at`, `brace` and `minimal_model.FreeOperad.compose_row`).
+`OperadElement.from_words` builds a `TreeMonomial` only for a surviving word.
 
 The sign convention used everywhere: when trees are grafted, the vertices of
 the inputs are concatenated (outer tree first, then the grafted trees ordered
@@ -582,6 +582,26 @@ def identity_element() -> OperadElement:
 # ---------------------------------------------------------------------------
 
 
+def _row_terms(f: OperadElement, parts: Sequence[Sequence[tuple]]) -> list[tuple]:
+    """The unmerged ``(word, coefficient)`` terms of f with the parts grafted,
+    one `_splice` per choice of one term from each part; ``parts`` lists each
+    part's terms as ``((leaf, word, degree), coefficient)`` by increasing leaf."""
+    terms = []
+    for tf, cf in f.terms.items():
+        nodes, leaves = tf.nodes, tf._leaf_layout()
+        for choice in itertools.product(*parts):
+            c = cf
+            for _, ct in choice:
+                c *= ct
+            word, exponent = _splice(nodes, leaves, [graft for graft, _ in choice])
+            terms.append((word, parity_sign(exponent) * c))
+    return terms
+
+
+def _grafts(leaf: int, g: OperadElement) -> list[tuple]:
+    return [((leaf, t.nodes, t.degree), c) for t, c in g.terms.items()]
+
+
 def compose_at(f: ElementLike, i: int, g: ElementLike) -> OperadElement:
     """Operadic partial composition f ∘_i g, bilinear with Koszul signs.
 
@@ -595,12 +615,7 @@ def compose_at(f: ElementLike, i: int, g: ElementLike) -> OperadElement:
     g = as_element(g)
     if not 1 <= i <= f.arity:
         raise ValueError(f"leaf index {i} out of range 1..{f.arity}")
-    terms = []
-    for tf, cf in f.terms.items():
-        for tg, cg in g.terms.items():
-            tree, sign = graft_with_sign(tf, {i: tg})
-            terms.append((tree, sign * cf * cg))
-    return OperadElement(f.arity + g.arity - 1, terms)
+    return OperadElement.from_words(f.arity + g.arity - 1, _row_terms(f, [_grafts(i, g)]))
 
 
 def brace(f: ElementLike, args: Sequence[ElementLike]) -> OperadElement:
@@ -608,8 +623,8 @@ def brace(f: ElementLike, args: Sequence[ElementLike]) -> OperadElement:
 
     Sum over all order-preserving ways of grafting the arguments onto
     distinct leaves of f (left to right), with the same Koszul sign
-    convention as ``compose_at``.  An empty argument list returns f; more
-    arguments than f has inputs gives zero.
+    convention as ``compose_at``, one row per choice of leaves.  An empty
+    argument list returns f; more arguments than f has inputs gives zero.
 
     >>> x3, x2 = gen("x", 3), gen("x", 2)
     >>> len(brace(x3, [x2]).terms)
@@ -618,27 +633,13 @@ def brace(f: ElementLike, args: Sequence[ElementLike]) -> OperadElement:
     True
     """
     f = as_element(f)
-    arg_elements = [as_element(a) for a in args]
-    if not arg_elements:
+    args = [as_element(a) for a in args]
+    if not args:
         return f
-    k = len(arg_elements)
-    out_arity = f.arity + sum(a.arity - 1 for a in arg_elements)
     terms = []
-    for tf, cf in f.terms.items():
-        if k > tf.arity:
-            continue
-        for combo in itertools.product(
-            *(a.terms.items() for a in arg_elements)
-        ):
-            coeff = cf
-            for _, c in combo:
-                coeff *= c
-            arg_trees = [tree for tree, _ in combo]
-            for slots in itertools.combinations(range(1, tf.arity + 1), k):
-                assignment = dict(zip(slots, arg_trees))
-                tree, sign = graft_with_sign(tf, assignment)
-                terms.append((tree, sign * coeff))
-    return OperadElement(out_arity, terms)
+    for leaves in itertools.combinations(range(1, f.arity + 1), len(args)):
+        terms += _row_terms(f, [_grafts(i, g) for i, g in zip(leaves, args)])
+    return OperadElement.from_words(f.arity + sum(g.arity - 1 for g in args), terms)
 
 
 # ---------------------------------------------------------------------------

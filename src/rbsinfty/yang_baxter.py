@@ -24,7 +24,8 @@ minimal model to this operad, with differential m_1 = -d (x) 1 + 1 (x) d:
 whose images under F are -[d, -], the product of A and the operators of the
 pair: the structure `chi_map`, which `chi_inverse` inverts by round trip.  An
 `InfinityYBPair` is this map, and so its own `generator_differential` target,
-whose `compose_row` grafts a row one slot at a time by t o_i u above.
+whose one composition, `compose_row`, grafts a row one slot at a time, each
+step t o_i u above (t o_i u itself is the row of one part, `slot(k, i, u)`).
 So `check_infinity_ybp` is the residual of `rbsinfty.residuals` evaluated on
 the pair, negated, and F sends it to the residual of `chi_map`.  The four
 differential graded pieces of that residual, written once in
@@ -288,30 +289,28 @@ class InfinityYBPair:
     def gen(self, family: str, arity: int) -> Optional[TensorElem]:
         return self._images[family].get(arity)
 
-    def compose_at(self, t: TensorElem, i: int, u: TensorElem) -> TensorElem:
-        """t o_i u: u's outer factors multiplied onto a_i and a_{i+1}; the
-        slot step of `compose_row`."""
-        products, degrees = self.algebra.products, self.algebra.space._degrees
-        rows = []
-        for a, ca in t.table.items():
-            tail = sum(degrees[x] for x in a[i:])
-            head, ai, aj, rest = a[: i - 1], a[i - 1], a[i], a[i + 1 :]
-            for b, cb in u.table.items():
-                odd = tail % 2 and sum(degrees[y] for y in b) % 2
-                coeff = -ca * cb if odd else ca * cb
-                middle = b[1:-1]
-                for left, v in products.get((ai, b[0]), {}).items():
-                    for right, w in products.get((b[-1], aj), {}).items():
-                        rows.append((head + (left,) + middle + (right,) + rest, coeff * v * w))
-        return TensorElem(self.algebra, t.order + u.order - 2, rows)
-
     def compose_row(self, f: TensorElem, parts) -> TensorElem:
-        """f with ``parts`` grafted left to right; a None part leaves its slot open."""
-        slot = 1
+        """f with ``parts`` grafted left to right, a None part leaving its slot
+        open: at each slot i, t o_i u of the module docstring."""
+        products, degrees = self.algebra.products, self.algebra.space._degrees
+        i = 1
         for u in parts:
-            if u is not None:
-                f = self.compose_at(f, slot, u)
-            slot += 1 if u is None else u.order - 1
+            if u is None:
+                i += 1
+                continue
+            rows = []
+            for a, ca in f.table.items():
+                tail = sum(degrees[x] for x in a[i:])
+                head, ai, aj, rest = a[: i - 1], a[i - 1], a[i], a[i + 1 :]
+                for b, cb in u.table.items():
+                    odd = tail % 2 and sum(degrees[y] for y in b) % 2
+                    coeff = -ca * cb if odd else ca * cb
+                    middle = b[1:-1]
+                    for left, v in products.get((ai, b[0]), {}).items():
+                        for right, w in products.get((b[-1], aj), {}).items():
+                            rows.append((head + (left,) + middle + (right,) + rest, coeff * v * w))
+            f = TensorElem(self.algebra, f.order + u.order - 2, rows)
+            i += u.order - 1
         return f
 
     def sum(self, arity: int, degree: int, terms) -> TensorElem:

@@ -24,6 +24,7 @@ from rbsinfty.graded import BasedAlgebra, GradedSpace, MatrixAlgebra, MultiMap, 
 from rbsinfty.minimal_model import extend_derivation
 from rbsinfty.residuals import HomotopyRBS
 from rbsinfty.sampling import random_multimap, random_tensor
+from rbsinfty.signs import compositions
 from rbsinfty.trees import OperadElement, gen
 
 PLANE = GradedSpace([("v1", 0), ("v2", 0)])
@@ -417,6 +418,32 @@ def test_check_aybe_infinity_refuses_a_member_above_the_truncation(capsys, tmp_p
     payload["truncation"] = 3
     code, report = run(capsys, "check", "aybe-infinity", dump(tmp_path, "within.json", payload))
     assert code == 1
+
+
+def test_a_zero_structure_above_every_member_draws_few_compositions(
+    capsys, tmp_path, monkeypatch
+):
+    # a row through a zero m_k is never drawn: the compositions of n behind
+    # such rows number about 2^n, which left these runs without bound
+    drawn = 0
+
+    def counted(n, k):
+        nonlocal drawn
+        for parts in compositions(n, k):
+            drawn += 1
+            if drawn > 10_000:
+                raise AssertionError("more than 10,000 compositions drawn")
+            yield parts
+
+    monkeypatch.setattr(minimal_model, "compositions", counted)
+    v1, v2 = {"name": "v1", "degree": 0}, {"name": "v2", "degree": 0}
+    for command, basis, truncation in (("hrbs", [v1], 60), ("aybe-infinity", [v1, v2], 30)):
+        payload = {"space": {"basis": basis}, "truncation": truncation}
+        code, report = run(capsys, "check", command, dump(tmp_path, "zero.json", payload))
+        assert code == 0
+        assert report["ok"] is True and report["truncation"] == truncation
+        assert all(r["ok"] for r in report["results"])
+        assert len(report["results"]) == (3 * truncation if command == "hrbs" else truncation)
 
 
 # -- check mc ---------------------------------------------------------------------

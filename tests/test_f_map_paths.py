@@ -254,3 +254,61 @@ def test_equivalence_identities_hold_at_index_4(seed, family):
         map_side, tensor_side = identity(pair, 4, family)
         assert tensor_side.order == 5 and not tensor_side.is_zero()
         assert F_map(tensor_side) == map_side, (seed, family, identity.__name__)
+
+
+# -- the one composition of the tensor operad ------------------------------------------
+
+
+def _slot_step(algebra, t, i, u):
+    """t o_i u as the slot step `InfinityYBPair.compose_at` made it before
+    `compose_row` took it in: u's outer factors multiplied onto a_i and
+    a_{i+1}, signed by u passing the factors right of the slot."""
+    products, degrees = algebra.products, algebra.space._degrees
+    rows = []
+    for a, ca in t.table.items():
+        tail = sum(degrees[x] for x in a[i:])
+        head, ai, aj, rest = a[: i - 1], a[i - 1], a[i], a[i + 1 :]
+        for b, cb in u.table.items():
+            odd = tail % 2 and sum(degrees[y] for y in b) % 2
+            coeff = -ca * cb if odd else ca * cb
+            middle = b[1:-1]
+            for left, v in products.get((ai, b[0]), {}).items():
+                for right, w in products.get((b[-1], aj), {}).items():
+                    rows.append((head + (left,) + middle + (right,) + rest, coeff * v * w))
+    return TensorElem(algebra, t.order + u.order - 2, rows)
+
+
+def _slot_fold(algebra, f, parts):
+    """The row as the left-to-right fold of `_slot_step`, None an open slot."""
+    i = 1
+    for u in parts:
+        if u is not None:
+            f = _slot_step(algebra, f, i, u)
+        i += 1 if u is None else u.order - 1
+    return f
+
+
+@pytest.mark.parametrize("name", ["End(0,1)", "End(-1,0,2)", "twisted"])
+def test_tensor_compose_row_is_the_fold_of_the_slot_step(name):
+    algebra = ALGEBRAS[name]
+    pair = InfinityYBPair(algebra)
+    rng = random.Random(f"row-{name}")
+    small = algebra.space.dim <= 4
+
+    def tensor(order, degree):
+        density = ({2: 0.5, 3: 0.25, 4: 0.1} if small else {2: 0.4, 3: 0.1, 4: 0.03})[order]
+        return random_tensor(rng, algebra, order, degree, density, COEFFICIENTS)
+
+    # parts of both parities, one not homogeneous, a zero part and open slots
+    pool = [None, TensorElem.zero(algebra, 2), tensor(2, 0), tensor(2, 1), tensor(3, 1)]
+    pool.append(tensor(2, None))
+    heads = [tensor(3, 0), tensor(3, 1), tensor(4, 1)]
+    compared = nonzero = 0
+    for f in heads:
+        for parts in itertools.product(pool, repeat=f.order - 1):
+            row = pair.compose_row(f, parts)
+            assert row == _slot_fold(algebra, f, parts), (f, parts)
+            compared += 1
+            nonzero += not row.is_zero()
+    assert compared == 2 * 6**2 + 6**3
+    assert nonzero >= compared // 4, nonzero

@@ -508,6 +508,23 @@ def test_matrix_algebra_product_map_is_degree_zero():
     assert mult.evaluate(("e2^1", "e1^2")) == {"e2^2": ONE}
 
 
+def test_an_algebra_builds_its_product_map_once():
+    V = GradedSpace([("v1", 0), ("v2", 1), ("v3", -1)])
+    M = MatrixAlgebra(V)
+    mult = M.product_map()
+    assert M.product_map() is mult and M.products is mult.table
+    # e_ij e_kl = delta_jk e_il, as filled from every (i, j, k, l) before
+    names = MatrixAlgebra.unit_name
+    expected = MultiMap(M.space, M.space, 2, 0, {
+        (names(i, j), names(k, l)): {names(i, l): ONE}
+        for i, j, k, l in itertools.product((1, 2, 3), repeat=4)
+        if j == k
+    })
+    assert mult == expected and len(mult.table) == 3**3
+    q, rows, right = M._integer_index()
+    assert (q, rows) == mult._numerators()
+
+
 def test_based_algebra_detects_non_associativity():
     # (a*a)*a = b*a = 0 but a*(a*a) = a*b = a
     space = GradedSpace([("a", 0), ("b", 0)])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,13 @@ from rbsinfty.minimal_model import (
     beta_exponent,
     check_d_squared,
     diff_generator,
-    differential,
     extend_derivation,
     generator_differential,
     presentation_generators,
     replace_vertex,
     slot,
 )
+from rbsinfty import minimal_model, trees
 from rbsinfty.monomial_model import _FirstSlot
 from rbsinfty.signs import compositions, parity_sign
 from rbsinfty.trees import (
@@ -38,8 +40,14 @@ from rbsinfty.trees import (
     identity_tree,
     parse_tree,
 )
+from test_trees import _graft_brace, _graft_compose_at
 
 M2, R1, S1 = gen("m", 2), gen("R", 1), gen("S", 1)
+
+
+def differential(e):
+    """The derivation extension of `diff_generator` (either presentation)."""
+    return extend_derivation(diff_generator, e)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +260,8 @@ def test_every_coefficient_of_d_x_is_minus_one():
 
 
 def _oracle_compose_at(target, f, i, g):
-    """f o_i g in ``target`` by `trees.compose_at`, one term of g at a time."""
+    """f o_i g in ``target`` by one `trees.graft_with_sign` per pair of terms
+    (`_graft_compose_at`), one term of g at a time."""
     arity = f.arity + g.arity - 1
     if target is _FirstSlot and i > 1:
         return OperadElement.zero(arity)
@@ -262,7 +271,7 @@ def _oracle_compose_at(target, f, i, g):
         exponent = 0
         if target is Suspension:
             exponent = (i - 1) * (b - 1) + (f.arity - 1) * (tree.degree + b - 1)
-        piece = compose_at(f, i, OperadElement.monomial(tree, coeff))
+        piece = _graft_compose_at(f, i, OperadElement.monomial(tree, coeff))
         pieces.append(piece * parity_sign(exponent))
     return OperadElement.sum(arity, pieces)
 
@@ -384,6 +393,24 @@ def test_compose_row_matches_the_fold_on_mixed_parts(target):
             assert row == _graft_compose_row(target, f, parts), (f, parts)
             compared += not row.is_zero()
     assert compared >= 10
+
+
+def test_no_composition_grafts_one_pair_of_trees_at_a_time(monkeypatch):
+    # compose_at, brace and every row of a differential splice words through
+    # one row function; graft_with_sign is left to callers and test oracles
+    def refuse(*args):
+        raise AssertionError("graft_with_sign was called")
+
+    monkeypatch.setattr(trees, "graft_with_sign", refuse)
+    fresh = functools.lru_cache(maxsize=None)(diff_generator.__wrapped__)
+    monkeypatch.setattr(minimal_model, "diff_generator", fresh)
+    for families in PRESENTATIONS.values():
+        assert check_d_squared(families, 5)["ok"] is True
+        m2, m3 = (as_element(gen(families[0], n)) for n in (2, 3))
+        f = compose_at(m3, 2, m2) * Fraction(1, 2) - compose_at(m3, 3, m2)
+        assert compose_at(f, 1, m3) == _graft_compose_at(f, 1, m3)
+        assert brace(f, [m2, m3]) == _graft_brace(f, [m2, m3])
+    assert fresh.cache_info().currsize == len(presentation_generators("mRSxyz", 5))
 
 
 def test_slot_is_one_part_with_open_slots_elsewhere():

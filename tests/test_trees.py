@@ -512,3 +512,132 @@ def test_graft_sign_from_reordering():
 def test_graft_out_of_range():
     with pytest.raises(ValueError):
         graft_with_sign(corolla(M2), {3: corolla(R1)})
+
+
+# ---------------------------------------------------------------------------
+# compose_at and brace beside one graft per choice of terms
+# ---------------------------------------------------------------------------
+
+
+def _graft_compose_at(f, i, g):
+    """f o_i g as `compose_at` built it before it spliced rows: one
+    `graft_with_sign` per pair of terms, merged by the validating
+    `OperadElement`."""
+    f = as_element(f)
+    g = as_element(g)
+    if not 1 <= i <= f.arity:
+        raise ValueError(f"leaf index {i} out of range 1..{f.arity}")
+    terms = []
+    for tf, cf in f.terms.items():
+        for tg, cg in g.terms.items():
+            tree, sign = graft_with_sign(tf, {i: tg})
+            terms.append((tree, sign * cf * cg))
+    return OperadElement(f.arity + g.arity - 1, terms)
+
+
+def _graft_brace(f, args):
+    """f{g_1, ..., g_k} as `brace` built it before it spliced rows: one
+    `graft_with_sign` per choice of terms and of slots, merged by the
+    validating `OperadElement`."""
+    f = as_element(f)
+    arg_elements = [as_element(a) for a in args]
+    if not arg_elements:
+        return f
+    k = len(arg_elements)
+    out_arity = f.arity + sum(a.arity - 1 for a in arg_elements)
+    terms = []
+    for tf, cf in f.terms.items():
+        if k > tf.arity:
+            continue
+        for combo in itertools.product(*(a.terms.items() for a in arg_elements)):
+            coeff = cf
+            for _, c in combo:
+                coeff *= c
+            arg_trees = [tree for tree, _ in combo]
+            for slots in itertools.combinations(range(1, tf.arity + 1), k):
+                tree, sign = graft_with_sign(tf, dict(zip(slots, arg_trees)))
+                terms.append((tree, sign * coeff))
+    return OperadElement(out_arity, terms)
+
+
+SCALARS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+ALPHABETS = {
+    "mrs": [M2, M3, R1, R2, S1, S2],
+    "xyz": [X2, X3, gen("y", 1), gen("y", 2), gen("z", 1), gen("z", 2)],
+}
+
+
+def _random_elements(rng, generators, count):
+    """``count`` random elements of mixed arities: sums of one to three
+    random trees of one arity (a corolla with up to two generators grafted)
+    with int and `Fraction` coefficients, and a zero element now and then."""
+    by_arity = {}
+    for _ in range(120):
+        t = corolla(rng.choice(generators))
+        for _ in range(rng.randrange(3)):
+            t, _ = graft_with_sign(t, {rng.randint(1, t.arity): corolla(rng.choice(generators))})
+        by_arity.setdefault(t.arity, []).append(t)
+    arities = sorted(by_arity)
+    elements = []
+    for _ in range(count):
+        arity = rng.choice(arities)
+        if rng.random() < 0.1:
+            elements.append(OperadElement.zero(arity))
+            continue
+        trees = rng.sample(by_arity[arity], min(len(by_arity[arity]), rng.randint(1, 3)))
+        elements.append(OperadElement(arity, [(t, rng.choice(SCALARS)) for t in trees]))
+    return elements
+
+
+@pytest.mark.parametrize("alphabet", sorted(ALPHABETS))
+def test_compose_at_and_brace_match_one_graft_per_choice(alphabet):
+    rng = random.Random(alphabet)
+    elements = _random_elements(rng, ALPHABETS[alphabet], 40)
+    compared = 0
+    for f in elements[:12]:
+        for g in elements[12:24]:
+            for i in range(1, f.arity + 1):
+                assert compose_at(f, i, g) == _graft_compose_at(f, i, g), (f, i, g)
+                compared += 1
+    assert compared > 200
+    nonzero = 0
+    for f in elements[:20]:
+        for k in range(5):  # k up to 4 passes the arity of some f
+            args = rng.sample(elements[20:], k)
+            e = brace(f, args)
+            assert e == _graft_brace(f, args), (f, args)
+            nonzero += not e.is_zero()
+    assert nonzero > 30
+
+
+def test_compose_at_and_brace_drop_what_cancels():
+    # R1 o_1 m2 is both R1 grafted with m2 and the identity grafted with R1(m2)
+    r1_m2 = parse_tree("R1(m2(1, 2))")
+    f = as_element(R1) - identity_element()
+    g = as_element(M2) + OperadElement.monomial(r1_m2)
+    e = compose_at(f, 1, g)
+    assert e == _graft_compose_at(f, 1, g)
+    assert e == OperadElement(2, [(parse_tree("R1(R1(m2(1, 2)))"), 1), (corolla(M2), -1)])
+    # m2(1, m2(2, 3)) o_1 m2 = m2(m2(1, 2), 3) o_3 m2, so their difference
+    # braced with m2 loses that tree
+    both = parse_tree("m2(m2(1, 2), m2(3, 4))")
+    left = OperadElement.monomial(parse_tree("m2(1, m2(2, 3))"), Fraction(1, 2))
+    right = OperadElement.monomial(parse_tree("m2(m2(1, 2), 3)"), Fraction(1, 2))
+    assert both in brace(left, [M2]).terms and both in brace(right, [M2]).terms
+    e = brace(left - right, [M2])
+    assert e == _graft_brace(left - right, [M2])
+    assert both not in e.terms and len(e.terms) == 4
+
+
+def test_compose_at_and_brace_on_zero_and_edge_arguments():
+    zero2, zero3 = OperadElement.zero(2), OperadElement.zero(3)
+    f = compose_at(M2, 2, R2) * Fraction(2, 3)
+    assert compose_at(f, 1, zero2) == _graft_compose_at(f, 1, zero2) == OperadElement.zero(4)
+    assert compose_at(zero3, 2, M2) == _graft_compose_at(zero3, 2, M2) == OperadElement.zero(4)
+    assert brace(f, [zero2]) == _graft_brace(f, [zero2]) == OperadElement.zero(4)
+    assert brace(f, []) == _graft_brace(f, []) == f
+    assert brace(f, [M2] * 4) == _graft_brace(f, [M2] * 4) == OperadElement.zero(7)
+    for i in (0, 4):
+        for compose in (compose_at, _graft_compose_at):
+            with pytest.raises(ValueError, match="out of range"):
+                compose(f, i, M2)

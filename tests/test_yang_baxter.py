@@ -17,6 +17,7 @@ from rbsinfty.graded import (
     raise_indices,
     tensor_product_multiply,
 )
+from rbsinfty.minimal_model import slot
 from rbsinfty.residuals import (
     HomotopyRBS,
     check_classical_rbs,
@@ -709,7 +710,7 @@ def test_f_map_is_an_operad_map_from_the_tensor_operad():
                 t = random_tensor(rng, algebra, t_order, degree=t_degree, density=density)
                 u = random_tensor(rng, algebra, u_order, degree=u_degree, density=density)
                 for i in range(1, t_order):
-                    composite = pair.compose_at(t, i, u)
+                    composite = pair.compose_row(t, slot(t_order - 1, i, u))
                     assert F_map(composite) == insert(F_map(t), i, F_map(u))
                     checked += 1
                     nonzero += not composite.is_zero()
