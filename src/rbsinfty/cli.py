@@ -7,11 +7,16 @@ violates a structural precondition).  Reports contain no timestamps and
 iterate sparse tables in sorted order, so a fixed command line (including
 any ``--seed``) always produces byte-for-byte identical output.
 
-A call builds only the parser of the command it names (`_COMMANDS`, one
-table that also feeds the full tree of `build_parser`); help, unknown
-commands and left-over arguments go to the full tree, so every message is
-the one the full tree gives.  A residual's report serializes only the
-witnesses it prints.
+A valid command line is read straight from the command table `_COMMANDS`,
+which also feeds the argparse tree of `build_parser`: the command's exact
+option names, as ``--name VALUE`` or ``--name=VALUE``, and its positional
+``file``, through the same ``type``, ``choices`` and ``default`` keywords.
+Any other line (help, an abbreviation, ``--``, a value starting with ``-``,
+a refused value, a missing or extra argument, an unknown command) goes to
+that tree, which gives every help, usage and error text; only then is
+argparse imported.  The report is written by `_json_text`, byte for byte
+what ``json.dumps(report, indent=2, sort_keys=True)`` gives, and a
+residual's report serializes only the witnesses it prints.
 
 File formats (all JSON; coefficients are strings parsed as exact rationals):
 
@@ -33,11 +38,12 @@ File formats (all JSON; coefficients are strings parsed as exact rationals):
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _escape
+from types import SimpleNamespace
 from typing import Optional
 
 from .graded import (
@@ -79,7 +85,11 @@ from .yang_baxter import (
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return _json_object(json.load(handle), "the top-level JSON value")
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: the JSON is nested too deeply to parse") from None
+    return _json_object(data, "the top-level JSON value")
 
 
 def _report(residual: MultiMap | TensorElem) -> dict:
@@ -117,14 +127,14 @@ def _operator_pair(data: dict, space: GradedSpace) -> tuple[MultiMap, MultiMap]:
 # -- verify ---------------------------------------------------------------------
 
 
-def _cmd_verify_d_squared(args: argparse.Namespace) -> dict:
+def _cmd_verify_d_squared(args: SimpleNamespace) -> dict:
     report = dict(check_d_squared(PRESENTATIONS[args.presentation], args.max_arity))
     report["command"] = "verify d-squared"
     report["presentation"] = args.presentation
     return report
 
 
-def _cmd_verify_homotopy(args: argparse.Namespace) -> dict:
+def _cmd_verify_homotopy(args: SimpleNamespace) -> dict:
     report = dict(check_homotopy(args.max_arity, args.max_weight))
     report["command"] = "verify homotopy"
     report["max_arity"] = args.max_arity
@@ -132,7 +142,7 @@ def _cmd_verify_homotopy(args: argparse.Namespace) -> dict:
     return report
 
 
-def _cmd_verify_linfinity(args: argparse.Namespace) -> dict:
+def _cmd_verify_linfinity(args: SimpleNamespace) -> dict:
     report = dict(
         verify_generalized_jacobi(
             dim=args.dim, truncation=args.trunc, trials=args.trials, seed=args.seed
@@ -145,7 +155,7 @@ def _cmd_verify_linfinity(args: argparse.Namespace) -> dict:
 # -- check ----------------------------------------------------------------------
 
 
-def _cmd_check_rbs(args: argparse.Namespace) -> dict:
+def _cmd_check_rbs(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
     R, S = _operator_pair(data, algebra.space)
@@ -157,7 +167,7 @@ def _cmd_check_rbs(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_check_hrbs(args: argparse.Namespace) -> dict:
+def _cmd_check_hrbs(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     structure = HomotopyRBS.from_json(data)
     limit = structure.truncation if args.max_arity is None else args.max_arity
@@ -181,7 +191,7 @@ def _cmd_check_hrbs(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_check_ybp(args: argparse.Namespace) -> dict:
+def _cmd_check_ybp(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
     pair = YBPair.from_json(algebra, data)
@@ -192,7 +202,7 @@ def _cmd_check_ybp(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_check_aybe(args: argparse.Namespace) -> dict:
+def _cmd_check_aybe(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
     pair = InfinityYBPair.from_json(algebra, data)
@@ -213,7 +223,7 @@ def _cmd_check_aybe(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_check_mc(args: argparse.Namespace) -> dict:
+def _cmd_check_mc(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     if "parts" in data:
         alpha = CochainElement.from_json(data)
@@ -257,14 +267,14 @@ def _cmd_check_mc(args: argparse.Namespace) -> dict:
 # -- convert --------------------------------------------------------------------
 
 
-def _cmd_convert_ybp_to_rbs(args: argparse.Namespace) -> dict:
+def _cmd_convert_ybp_to_rbs(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
     R, S = ybp_to_rbs(YBPair.from_json(algebra, data))
     return {"space": space.to_json(), "R": R.to_json(), "S": S.to_json()}
 
 
-def _cmd_convert_rbs_to_ybp(args: argparse.Namespace) -> dict:
+def _cmd_convert_rbs_to_ybp(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     space, algebra = _matrix_setup(data)
     R, S = _operator_pair(data, algebra.space)
@@ -337,18 +347,13 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, command: tuple) -> None:
-    """The arguments and the handler of one `_COMMANDS` entry, on ``parser``."""
-    _, handler, arguments = command
-    for name, options in arguments:
-        parser.add_argument(name, **options)
-    parser.set_defaults(handler=handler)
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process; parsing does not
-    change it.  `main` reaches it only for what `_command_parser` leaves."""
+    change it.  `main` reaches it only for a line `_table_parse` leaves, so it
+    gives every help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rbsinfty",
         description="Exact symbolic checks for Rota-Baxter systems, their "
@@ -357,39 +362,115 @@ def build_parser() -> argparse.ArgumentParser:
     )
     groups = parser.add_subparsers(dest="group", required=True)
     targets = {}
-    for (group, target), command in _COMMANDS.items():
+    for (group, target), (help_text, handler, arguments) in _COMMANDS.items():
         if group not in targets:
             sub = groups.add_parser(group, help=_GROUPS[group])
             targets[group] = sub.add_subparsers(dest="target", required=True)
-        _add_command(targets[group].add_parser(target, help=command[0]), command)
+        command = targets[group].add_parser(target, help=help_text)
+        for name, options in arguments:
+            command.add_argument(name, **options)
+        command.set_defaults(handler=handler)
     return parser
 
 
-@lru_cache(maxsize=None)
-def _command_parser(group: str, target: str) -> argparse.ArgumentParser:
-    """The parser of one command alone, equal to its subparser in
-    `build_parser` (the same prog, arguments and handler), built once per
-    process."""
-    parser = argparse.ArgumentParser(prog=f"rbsinfty {group} {target}")
-    _add_command(parser, _COMMANDS[group, target])
-    return parser
+def _table_parse(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The arguments of ``argv`` read straight from `_COMMANDS`, equal to what
+    `build_parser` returns apart from ``group`` and ``target``; None for a
+    line that takes anything but the command's exact option names
+    (``--name VALUE`` or ``--name=VALUE``, through the same ``type`` and
+    ``choices``) and its one positional ``file``: help, an abbreviation,
+    ``--``, a value or positional starting with ``-``, a refused value, a
+    missing or extra argument, an unknown command."""
+    command = _COMMANDS.get(tuple(argv[:2]))
+    if command is None:
+        return None
+    _, handler, arguments = command
+    specs = dict(arguments)
+    positionals = [name for name in specs if not name.startswith("-")]
+    given = {}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, equals, value = token.partition("=")
+            if not equals:
+                value = next(tokens, "-")
+        elif positionals:
+            name, value = positionals.pop(0), token
+        else:
+            return None
+        spec = specs.get(name)
+        if spec is None or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[name] = value
+    if positionals:
+        return None
+    return SimpleNamespace(
+        handler=handler,
+        **{
+            name.lstrip("-").replace("-", "_"): given.get(name, spec.get("default"))
+            for name, spec in arguments
+        },
+    )
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of ``argv``, parsed by the parser of the command that
-    ``argv[:2]`` names.  Anything else goes to the full tree: top-level and
-    group help, an unknown command, and arguments the command's parser
-    leaves over, which argparse refuses under the top-level prog."""
-    if tuple(argv[:2]) in _COMMANDS:
-        args, rest = _command_parser(*argv[:2]).parse_known_args(argv[2:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The arguments of ``argv``: from the command table, or from the full
+    tree for any line the table leaves (the tree prints help and errors and
+    exits)."""
+    args = _table_parse(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+    return args
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
+    values a report holds: dicts with string keys, lists and tuples, strings,
+    ints, booleans and None.  ``indent`` is the newline and the indentation of
+    the line ``value`` starts on.  Anything else raises TypeError, as
+    `json.dumps` does for a type it does not know.  Most members are strings,
+    so a container escapes those itself instead of recursing."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{_escape(key)}: "
+            f"{_escape(item) if isinstance(item, str) else _json_text(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            _escape(item) if isinstance(item, str) else _json_text(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _print(report: dict) -> None:
     try:
-        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+        print(_json_text(report), flush=True)
     except BrokenPipeError:
         # the reader left early (``| head``); the interpreter flushes stdout
         # again at exit, so send what is left to devnull

@@ -5,8 +5,10 @@ stdout, and asserts on the documented exit codes: 0 when every check
 passes, 1 on a verification failure, 2 on unparseable input.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -16,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rbsinfty
 from rbsinfty import cli, linfty, minimal_model
@@ -564,6 +567,19 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     code, report = run(capsys, "check", "ybp", str(path))
     assert code == 2
     assert "error" in report
+
+
+@pytest.mark.parametrize(
+    "command",
+    [key for key, (_, _, arguments) in cli._COMMANDS.items() if ("file", {}) in arguments],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
+    # json.load recurses once per level and raised RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, report = run(capsys, *command, str(path))
+    assert code == 2
+    assert report == {"error": f"{path}: the JSON is nested too deeply to parse"}
 
 
 def test_wrong_schema_exits_2(capsys, tmp_path):
@@ -1127,6 +1143,12 @@ def test_report_digest_tool_hashes_each_report(capsys, tmp_path):
     digests = [hashlib.sha256(tool.report(job["argv"])).hexdigest() for job in jobs]
     assert [line.split("  ", 1)[0] for line in lines[:-1]] == digests
     assert lines[-1].split("  ", 1)[0] == hashlib.sha256("".join(digests).encode()).hexdigest()
+    # a line argparse refuses adds its stderr
+    refused = ["verify", "homotopy", "--max-weight", "x"]
+    with pytest.raises(SystemExit) as info:
+        main(refused)
+    out, err = capsys.readouterr()
+    assert err and tool.report(refused) == f"{info.value.code}\n{out}stderr:\n{err}".encode()
 
 
 def test_report_serializes_only_the_witnesses_it_prints():
@@ -1149,7 +1171,7 @@ def test_report_serializes_only_the_witnesses_it_prints():
     assert all(len(r.table) > _WITNESS_CAP for r in residuals[:2])
 
 
-# -- one parser per process ---------------------------------------------------------
+# -- the parser -------------------------------------------------------------------
 
 
 def _run_in_process(capsys, argv):
@@ -1184,11 +1206,10 @@ def test_repeated_main_calls_match_each_call_run_alone(capsys, tmp_path):
     assert [code for code, _ in in_process] == [1, 2, 0, 0, 1]
     assert in_process == [_run_alone(argv) for argv in calls]
     assert cli.build_parser() is cli.build_parser()
-    for command in cli._COMMANDS:
-        assert cli._command_parser(*command) is cli._command_parser(*command)
 
 
-def _equivalence_lines():
+def _valid_lines():
+    """One command line per command of `_COMMANDS`, each on a saved input."""
     data = Path(__file__).parent / "data"
     rbs, ybp, mc = (
         str(data / f"{name}_input.json")
@@ -1207,7 +1228,13 @@ def _equivalence_lines():
         ["convert", "rbs-to-ybp", rbs],
     ]
     assert {tuple(argv[:2]) for argv in valid} == set(cli._COMMANDS)
-    return valid + [
+    return valid
+
+
+def _equivalence_lines():
+    data = Path(__file__).parent / "data"
+    rbs, mc = (str(data / f"{name}_input.json") for name in ("rbs_graded", "mc_system"))
+    return _valid_lines() + [
         [],
         ["-h"],
         ["--help"],
@@ -1262,6 +1289,138 @@ def test_each_command_parser_answers_as_the_full_tree(capsys, monkeypatch):
     # what a command's parser leaves over is refused under the top-level prog
     _, _, err = by_line["verify", "d-squared", "--bogus", "--max-arity", "3"]
     assert err.endswith("rbsinfty: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_valid_command_line_builds_no_argparse_parser(capsys, monkeypatch):
+    import argparse
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an argparse.ArgumentParser was built")
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv in _valid_lines():
+        assert main(list(argv)) in (0, 1)
+    capsys.readouterr()
+    # neither importing the CLI nor running a valid line imports argparse or
+    # locale (which argparse's gettext pulls in)
+    script = (
+        "import sys\n"
+        "import rbsinfty.cli\n"
+        "loaded = sorted({'argparse', 'locale'} & set(sys.modules))\n"
+        "rbsinfty.cli.main(['verify', 'd-squared', '--max-arity', '2'])\n"
+        "loaded += sorted({'argparse', 'locale'} & set(sys.modules))\n"
+        "print(loaded, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rbsinfty.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=60
+    )
+    assert child.returncode == 0 and child.stderr.decode() == "[]\n"
+
+
+_OPTION_NAMES = sorted(
+    {name for _, _, arguments in cli._COMMANDS.values() for name, _ in arguments}
+    - {"file"}
+)
+# every option name and each of its prefixes, "-" and "--" among them
+_OPTION_TOKENS = sorted(
+    {name[:end] for name in _OPTION_NAMES for end in range(1, len(name) + 1)}
+    | {"-h", "--help"}
+)
+_VALUES = ["5", "+5", "1_0", "-3", "0", " 7", "x", "mrs", "xyz", "abc", "", "in.json"]
+_HEADS = st.sampled_from(
+    sorted(cli._COMMANDS) + [("bogus", "mc"), ("check", "-h"), ("verify", "bogus")]
+)
+
+
+def _lines_after(head):
+    """Command lines that start with ``head``: up to three options of its
+    command with values, as two tokens or joined by ``=``, or lone values, and
+    in a third of the lines one more token: an option name or a prefix of one,
+    ``-``, ``--``, ``-h`` or ``--help``."""
+    _, _, arguments = cli._COMMANDS.get(tuple(head), (None, None, []))
+    names = st.sampled_from([name for name, _ in arguments if name != "file"] or _OPTION_NAMES)
+    values = st.sampled_from(_VALUES)
+    piece = (
+        st.tuples(names, values).map(list)
+        | st.builds("{}={}".format, names, values).map(lambda token: [token])
+        | values.map(lambda value: [value])
+    )
+    extra = st.just([]) | st.just([]) | st.sampled_from(_OPTION_TOKENS).map(lambda t: [t])
+    return st.tuples(st.lists(piece, max_size=3), extra, st.integers(0, 3)).map(
+        lambda drawn: [*head, *_insert(sum(drawn[0], []), drawn[2], drawn[1])]
+    )
+
+
+def _insert(tokens, at, more):
+    return tokens[:at] + more + tokens[at:]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_HEADS.flatmap(_lines_after))
+def test_the_table_parse_defers_or_agrees_with_the_full_tree(argv):
+    args = cli._table_parse(argv)
+    if args is None:
+        return
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"the full tree refuses {argv}, which the table parse took")
+    del full["group"], full["target"]
+    assert vars(args) == full
+
+
+def test_the_table_parse_takes_every_valid_line():
+    for argv in _valid_lines() + [
+        ["verify", "d-squared", "--max-arity=3", "--presentation=mrs"],
+        ["verify", "homotopy", "--max-weight", "+5", "--max-arity", "1_0", "--max-arity", "2"],
+        ["check", "hrbs", "--max-arity", "2", "in.json"],
+    ]:
+        expected = vars(cli.build_parser().parse_args(argv))
+        del expected["group"], expected["target"]
+        assert vars(cli._table_parse(argv)) == expected
+
+
+# -- the report writer ---------------------------------------------------------------
+
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001d11e') | st.characters(),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | _TEXT,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_TEXT, inner),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_the_report_writer_equals_indented_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_the_report_writer_equals_indented_json_dumps_on_every_saved_file():
+    paths = sorted((Path(__file__).parent / "data").glob("*.json"))
+    assert paths
+    for path in paths:
+        value = json.loads(path.read_text())
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True), path.name
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, Fraction(1, 2), b"x", {"a": [{1, 2}]}, {1: "a"}, [object()]]
+)
+def test_the_report_writer_refuses_a_type_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 # -- refusals ---------------------------------------------------------------------

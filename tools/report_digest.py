@@ -1,12 +1,13 @@
 """Print one SHA-256 per CLI report and one over all of them.
 
-A report is the exit code and the stdout of ``rbsinfty.cli.main`` for one
-command line.  The command lines are the jobs of the benchmark workloads
-(``perfbench/workloads.py``, only read) at the given seeds, the longer
-verifications in ``EXTRA`` and one command per saved input
-``tests/data/*_input.json``.  Running it in two
-checkouts and comparing the outputs shows whether a change keeps every
-report byte for byte::
+A report is the exit code, the stdout and the stderr of
+``rbsinfty.cli.main`` for one command line.  The command lines are the jobs
+of the benchmark workloads (``perfbench/workloads.py``, only read) at the
+given seeds, the longer verifications in ``EXTRA``, one command per saved
+input ``tests/data/*_input.json`` and the help and refused lines in
+``PARSER_LINES``, which argparse answers.  Running it in two checkouts and
+comparing the outputs shows whether a change keeps every report and every
+help, usage and error text byte for byte::
 
     python3 tools/report_digest.py > digests.txt
     python3 tools/report_digest.py --workload operad-d2 --seed 1
@@ -40,6 +41,39 @@ EXTRA = (
     ["verify", "homotopy", "--max-arity", "4", "--max-weight", "5"],
 )
 
+# help and refused lines, which the command table leaves to argparse, and a
+# missing file; MC is a saved input, and the missing file is named relative
+# to the checkout, so its message is the same in any checkout.  argparse wraps
+# its text at the terminal width (``COLUMNS``): compare runs made at one width
+MC = str(ROOT / "tests" / "data" / "mc_system_input.json")
+PARSER_LINES = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["verify", "-h"],
+    ["check", "--help"],
+    ["check", "mc", "-h"],
+    ["verify", "homotopy", "--help"],
+    ["convert", "rbs-to-ybp", "--h"],
+    ["verify"],
+    ["check", "mc"],
+    ["check", "mc", MC, "extra"],
+    ["check", "mc", MC, "--bogus"],
+    ["verify", "d-squared", "--bogus", "--max-arity", "3"],
+    ["verify", "d-squared", "--presentation", "abc"],
+    ["verify", "homotopy", "--max-weight", "x"],
+    ["check", "hrbs", MC, "--max-arity"],
+    ["verify", "homotopy", "--max", "2"],
+    ["verify", "homotopy", "--max-a", "2", "--max-w", "3"],
+    ["verify", "d-squared", "--max-arity", "-3"],
+    ["check", "mc", "--", MC],
+    ["verify", "d-squared", "--", "--max-arity", "3"],
+    ["check", "rbs", "tests/data/no_such_file.json"],
+    ["bogus"],
+    ["check", "bogus"],
+    ["verify", "mc"],
+)
+
 # the commands run on a saved input, by the first word of its file name
 DATA_COMMANDS = {
     "aybe": (["check", "aybe-infinity"],),
@@ -51,14 +85,19 @@ DATA_COMMANDS = {
 
 
 def report(argv: list[str]) -> bytes:
-    """The exit code and the stdout of `main` on ``argv``, as one byte string."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+    """The exit code, the stdout and the stderr of `main` on ``argv``, as one
+    byte string; an empty stderr adds nothing, so the digest of a report
+    that prints none is that of its exit code and stdout alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse refuses the command line
+        except SystemExit as exc:  # argparse prints help or refuses the line
             code = exc.code
-    return f"{code}\n{buffer.getvalue()}".encode("utf-8")
+    text = f"{code}\n{out.getvalue()}"
+    if err.getvalue():
+        text += f"stderr:\n{err.getvalue()}"
+    return text.encode("utf-8")
 
 
 def digest_lines(command_lines):
@@ -85,6 +124,8 @@ def command_lines(workloads, seeds, workdir: Path):
     for path in sorted((ROOT / "tests" / "data").glob("*_input.json")):
         for command in DATA_COMMANDS[path.name.split("_")[0]]:
             yield f"{' '.join(command)} {path.name}", command + [str(path)]
+    for argv in PARSER_LINES:
+        yield "parser: " + " ".join(argv).replace(MC, "MC"), argv
 
 
 def main(argv=None) -> int:
