@@ -33,7 +33,10 @@ File formats (all JSON; coefficients are strings parsed as exact rationals):
   order-n tensor per index n over End(V).
 * ``check mc``: either a serialized cochain ``{"space", "degree",
   "truncation", "parts"}`` or a classical triple ``{"space", "product",
-  "R", "S"}`` acting on the space itself (degree-0 basis required).
+  "R", "S", "truncation"}`` acting on the space itself (degree-0 basis
+  required); a file with ``parts`` is a cochain.
+
+A top-level field outside its format is refused (exit 2) by name.
 """
 
 from __future__ import annotations
@@ -90,6 +93,27 @@ def _load(path: str) -> dict:
         except RecursionError:
             raise ValueError(f"{path}: the JSON is nested too deeply to parse") from None
     return _json_object(data, "the top-level JSON value")
+
+
+# the top-level fields of each file format
+_RBS_FIELDS = ("space", "R", "S")
+_YBP_FIELDS = ("space", "r", "s")
+_HRBS_FIELDS = ("space", "truncation", "m", "r", "s")
+_AYBE_FIELDS = ("space", "truncation", "r", "s")
+_COCHAIN_FIELDS = ("space", "degree", "truncation", "parts")
+_TRIPLE_FIELDS = ("space", "product", "R", "S", "truncation")
+
+
+def _schema(data: dict, fields: tuple[str, ...]) -> dict:
+    """``data``, refusing a top-level field outside ``fields`` by naming it, so
+    that a misspelled field is not read as a missing one."""
+    unknown = sorted(data.keys() - fields)
+    if unknown:
+        raise ValueError(
+            f"unknown top-level field {_escape(unknown[0])}; "
+            f"the fields of this file are {', '.join(fields)}"
+        )
+    return data
 
 
 def _report(residual: MultiMap | TensorElem) -> dict:
@@ -156,7 +180,7 @@ def _cmd_verify_linfinity(args: SimpleNamespace) -> dict:
 
 
 def _cmd_check_rbs(args: SimpleNamespace) -> dict:
-    data = _load(args.file)
+    data = _schema(_load(args.file), _RBS_FIELDS)
     space, algebra = _matrix_setup(data)
     R, S = _operator_pair(data, algebra.space)
     return {
@@ -168,7 +192,7 @@ def _cmd_check_rbs(args: SimpleNamespace) -> dict:
 
 
 def _cmd_check_hrbs(args: SimpleNamespace) -> dict:
-    data = _load(args.file)
+    data = _schema(_load(args.file), _HRBS_FIELDS)
     structure = HomotopyRBS.from_json(data)
     limit = structure.truncation if args.max_arity is None else args.max_arity
     limit = min(limit, structure.truncation)
@@ -192,7 +216,7 @@ def _cmd_check_hrbs(args: SimpleNamespace) -> dict:
 
 
 def _cmd_check_ybp(args: SimpleNamespace) -> dict:
-    data = _load(args.file)
+    data = _schema(_load(args.file), _YBP_FIELDS)
     space, algebra = _matrix_setup(data)
     pair = YBPair.from_json(algebra, data)
     return {
@@ -203,7 +227,7 @@ def _cmd_check_ybp(args: SimpleNamespace) -> dict:
 
 
 def _cmd_check_aybe(args: SimpleNamespace) -> dict:
-    data = _load(args.file)
+    data = _schema(_load(args.file), _AYBE_FIELDS)
     space, algebra = _matrix_setup(data)
     pair = InfinityYBPair.from_json(algebra, data)
     top = pair.truncation - 1
@@ -226,9 +250,10 @@ def _cmd_check_aybe(args: SimpleNamespace) -> dict:
 def _cmd_check_mc(args: SimpleNamespace) -> dict:
     data = _load(args.file)
     if "parts" in data:
-        alpha = CochainElement.from_json(data)
+        alpha = CochainElement.from_json(_schema(data, _COCHAIN_FIELDS))
         source = "cochain"
     else:
+        _schema(data, _TRIPLE_FIELDS)
         space = GradedSpace.from_json(data.get("space", _MISSING))
         alpha = classical_cochain(
             MultiMap.from_json(
@@ -268,14 +293,14 @@ def _cmd_check_mc(args: SimpleNamespace) -> dict:
 
 
 def _cmd_convert_ybp_to_rbs(args: SimpleNamespace) -> dict:
-    data = _load(args.file)
+    data = _schema(_load(args.file), _YBP_FIELDS)
     space, algebra = _matrix_setup(data)
     R, S = ybp_to_rbs(YBPair.from_json(algebra, data))
     return {"space": space.to_json(), "R": R.to_json(), "S": S.to_json()}
 
 
 def _cmd_convert_rbs_to_ybp(args: SimpleNamespace) -> dict:
-    data = _load(args.file)
+    data = _schema(_load(args.file), _RBS_FIELDS)
     space, algebra = _matrix_setup(data)
     R, S = _operator_pair(data, algebra.space)
     pair = rbs_to_ybp(R, S, algebra)

@@ -21,8 +21,9 @@ differential, a single f o_i g included, is a row grafted in one pass
 (`FreeOperad.compose_row`): the row of `trees._row_terms`, each graft signed
 by the target's `graft_exponent`, summed in one table, and a tree is built
 only for a word that survives.  The inner rows of the operator
-differentials, which depend on neither the family nor the outer arity, are
-composed once per target class, for every n.
+differentials depend on neither the family nor the outer arity: they are
+summed into one element per tail, composed once per target class for
+every n, and each operator is composed with that sum once per slot.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ class FreeOperad:
 
     A subclass changes its composition through one hook, `graft_exponent`,
     the exponent of the extra sign of one graft, or None for a zero graft.
-    Each class owns its memo ``rows`` of the inner rows of d R_n and d S_n,
-    shared by every n, as `diff_generator` keeps each differential.
+    Each class owns its memo ``rows`` of the inner elements of d R_n and
+    d S_n (`generator_terms`), shared by every n, as `diff_generator` keeps
+    each differential.
     """
 
     rows: dict = {}
@@ -162,7 +164,23 @@ def slot(k: int, i: int, g) -> tuple:
 
 
 def generator_differential(family: str, n: int, target):
-    """d m_n, d R_n or d S_n, written once and built in the operad ``target``.
+    """d m_n, d R_n or d S_n in the operad ``target``: its `generator_terms`
+    summed in one table.
+
+    >>> generator_differential("R", 1, FreeOperad).is_zero()
+    True
+    >>> generator_differential("m", 2, FreeOperad).is_zero()
+    True
+    >>> len(generator_differential("R", 3, FreeOperad).terms)
+    12
+    """
+    degree = n - 3 if family == "m" else n - 2
+    return target.sum(n, degree, generator_terms(family, n, target))
+
+
+def generator_terms(family: str, n: int, target) -> list:
+    """The unsummed ``(sign, element)`` terms of d m_n, d R_n or d S_n,
+    written once and built in the operad ``target``.
 
     ``target`` supplies ``gen(family, arity)``, ``compose_row(f, parts)``
     (f with one part per input grafted left to right, None for an open
@@ -183,20 +201,17 @@ def generator_differential(family: str, n: int, target):
               + sum_{p > 1, r, j, i} (-1)^beta
                 F_{r_1} o_i m_p(R_{r_2}, ..., R_{r_j}, id, S_{r_{j+1}}, ..., S_{r_p})
 
-    The inner row m_p(R_{r_2}, ..., S_{r_p}) depends on neither F nor r_1,
-    so it is composed once per call, and once for every n in a target that
-    owns a dict ``rows`` (each `FreeOperad` class does), and the sums of
-    `beta_exponent` that depend on neither j nor i are taken once per r.
-
-    >>> generator_differential("R", 1, FreeOperad).is_zero()
-    True
-    >>> generator_differential("m", 2, FreeOperad).is_zero()
-    True
-    >>> len(generator_differential("R", 3, FreeOperad).terms)
-    12
+    The inner rows depend on neither F nor r_1, and beta_exponent is
+    1 + load r_1 + i (1 - load) plus a part that depends only on j and the
+    tail r_2 .. r_p, with load = r_2 + ... + r_p + 1 the arity of an inner
+    row.  So the rows of one tail, each signed by that part, are summed over
+    j into one inner element, and F_{r_1} is composed with it once per slot
+    i.  The inner element is built once per call, and once for every n in a
+    target that owns a dict ``rows`` (each `FreeOperad` class, each
+    `HomotopyRBS` and each `InfinityYBPair` does).
     """
     gen, compose_row = target.gen, target.compose_row
-    rows = getattr(target, "rows", {})  # the inner rows, by (j, r_2 .. r_p)
+    rows = getattr(target, "rows", {})  # the inner elements, by r_2 .. r_p
 
     def grafted(head, slots):
         # head with the generators (family, arity) of ``slots`` grafted left
@@ -205,6 +220,21 @@ def generator_differential(family: str, n: int, target):
         if any(f and g is None for (f, _), g in zip(slots, parts)):
             return None
         return compose_row(head, parts)
+
+    def inner_sum(head, tail):
+        # the signed inner rows of ``tail`` summed over j, None if all are
+        p = len(tail) + 1
+        exponent, terms = sum((r - 1) * (p - t) for t, r in enumerate(tail, 2)), []
+        for j in range(1, p + 1):
+            if j > 1:
+                exponent += tail[j - 2] - 1
+            slots = [("R", r) for r in tail[: j - 1]] + [(None, 1)]
+            row = grafted(head, slots + [("S", r) for r in tail[j - 1 :]])
+            if row is not None:
+                terms.append((parity_sign(exponent), row))
+        if not terms:
+            return None
+        return target.sum(sum(tail) + 1, sum(tail) - 1, terms)
 
     terms = []
     if family == "m":
@@ -216,7 +246,7 @@ def generator_differential(family: str, n: int, target):
                     (parity_sign(i + j * (n - i)), compose_row(outer, slot(k, i, inner)))
                     for i in range(1, k + 1)
                 ]
-        return target.sum(n, n - 3, terms)
+        return terms
     # no composition is drawn for a row through a zero m_k (m_p)
     for k in range(2, n + 1):
         head = gen("m", k)
@@ -235,24 +265,17 @@ def generator_differential(family: str, n: int, target):
             outer = gen(family, r1)
             if outer is None:
                 continue
-            # beta_exponent(p, j, i, parts) is exponent + i (1 - load), the
-            # exponent taken once per r and grown by r_j - 1 at each j > 1
-            load = p + sum(r - 1 for r in tail)
-            exponent = 1 + load * r1 + sum((r - 1) * (p - t) for t, r in enumerate(tail, 2))
-            for j in range(1, p + 1):
-                if j > 1:
-                    exponent += tail[j - 2] - 1
-                key = (j, tail)
-                if key not in rows:
-                    slots = [("R", r) for r in tail[: j - 1]] + [(None, 1)]
-                    rows[key] = grafted(head, slots + [("S", r) for r in tail[j - 1 :]])
-                inner = rows[key]
-                if inner is None:
-                    continue
-                for i in range(1, r1 + 1):
-                    sign = parity_sign(exponent + i * (1 - load))
-                    terms.append((sign, compose_row(outer, slot(r1, i, inner))))
-    return target.sum(n, n - 2, terms)
+            if tail not in rows:
+                rows[tail] = inner_sum(head, tail)
+            inner = rows[tail]
+            if inner is None:
+                continue
+            load = sum(tail) + 1
+            terms += [
+                (parity_sign(1 + load * r1 + i * (1 - load)), compose_row(outer, slot(r1, i, inner)))
+                for i in range(1, r1 + 1)
+            ]
+    return terms
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,11 @@ so the residual of X_n (X = m, R, S) is
 
     ∂φ(X_n) − φ(dX_n),   ∂f = m_1∘f − (−1)^|f| Σ_i f∘_i m_1,
 
-with dX_n the minimal model's `generator_differential` evaluated in End(V):
-a `HomotopyRBS` is itself the target, φ on the generators with the one
-composition of End(V), `compose_tensor` (f∘_i g is the row
-``slot(k, i, g)`` on f of arity k), and its sums.
+with dX_n the minimal model's `generator_differential` evaluated in End(V),
+its unsummed terms (`generator_terms`) negated and summed with those of
+∂φ(X_n) in one table.  A `HomotopyRBS` is itself the target: φ on the
+generators with the one composition of End(V), `compose_tensor` (f∘_i g
+is the row ``slot(k, i, g)`` on f of arity k), and its sums.
 At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
 generator. A residual vanishes exactly when its identity holds at that arity.
 The residual is written once for any `generator_differential` target with a
@@ -19,7 +20,9 @@ differential m_1; `rbsinfty.yang_baxter` evaluates it on an `InfinityYBPair`,
 a map into the tensor operad.  Without m_k for k >= 3 the R/S residual splits
 into four pieces, also written once for any target: `dga_residual_R/S` sum
 them in End(V), and `rbsinfty.yang_baxter` evaluates each in End(A) and in
-the tensor operad.
+the tensor operad.  The classical Rota-Baxter-system equations are the
+residuals of R_2 and S_2 on the structure (m_2, R_1, S_1), which
+`check_classical_rbs` evaluates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .graded import (
     _truncation,
     compose_tensor,
 )
-from .minimal_model import generator_differential, slot
+from .minimal_model import generator_terms, slot
 from .signs import parity_sign
 
 
@@ -72,12 +75,11 @@ class HomotopyRBS:
 
     ``m``, ``r`` and ``s`` are read-only mappings from arity to map: the
     families as validated, zero members dropped.  The structure is φ, and
-    End(V) with φ is its own `generator_differential` target.
+    End(V) with φ is its own `generator_differential` target, with its own
+    memo ``rows`` of inner elements.
     """
 
-    __slots__ = ("space", "m", "r", "s", "truncation", "_images")
-
-    compose_row = staticmethod(compose_tensor)
+    __slots__ = ("space", "m", "r", "s", "truncation", "_images", "rows")
 
     def __init__(
         self,
@@ -93,11 +95,16 @@ class HomotopyRBS:
         self.s = _validated_family(space, s, "S", lambda n: n - 1)
         self._images = {"m": self.m, "R": self.r, "S": self.s}
         self.truncation = _truncation(truncation, self._images)
+        self.rows = {}
 
     def gen(self, family: str, arity: int) -> Optional[MultiMap]:
         """φ on a generator, None for zero; ``gen("m", 1)`` is the differential
         m_1 of End(V)."""
         return self._images[family].get(arity)
+
+    def compose_row(self, f: MultiMap, parts) -> MultiMap:
+        """The one composition of End(V), `compose_tensor`."""
+        return compose_tensor(f, parts)
 
     def sum(self, arity: int, degree: int, terms) -> MultiMap:
         """The signed sum of the ``(±1, map)`` terms, summed in one table."""
@@ -139,7 +146,8 @@ def _check_arity(structure: HomotopyRBS, n: int) -> None:
 
 
 def _residual(target, family: str, n: int):
-    """∂φ(X_n) − φ(dX_n) in ``target``, and m_1∘m_1 for the m-identity at n = 1.
+    """∂φ(X_n) − φ(dX_n) in ``target``, summed in one table with the terms of
+    dX_n negated, and m_1∘m_1 for the m-identity at n = 1.
 
     ``target`` is a `generator_differential` target whose ``gen("m", 1)`` is
     its differential m_1 (None when zero): a `HomotopyRBS` here, and an
@@ -149,7 +157,7 @@ def _residual(target, family: str, n: int):
         m1 = target.gen("m", 1)
         return target.sum(1, -2, [] if m1 is None else [(1, target.compose_row(m1, [m1]))])
     degree = n - 2 if family == "m" else n - 1
-    terms = [(-1, generator_differential(family, n, target))]
+    terms = [(-sign, e) for sign, e in generator_terms(family, n, target)]
     return target.sum(n, degree - 1, terms + _boundary(target, family, n, degree))
 
 
@@ -255,13 +263,12 @@ def _check_classical_pair(space: GradedSpace, R: MultiMap, S: MultiMap) -> None:
 def check_classical_rbs(
     algebra: BasedAlgebra, R: MultiMap, S: MultiMap
 ) -> tuple[MultiMap, MultiMap]:
-    """Residuals of the two classical Rota-Baxter-system equations.
+    """Residuals of the two classical Rota-Baxter-system equations,
 
-    First: R(a)R(b) - R( R(a)b + aS(b) ); second: S(a)S(b) - S( R(a)b + aS(b) ).
+        R(a)R(b) - R( R(a)b + aS(b) )  and  S(a)S(b) - S( R(a)b + aS(b) ):
+
+    the residuals of R_2 and S_2 on the structure (m_2, R_1, S_1), with m_2
+    the product of the algebra.
     """
-    _check_classical_pair(algebra.space, R, S)
-    mult = algebra.product_map()
-    inner = compose_tensor(mult, [R, None]) + compose_tensor(mult, [None, S])
-    res_r = compose_tensor(mult, [R, R]) - compose_tensor(R, [inner])
-    res_s = compose_tensor(mult, [S, S]) - compose_tensor(S, [inner])
-    return res_r, res_s
+    structure = HomotopyRBS(algebra.space, m={2: algebra.product_map()}, r={1: R}, s={1: S})
+    return _residual(structure, "R", 2), _residual(structure, "S", 2)

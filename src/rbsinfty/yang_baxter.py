@@ -27,7 +27,9 @@ pair: the structure `chi_map`, which `chi_inverse` inverts by round trip.  An
 whose one composition, `compose_row`, grafts a row one slot at a time, each
 step t o_i u above (t o_i u itself is the row of one part, `slot(k, i, u)`).
 So `check_infinity_ybp` is the residual of `rbsinfty.residuals` evaluated on
-the pair, negated, and F sends it to the residual of `chi_map`.  The four
+the pair, negated, and F sends it to the residual of `chi_map`; the coupled
+classical equations of `check_classical_ybp` are its index 2 on the pair
+with r_2 = r and s_2 = s.  The four
 differential graded pieces of that residual, written once in
 `rbsinfty.residuals`, are evaluated on `chi_map` and on the pair by
 `equivalence_identity_1` ... `equivalence_identity_4`.
@@ -36,6 +38,7 @@ differential graded pieces of that residual, written once in
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import partial
 from math import lcm
 from types import MappingProxyType
@@ -74,6 +77,13 @@ def _tails(degrees: Mapping[str, int], factors: Sequence[str]) -> list[int]:
     return tails
 
 
+def _numerators(t: TensorElem) -> tuple[int, dict]:
+    """``(q, table)``: t's coefficients as integers over q, the lcm of their
+    denominators."""
+    q = lcm(*(c.denominator for c in t.table.values()))
+    return q, {factors: q // c.denominator * c.numerator for factors, c in t.table.items()}
+
+
 def F_map(t: TensorElem) -> MultiMap:
     """The interleaved-multiplication operator of an order-(n+1) tensor.
 
@@ -96,11 +106,11 @@ def F_map(t: TensorElem) -> MultiMap:
     if degree is None:
         return MultiMap.zero(space, space, n, 0)
     q, products, right = algebra._integer_index()
-    q_t = lcm(*(c.denominator for c in t.table.values()))
+    q_t, numerators = _numerators(t)
     degrees = space._degrees
     rows = []
-    for factors, coeff in t.table.items():
-        paths = [((), q_t // coeff.denominator * coeff.numerator, {factors[0]: 1})]
+    for factors, value in numerators.items():
+        paths = [((), value, {factors[0]: 1})]
         for a, tail in zip(factors[1:], _tails(degrees, factors)):
             paths = [
                 (ins + (x,), -v * w * u if tail & degrees[x] & 1 else v * w * u, after)
@@ -186,18 +196,14 @@ class YBPair:
 
 
 def check_classical_ybp(pair: YBPair) -> tuple[TensorElem, TensorElem]:
-    """Left sides of the two coupled Yang-Baxter equations, as order-3 tensors."""
-    r, s = pair.r, pair.s
-    r12 = raise_indices(r, (1, 2), 3)
-    r13 = raise_indices(r, (1, 3), 3)
-    r23 = raise_indices(r, (2, 3), 3)
-    s12 = raise_indices(s, (1, 2), 3)
-    s13 = raise_indices(s, (1, 3), 3)
-    s23 = raise_indices(s, (2, 3), 3)
-    mul = tensor_product_multiply
-    res_r = mul(r13, r12) - mul(r12, r23) + mul(s23, r13)
-    res_s = mul(s13, r12) - mul(s12, s23) + mul(s23, s13)
-    return res_r, res_s
+    """Left sides of the two coupled Yang-Baxter equations, as order-3 tensors,
+
+        r13 r12 - r12 r23 + s23 r13  and  s13 r12 - s12 s23 + s23 s13:
+
+    the homotopy identities at index 2 of the pair with r_2 = r, s_2 = s.
+    """
+    homotopy = InfinityYBPair(pair.algebra, r={2: pair.r}, s={2: pair.s}, truncation=3)
+    return check_infinity_ybp(homotopy, 2)
 
 
 def ybp_to_rbs(pair: YBPair) -> tuple[MultiMap, MultiMap]:
@@ -223,10 +229,11 @@ class InfinityYBPair:
     tensor-operad images and χ, built from them once, stay theirs.  The pair
     is its map from the minimal model to the tensor operad of its algebra,
     and so a `generator_differential` target: ``gen`` gives the images of
-    the module docstring, None for zero.
+    the module docstring, None for zero, and ``rows`` is its memo of inner
+    elements.
     """
 
-    __slots__ = ("algebra", "r", "s", "truncation", "_images", "_chi")
+    __slots__ = ("algebra", "r", "s", "truncation", "_images", "_chi", "rows")
 
     def __init__(
         self,
@@ -252,6 +259,7 @@ class InfinityYBPair:
             "S": {n - 1: t for n, t in self.s.items() if n > 1},
         }
         self._chi = None
+        self.rows = {}
 
     def _validated(self, family, label) -> Mapping[int, TensorElem]:
         clean: dict[int, TensorElem] = {}
@@ -291,27 +299,38 @@ class InfinityYBPair:
 
     def compose_row(self, f: TensorElem, parts) -> TensorElem:
         """f with ``parts`` grafted left to right, a None part leaving its slot
-        open: at each slot i, t o_i u of the module docstring."""
-        products, degrees = self.algebra.products, self.algebra.space._degrees
-        i = 1
+        open: at each slot i, t o_i u of the module docstring.  The row is
+        folded on integers, each tensor read over the lcm of its denominators
+        and the structure constants over theirs (`BasedAlgebra._integer_index`),
+        and a `Fraction` is made once per entry of the composite."""
+        q, products, _ = self.algebra._integer_index()
+        degrees = self.algebra.space._degrees
+        denominator, table = _numerators(f)
+        order, i = f.order, 1
         for u in parts:
             if u is None:
                 i += 1
                 continue
-            rows = []
-            for a, ca in f.table.items():
+            u_denominator, u_table = _numerators(u)
+            denominator *= u_denominator * q * q
+            rows: dict[tuple, int] = {}
+            for a, ca in table.items():
                 tail = sum(degrees[x] for x in a[i:])
                 head, ai, aj, rest = a[: i - 1], a[i - 1], a[i], a[i + 1 :]
-                for b, cb in u.table.items():
+                for b, cb in u_table.items():
                     odd = tail % 2 and sum(degrees[y] for y in b) % 2
                     coeff = -ca * cb if odd else ca * cb
                     middle = b[1:-1]
                     for left, v in products.get((ai, b[0]), {}).items():
                         for right, w in products.get((b[-1], aj), {}).items():
-                            rows.append((head + (left,) + middle + (right,) + rest, coeff * v * w))
-            f = TensorElem(self.algebra, f.order + u.order - 2, rows)
+                            key = head + (left,) + middle + (right,) + rest
+                            rows[key] = rows.get(key, 0) + coeff * v * w
+            table = rows
+            order += u.order - 2
             i += u.order - 1
-        return f
+        return TensorElem(
+            self.algebra, order, ((k, Fraction(n, denominator)) for k, n in table.items() if n)
+        )
 
     def sum(self, arity: int, degree: int, terms) -> TensorElem:
         """The signed sum of the ``(±1, tensor)`` terms, in one table."""

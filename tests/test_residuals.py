@@ -1,7 +1,9 @@
 """Tests for homotopy Rota-Baxter structure residuals."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +220,68 @@ def test_classical_specialization_matches_direct_check():
     assert hrbs_residual_R(s, 2) == res_r
     assert hrbs_residual_S(s, 2) == res_s
     assert not res_r.is_zero()
+
+
+def hand_classical_rbs(algebra, R, S):
+    """The two classical Rota-Baxter-system residuals written out by hand,
+    R(a)R(b) - R( R(a)b + aS(b) ) and S(a)S(b) - S( R(a)b + aS(b) ): the
+    oracle of `check_classical_rbs`, which evaluates the arity-2 residual."""
+    mult = algebra.product_map()
+    inner = compose_tensor(mult, [R, None]) + compose_tensor(mult, [None, S])
+    res_r = compose_tensor(mult, [R, R]) - compose_tensor(R, [inner])
+    res_s = compose_tensor(mult, [S, S]) - compose_tensor(S, [inner])
+    return res_r, res_s
+
+
+def _random_module(rng):
+    """A module of dimension 1 to 3 with basis degrees among -1, 0 and 1."""
+    degrees = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(1, 3))]
+    return GradedSpace([(f"v{i}", d) for i, d in enumerate(degrees, 1)])
+
+
+def test_classical_rbs_matches_the_hand_written_residuals():
+    rng = random.Random(26)
+    nonzero = checked = graded = 0
+    for _ in range(60):
+        algebra = MatrixAlgebra(_random_module(rng))
+        end = algebra.space
+        R, S = (random_multimap(rng, end, end, 1, 0, density=0.6) for _ in "RS")
+        derived, oracle = check_classical_rbs(algebra, R, S), hand_classical_rbs(algebra, R, S)
+        assert derived == oracle, (R, S)
+        nonzero += sum(not r.is_zero() for r in oracle)
+        checked += 2
+        graded += any(end.degree(name) for name in end.names)
+    # most residuals are nonzero, and many inputs are graded
+    assert nonzero > checked // 2
+    assert graded > 20
+
+
+class _RecordingRBS(HomotopyRBS):
+    """A structure that records the parts of each row it composes."""
+
+    def compose_row(self, f, parts):
+        self.calls.append((f, tuple(parts)))
+        return super().compose_row(f, parts)
+
+
+def test_each_inner_row_is_composed_once_across_a_check_hrbs_sweep():
+    data = json.loads((Path(__file__).parent / "data" / "hrbs_graded_input.json").read_text())
+    s = _RecordingRBS.from_json(data)
+    s.calls = []
+    for n in range(1, s.truncation + 1):
+        for residual in (stasheff_residual, hrbs_residual_R, hrbs_residual_S):
+            residual(s, n)
+    operators = list(s.r.values()) + list(s.s.values())
+    # an inner row is m_p with one open slot and an operator in each other one
+    inner = [
+        (id(f), tuple(map(id, parts)))
+        for f, parts in s.calls
+        if any(f is m for p, m in s.m.items() if p > 1)
+        and parts.count(None) == 1
+        and all(g is None or any(g is o for o in operators) for g in parts)
+    ]
+    assert len(inner) == len(set(inner)) == 6
+    assert len(s.rows) == 3  # the tails (1,), (2,) and (1, 1)
 
 
 def test_classical_identity_zero_pair_is_a_rota_baxter_system():

@@ -1,8 +1,10 @@
 """Tests for tensor pairs, the operator dictionary, and their residuals."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +194,71 @@ def test_classical_ybp_generic_pair_fails():
     )
     res_r, res_s = check_classical_ybp(pair)
     assert not (res_r.is_zero() and res_s.is_zero())
+
+
+def hand_classical_ybp(pair):
+    """The left sides of the two coupled Yang-Baxter equations written out by
+    hand, r13 r12 - r12 r23 + s23 r13 and s13 r12 - s12 s23 + s23 s13: the
+    oracle of `check_classical_ybp`, which evaluates the index-2 identities."""
+    r, s = pair.r, pair.s
+    r12 = raise_indices(r, (1, 2), 3)
+    r13 = raise_indices(r, (1, 3), 3)
+    r23 = raise_indices(r, (2, 3), 3)
+    s12 = raise_indices(s, (1, 2), 3)
+    s13 = raise_indices(s, (1, 3), 3)
+    s23 = raise_indices(s, (2, 3), 3)
+    mul = tensor_product_multiply
+    res_r = mul(r13, r12) - mul(r12, r23) + mul(s23, r13)
+    res_s = mul(s13, r12) - mul(s12, s23) + mul(s23, s13)
+    return res_r, res_s
+
+
+def test_classical_ybp_matches_the_hand_written_equations():
+    rng = random.Random(26)
+    nonzero = checked = graded = 0
+    for _ in range(60):
+        degrees = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(1, 3))]
+        algebra = MatrixAlgebra(GradedSpace([(f"v{i}", d) for i, d in enumerate(degrees, 1)]))
+        pair = YBPair(*(random_tensor(rng, algebra, 2, degree=0, density=0.2) for _ in "rs"))
+        oracle = hand_classical_ybp(pair)
+        assert check_classical_ybp(pair) == oracle, pair.to_json()
+        nonzero += sum(not t.is_zero() for t in oracle)
+        checked += 2
+        graded += any(degrees)
+    # most residuals are nonzero, and many inputs are graded
+    assert nonzero > checked // 2
+    assert graded > 20
+
+
+class _RecordingPair(InfinityYBPair):
+    """A pair that records the parts of each row it composes."""
+
+    def compose_row(self, f, parts):
+        self.calls.append((f, tuple(parts)))
+        return super().compose_row(f, parts)
+
+
+def test_each_inner_row_is_composed_once_across_a_check_aybe_infinity_sweep():
+    data = json.loads((Path(__file__).parent / "data" / "aybe_random_input.json").read_text())
+    algebra = MatrixAlgebra(GradedSpace.from_json(data["space"]))
+    pair = _RecordingPair.from_json(algebra, data)
+    pair.calls = []
+    for n in range(pair.truncation):
+        check_infinity_ybp(pair, n)
+    m2 = pair.gen("m", 2)
+    operators = list(pair._images["R"].values()) + list(pair._images["S"].values())
+    # an inner row is m_2 with one open slot and an operator in the other
+    inner = [
+        (id(f), tuple(map(id, parts)))
+        for f, parts in pair.calls
+        if f is m2
+        and parts.count(None) == 1
+        and all(g is None or any(g is o for o in operators) for g in parts)
+    ]
+    # m_2(id, S_1), m_2(R_2, id) and m_2(id, S_2): R_1 = 0, and no tail
+    # longer than one, as m_p = 0 for p > 2 in the tensor operad
+    assert len(inner) == len(set(inner)) == 3
+    assert set(pair.rows) == {(1,), (2,)}
 
 
 def test_ybp_residual_first_equation_oracle():

@@ -4,8 +4,9 @@ A report is the exit code, the stdout and the stderr of
 ``rbsinfty.cli.main`` for one command line.  The command lines are the jobs
 of the benchmark workloads (``perfbench/workloads.py``, only read) at the
 given seeds, the longer verifications in ``EXTRA``, one command per saved
-input ``tests/data/*_input.json`` and the help and refused lines in
-``PARSER_LINES``, which argparse answers.  Running it in two checkouts and
+input ``tests/data/*_input.json``, the help and refused lines in
+``PARSER_LINES``, which argparse answers, and the saved inputs with a field
+outside their format in ``UNKNOWN_FIELDS``.  Running it in two checkouts and
 comparing the outputs shows whether a change keeps every report and every
 help, usage and error text byte for byte::
 
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -84,6 +86,20 @@ DATA_COMMANDS = {
 }
 
 
+# a saved input with one top-level field added, for each file command and both
+# formats of check mc: a field outside the file's format is refused (exit 2)
+UNKNOWN_FIELDS = (
+    (["check", "rbs"], "rbs_graded_input.json", {"truncation": 2}),
+    (["convert", "rbs-to-ybp"], "rbs_graded_input.json", {"r": {}}),
+    (["check", "ybp"], "ybp_graded_input.json", {"R": {}}),
+    (["convert", "ybp-to-rbs"], "ybp_graded_input.json", {"truncation": 2}),
+    (["check", "hrbs"], "hrbs_graded_input.json", {"R": {}}),
+    (["check", "aybe-infinity"], "aybe_system_input.json", {"m": {}}),
+    (["check", "mc"], "mc_dense_input.json", {"product": {}}),
+    (["check", "mc"], "mc_system_input.json", {"degree": -1}),
+)
+
+
 def report(argv: list[str]) -> bytes:
     """The exit code, the stdout and the stderr of `main` on ``argv``, as one
     byte string; an empty stderr adds nothing, so the digest of a report
@@ -126,6 +142,11 @@ def command_lines(workloads, seeds, workdir: Path):
             yield f"{' '.join(command)} {path.name}", command + [str(path)]
     for argv in PARSER_LINES:
         yield "parser: " + " ".join(argv).replace(MC, "MC"), argv
+    for number, (command, name, extra) in enumerate(UNKNOWN_FIELDS):
+        data = json.loads((ROOT / "tests" / "data" / name).read_text(encoding="utf-8"))
+        path = workdir / f"unknown-field-{number}.json"
+        path.write_text(json.dumps({**data, **extra}), encoding="utf-8")
+        yield f"{' '.join(command)} {name} with {', '.join(extra)}", command + [str(path)]
 
 
 def main(argv=None) -> int:
