@@ -43,9 +43,10 @@ def _frac(value) -> Fraction:
 
 
 class GradedSpace:
-    """A finite list of named basis vectors with integer degrees."""
+    """A finite list of named basis vectors with integer degrees; its
+    suspension by one is made on first use and kept (`suspend`)."""
 
-    __slots__ = ("_names", "_degrees")
+    __slots__ = ("_names", "_degrees", "_suspension")
 
     def __init__(self, basis: Iterable[tuple[str, int]]):
         names = []
@@ -57,6 +58,7 @@ class GradedSpace:
             degrees[name] = int(degree)
         self._names = tuple(names)
         self._degrees = degrees
+        self._suspension = None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -73,8 +75,14 @@ class GradedSpace:
         return len(self._names)
 
     def suspend(self, shift: int = 1) -> "GradedSpace":
-        """Same names, all degrees raised by `shift`."""
-        return GradedSpace((n, self._degrees[n] + shift) for n in self._names)
+        """Same names, all degrees raised by `shift`; the same space each
+        time for the shift 1."""
+        if shift == 1 and self._suspension is not None:
+            return self._suspension
+        space = GradedSpace((n, self._degrees[n] + shift) for n in self._names)
+        if shift == 1:
+            self._suspension = space
+        return space
 
     def __iter__(self):
         return iter(self._names)
@@ -104,15 +112,17 @@ class GradedSpace:
 
 class _IntegerTable:
     """Integer rows summed over one common denominator, the accumulator
-    behind `compose_tensor`, `brace_map`, `MultiMap.combination` and the
-    brackets of `rbsinfty.linfty` (and their inner compositions).
+    behind `compose_tensor`, `brace_map`, `MultiMap.combination`, the
+    residuals of `rbsinfty.residuals` and the brackets of `rbsinfty.linfty`
+    (and their inner compositions).
 
     A row is ``(inputs, factor, {output: numerator})`` and stands for the
     outputs' numerators times ``factor``.  `add` takes the rows of one
     stream over that stream's denominator; a denominator that does not
     divide the table's rescales what is stored once, to their least common
     multiple.  A `MultiMap` built from the table takes its rows over as its
-    integer form and makes one `Fraction` per entry that does not cancel.
+    integer form and makes one `Fraction` per entry that does not cancel;
+    `part` reads the table as a part of `_signed_rows` without one.
     """
 
     __slots__ = ("rows", "denominator")
@@ -121,8 +131,9 @@ class _IntegerTable:
         self.rows: dict[tuple, dict[str, int]] = {}
         self.denominator = 1
 
-    def add(self, denominator: int, rows: Iterable[tuple]) -> None:
-        """Sum ``rows``, whose values are over ``denominator``, into the table."""
+    def add(self, denominator: int, rows: Iterable[tuple], numerator: int = 1) -> None:
+        """Sum ``rows`` times ``numerator``, their values over ``denominator``,
+        into the table."""
         common = self.denominator
         if common % denominator:
             grown = lcm(common, denominator)
@@ -131,7 +142,7 @@ class _IntegerTable:
                 for out in row:
                     row[out] *= k
             self.denominator = common = grown
-        k = common // denominator
+        k = common // denominator * numerator
         table = self.rows
         for ins, factor, outs in rows:
             factor *= k
@@ -141,6 +152,12 @@ class _IntegerTable:
             else:
                 for out, n in outs.items():
                     row[out] = row[out] + factor * n if out in row else factor * n
+
+    def part(self, degree: int, space_in: "GradedSpace") -> tuple:
+        """The table as a composite part of `_signed_rows`, a map of
+        ``degree`` on ``space_in`` never built: ``(degree, denominator,
+        _output_index)``."""
+        return degree, self.denominator, _output_index(self.rows, space_in)
 
 
 def _output_index(
@@ -663,15 +680,16 @@ def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
 
 
 class BasedAlgebra:
-    """A unital graded algebra with explicit basis and structure constants,
-    and the integer index of them that `F_map` walks (`_integer_index`)."""
+    """A unital graded algebra with explicit basis and structure constants
+    (a table of a `MultiMap`, or an `_IntegerTable`), and the integer index
+    of them that `F_map` walks (`_integer_index`)."""
 
-    __slots__ = ("space", "products", "unit", "_product", "_index")
+    __slots__ = ("space", "products", "unit", "_product", "_index", "_cube")
 
     def __init__(
         self,
         space: GradedSpace,
-        products: Mapping[tuple[str, str], Mapping[str, Rational]],
+        products: Union[Mapping[tuple[str, str], Mapping[str, Rational]], _IntegerTable],
         unit: Mapping[str, Rational],
     ):
         for name in unit:
@@ -684,7 +702,7 @@ class BasedAlgebra:
         self._product = MultiMap(space, space, 2, 0, products)
         self.products = self._product.table
         self.unit = {n: _frac(c) for n, c in unit.items() if _frac(c) != 0}
-        self._index = None
+        self._index = self._cube = None
 
     def _integer_index(self) -> tuple[int, dict, dict]:
         """``(q, products, right)``: the structure constants as numerators
@@ -698,6 +716,21 @@ class BasedAlgebra:
                 right.setdefault(a, []).append((b, row))
             self._index = (q, rows, right)
         return self._index
+
+    def _unit_numerators(self) -> tuple[int, list]:
+        """``(q, [(name, numerator)])``: the unit over one denominator q."""
+        q = lcm(*(c.denominator for c in self.unit.values()))
+        return q, [(u, q // c.denominator * c.numerator) for u, c in self.unit.items()]
+
+    def _unit_cube(self) -> "TensorElem":
+        """1 ⊗ 1 ⊗ 1, the image of m_2 in the tensor operad
+        (`rbsinfty.yang_baxter`): made once, on integers over the cube of
+        the unit's denominator."""
+        if self._cube is None:
+            q, unit = self._unit_numerators()
+            rows = {(a, b, c): x * y * z for a, x in unit for b, y in unit for c, z in unit}
+            self._cube = TensorElem._from_integers(self, 3, q**3, rows)
+        return self._cube
 
     def multiply_basis(self, a: str, b: str) -> dict[str, Fraction]:
         return dict(self.products.get((a, b), {}))
@@ -758,20 +791,16 @@ class MatrixAlgebra(BasedAlgebra):
 
     def __init__(self, V: GradedSpace):
         self.V = V
-        dim = V.dim
-        names = []
-        for p in range(1, dim + 1):
-            for q in range(1, dim + 1):
-                degree = V.degree(V.names[p - 1]) - V.degree(V.names[q - 1])
-                names.append((self.unit_name(p, q), degree))
-        space = GradedSpace(names)
-        products = {}
-        for i, j, l in itertools.product(range(1, dim + 1), repeat=3):
-            products[(self.unit_name(i, j), self.unit_name(j, l))] = {
-                self.unit_name(i, l): Fraction(1)
-            }
-        unit = {self.unit_name(p, p): Fraction(1) for p in range(1, dim + 1)}
-        super().__init__(space, products, unit)
+        degrees = [V._degrees[n] for n in V.names]
+        dims = range(len(degrees))
+        e = [[self.unit_name(p + 1, q + 1) for q in dims] for p in dims]
+        space = GradedSpace((e[p][q], degrees[p] - degrees[q]) for p in dims for q in dims)
+        # e_i^j e_j^l = e_i^l, every structure constant 1
+        products = _IntegerTable()
+        products.rows = {
+            (e[i][j], e[j][l]): {e[i][l]: 1} for i, j, l in itertools.product(dims, repeat=3)
+        }
+        super().__init__(space, products, {e[p][p]: 1 for p in dims})
 
     @staticmethod
     def unit_name(p: int, q: int) -> str:
@@ -789,10 +818,12 @@ class TensorElem:
     The constructor is the one place where coefficients are combined: it
     takes a mapping or an iterable of ``(factors, coefficient)`` pairs in
     which a factor tuple may repeat, sums repeated tuples, drops those that
-    cancel and checks each tuple's length and basis names.
+    cancel and checks each tuple's length and basis names.  `_from_integers`
+    builds a tensor from integer rows already summed.  The integer form that
+    the tensor operad reads (`_numerators`) is made on first use and kept.
     """
 
-    __slots__ = ("algebra", "order", "table")
+    __slots__ = ("algebra", "order", "table", "_integers")
 
     def __init__(
         self,
@@ -817,6 +848,30 @@ class TensorElem:
             for name in factors:
                 algebra.space.degree(name)
         self.table = {factors: c for factors, c in merged.items() if c}
+        self._integers = None
+
+    @classmethod
+    def _from_integers(
+        cls, algebra: "BasedAlgebra", order: int, denominator: int, rows: dict
+    ) -> "TensorElem":
+        """The tensor ``{factors: numerator / denominator}`` of integer rows
+        summed elsewhere, one `Fraction` per entry that does not cancel; the
+        rows are kept as its integer form."""
+        t = cls(algebra, order, {f: Fraction(n, denominator) for f, n in rows.items() if n})
+        t._integers = (denominator, rows)
+        return t
+
+    def _numerators(self) -> tuple[int, dict]:
+        """``(q, {factors: numerator})``: the coefficients as integers over a
+        common denominator q, made once (the lcm of their denominators
+        unless the tensor was built by `_from_integers`, whose rows it keeps)."""
+        if self._integers is None:
+            table = self.table
+            q = lcm(*(c.denominator for c in table.values()))
+            self._integers = (
+                q, {factors: q // c.denominator * c.numerator for factors, c in table.items()}
+            )
+        return self._integers
 
     @classmethod
     def zero(cls, algebra, order) -> "TensorElem":

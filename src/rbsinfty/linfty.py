@@ -48,7 +48,6 @@ from .graded import (
     _IntegerTable,
     _json_array,
     _json_int,
-    _output_index,
     _reject_repeats,
     _signed_rows,
     _slot_choices,
@@ -373,6 +372,7 @@ def _operator_terms(
     hs: Sequence[MultiMap],
     outer: int,
     denominator: int = 1,
+    memo: Optional[dict] = None,
 ) -> Iterator[tuple]:
     """The bracket of one algebra cochain with operator cochains, times
     ``outer / denominator``, as streams (see `_bracket_rows`).
@@ -392,8 +392,11 @@ def _operator_terms(
     ``(-1)^(1 + base + c.degree (F.degree + M))``, where M is 0 for the
     first column and the summed map degree of ``gs`` for the second.  The
     inner composition F(layout) of a brace term stays an `_IntegerTable`,
-    read by `_signed_rows` through its `_output_index`.
+    read by `_signed_rows` through its `_output_index`, and is made once
+    per F and layout of the same maps in ``memo``, keyed by their identity.
     """
+    if memo is None:
+        memo = {}
     n, j = len(gs) + len(hs), len(gs)
     space = F.space_in
     arity = sum(m.arity for m in [*gs, *hs])
@@ -423,20 +426,25 @@ def _operator_terms(
                 # `l_bracket` or `CochainElement` checked that every piece
                 # acts on one suspended space, so the composition is not
                 # checked again
-                inner = _IntegerTable()
-                inner.add(*_signed_rows(F, [layout], space))
-                index = _output_index(inner.rows, space)
-                part = (degree - c.degree, inner.denominator, index)
+                key = (id(F), *map(id, layout))
+                part = memo.get(key)
+                if part is None:
+                    inner = _IntegerTable()
+                    inner.add(*_signed_rows(F, [layout], space))
+                    part = memo[key] = inner.part(degree - c.degree, space)
                 yield tag, arity, degree, *_signed_rows(
                     c, _slot_choices(c, [part]), space, sign * climb, denominator
                 )
 
 
-def _bracket_rows(pieces: Sequence[Piece], weight=1) -> Iterator[tuple]:
+def _bracket_rows(
+    pieces: Sequence[Piece], weight=1, memo: Optional[dict] = None
+) -> Iterator[tuple]:
     """The bracket of ``pieces`` times ``weight`` (an int or a `Fraction`),
     as streams ``(tag, arity, map degree, denominator, rows)`` of the
     integer rows of `_signed_rows`; nothing when the bracket vanishes.
-    `_cochain` sums them."""
+    `_cochain` sums them.  ``memo`` keeps the inner compositions of
+    `_operator_terms` across the brackets of one sum."""
     numerator, denominator = weight.numerator, weight.denominator
     n = len(pieces)
     if n < 2 or any(p.map.is_zero() for p in pieces):
@@ -471,6 +479,7 @@ def _bracket_rows(pieces: Sequence[Piece], weight=1) -> Iterator[tuple]:
         [pieces[i].map for i in second],
         numerator * chi,
         denominator,
+        memo,
     )
 
 
@@ -634,12 +643,12 @@ def _expand(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> CochainE
         raise ValueError(
             f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
         )
-    pool = alpha.pieces()
+    pool, memo = alpha.pieces(), {}
     streams = (
         stream
         for lead in leads
         for weight, pieces in nonvanishing_inputs(pool, lead)
-        for stream in _bracket_rows(pieces, weight)
+        for stream in _bracket_rows(pieces, weight, memo)
     )
     return _cochain(alpha.space, streams)
 

@@ -101,6 +101,11 @@ class FreeOperad:
         """The free operad signs a graft by the graft rule of `trees` only."""
         return 0
 
+    @staticmethod
+    def support(family):
+        """Every arity: each generator is nonzero in the free operad."""
+        return None
+
     @classmethod
     def compose_row(cls, f, parts):
         """f with ``parts`` grafted left to right, a None part leaving its
@@ -135,6 +140,8 @@ class FreeOperad:
             for t, c in e.terms.items():
                 table[t] = get(t, 0) + s * c
         return OperadElement._summed(arity, {t: c for t, c in table.items() if c})
+
+    inner = sum
 
 
 # the (x, y, z) namesake of each (m, R, S) family
@@ -182,19 +189,26 @@ def generator_terms(family: str, n: int, target) -> list:
     """The unsummed ``(sign, element)`` terms of d m_n, d R_n or d S_n,
     written once and built in the operad ``target``.
 
-    ``target`` supplies ``gen(family, arity)``, ``compose_row(f, parts)``
-    (f with one part per input grafted left to right, None for an open
-    slot, so that f o_i g is ``compose_row(f, slot(k, i, g))`` for f of
-    arity k) and ``sum(arity, degree, terms)`` of ``(sign, element)``
-    pairs: one composition per target.  `FreeOperad` builds d in the free
-    operad on m, R, S and `Suspension` builds d x_n, d y_n, d z_n in the
-    free operad on x, y, z.  A `HomotopyRBS` evaluates it in End(V), and an
-    `InfinityYBPair` in the tensor operad of its algebra A (an order-(n+1)
-    tensor for an arity-n operation): each is an operad map from the
-    minimal model, whose ``gen`` gives None for a generator sent to zero,
-    and the terms through such a generator are left out.  With F = R, S,
-    composites grafted left to right and l, r running over the
-    compositions of n:
+    ``target`` supplies
+    - ``gen(family, arity)``, None for a generator sent to zero;
+    - ``support(family)``, the arities at which ``gen`` is not None, or None
+      for every arity;
+    - ``compose_row(f, parts)``, f with one part per input grafted left to
+      right, None for an open slot, so that f o_i g is
+      ``compose_row(f, slot(k, i, g))`` for f of arity k: one composition
+      per target, whose rows the target may leave unsummed;
+    - ``sum(arity, degree, terms)`` of ``(sign, row)`` pairs, the element
+      they add up to, and ``inner(arity, degree, terms)``, the same sum as
+      a part of ``compose_row``.
+    `FreeOperad` builds d in the free operad on m, R, S and `Suspension`
+    builds d x_n, d y_n, d z_n in the free operad on x, y, z; both support
+    every arity, and their rows are elements.  A `HomotopyRBS` evaluates d
+    in End(V), and an `InfinityYBPair` in the tensor operad of its algebra
+    A (an order-(n+1) tensor for an arity-n operation), each streaming
+    integer rows: each is an operad map from the minimal model, and the
+    terms through a generator it sends to zero are left out, their
+    compositions drawn only from its support.  With F = R, S, composites
+    grafted left to right and l, r running over the compositions of n:
 
         d m_n = sum_{1 < j < n, i} (-1)^(i + j(n-i)) m_{n-j+1} o_i m_j
         d F_n = sum_{k > 1, l} (-1)^alpha m_k(F_{l_1}, ..., F_{l_k})
@@ -210,15 +224,18 @@ def generator_terms(family: str, n: int, target) -> list:
     target that owns a dict ``rows`` (each `FreeOperad` class, each
     `HomotopyRBS` and each `InfinityYBPair` does).
     """
-    gen, compose_row = target.gen, target.compose_row
+    gen, compose_row, support = target.gen, target.compose_row, target.support
     rows = getattr(target, "rows", {})  # the inner elements, by r_2 .. r_p
 
     def grafted(head, slots):
         # head with the generators (family, arity) of ``slots`` grafted left
         # to right, a (None, 1) slot left open; None if one of them is zero
-        parts = [f and gen(f, a) for f, a in slots]
-        if any(f and g is None for (f, _), g in zip(slots, parts)):
-            return None
+        parts = []
+        for f, a in slots:
+            g = f and gen(f, a)
+            if f and g is None:
+                return None
+            parts.append(g)
         return compose_row(head, parts)
 
     def inner_sum(head, tail):
@@ -234,7 +251,7 @@ def generator_terms(family: str, n: int, target) -> list:
                 terms.append((parity_sign(exponent), row))
         if not terms:
             return None
-        return target.sum(sum(tail) + 1, sum(tail) - 1, terms)
+        return target.inner(sum(tail) + 1, sum(tail) - 1, terms)
 
     terms = []
     if family == "m":
@@ -247,20 +264,23 @@ def generator_terms(family: str, n: int, target) -> list:
                     for i in range(1, k + 1)
                 ]
         return terms
-    # no composition is drawn for a row through a zero m_k (m_p)
+    # no composition is drawn for a row through a zero m_k (m_p), nor one
+    # with a part outside the support of F (of R and S, for the tails), so
+    # every F_l of an m_k row is nonzero
+    outer_parts, r, s = support(family), support("R"), support("S")
+    tail_parts = None if r is None or s is None else r | s
     for k in range(2, n + 1):
         head = gen("m", k)
         if head is None:
             continue
-        for parts in compositions(n, k):
-            row = grafted(head, [(family, l) for l in parts])
-            if row is not None:
-                terms.append((parity_sign(alpha_exponent(k, parts)), row))
+        for parts in compositions(n, k, outer_parts):
+            row = compose_row(head, [gen(family, l) for l in parts])
+            terms.append((parity_sign(alpha_exponent(k, parts)), row))
     for p in range(2, n + 1):
         head = gen("m", p)
         if head is None:
             continue
-        for parts in compositions(n, p):
+        for parts in compositions(n, p, tail_parts):
             r1, tail = parts[0], parts[1:]
             outer = gen(family, r1)
             if outer is None:

@@ -11,8 +11,9 @@ so the residual of X_n (X = m, R, S) is
 with dX_n the minimal model's `generator_differential` evaluated in End(V),
 its unsummed terms (`generator_terms`) negated and summed with those of
 ∂φ(X_n) in one table.  A `HomotopyRBS` is itself the target: φ on the
-generators with the one composition of End(V), `compose_tensor` (f∘_i g
-is the row ``slot(k, i, g)`` on f of arity k), and its sums.
+generators with the one composition kernel of End(V), `_signed_rows` (f∘_i
+g is the row ``slot(k, i, g)`` on f of arity k), whose integer rows every
+term streams into one `_IntegerTable` per residual.
 At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
 generator. A residual vanishes exactly when its identity holds at that arity.
 The residual is written once for any `generator_differential` target with a
@@ -35,12 +36,13 @@ from .graded import (
     BasedAlgebra,
     GradedSpace,
     MultiMap,
+    _IntegerTable,
     _MISSING,
     _family_key,
     _json_family,
     _json_int,
+    _signed_rows,
     _truncation,
-    compose_tensor,
 )
 from .minimal_model import generator_terms, slot
 from .signs import parity_sign
@@ -70,13 +72,25 @@ def _validated_family(
     return MappingProxyType(clean)
 
 
+def _summed(terms) -> _IntegerTable:
+    """The ``(sign, (denominator, rows))`` streams of `_signed_rows`, each
+    times its sign, in one table."""
+    table = _IntegerTable()
+    for sign, (denominator, rows) in terms:
+        table.add(denominator, rows, sign)
+    return table
+
+
 class HomotopyRBS:
     """A homotopy Rota-Baxter system on a finite-dimensional graded space.
 
     ``m``, ``r`` and ``s`` are read-only mappings from arity to map: the
     families as validated, zero members dropped.  The structure is φ, and
     End(V) with φ is its own `generator_differential` target, with its own
-    memo ``rows`` of inner elements.
+    memo ``rows`` of inner elements.  A row is never built as a map:
+    `compose_row` gives the integer stream of `_signed_rows`, `sum` adds
+    the streams of a residual in one `_IntegerTable` and builds one
+    `MultiMap`, and `inner` keeps an inner sum as a composite part.
     """
 
     __slots__ = ("space", "m", "r", "s", "truncation", "_images", "rows")
@@ -102,13 +116,24 @@ class HomotopyRBS:
         m_1 of End(V)."""
         return self._images[family].get(arity)
 
-    def compose_row(self, f: MultiMap, parts) -> MultiMap:
-        """The one composition of End(V), `compose_tensor`."""
-        return compose_tensor(f, parts)
+    def support(self, family: str):
+        """The arities at which φ is nonzero on ``family``."""
+        return self._images[family].keys()
+
+    def compose_row(self, f: MultiMap, parts) -> tuple:
+        """f composed with ``parts`` (a map, None for the identity, or an
+        `inner` part), as the unsummed ``(denominator, rows)`` of
+        `_signed_rows`; the structure checked that every map acts on V."""
+        return _signed_rows(f, (parts,), self.space)
 
     def sum(self, arity: int, degree: int, terms) -> MultiMap:
-        """The signed sum of the ``(±1, map)`` terms, summed in one table."""
-        return MultiMap.combination(self.space, self.space, arity, degree, terms)
+        """The ``(±1, row)`` terms summed in one table, one map built."""
+        return MultiMap(self.space, self.space, arity, degree, _summed(terms))
+
+    def inner(self, arity: int, degree: int, terms) -> tuple:
+        """The ``(±1, row)`` terms summed in one table, read as a composite
+        part of `compose_row` and never made a map."""
+        return _summed(terms).part(degree, self.space)
 
     def is_dg(self) -> bool:
         """True when no product of arity >= 3 is present."""
@@ -145,9 +170,9 @@ def _check_arity(structure: HomotopyRBS, n: int) -> None:
         )
 
 
-def _residual(target, family: str, n: int):
-    """∂φ(X_n) − φ(dX_n) in ``target``, summed in one table with the terms of
-    dX_n negated, and m_1∘m_1 for the m-identity at n = 1.
+def _residual(target, family: str, n: int, sign: int = 1):
+    """∂φ(X_n) − φ(dX_n) in ``target`` times ``sign``, summed in one table
+    with the terms of dX_n negated, and m_1∘m_1 for the m-identity at n = 1.
 
     ``target`` is a `generator_differential` target whose ``gen("m", 1)`` is
     its differential m_1 (None when zero): a `HomotopyRBS` here, and an
@@ -155,14 +180,15 @@ def _residual(target, family: str, n: int):
     """
     if family == "m" and n == 1:
         m1 = target.gen("m", 1)
-        return target.sum(1, -2, [] if m1 is None else [(1, target.compose_row(m1, [m1]))])
+        return target.sum(1, -2, [] if m1 is None else [(sign, target.compose_row(m1, [m1]))])
     degree = n - 2 if family == "m" else n - 1
-    terms = [(-sign, e) for sign, e in generator_terms(family, n, target)]
-    return target.sum(n, degree - 1, terms + _boundary(target, family, n, degree))
+    terms = [(-sign * s, e) for s, e in generator_terms(family, n, target)]
+    terms += [(sign * s, e) for s, e in _boundary(target, family, n, degree)]
+    return target.sum(n, degree - 1, terms)
 
 
 def _boundary(target, family: str, n: int, degree: int) -> list:
-    """The ``(sign, element)`` terms of ∂φ(X_n) = m_1∘X_n − (−1)^degree Σ_i X_n∘_i m_1
+    """The ``(sign, row)`` terms of ∂φ(X_n) = m_1∘X_n − (−1)^degree Σ_i X_n∘_i m_1
     in ``target``, none when m_1 or X_n is zero there."""
     m1, x = target.gen("m", 1), target.gen(family, n)
     if m1 is None or x is None:
@@ -224,6 +250,7 @@ def _straddle_piece(target, family: str, n: int, inner_family: str):
         if m2 is None or outer is None or inner is None:
             continue
         row = target.compose_row(m2, [inner, None] if first else [None, inner])
+        row = target.inner(j + 1, j - 1, [(1, row)])
         for s in range(1, i + 1):
             sign = parity_sign((s - 1) + (j - 1) * (i - s + first))
             terms.append((sign, target.compose_row(outer, slot(i, s, row))))
@@ -241,7 +268,7 @@ def _sum_of_pieces(structure: HomotopyRBS, n: int, family: str) -> MultiMap:
         (-1, _straddle_piece(structure, family, n, "R")),
         (-1, _straddle_piece(structure, family, n, "S")),
     ]
-    return structure.sum(n, n - 2, pieces)
+    return MultiMap.combination(structure.space, structure.space, n, n - 2, pieces)
 
 
 def dga_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:

@@ -24,7 +24,7 @@ are ``fractions.Fraction`` (ints on the operad side).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 Permutation = tuple[int, ...]
 
@@ -106,15 +106,42 @@ def shuffles(block_sizes: Sequence[int]) -> list[Permutation]:
     return results
 
 
-def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered k-tuples of positive integers summing to n.
+def compositions(
+    n: int, k: int, parts: Optional[Collection[int]] = None
+) -> Iterator[tuple[int, ...]]:
+    """Ordered k-tuples of positive integers summing to n, in lexicographic
+    order; with ``parts``, only those whose parts all lie in it, drawn
+    without visiting the others.
 
     >>> sorted(compositions(4, 2))
     [(1, 3), (2, 2), (3, 1)]
+    >>> list(compositions(7, 3, {1, 3}))
+    [(1, 3, 3), (3, 1, 3), (3, 3, 1)]
     """
-    for cuts in combinations(range(1, n), k - 1):
-        bounds = (0,) + cuts + (n,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    if parts is None:
+        for cuts in combinations(range(1, n), k - 1):
+            bounds = (0,) + cuts + (n,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        return
+    allowed = sorted(p for p in parts if p > 0)
+    if allowed and k > 0:
+        yield from _bounded(n, k, allowed, allowed[-1])
+
+
+def _bounded(n: int, k: int, allowed: list, top: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of n into k parts from the sorted ``allowed``, whose
+    largest is ``top``: a first part leaves a rest that k - 1 parts reach."""
+    if k == 1:
+        if n in allowed:
+            yield (n,)
+        return
+    for first in allowed:
+        rest = n - first
+        if rest < allowed[0] * (k - 1):
+            return
+        if rest <= top * (k - 1):
+            for tail in _bounded(rest, k - 1, allowed, top):
+                yield (first,) + tail
 
 
 def inversion_sign(tagged: Sequence[tuple[int, int]], target_order: Sequence[int]) -> int:

@@ -38,7 +38,6 @@ differential graded pieces of that residual, written once in
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 from math import lcm
 from types import MappingProxyType
@@ -55,7 +54,6 @@ from .graded import (
     _json_family,
     _json_int,
     _truncation,
-    raise_indices,
     tensor_product_multiply,
 )
 from .residuals import (
@@ -75,13 +73,6 @@ def _tails(degrees: Mapping[str, int], factors: Sequence[str]) -> list[int]:
     tails = list(itertools.accumulate(degrees[a] for a in reversed(factors[1:])))
     tails.reverse()
     return tails
-
-
-def _numerators(t: TensorElem) -> tuple[int, dict]:
-    """``(q, table)``: t's coefficients as integers over q, the lcm of their
-    denominators."""
-    q = lcm(*(c.denominator for c in t.table.values()))
-    return q, {factors: q // c.denominator * c.numerator for factors, c in t.table.items()}
 
 
 def F_map(t: TensorElem) -> MultiMap:
@@ -106,7 +97,7 @@ def F_map(t: TensorElem) -> MultiMap:
     if degree is None:
         return MultiMap.zero(space, space, n, 0)
     q, products, right = algebra._integer_index()
-    q_t, numerators = _numerators(t)
+    q_t, numerators = t._numerators()
     degrees = space._degrees
     rows = []
     for factors, value in numerators.items():
@@ -222,6 +213,19 @@ def rbs_to_ybp(R: MultiMap, S: MultiMap, algebra: MatrixAlgebra) -> YBPair:
 # ---------------------------------------------------------------------------
 
 
+def _integer_sum(terms) -> tuple[int, dict]:
+    """The signed ``(sign, (denominator, {factors: numerator}))`` rows of
+    `InfinityYBPair.compose_row` summed in one table over their least
+    common denominator: ``(denominator, {factors: numerator})``."""
+    common, table = lcm(*(denominator for _, (denominator, _) in terms)), {}
+    get = table.get
+    for sign, (denominator, rows) in terms:
+        k = sign * (common // denominator)
+        for factors, n in rows.items():
+            table[factors] = get(factors, 0) + k * n
+    return common, table
+
+
 class InfinityYBPair:
     """Families of tensors r_n, s_n (order n, degree n-2) with r_1 = s_1.
 
@@ -230,7 +234,11 @@ class InfinityYBPair:
     is its map from the minimal model to the tensor operad of its algebra,
     and so a `generator_differential` target: ``gen`` gives the images of
     the module docstring, None for zero, and ``rows`` is its memo of inner
-    elements.
+    elements.  A row is streamed as integers: `compose_row` folds it over
+    one denominator, `sum` adds the rows of a residual in one table and
+    builds one tensor, and `inner` keeps an inner sum as integers, a part
+    of `compose_row`.  The images of m_1 and m_2 are built on integers over
+    the unit's denominator, m_2 once per algebra.
     """
 
     __slots__ = ("algebra", "r", "s", "truncation", "_images", "_chi", "rows")
@@ -248,11 +256,18 @@ class InfinityYBPair:
         if self.r.get(1) != self.s.get(1):  # zero members are dropped
             raise ValueError("the order-1 members of both families must agree")
         self.truncation = _truncation(truncation, {"r": self.r, "s": self.s})
-        one = TensorElem(algebra, 1, (((u,), c) for u, c in algebra.unit.items()))
-        m = {2: raise_indices(one, (1,), 3)}
-        d = self.d()
-        if not d.is_zero():
-            m[1] = raise_indices(d, (2,), 2) - raise_indices(d, (1,), 2)
+        m = {2: algebra._unit_cube()}
+        d = self.r.get(1)
+        if d is not None:
+            # -d (x) 1 + 1 (x) d, over the denominators of d and the unit
+            q_d, ds = d._numerators()
+            q_u, unit = algebra._unit_numerators()
+            rows = {}
+            for (a,), x in ds.items():
+                for u, y in unit:
+                    rows[a, u] = rows.get((a, u), 0) - x * y
+                    rows[u, a] = rows.get((u, a), 0) + x * y
+            m[1] = TensorElem._from_integers(algebra, 2, q_d * q_u, rows)
         self._images = {
             "m": m,
             "R": {n - 1: t for n, t in self.r.items() if n > 1},
@@ -297,49 +312,64 @@ class InfinityYBPair:
     def gen(self, family: str, arity: int) -> Optional[TensorElem]:
         return self._images[family].get(arity)
 
-    def compose_row(self, f: TensorElem, parts) -> TensorElem:
+    def support(self, family: str):
+        """The arities at which ``family`` has a nonzero image."""
+        return self._images[family].keys()
+
+    def compose_row(self, f: TensorElem, parts) -> tuple[int, dict]:
         """f with ``parts`` grafted left to right, a None part leaving its slot
-        open: at each slot i, t o_i u of the module docstring.  The row is
-        folded on integers, each tensor read over the lcm of its denominators
-        and the structure constants over theirs (`BasedAlgebra._integer_index`),
-        and a `Fraction` is made once per entry of the composite."""
+        open: at each slot i, t o_i u of the module docstring.  A part is a
+        tensor or an `inner` sum.  The row is folded on integers, each tensor
+        read over its own denominator (`TensorElem._numerators`) and the
+        structure constants over theirs (`BasedAlgebra._integer_index`), and
+        returned unsummed with the others: ``(denominator, {factors:
+        numerator})``, which `sum` and `inner` add."""
         q, products, _ = self.algebra._integer_index()
-        degrees = self.algebra.space._degrees
-        denominator, table = _numerators(f)
-        order, i = f.order, 1
+        degree = self.algebra.space._degrees.__getitem__
+        denominator, table = f._numerators()
+        i = 1
         for u in parts:
             if u is None:
                 i += 1
                 continue
-            u_denominator, u_table = _numerators(u)
+            order, u_denominator, u_table = (
+                u if u.__class__ is tuple else (u.order, *u._numerators())
+            )
             denominator *= u_denominator * q * q
+            steps = [
+                (b[0], b[1:-1], b[-1], cb, sum(map(degree, b)) & 1)
+                for b, cb in u_table.items()
+                if cb
+            ]
             rows: dict[tuple, int] = {}
+            get = rows.get
             for a, ca in table.items():
-                tail = sum(degrees[x] for x in a[i:])
+                tail = sum(map(degree, a[i:])) & 1
                 head, ai, aj, rest = a[: i - 1], a[i - 1], a[i], a[i + 1 :]
-                for b, cb in u_table.items():
-                    odd = tail % 2 and sum(degrees[y] for y in b) % 2
-                    coeff = -ca * cb if odd else ca * cb
-                    middle = b[1:-1]
-                    for left, v in products.get((ai, b[0]), {}).items():
-                        for right, w in products.get((b[-1], aj), {}).items():
+                for first, middle, last, cb, odd in steps:
+                    lefts = products.get((ai, first))
+                    rights = lefts and products.get((last, aj))
+                    if not rights:
+                        continue
+                    coeff = -ca * cb if tail & odd else ca * cb
+                    for left, v in lefts.items():
+                        for right, w in rights.items():
                             key = head + (left,) + middle + (right,) + rest
-                            rows[key] = rows.get(key, 0) + coeff * v * w
+                            rows[key] = get(key, 0) + coeff * v * w
             table = rows
-            order += u.order - 2
-            i += u.order - 1
-        return TensorElem(
-            self.algebra, order, ((k, Fraction(n, denominator)) for k, n in table.items() if n)
-        )
+            i += order - 1
+        return denominator, table
 
     def sum(self, arity: int, degree: int, terms) -> TensorElem:
-        """The signed sum of the ``(±1, tensor)`` terms, in one table."""
-        rows = (
-            (factors, c if sign == 1 else -c)
-            for sign, t in terms
-            for factors, c in t.table.items()
-        )
-        return TensorElem(self.algebra, arity + 1, rows)
+        """The signed ``(±1, row)`` terms summed in one integer table, one
+        order-(arity + 1) tensor built from it."""
+        return TensorElem._from_integers(self.algebra, arity + 1, *_integer_sum(terms))
+
+    def inner(self, arity: int, degree: int, terms) -> tuple:
+        """The signed sum of the ``(±1, row)`` terms as a part of
+        `compose_row`, never made a tensor: ``(order, denominator,
+        {factors: numerator})``."""
+        return (arity + 1, *_integer_sum(terms))
 
 
 def check_infinity_ybp(
@@ -360,7 +390,7 @@ def check_infinity_ybp(
         d = pair.d()
         dd = tensor_product_multiply(d, d)
         return dd, dd
-    return -_residual(pair, "R", n), -_residual(pair, "S", n)
+    return _residual(pair, "R", n, -1), _residual(pair, "S", n, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -431,9 +431,9 @@ def test_a_zero_structure_above_every_member_draws_few_compositions(
     # such rows number about 2^n, which left these runs without bound
     drawn = 0
 
-    def counted(n, k):
+    def counted(n, k, allowed=None):
         nonlocal drawn
-        for parts in compositions(n, k):
+        for parts in compositions(n, k, allowed):
             drawn += 1
             if drawn > 10_000:
                 raise AssertionError("more than 10,000 compositions drawn")

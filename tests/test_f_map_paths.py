@@ -306,7 +306,8 @@ def test_tensor_compose_row_is_the_fold_of_the_slot_step(name):
     compared = nonzero = 0
     for f in heads:
         for parts in itertools.product(pool, repeat=f.order - 1):
-            row = pair.compose_row(f, parts)
+            arity = f.order - 1 + sum(u.order - 2 for u in parts if u is not None)
+            row = pair.sum(arity, None, [(1, pair.compose_row(f, parts))])
             assert row == _slot_fold(algebra, f, parts), (f, parts)
             compared += 1
             nonzero += not row.is_zero()

@@ -777,7 +777,8 @@ def test_f_map_is_an_operad_map_from_the_tensor_operad():
                 t = random_tensor(rng, algebra, t_order, degree=t_degree, density=density)
                 u = random_tensor(rng, algebra, u_order, degree=u_degree, density=density)
                 for i in range(1, t_order):
-                    composite = pair.compose_row(t, slot(t_order - 1, i, u))
+                    row = pair.compose_row(t, slot(t_order - 1, i, u))
+                    composite = pair.sum(t_order + u_order - 3, None, [(1, row)])
                     assert F_map(composite) == insert(F_map(t), i, F_map(u))
                     checked += 1
                     nonzero += not composite.is_zero()
