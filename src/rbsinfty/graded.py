@@ -33,6 +33,16 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # "n" and "p/q" in ASCII digits, the forms reports and inputs use,
+        # read without Fraction's parser; anything else is left to it
+        numerator, slash, denominator = value.partition("/")
+        digits = numerator[1:] if numerator[:1] == "-" else numerator
+        if digits.isdigit() and digits.isascii():
+            if not slash:
+                return Fraction(int(numerator))
+            if denominator.isdigit() and denominator.isascii():
+                if denominator.strip("0"):  # a zero denominator is refused below
+                    return Fraction(int(numerator), int(denominator))
         if _EXPONENT.fullmatch(value):
             raise ValueError(f"coefficient {value!r} has an exponent; write p/q or a decimal")
         try:
@@ -88,6 +98,8 @@ class GradedSpace:
         return iter(self._names)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, GradedSpace):
             return NotImplemented
         return self._names == other._names and self._degrees == other._degrees

@@ -350,13 +350,29 @@ def _orderings(maps: Sequence[MultiMap]) -> list[tuple[list[MultiMap], int]]:
     add, two equal even maps cancel, and an ordering whose signs cancel is
     left out.
     """
+    first: dict[int, int] = {}
+    pattern = tuple(first.setdefault(id(m), k) for k, m in enumerate(maps))
     parities = tuple((m.degree - 1) & 1 for m in maps)
+    return [
+        ([maps[k] for k in order], chi)
+        for order, chi in _index_orderings(pattern, parities)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _index_orderings(
+    pattern: tuple[int, ...], parities: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """`_orderings` on positions: ``pattern[k]`` names the first position
+    holding the same map as position k.  Each distinct ordering is given by
+    the positions of its first permutation, with its summed chi; it depends
+    on nothing else, so each pair is worked out once per process."""
     groups: dict[tuple[int, ...], list] = {}
-    for sigma in itertools.permutations(range(1, len(maps) + 1)):
-        ordered = [maps[s - 1] for s in sigma]
-        group = groups.setdefault(tuple(map(id, ordered)), [ordered, 0])
+    for sigma in itertools.permutations(range(1, len(pattern) + 1)):
+        key = tuple(pattern[s - 1] for s in sigma)
+        group = groups.setdefault(key, [tuple(s - 1 for s in sigma), 0])
         group[1] += _chi(sigma, parities)
-    return [(ordered, chi) for ordered, chi in groups.values() if chi]
+    return tuple((order, chi) for order, chi in groups.values() if chi)
 
 
 @lru_cache(maxsize=None)
@@ -403,24 +419,23 @@ def _operator_terms(
     degree = F.degree + sum(m.degree for m in [*gs, *hs])
     shift = sum(m.degree - 1 for m in gs) * (n - j)
     g_degree = sum(m.degree for m in gs)
-    for (pg, chi_g), (ph, chi_h) in itertools.product(_orderings(gs), _orderings(hs)):
-        sign = outer * chi_g * chi_h
-        base = (
-            n * F.degree
-            + _staircase([m.degree - 1 for m in pg])
-            + _staircase([m.degree - 1 for m in ph])
-            + shift
-        )
-        if j in (0, n):
-            tag = TAG_R if j == n else TAG_S
-            yield tag, arity, degree, *_signed_rows(
-                F, [pg + ph], space, sign * parity_sign(base), denominator
-            )
-        for tag, column, layout, M in (
-            (TAG_R, pg, pg[1:] + [None] + ph, 0),
-            (TAG_S, ph, pg + [None] + ph[1:], g_degree),
-        ):
-            if column:
+    second = [
+        (ph, chi_h, _staircase([m.degree - 1 for m in ph])) for ph, chi_h in _orderings(hs)
+    ]
+    for pg, chi_g in _orderings(gs):
+        base_g = n * F.degree + _staircase([m.degree - 1 for m in pg]) + shift
+        for ph, chi_h, stair_h in second:
+            sign = outer * chi_g * chi_h
+            base = base_g + stair_h
+            if j in (0, n):
+                tag = TAG_R if j == n else TAG_S
+                yield tag, arity, degree, *_signed_rows(
+                    F, [pg + ph], space, sign * parity_sign(base), denominator
+                )
+            for tag, column, M in ((TAG_R, pg, 0), (TAG_S, ph, g_degree)):
+                if not column:
+                    continue
+                layout = pg[1:] + [None] + ph if tag == TAG_R else pg + [None] + ph[1:]
                 c = column[0]
                 climb = parity_sign(1 + base + c.degree * (F.degree + M))
                 # `l_bracket` or `CochainElement` checked that every piece
@@ -487,20 +502,41 @@ def _cochain(space: GradedSpace, streams: Iterable[tuple]) -> CochainElement:
     """The cochain on ``space`` whose ``(tag, arity)`` component sums the
     streams given for it in one `_IntegerTable`; each component takes the
     map degree of its first stream and is normalised once, entry by entry."""
+    return _from_tables(space, _tables(streams))
+
+
+def _from_tables(
+    space: GradedSpace,
+    tables: Mapping[tuple[str, int], tuple[int, _IntegerTable]],
+    degree: Optional[int] = None,
+) -> CochainElement:
+    """The cochain of the summed tables of `_tables`; ``degree`` is passed
+    on to `CochainElement`."""
+    suspended = space.suspend()
+    return CochainElement(
+        space,
+        [
+            (tag, MultiMap(suspended, suspended, arity, map_degree, table))
+            for (tag, arity), (map_degree, table) in tables.items()
+        ],
+        degree=degree,
+    )
+
+
+def _tables(streams: Iterable[tuple]) -> dict[tuple[str, int], tuple[int, _IntegerTable]]:
+    """``{(tag, arity): (map degree, table)}``: the streams of each
+    component summed in one `_IntegerTable`, as `_cochain` sums them."""
     tables: dict[tuple[str, int], tuple[int, _IntegerTable]] = {}
     for tag, arity, degree, denominator, rows in streams:
         entry = tables.get((tag, arity))
         if entry is None:
             entry = tables[tag, arity] = (degree, _IntegerTable())
         entry[1].add(denominator, rows)
-    suspended = space.suspend()
-    return CochainElement(
-        space,
-        [
-            (tag, MultiMap(suspended, suspended, arity, degree, table))
-            for (tag, arity), (degree, table) in tables.items()
-        ],
-    )
+    return tables
+
+
+def _nonzero(table: _IntegerTable) -> bool:
+    return any(n for row in table.rows.values() for n in row.values())
 
 
 def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
@@ -512,11 +548,15 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
     with exactly ``n`` operator cochains.  The one-bracket case of
     `_bracket_rows`, summed by `_cochain`.
     """
+    _check_pieces(space, pieces)
+    return _cochain(space, _bracket_rows(pieces))
+
+
+def _check_pieces(space: GradedSpace, pieces: Sequence[Piece]) -> None:
     suspended = space.suspend()
     for p in pieces:
         if p.map.space_in != suspended or p.map.space_out != suspended:
             raise ValueError("piece does not act on the suspension of the given module")
-    return _cochain(space, _bracket_rows(pieces))
 
 
 def nonvanishing_inputs(
@@ -547,9 +587,18 @@ def _multisets(
 ) -> Iterator[tuple[Fraction, list[Piece]]]:
     """``head`` followed by each ``size``-multiset of ``items``, weighted by
     ``1/prod m_i!``."""
-    for combo in itertools.combinations_with_replacement(range(len(items)), size):
-        weight = prod(factorial(m) for m in Counter(combo).values())
-        yield Fraction(1, weight), head + [items[i] for i in combo]
+    for weight, combo in _weighted_multisets(len(items), size):
+        yield weight, head + [items[i] for i in combo]
+
+
+@lru_cache(maxsize=None)
+def _weighted_multisets(n: int, size: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    """The ``size``-multisets of ``range(n)``, in order, each with its weight
+    ``1/prod m_i!``; made once per process for each pair."""
+    return tuple(
+        (Fraction(1, prod(factorial(m) for m in Counter(combo).values())), combo)
+        for combo in itertools.combinations_with_replacement(range(n), size)
+    )
 
 
 # -- the homotopy Jacobi identities ------------------------------------------
@@ -559,10 +608,18 @@ def _jacobi_sum(
     space: GradedSpace, pieces: Sequence[Piece]
 ) -> tuple[CochainElement, bool]:
     """The homotopy Jacobi combination of ``pieces``, and whether one of its
-    terms is nonzero."""
+    terms is nonzero.
+
+    The inner brackets are cochains, as their pieces feed the outer ones.
+    Each outer bracket is summed in integer tables of its own, to tell
+    whether it vanishes, and its signed rows are added to the tables of the
+    combination, which is built once; it takes the degree of the first
+    nonzero term, as `CochainElement.sum` would."""
+    _check_pieces(space, pieces)
     n = len(pieces)
     parities = tuple(p.degree & 1 for p in pieces)
-    terms = []
+    combination: dict[tuple[str, int], tuple[int, _IntegerTable]] = {}
+    degree = None
     for i in range(2, n):  # the unary bracket vanishes, killing i = 1 and i = n
         j = n + 1 - i
         for sigma in shuffles((i, n - i)):
@@ -571,9 +628,19 @@ def _jacobi_sum(
             if inner.is_zero():
                 continue
             rest = [pieces[s - 1] for s in sigma[i:]]
-            terms += [(sign, l_bracket(space, [piece] + rest)) for piece in inner.pieces()]
-    defect = CochainElement.sum(space, (sign * term for sign, term in terms))
-    return defect, any(not term.is_zero() for _, term in terms)
+            for piece in inner.pieces():
+                term = _tables(_bracket_rows([piece] + rest, sign))
+                for key, (map_degree, table) in term.items():
+                    if not _nonzero(table):
+                        continue
+                    if degree is None:
+                        degree = map_degree if key[0] == TAG_ALG else map_degree - 1
+                    entry = combination.get(key)
+                    if entry is None:
+                        entry = combination[key] = (map_degree, _IntegerTable())
+                    rows = table.rows.items()
+                    entry[1].add(table.denominator, ((ins, 1, row) for ins, row in rows))
+    return _from_tables(space, combination, degree), degree is not None
 
 
 def generalized_jacobi_defect(
@@ -639,18 +706,27 @@ def _expand(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> CochainE
     Each bracket's rows carry its weight and stream into one integer table
     per residual component (`_cochain`), so no bracket is built as a map of
     its own."""
+    return _cochain(alpha.space, _expand_rows(alpha, leads))
+
+
+def _expand_rows(
+    alpha: CochainElement, leads: Sequence[Optional[Piece]]
+) -> Iterator[tuple]:
+    """The streams of `_expand`, unsummed."""
     if alpha.degree not in (None, -1):
         raise ValueError(
             f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
         )
     pool, memo = alpha.pieces(), {}
-    streams = (
-        stream
-        for lead in leads
-        for weight, pieces in nonvanishing_inputs(pool, lead)
-        for stream in _bracket_rows(pieces, weight, memo)
-    )
-    return _cochain(alpha.space, streams)
+    for lead in leads:
+        for weight, pieces in nonvanishing_inputs(pool, lead):
+            yield from _bracket_rows(pieces, weight, memo)
+
+
+def _vanishes(streams: Iterable[tuple]) -> bool:
+    """Whether the streams of `_cochain` sum to the zero cochain; the sums
+    stay integer tables, as nothing but their zeros is read."""
+    return not any(_nonzero(table) for _, table in _tables(streams).values())
 
 
 def basis_cochains(
@@ -682,14 +758,15 @@ def twist_square_defects(alpha: CochainElement, max_arity: int = 2) -> dict:
     """Apply the twisted differential twice to each basis cochain.
 
     Returns a JSON-ready report; when ``alpha`` satisfies the Maurer-Cartan
-    equation every double application must vanish exactly.
+    equation every double application must vanish exactly.  The second
+    application is only tested for zero, so its sums stay integer tables.
     """
     checked = 0
     failures = []
     for cochain in basis_cochains(alpha.space, max_arity):
-        twice = twisted_differential(alpha, twisted_differential(alpha, cochain))
+        once = twisted_differential(alpha, cochain)
         checked += 1
-        if not twice.is_zero():
+        if not _vanishes(_expand_rows(alpha, once.pieces())):
             piece = cochain.pieces()[0]
             failures.append(
                 {"tag": piece.tag, "arity": piece.arity, "map": piece.map.to_json()}

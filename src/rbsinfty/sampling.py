@@ -34,12 +34,16 @@ def random_multimap(
 ) -> MultiMap:
     """A random homogeneous map; entries only where the grading allows one."""
     table: dict[tuple[str, ...], dict[str, Fraction]] = {}
+    degrees_in = space_in._degrees
+    by_degree: dict[int, list[str]] = {}
+    for name in space_out.names:
+        by_degree.setdefault(space_out.degree(name), []).append(name)
+    coefficients = list(coefficients)
     for ins in itertools.product(space_in.names, repeat=arity):
-        target_degree = sum(space_in.degree(name) for name in ins) + degree
-        candidates = [n for n in space_out.names if space_out.degree(n) == target_degree]
+        candidates = by_degree.get(sum(map(degrees_in.__getitem__, ins)) + degree)
         if not candidates or rng.random() >= density:
             continue
-        table[ins] = {rng.choice(candidates): rng.choice(list(coefficients))}
+        table[ins] = {rng.choice(candidates): rng.choice(coefficients)}
     return MultiMap(space_in, space_out, arity, degree, table)
 
 

@@ -47,6 +47,52 @@ def test_frac_refuses_an_exponent_before_reading_the_number():
             _frac(value)
 
 
+def test_frac_reads_digit_strings_as_fraction_does():
+    for value in ("3", "-3", "0", "-0", "007", "1/2", "-1/2", "10/4", "007/010",
+                  "+3", " 3", "3 ", "1_000", "1_0/3", "٣", "3/٣", "1.5"):
+        got = _frac(value)
+        assert got == Fraction(value) and type(got) is Fraction
+    for value in ("3/0", "-3/00"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            _frac(value)
+    for value in ("3/-4", "1/2/3", "-", "", "/", "3/", "-/2", "²", "--3"):
+        with pytest.raises(ValueError):
+            _frac(value)
+
+
+def test_random_multimap_draws_as_the_per_tuple_filter():
+    # the draws of the sampler that filtered the outputs for every input
+    # tuple: the same maps from the same seed, and the same generator state
+    def per_tuple(rng, space_in, space_out, arity, degree, density):
+        table = {}
+        for ins in itertools.product(space_in.names, repeat=arity):
+            target = sum(space_in.degree(n) for n in ins) + degree
+            candidates = [n for n in space_out.names if space_out.degree(n) == target]
+            if not candidates or rng.random() >= density:
+                continue
+            table[ins] = {rng.choice(candidates): rng.choice(
+                [Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]
+            )}
+        return MultiMap(space_in, space_out, arity, degree, table)
+
+    spaces = (
+        GradedSpace([("a", 0), ("b", 1), ("c", 1), ("d", 2)]),
+        GradedSpace([("x", -1), ("y", 0)]),
+    )
+    for seed, (space_in, space_out, arity, degree, density) in enumerate(
+        (s, t, arity, degree, density)
+        for s in spaces
+        for t in spaces
+        for arity in (1, 2, 3)
+        for degree in (-1, 0, 1)
+        for density in (0.5, 1.0)
+    ):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = random_multimap(ours, space_in, space_out, arity, degree, density)
+        assert got == per_tuple(theirs, space_in, space_out, arity, degree, density)
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_space_basics():
     space = GradedSpace([("v1", 0), ("v2", 1)])
     assert space.names == ("v1", "v2")

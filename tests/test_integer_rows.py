@@ -356,6 +356,89 @@ def test_twisted_differential_matches_the_fraction_kernel(space):
 
 
 @pytest.mark.parametrize("space", SPACES, ids=["V-100", "V01", "V-10"])
+def test_twice_twisted_vanishes_on_tables_as_the_cochain_does(space):
+    # a candidate that is not Maurer-Cartan, so the squares are nonzero
+    alpha = _candidate(random.Random(f"square:{space!r}"), space, density=0.3)
+    checked = failed = 0
+    for x in basis_cochains(space, 2):
+        once = twisted_differential(alpha, x)
+        square = _fraction_expand(alpha, once.pieces())
+        assert linfty._vanishes(linfty._expand_rows(alpha, once.pieces())) == square.is_zero()
+        checked += 1
+        failed += not square.is_zero()
+    report = linfty.twist_square_defects(alpha, 2)
+    assert (report["checked"], len(report["failures"])) == (checked, failed)
+    assert failed >= 5
+
+
+def test_twice_twisted_vanishes_for_a_system():
+    # the Rota-Baxter system of `test_brackets_that_cancel_leave_no_entry`
+    algebra = MatrixAlgebra(GradedSpace([("u1", 0), ("u2", 0)]))
+    end = algebra.space
+    r_op = MultiMap(end, end, 1, 0, {(e,): {e: 1} for e in end if e != "e1^2"})
+    s_op = MultiMap(end, end, 1, 0, {("e1^2",): {"e1^2": -1}})
+    alpha = linfty.classical_cochain(algebra.product_map(), r_op, s_op)
+    applied = 0
+    for x in basis_cochains(end, 1):
+        once = twisted_differential(alpha, x)
+        assert linfty._vanishes(linfty._expand_rows(alpha, once.pieces()))
+        applied += not once.is_zero()
+    assert applied > 0
+    assert linfty.twist_square_defects(alpha, 1) == {"checked": 48, "failures": [], "ok": True}
+
+
+def test_orderings_match_the_permutations_they_group():
+    space = SPACES[0].suspend()
+    rng = random.Random("orderings")
+    maps = [_map(rng, space, 1, d) for d in (0, 1, 1, 2)]
+    for size in range(5):
+        for chosen in itertools.product(range(len(maps)), repeat=size):
+            group = [maps[k] for k in chosen]
+            degrees = [m.degree - 1 for m in group]
+            want = [(list(map(id, o)), chi) for o, chi in _fraction_orderings(group, degrees)]
+            got = [(list(map(id, o)), chi) for o, chi in linfty._orderings(group)]
+            assert got == want
+
+
+def _jacobi_oracle(space, pieces):
+    """`_jacobi_sum` with every term a cochain, scaled and summed as cochains."""
+    n = len(pieces)
+    terms = []
+    for i in range(2, n):
+        j = n + 1 - i
+        for sigma in linfty.shuffles((i, n - i)):
+            sign = parity_sign(i * (j - 1)) * koszul_chi(sigma, [p.degree for p in pieces])
+            inner = l_bracket(space, [pieces[s - 1] for s in sigma[:i]])
+            if inner.is_zero():
+                continue
+            rest = [pieces[s - 1] for s in sigma[i:]]
+            terms += [(sign, l_bracket(space, [piece] + rest)) for piece in inner.pieces()]
+    defect = CochainElement.sum(space, (sign * term for sign, term in terms))
+    return defect, any(not term.is_zero() for _, term in terms)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["V-100", "V01", "V-10"])
+def test_jacobi_sum_matches_the_sum_of_its_terms(space):
+    # the input shapes of `verify_generalized_jacobi`
+    rng = random.Random(f"jacobi:{space!r}")
+    active = 0
+    for _ in range(60):
+        pieces = []
+        for token in rng.choice(linfty._JACOBI_PATTERNS):
+            if token == "op":
+                tag, arity = rng.choice((TAG_R, TAG_S)), rng.randint(1, 3)
+            else:
+                tag, arity = TAG_ALG, {"alg1": 1, "alg2": 2}.get(token, rng.randint(1, 3))
+            pieces.append(linfty.random_piece(rng, space, arity, tag=tag))
+        defect, nonzero = linfty._jacobi_sum(space, pieces)
+        want, want_nonzero = _jacobi_oracle(space, pieces)
+        assert defect == want and defect.degree == want.degree
+        assert nonzero == want_nonzero
+        active += nonzero
+    assert active >= 8
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["V-100", "V01", "V-10"])
 def test_l_bracket_matches_the_fraction_kernel(space):
     rng = random.Random(f"bracket:{space!r}")
     suspended = space.suspend()
