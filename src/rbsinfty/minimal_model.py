@@ -24,6 +24,17 @@ only for a word that survives.  The inner rows of the operator
 differentials depend on neither the family nor the outer arity: they are
 summed into one element per tail, composed once per target class for
 every n, and each operator is composed with that sum once per slot.
+
+The model carries the symmetry of a Rota-Baxter system (A, R, S) with
+(A^op, S, R): the mirror θ (`mirror`) reverses the children at every vertex,
+swaps R and S (y and z), and signs a tree by the Koszul sign of reordering
+its vertices into the planar order of the mirror tree, times (-1)^C(k, 2)
+for each m, R, S vertex of arity k (no such factor on x, y, z).  θ is an
+involution, sends f o_i g to θ(f) o_(a-i+1) θ(g) for f of arity a, and
+commutes with d: θ(d X_n) = ε_n d θ(X_n), with ε_n = (-1)^C(n, 2) on m, R, S
+and 1 on x, y, z.  So d^2(S_n) = ε_n θ(d^2(R_n)) word for word, and
+`check_d_squared` expands only m_n and R_n (x_n and y_n) once it has read
+dθ = θd off its own images.
 """
 
 from __future__ import annotations
@@ -412,6 +423,87 @@ def extend_derivation(diff_of: DiffMap, e: OperadElement) -> OperadElement:
 
 
 # ---------------------------------------------------------------------------
+# the R <-> S mirror
+# ---------------------------------------------------------------------------
+
+
+def _presentation(family: str) -> tuple[str, str, str]:
+    """The (m, R, S) or (x, y, z) families of ``family``'s presentation."""
+    return PRESENTATIONS["mrs" if family in _SUSPENDED else "xyz"]
+
+
+@lru_cache(maxsize=None)
+def _mirror_label(label: Generator) -> tuple[Generator, int]:
+    """θ on one vertex: its label with R and S (y and z) swapped, m and x
+    fixed, and the exponent of its own sign, C(k, 2) on m, R, S and 0 on
+    x, y, z for a vertex of arity k."""
+    family, k = label.family, label.arity
+    _, r, s = _presentation(family)
+    twin = gen(s if family == r else r if family == s else family, k)
+    return twin, k * (k - 1) // 2 if family in _SUSPENDED else 0
+
+
+def mirror(nodes: tuple) -> tuple[tuple, int]:
+    """θ on the tree with the preorder word ``nodes``: its mirror word and sign.
+
+    θ reverses the children at every vertex and swaps R and S (y and z).
+    The reversed preorder word is the postorder word of the mirror tree, so
+    one pass over it rebuilds the mirror's preorder word, one subtree per
+    stack entry.  The sign is the Koszul sign of reordering the vertices
+    from the old planar order to the new one, times (-1)^C(k, 2) for each
+    m, R, S vertex of arity k.  Two vertices trade places exactly when
+    neither lies above the other, so the Koszul sign counts the pairs of odd
+    vertices in different subtrees of a common vertex.
+
+    >>> from .trees import parse_tree
+    >>> word, sign = mirror(parse_tree("m2(R1(1), S2(2, 3))").nodes)
+    >>> _tree(word, 3, 1).to_text(), sign
+    ('m2(R2(1, 2), S1(3))', 1)
+    """
+    stack: list[tuple[tuple, int]] = []  # (word, odd vertices) per subtree
+    exponent = 0
+    for node in reversed(nodes):
+        if node is None:
+            stack.append(((None,), 0))
+            continue
+        label, own = _mirror_label(node)
+        k = node.arity
+        word, odd = (label,), 0
+        for child, child_odd in stack[-k:]:
+            word += child
+            exponent += odd * child_odd
+            odd += child_odd
+        del stack[-k:]
+        exponent += own
+        stack.append((word, odd + (node.degree & 1)))
+    return stack[0][0], parity_sign(exponent)
+
+
+def _mirror_holds(images: Images, g: Generator, checked: set) -> bool:
+    """Whether θ(d X) = ε d θ(X) in ``images`` for every X of arity at most
+    that of ``g`` in its family and in the family θ fixes (m, x), ε the sign
+    of θ on the corolla of X; ``checked`` holds the X found to hold so far.
+
+    As θ is an involution, the equation of X gives that of θ(X).
+    """
+    fixed = _presentation(g.family)[0]
+    for label in presentation_generators((fixed, g.family), g.arity):
+        if label in checked:
+            continue
+        twin, own = _mirror_label(label)
+        image, sign = images[label], parity_sign(own)
+        expected = {nodes: sign * c for nodes, _, c in images[twin]}
+        if len(expected) != len(image):
+            return False
+        for nodes, _, c in image:
+            word, s = mirror(nodes)
+            if expected.get(word) != s * c:
+                return False
+        checked.add(label)
+    return True
+
+
+# ---------------------------------------------------------------------------
 # d-squared verification
 # ---------------------------------------------------------------------------
 
@@ -438,19 +530,38 @@ def check_d_squared(families: Iterable[str], max_arity: int) -> dict:
 
     Returns a JSON-ready report; a nonzero residual is reported, not raised,
     with its first `_WITNESS_CAP` terms in serialization order.
+
+    A generator is read off its mirror instead of expanded when the call
+    expanded its R <-> S twin θ(g) earlier to a zero residual, and the
+    check's own `Images` table satisfies θ(d X_k) = ε_k d θ(X_k) for X_k the
+    m_k (x_k) and the generator of g's family of every arity k up to the
+    arity n of g.  θ is an involutive anti-automorphism that commutes with the
+    derivation extension of those images, so then d^2(g) = ε_n θ(d^2(θ g)) = 0
+    word for word.  In every other case (a nonzero residual of the twin, a
+    failed mirror equation, a twin listed later or not at all) g is
+    expanded, so a failure keeps its witnesses.  In the order of
+    `PRESENTATIONS`, S_n (z_n) is the generator read off its mirror.
     """
     if max_arity < 2:
         raise ValueError("max_arity must be >= 2")
     results = []
     # the module binding, read per call, so that a stand-in for it is used
     images = Images(diff_generator)
+    vanished: set[Generator] = set()  # expanded in this call, residual zero
+    mirrored: set[Generator] = set()  # θ(d X) = ε d θ(X) in ``images``
     for g in presentation_generators(families, max_arity):
-        residual: dict[tuple, Scalar] = {}
-        get = residual.get
-        for nodes, _, coeff in images[g]:
-            for word, c in derivation_terms(images, nodes, coeff):
-                residual[word] = get(word, 0) + c
-        nonzero = [(word, c) for word, c in residual.items() if c]
+        if _mirror_label(g)[0] in vanished and _mirror_holds(images, g, mirrored):
+            # d²(g) = ±θ(d²(θ g)) word for word, and d²(θ g) = 0
+            nonzero = []
+        else:
+            residual: dict[tuple, Scalar] = {}
+            get = residual.get
+            for nodes, _, coeff in images[g]:
+                for word, c in derivation_terms(images, nodes, coeff):
+                    residual[word] = get(word, 0) + c
+            nonzero = [(word, c) for word, c in residual.items() if c]
+            if not nonzero:
+                vanished.add(g)
         result = {
             "generator": g.name,
             "arity": g.arity,

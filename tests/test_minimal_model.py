@@ -11,25 +11,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsinfty.minimal_model import (
+    _WITNESS_CAP,
     PRESENTATIONS,
     FreeOperad,
+    Images,
     Suspension,
     alpha_exponent,
     beta_exponent,
     check_d_squared,
+    derivation_terms,
     diff_generator,
     extend_derivation,
     generator_differential,
+    mirror,
     presentation_generators,
     replace_vertex,
     slot,
 )
 from rbsinfty import minimal_model, trees
-from rbsinfty.monomial_model import _FirstSlot
+from rbsinfty.monomial_model import _FirstSlot, enumerate_monomials
 from rbsinfty.signs import compositions, parity_sign
 from rbsinfty.trees import (
     _FAMILY_MIN_ARITY,
     OperadElement,
+    TreeMonomial,
     as_element,
     brace,
     compose_at,
@@ -624,3 +629,180 @@ def test_every_coefficient_of_a_generator_differential_is_an_int():
         for g in presentation_generators(families, 5):
             image = diff_generator(g)
             assert all(type(c) is int for c in image.terms.values()), g
+
+
+# ---------------------------------------------------------------------------
+# the R <-> S mirror
+# ---------------------------------------------------------------------------
+
+
+def _xyz_relabel(word):
+    """The (x, y, z) namesake of an (m, R, S) word."""
+    names = dict(zip(PRESENTATIONS["mrs"], PRESENTATIONS["xyz"]))
+    return tuple(None if node is None else gen(names[node.family], node.arity) for node in word)
+
+
+def _mirror_test_words():
+    words = [t.nodes for t in enumerate_monomials(3, 3)]
+    return words + [_xyz_relabel(word) for word in words]
+
+
+def _theta(e):
+    """θ on an element, term by term."""
+    terms = []
+    for t, c in e.terms.items():
+        word, sign = mirror(t.nodes)
+        terms.append((word, sign * c))
+    return OperadElement.from_words(e.arity, terms)
+
+
+def test_mirror_is_an_involution():
+    words = _mirror_test_words()
+    assert len(words) == 904
+    moved = negated = 0
+    for word in words:
+        image, sign = mirror(word)
+        assert mirror(image) == (word, sign)
+        assert TreeMonomial(image).arity == TreeMonomial(word).arity
+        moved += image != word
+        negated += sign < 0
+    # θ is no identity: most words move, and signs of both kinds occur
+    assert 2 * moved > len(words) and negated > 100
+
+
+def test_mirror_sends_a_graft_to_the_mirrored_slot():
+    # θ(f o_i g) = θ(f) o_(a-i+1) θ(g), with no further sign
+    trees_ = list(enumerate_monomials(2, 2))
+    trees_ += [TreeMonomial(_xyz_relabel(t.nodes)) for t in trees_]
+    for f, g in itertools.product(trees_, repeat=2):
+        for i in range(1, f.arity + 1):
+            mirrored = compose_at(_theta(as_element(f)), f.arity - i + 1, _theta(as_element(g)))
+            assert _theta(compose_at(f, i, g)) == mirrored
+
+
+@pytest.mark.parametrize("families", PRESENTATIONS.values(), ids=PRESENTATIONS)
+def test_mirror_commutes_with_the_differential_to_arity_eight(families):
+    # dθ = θd on every generator: θ(d X_n) = ε_n d θ(X_n), with ε_n the sign
+    # of θ on the corolla, (-1)^C(n, 2) on m, R, S and 1 on x, y, z
+    m, r, s = families
+    for g in presentation_generators(families, 8):
+        (twin, *_), sign = mirror(corolla(g).nodes)
+        assert twin == gen({r: s, s: r}.get(g.family, m), g.arity)
+        assert sign == (parity_sign(g.arity * (g.arity - 1) // 2) if m == "m" else 1)
+        assert _theta(diff_generator(g)) == sign * diff_generator(twin), g.name
+
+
+def test_mirror_commutes_with_the_derivation_extension():
+    # the θ-image of the derivation terms of t is the derivation terms of θ t,
+    # summed by word, with the real images of both presentations
+    images, nonzero = Images(diff_generator), 0
+    for word in _mirror_test_words():
+        arity = TreeMonomial(word).arity
+        image, sign = mirror(word)
+        lhs = _theta(OperadElement.from_words(arity, derivation_terms(images, word, 1)))
+        assert lhs == OperadElement.from_words(arity, derivation_terms(images, image, sign))
+        nonzero += not lhs.is_zero()
+    assert nonzero > 700
+
+
+def _oracle_check_d_squared(families, max_arity):
+    """`check_d_squared` as it was before the mirror: every generator expanded."""
+    if max_arity < 2:
+        raise ValueError("max_arity must be >= 2")
+    results = []
+    images = Images(minimal_model.diff_generator)
+    for g in presentation_generators(families, max_arity):
+        residual = {}
+        for nodes, _, coeff in images[g]:
+            for word, c in derivation_terms(images, nodes, coeff):
+                residual[word] = residual.get(word, 0) + c
+        nonzero = [(word, c) for word, c in residual.items() if c]
+        result = {
+            "generator": g.name,
+            "arity": g.arity,
+            "residual_terms": len(nonzero),
+            "ok": not nonzero,
+        }
+        if nonzero:
+            witnesses = OperadElement.from_words(g.arity, nonzero).items()
+            result["witnesses"] = [
+                {"tree": tree.to_text(), "coeff": str(coeff)}
+                for tree, coeff in itertools.islice(witnesses, _WITNESS_CAP)
+            ]
+        results.append(result)
+    return {
+        "families": sorted(set(families)),
+        "max_arity": max_arity,
+        "results": results,
+        "ok": all(r["ok"] for r in results),
+    }
+
+
+@pytest.mark.parametrize("families", PRESENTATIONS.values(), ids=PRESENTATIONS)
+def test_check_d_squared_matches_the_oracle_to_arity_seven(families):
+    assert check_d_squared(families, 7) == _oracle_check_d_squared(families, 7)
+
+
+@pytest.mark.parametrize("families", [("S", "R", "m"), ("S",), ("R", "S"), ("z", "x", "y")])
+def test_check_d_squared_matches_the_oracle_in_any_family_order(families):
+    assert check_d_squared(families, 5) == _oracle_check_d_squared(families, 5)
+
+
+@pytest.mark.parametrize("families", PRESENTATIONS.values(), ids=PRESENTATIONS)
+def test_check_d_squared_expands_only_m_and_r(families, monkeypatch):
+    # each S_n (z_n) is read off the mirror of R_n (y_n): the derivation
+    # extension runs on the terms of d m_n and d R_n only
+    calls = []
+
+    def counted(images, nodes, coeff):
+        calls.append(nodes)
+        return derivation_terms(images, nodes, coeff)
+
+    monkeypatch.setattr(minimal_model, "derivation_terms", counted)
+    assert check_d_squared(families, 6)["ok"] is True
+    expanded = presentation_generators(families[:2], 6)
+    assert len(calls) == sum(len(diff_generator(g).terms) for g in expanded)
+
+
+def _flip_terms(monkeypatch, flips):
+    """Stand in for `diff_generator` with the sign of one term of d g flipped,
+    for each generator g and tree of ``flips``."""
+    real = minimal_model.diff_generator
+
+    def stand_in(g):
+        image = real(g)
+        if g not in flips:
+            return image
+        return OperadElement(
+            image.arity, ((t, -c if t == flips[g] else c) for t, c in image.terms.items())
+        )
+
+    monkeypatch.setattr(minimal_model, "diff_generator", stand_in)
+
+
+@pytest.mark.parametrize("flipped", ["R4", "S4", "y4", "z4"])
+def test_a_broken_mirror_falls_back_to_expanding_s(flipped, monkeypatch):
+    # a flipped term of d R_4 leaves residuals on R_n and so on S_n; one of
+    # d S_4 breaks θ(d R_4) = ε d S_4: S_n is then expanded, and its
+    # witnesses are those of the oracle
+    g = gen(flipped[0], 4)
+    families = PRESENTATIONS["mrs" if g.family in "RS" else "xyz"]
+    _flip_terms(monkeypatch, {g: next(iter(diff_generator(g).terms))})
+    report = check_d_squared(families, 5)
+    assert report == _oracle_check_d_squared(families, 5)
+    failed = [r for r in report["results"] if not r["ok"] and r["generator"][0] == families[2]]
+    assert failed and all(r["witnesses"] for r in failed)
+
+
+@pytest.mark.parametrize("families", PRESENTATIONS.values(), ids=PRESENTATIONS)
+def test_a_nonzero_twin_is_never_mirrored(families, monkeypatch):
+    # flipping a term of d R_4 and its mirror in d S_4 keeps every mirror
+    # equation, but d²(R_4) is no longer zero: S_4 is expanded all the same
+    _, r, s = families
+    t = next(iter(diff_generator(gen(r, 4)).terms))
+    _flip_terms(monkeypatch, {gen(r, 4): t, gen(s, 4): TreeMonomial(mirror(t.nodes)[0])})
+    report = check_d_squared(families, 5)
+    assert report == _oracle_check_d_squared(families, 5)
+    by_name = {result["generator"]: result for result in report["results"]}
+    assert by_name[f"{r}4"]["residual_terms"] == by_name[f"{s}4"]["residual_terms"] > 0
+    assert by_name[f"{s}4"]["witnesses"]

@@ -1,5 +1,6 @@
 """Tests for homotopy Rota-Baxter structure residuals."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from rbsinfty.residuals import (
     stasheff_residual,
 )
 from rbsinfty.sampling import random_multimap
-from rbsinfty.signs import compositions
+from rbsinfty.signs import compositions, parity_sign
 
 ONE = Fraction(1)
 
@@ -612,14 +613,14 @@ def test_delta_frozen_values():
     assert delta_exponent(2, (2, 1)) == 3
 
 
-def _random_structure(seed, degrees):
+def _random_structure(seed, degrees, truncation=5):
     space = GradedSpace([(f"v{i}", d) for i, d in enumerate(degrees, 1)])
     rng = random.Random(seed)
 
     def family(degree_of_arity):
         return {
             n: random_multimap(rng, space, space, n, degree_of_arity(n), density=0.9)
-            for n in range(1, 6)
+            for n in range(1, truncation + 1)
         }
 
     return HomotopyRBS(
@@ -627,7 +628,7 @@ def _random_structure(seed, degrees):
         m=family(lambda n: n - 2),
         r=family(lambda n: n - 1),
         s=family(lambda n: n - 1),
-        truncation=5,
+        truncation=truncation,
     )
 
 
@@ -647,3 +648,60 @@ def test_residuals_match_the_hand_written_identities(seed, degrees):
             checked += 1
     # most residuals of a random structure are nonzero, so the check has teeth
     assert nonzero > checked // 2
+
+
+# ---------------------------------------------------------------------------
+# the opposite structure: the R <-> S mirror of the minimal model in End(V)
+# ---------------------------------------------------------------------------
+
+
+def _op(f):
+    """op(f)(a_1 .. a_n) = (-1)^C(n, 2) κ(a) f(a_n .. a_1), with κ(a) the
+    Koszul sign of reversing the graded inputs."""
+    n, degree = f.arity, f.space_in.degree
+    table = {}
+    for ins, outs in f.table.items():
+        d = [degree(a) for a in ins]
+        exponent = n * (n - 1) // 2 + sum(x * y for x, y in itertools.combinations(d, 2))
+        table[ins[::-1]] = {out: parity_sign(exponent) * c for out, c in outs.items()}
+    return MultiMap(f.space_in, f.space_out, n, f.degree, table)
+
+
+def _opposite(s):
+    """s^op = (op m, R := op S, S := op R) on the same space."""
+    def family(maps):
+        return {n: _op(f) for n, f in maps.items()}
+
+    return HomotopyRBS(s.space, m=family(s.m), r=family(s.s), s=family(s.r), truncation=s.truncation)
+
+
+def _compare_with_the_opposite(s):
+    """(compared, nonzero): each residual of s against op of its mirror on s^op."""
+    opposite, compared, nonzero = _opposite(s), 0, 0
+    for n in range(1, s.truncation + 1):
+        for residual, mirrored in (
+            (hrbs_residual_S(s, n), hrbs_residual_R(opposite, n)),
+            (hrbs_residual_R(s, n), hrbs_residual_S(opposite, n)),
+            (stasheff_residual(s, n), stasheff_residual(opposite, n)),
+        ):
+            assert residual == _op(mirrored), n
+            compared += 1
+            nonzero += not residual.is_zero()
+    return compared, nonzero
+
+
+def test_residuals_match_op_of_the_opposite_structure():
+    compared = nonzero = 0
+    for degrees in [(0, 1, 2), (0, 1, -1), (0, 0), (-1, 0, 0)]:
+        for seed in range(4):
+            counts = _compare_with_the_opposite(_random_structure(seed, degrees, truncation=4))
+            compared, nonzero = compared + counts[0], nonzero + counts[1]
+    assert compared == 192
+    # the comparison has teeth: most residuals of a random structure are nonzero
+    assert 2 * nonzero > compared
+
+
+def test_check_hrbs_golden_input_matches_op_of_its_opposite():
+    data = json.loads((Path(__file__).parent / "data" / "hrbs_graded_input.json").read_text())
+    compared, nonzero = _compare_with_the_opposite(HomotopyRBS.from_json(data))
+    assert compared == 9 and 2 * nonzero > compared
