@@ -14,9 +14,10 @@ and admits an explicit contracting homotopy in positive degrees built from
 "left-upper-most" position.  `check_homotopy` verifies dH + Hd = Id exactly
 on an enumerated universe of positive-degree monomials, one monomial at a
 time, on preorder words from end to end: `_monomial_words` yields each
-monomial as ``(word, arity, degree)``, and the unmerged terms of dH(t) and
-Hd(t), words from `derivation_terms` (over one `Images` table of `diff_bar`
-per check) and `_contraction`, and -t are summed in one table keyed by
+monomial as ``(word, arity, degree)``, concatenating each prefix of children
+once, and the unmerged terms of dH(t) and Hd(t), words from
+`derivation_terms` (over one `Images` table of `diff_bar` per check) and
+`_contraction` (None or one pair), and -t are summed in one table keyed by
 word.  Trees and an `OperadElement` are built only to print a failure.
 `_effective` finds the effective divisor in a word, with the degree before
 it; `enumerate_monomials`, `is_effective`, `homotopy_H` and
@@ -25,7 +26,6 @@ it; `enumerate_monomials`, `is_effective`, `homotopy_H` and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -165,9 +165,9 @@ def _raised(g: Generator) -> Generator:
     return gen(g.family, g.arity + 1)
 
 
-def _contraction(nodes: tuple) -> tuple:
-    """The terms of H on the tree with the word ``nodes``: () off effective
-    monomials, else the one ``(word, coeff)`` pair of the divisor contraction.
+def _contraction(nodes: tuple) -> Optional[tuple[tuple, int]]:
+    """H on the tree with the word ``nodes``: None off effective monomials,
+    else the one ``(word, coeff)`` pair of the divisor contraction.
 
     Contracting the divisor rooted at word position p replaces the root F_a
     by F_{a+1} and deletes the m_2 (and the R_1) that follow it: the
@@ -175,13 +175,13 @@ def _contraction(nodes: tuple) -> tuple:
     """
     found = _effective(nodes)
     if found is None:
-        return ()
+        return None
     position, _, kind, omega = found
     replacement = _raised(nodes[position])
     removed = 2 if kind == "m" else 3
     contracted = nodes[:position] + (replacement,) + nodes[position + removed :]
     # dividing by a unit is multiplying by it
-    return ((contracted, parity_sign(omega) * _leading_coefficient(replacement)),)
+    return contracted, parity_sign(omega) * _leading_coefficient(replacement)
 
 
 def homotopy_H(t: TreeMonomial) -> OperadElement:
@@ -193,17 +193,14 @@ def homotopy_H(t: TreeMonomial) -> OperadElement:
     >>> homotopy_H(parse_tree("R1(m2(R1(1), 2))"))
     R2(1, 2)
     """
-    return OperadElement.from_words(t.arity, _contraction(t.nodes))
+    pair = _contraction(t.nodes)
+    return OperadElement.from_words(t.arity, [pair] if pair else [])
 
 
 def apply_homotopy(e: OperadElement) -> OperadElement:
+    pairs = ((_contraction(tree.nodes), coeff) for tree, coeff in e.terms.items())
     return OperadElement.from_words(
-        e.arity,
-        (
-            (image, coeff * c)
-            for tree, coeff in e.terms.items()
-            for image, c in _contraction(tree.nodes)
-        ),
+        e.arity, ((pair[0], coeff * pair[1]) for pair, coeff in pairs if pair)
     )
 
 
@@ -238,8 +235,11 @@ def _monomial_words(max_arity: int, max_weight: int) -> Iterator[tuple[tuple, in
 
     Both bounds are required for finiteness: unary operator chains give
     infinitely many monomials of any fixed arity.  A child weighs less than
-    its parent, so only the cells below the top weight are kept, to graft
-    as children; the top-weight cells are streamed.
+    its parent, so only the cells below the top weight are kept, for one
+    call, to graft as children; the top-weight cells are streamed.  Each
+    prefix of k - 1 children is concatenated once, then extended by each
+    word of the last child's cell, with each generator in front: the
+    first child varies slowest, as in `itertools.product`.
     """
     alphabet = [gen("m", k) for k in range(2, max_arity + 1)]
     alphabet += [gen(f, k) for f in ("R", "S") for k in range(1, max_arity + 1)]
@@ -256,20 +256,24 @@ def _monomial_words(max_arity: int, max_weight: int) -> Iterator[tuple[tuple, in
         for k, gens_k in by_arity.items():
             if k > n:
                 continue
+            heads = [((g,), g.degree) for g in gens_k]
             for composition in compositions(n, k):
                 # the child weights, each one less than a part of w - 1 + k
                 for weights in compositions(w - 1 + k, k):
-                    child_pools = [
+                    *pools, last = [
                         kept(arity, weight - 1)
                         for arity, weight in zip(composition, weights)
                     ]
-                    if any(not pool for pool in child_pools):
+                    if not last or not all(pools):
                         continue
-                    for kids in itertools.product(*child_pools):
-                        word = tuple(itertools.chain.from_iterable(k[0] for k in kids))
-                        degree = sum(k[1] for k in kids)
-                        for g in gens_k:
-                            yield (g,) + word, g.degree + degree
+                    prefixes = [((), 0)]
+                    for pool in pools:
+                        prefixes = [(p + c, e + f) for p, e in prefixes for c, f in pool]
+                    for prefix, e in prefixes:
+                        for child, f in last:
+                            word, degree = prefix + child, e + f
+                            for head, g_degree in heads:
+                                yield head + word, g_degree + degree
 
     @lru_cache(maxsize=None)
     def kept(n: int, w: int) -> tuple[tuple[tuple, int], ...]:
@@ -294,12 +298,14 @@ def _homotopy_residual(nodes: tuple, images: Images) -> list[tuple[tuple, int]]:
     word; ``images`` lays out `diff_bar`."""
     residual = {nodes: -1}
     get = residual.get
-    for h, h_coeff in _contraction(nodes):
-        for word, coeff in derivation_terms(images, h, h_coeff):
+    pair = _contraction(nodes)
+    if pair:
+        for word, coeff in derivation_terms(images, *pair):
             residual[word] = get(word, 0) + coeff
     for word, coeff in derivation_terms(images, nodes, 1):
-        for image, c in _contraction(word):
-            residual[image] = get(image, 0) + coeff * c
+        pair = _contraction(word)
+        if pair:
+            residual[pair[0]] = get(pair[0], 0) + coeff * pair[1]
     return [(word, c) for word, c in residual.items() if c]
 
 

@@ -1,10 +1,12 @@
 """Tests for the controlling L-infinity algebra of a product with two operators."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import reduce
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -599,6 +601,48 @@ def test_twist_accepts_cochains_and_matches_piecewise_sum():
     for p in pieces:
         summed = summed + twisted_differential(alpha, p)
     assert direct == summed
+
+
+def _lagrange_basis(points):
+    """The coefficient lists, lowest power first, of the Lagrange basis
+    polynomials on ``points``."""
+    basis = []
+    for j in points:
+        poly = [Fraction(1)]
+        for m in points:
+            if m != j:
+                shifted = [Fraction(0)] + poly
+                poly = [(a - m * b) / (j - m) for a, b in zip(shifted, poly + [0])]
+        basis.append(poly)
+    return basis
+
+
+DENSE = Path(__file__).parent / "data" / "mc_dense_input.json"
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("seed", [1, 3, 4, 5])
+def test_twisted_differential_is_the_derivative_of_the_residual(seed, arity, tag):
+    # d_alpha x is the t-linear coefficient of mc_residual(alpha + t x), read
+    # off exactly by Lagrange interpolation at t = 0..7; the value at t = 8
+    # checks that the interpolating polynomial of degree 7 is the residual
+    alpha = CochainElement.from_json(json.loads(DENSE.read_text(encoding="utf-8")))
+    degree = -1 if tag == TAG_ALG else 0
+    x = random_piece(random.Random(seed), alpha.space, arity, tag=tag, degree=degree)
+    x = CochainElement(alpha.space, {x.tag: {x.arity: x.map}})
+    assert x.degree == -1
+    values = [mc_residual(alpha + t * x) for t in range(9)]
+    basis = _lagrange_basis(range(8))
+
+    def combine(weights):
+        return CochainElement.sum(alpha.space, [w * v for w, v in zip(weights, values)])
+
+    at_8 = [sum(c * 8**i for i, c in enumerate(poly)) for poly in basis]
+    assert combine(at_8) == values[8]
+    derivative = twisted_differential(alpha, x)
+    assert not derivative.is_zero()
+    assert combine([poly[1] for poly in basis]) == derivative
 
 
 def test_twisted_differential_degree_guard():

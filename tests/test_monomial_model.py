@@ -2,9 +2,13 @@
 
 `diff_bar_element` and `measure_h_squared` are tree-level oracles: the
 derivation extension of `diff_bar` to elements, and a count of the
-monomials on which H^2 does not vanish.
+monomials on which H^2 does not vanish.  `product_words` and
+`tuple_contraction` are the word-level oracles: the cell enumerator that
+builds every word from all its children through `itertools.product`, and
+the contraction as a 0- or 1-tuple of pairs.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsinfty import monomial_model
-from rbsinfty.minimal_model import Images, extend_derivation
+from rbsinfty.minimal_model import Images, derivation_terms, extend_derivation
 from rbsinfty.monomial_model import (
     apply_homotopy,
     check_homotopy,
@@ -23,6 +27,7 @@ from rbsinfty.monomial_model import (
     is_effective,
     is_normal_form,
 )
+from rbsinfty.signs import compositions, parity_sign
 from rbsinfty.trees import (
     OperadElement,
     as_element,
@@ -299,44 +304,183 @@ def test_enumerate_weight_one():
     assert texts == ["R1(1)", "R2(1, 2)", "S1(1)", "S2(1, 2)", "m2(1, 2)"]
 
 
+def product_words(max_arity, max_weight):
+    """Oracle for `_monomial_words`: each word of a cell is built from all
+    its children, through `itertools.product`, in the same order."""
+    alphabet = [gen("m", k) for k in range(2, max_arity + 1)]
+    alphabet += [gen(f, k) for f in ("R", "S") for k in range(1, max_arity + 1)]
+    by_arity = {}
+    for g in alphabet:
+        by_arity.setdefault(g.arity, []).append(g)
+    kept = {}
+
+    def cell(n, w):
+        if w == 0:
+            if n == 1:
+                yield (None,), 0
+            return
+        for k, gens_k in by_arity.items():
+            if k > n:
+                continue
+            for composition in compositions(n, k):
+                for weights in compositions(w - 1 + k, k):
+                    child_pools = [
+                        kept[arity, weight - 1]
+                        for arity, weight in zip(composition, weights)
+                    ]
+                    if any(not pool for pool in child_pools):
+                        continue
+                    for kids in itertools.product(*child_pools):
+                        word = tuple(itertools.chain.from_iterable(k[0] for k in kids))
+                        degree = sum(k[1] for k in kids)
+                        for g in gens_k:
+                            yield (g,) + word, g.degree + degree
+
+    for n in range(1, max_arity + 1):
+        for w in range(max_weight):
+            kept[n, w] = tuple(cell(n, w))
+    for n in range(1, max_arity + 1):
+        for w in range(1, max_weight + 1):
+            for word, degree in cell(n, w) if w == max_weight else kept[n, w]:
+                yield word, n, degree
+
+
+def tuple_contraction(nodes):
+    """Oracle for `_contraction`: () off effective monomials, else the 1-tuple
+    of the divisor contraction's ``(word, coeff)`` pair."""
+    found = monomial_model._effective(nodes)
+    if found is None:
+        return ()
+    position, _, kind, omega = found
+    replacement = monomial_model._raised(nodes[position])
+    removed = 2 if kind == "m" else 3
+    contracted = nodes[:position] + (replacement,) + nodes[position + removed :]
+    coeff = parity_sign(omega) * monomial_model._leading_coefficient(replacement)
+    return ((contracted, coeff),)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(1, 4), (2, 7), (3, 5), (4, 5), (3, 3), (2, 5), (4, 3)], ids=str
+)
+def test_word_enumerator_matches_the_product_oracle(bounds):
+    assert list(monomial_model._monomial_words(*bounds)) == list(product_words(*bounds))
+
+
+def test_contraction_matches_the_tuple_oracle():
+    images = Images(diff_bar)
+    words = [t.nodes for t in enumerate_monomials(3, 4)]
+    words += [
+        word for nodes in list(words) for word, _ in derivation_terms(images, nodes, 1)
+    ]
+    contracted = 0
+    for nodes in words:
+        expected = tuple_contraction(nodes)
+        assert monomial_model._contraction(nodes) == (expected[0] if expected else None)
+        contracted += bool(expected)
+    assert (len(words), contracted) == (2268 + 2971, 2082)
+
+
+def _load(word):
+    """The load of a word: the total arity of its R and S vertices."""
+    return sum(node.arity for node in word if node is not None and node.family != "m")
+
+
 def _series_cells(max_arity, max_weight):
     """The coefficients of y = x + w sum_{n>=2} u^(n-2) y^n
-    + 2 w sum_{n>=1} u^(n-1) y^n, x marking arity, w weight and u degree,
-    as a Counter keyed by (arity, weight, degree), truncated to the bounds."""
+    + 2 w sum_{n>=1} t^n u^(n-1) y^n, x marking arity, w weight, t load (the
+    total arity of the R and S vertices) and u degree, as a Counter keyed by
+    (arity, weight, load, degree), truncated to the bounds."""
 
     def times(p, q):
         out = Counter()
-        for (a1, w1, d1), c1 in p.items():
-            for (a2, w2, d2), c2 in q.items():
+        for (a1, w1, l1, d1), c1 in p.items():
+            for (a2, w2, l2, d2), c2 in q.items():
                 if a1 + a2 <= max_arity and w1 + w2 <= max_weight:
-                    out[a1 + a2, w1 + w2, d1 + d2] += c1 * c2
+                    out[a1 + a2, w1 + w2, l1 + l2, d1 + d2] += c1 * c2
         return out
 
-    x = Counter({(1, 0, 0): 1})
+    x = Counter({(1, 0, 0, 0): 1})
     y = x
     # each pass fixes the coefficients of one more weight
     for _ in range(max_weight + 1):
         nxt = Counter(x)
         power = y
         for n in range(1, max_arity + 1):
-            for (a, w, d), c in power.items():
+            for (a, w, load, d), c in power.items():
                 if w < max_weight:
                     if n >= 2:
-                        nxt[a, w + 1, d + n - 2] += c
-                    nxt[a, w + 1, d + n - 1] += 2 * c
+                        nxt[a, w + 1, load, d + n - 2] += c
+                    nxt[a, w + 1, load + n, d + n - 1] += 2 * c
             power = times(power, y)
         y = nxt
     return Counter({cell: c for cell, c in y.items() if cell[1] >= 1 and c})
 
 
-def test_word_enumerator_cells_match_the_generating_series():
+@pytest.fixture(scope="module")
+def words_4_5():
+    return list(monomial_model._monomial_words(4, 5))
+
+
+@pytest.fixture(scope="module")
+def series_4_5():
+    return _series_cells(4, 5)
+
+
+def test_word_enumerator_cells_match_the_generating_series(words_4_5, series_4_5):
     counted = Counter(
         (arity, sum(node is not None for node in word), degree)
-        for word, arity, degree in monomial_model._monomial_words(4, 5)
+        for word, arity, degree in words_4_5
     )
-    assert counted == _series_cells(4, 5)
+    by_weight = Counter()
+    for (arity, weight, _, degree), c in series_4_5.items():
+        by_weight[arity, weight, degree] += c
+    assert counted == by_weight
     assert len(counted) == 46
     assert sum(counted.values()) == 55_823
+
+
+# (arity, highest load): a tree of arity a and load L has at most a - 1 m
+# vertices and at most L operator vertices, so weight 5 reaches all of them
+LOAD_BOUNDS = {1: 3, 2: 3, 3: 3, 4: 2}
+
+
+def _by_load(series):
+    """The series cells within `LOAD_BOUNDS`, keyed by (arity, load, degree)."""
+    cells = Counter()
+    for (arity, _, load, degree), c in series.items():
+        if load <= LOAD_BOUNDS[arity]:
+            cells[arity, load, degree] += c
+    return cells
+
+
+def test_word_enumerator_cells_by_load_match_the_generating_series(words_4_5, series_4_5):
+    counted = Counter(
+        (arity, _load(word), degree)
+        for word, arity, degree in words_4_5
+        if _load(word) <= LOAD_BOUNDS[arity]
+    )
+    assert counted == _by_load(series_4_5)
+
+
+def test_normal_forms_count_the_euler_characteristic(series_4_5):
+    # the series at u = -1, by (arity, load), to arity 3 with load 3 and to
+    # arity 2 with load 4: weight a - 1 + L <= 5 reaches every such tree
+    chi = Counter()
+    for (arity, _, load, degree), c in series_4_5.items():
+        chi[arity, load] += (-1) ** degree * c
+    normal = Counter(
+        (t.arity, _load(t.nodes))
+        for t in enumerate_monomials(3, 5)
+        if t.degree == 0 and is_normal_form(t)
+    )
+    table = {
+        2: [1, 6, 22, 68, 192],
+        3: [1, 12, 72, 322],
+    }
+    for arity, row in table.items():
+        cells = [(arity, load) for load in range(len(row))]
+        assert [normal[cell] for cell in cells] == row
+        assert [chi[cell] for cell in cells] == row
 
 
 def test_enumerate_monomials_wraps_the_word_enumerator():

@@ -41,6 +41,8 @@ EXTRA = (
     ["verify", "d-squared", "--presentation", "mrs", "--max-arity", "7"],
     ["verify", "d-squared", "--presentation", "xyz", "--max-arity", "7"],
     ["verify", "homotopy", "--max-arity", "4", "--max-weight", "5"],
+    ["verify", "homotopy", "--max-arity", "2", "--max-weight", "7"],
+    ["verify", "homotopy", "--max-arity", "3", "--max-weight", "5"],
 )
 
 # help and refused lines, which the command table leaves to argparse, and a
