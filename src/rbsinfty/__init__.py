@@ -1,7 +1,8 @@
 """Exact symbolic operad calculus for Rota-Baxter systems.
 
-Everything is computed over exact rational arithmetic (``fractions.Fraction``);
-no floating point is used anywhere in the library.
+Everything is exact: maps and tensors hold integer rows over one denominator
+(:mod:`rbsinfty.graded`), the operad side plain ints; no floating point is
+used anywhere in the library.
 
 The package exposes:
 

@@ -118,8 +118,8 @@ def _schema(data: dict, fields: tuple[str, ...]) -> dict:
 
 def _report(residual: MultiMap | TensorElem) -> dict:
     """Entry count, first serialized entries and verdict of a residual; the
-    entries are counted in its table, and only those printed are serialized."""
-    count = len(residual.table)
+    entries are counted in its rows, and only those printed are serialized."""
+    count = len(residual.rows)
     return {
         "nonzero_entries": count,
         "witnesses": residual._entries(_WITNESS_CAP),

@@ -5,6 +5,14 @@ graded spaces: sparse multilinear maps with Koszul-signed composition,
 tensors over a based graded algebra (componentwise products with interchange
 signs, unit insertions into prescribed slots), and matrix algebras End(V)
 with their canonical basis e_p^q.
+
+Maps, tensors and a based algebra's product and unit store one exact form:
+a positive ``denominator`` and integer ``rows`` over it, in lowest terms
+(the least denominator that makes every entry an integer) with cancelled
+entries dropped, reduced once when built and never changed after.  The
+format belongs to this module.  A `Fraction` is made only where a
+coefficient is read (`_frac`) and by the value readers `evaluate` and
+`items`; a report writes its entries from the integers (`_text`).
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -50,6 +58,23 @@ def _frac(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as ``(numerator, denominator)``: an int over 1, anything
+    else read by `_frac` (a `Fraction` as it is)."""
+    if value.__class__ is int:
+        return value, 1
+    value = _frac(value)
+    return value.numerator, value.denominator
+
+
+def _text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))``, without the `Fraction`."""
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
 
 
 class GradedSpace:
@@ -132,16 +157,19 @@ class _IntegerTable:
     outputs' numerators times ``factor``.  `add` takes the rows of one
     stream over that stream's denominator; a denominator that does not
     divide the table's rescales what is stored once, to their least common
-    multiple.  A `MultiMap` built from the table takes its rows over as its
-    integer form and makes one `Fraction` per entry that does not cancel;
-    `part` reads the table as a part of `_signed_rows` without one.
+    multiple.  The table is built from signed streams ``(sign, (denominator,
+    rows))``, or empty; a `MultiMap` is built from its ``rows`` and
+    ``denominator``, and `part` reads it as a part of `_signed_rows` without
+    one.
     """
 
     __slots__ = ("rows", "denominator")
 
-    def __init__(self):
+    def __init__(self, terms: Iterable[tuple] = ()):
         self.rows: dict[tuple, dict[str, int]] = {}
         self.denominator = 1
+        for sign, (denominator, rows) in terms:
+            self.add(denominator, rows, sign)
 
     def add(self, denominator: int, rows: Iterable[tuple], numerator: int = 1) -> None:
         """Sum ``rows`` times ``numerator``, their values over ``denominator``,
@@ -192,25 +220,42 @@ def _output_index(
     return index
 
 
+def _flat_sum(terms: Iterable[tuple]) -> tuple[int, dict]:
+    """The signed ``(sign, (denominator, {key: numerator}))`` terms summed in
+    one table over their least common denominator: ``(denominator, {key:
+    numerator})``, the tensor counterpart of `_IntegerTable`."""
+    terms = list(terms)
+    common, table = lcm(*(denominator for _, (denominator, _) in terms)), {}
+    get = table.get
+    for sign, (denominator, rows) in terms:
+        k = sign * (common // denominator)
+        for key, n in rows.items():
+            table[key] = get(key, 0) + k * n
+    return common, table
+
+
+def _lowest(denominator: int, numerators: Iterable[int]) -> int:
+    """What integer rows over ``denominator`` are divided by to be in lowest
+    terms: the gcd of the denominator and every numerator."""
+    return gcd(denominator, *numerators) if denominator != 1 else 1
+
+
 class MultiMap:
     """A homogeneous multilinear map, stored sparsely over basis tuples.
 
-    `table` maps input basis-name tuples to output coefficient dicts; every
-    stored entry satisfies deg(out) = sum(deg(inputs)) + degree.
-
-    The constructor is the one place where coefficients are combined: it
-    takes a mapping or an iterable of ``(inputs, outputs)`` pairs in which an
-    input tuple may repeat, sums the outputs of a repeated tuple, drops the
-    coefficients that cancel and validates what is left.  It also takes an
-    `_IntegerTable`, already summed, whose surviving entries it normalises
-    and validates.  A map is not changed once built: the integer forms that
-    the composition kernel reads (`_numerators`, `_by_output`) are made on
-    first use and kept.
+    Its one form is ``denominator`` and ``rows``, ``{inputs: {output:
+    numerator}}``, every stored entry nonzero with deg(out) =
+    sum(deg(inputs)) + degree.  The constructor takes either a table of
+    rationals, a mapping or an iterable of ``(inputs, outputs)`` pairs in
+    which an input tuple may repeat, whose coefficients it reads (`_ratio`),
+    sums and validates; or integer rows over a given ``denominator``, the
+    sum of a kernel (an `_IntegerTable`), taken as homogeneous.  Either way
+    the rows are reduced once (`_lowest`) and cancelled entries dropped.  A
+    map is not changed once built: the index by output that `_signed_rows`
+    reads (`_by_output`) is derived from the rows on first use and kept.
     """
 
-    __slots__ = (
-        "space_in", "space_out", "arity", "degree", "table", "_integers", "_index"
-    )
+    __slots__ = ("space_in", "space_out", "arity", "degree", "denominator", "rows", "_index")
 
     def __init__(
         self,
@@ -218,9 +263,8 @@ class MultiMap:
         space_out: GradedSpace,
         arity: int,
         degree: int,
-        table: Union[
-            Mapping[tuple, Mapping[str, Rational]], Iterable[tuple], _IntegerTable, None
-        ] = None,
+        table: Union[Mapping[tuple, Mapping[str, Rational]], Iterable[tuple], None] = None,
+        denominator: Optional[int] = None,
     ):
         if arity < 1:
             raise ValueError(f"arity must be >= 1, got {arity}")
@@ -229,89 +273,51 @@ class MultiMap:
         self.arity = arity
         self.degree = degree
         self._index = None
-        if isinstance(table, _IntegerTable):
-            # the table's numerators are the integer form (a cancelled entry
-            # stays as a zero there, which composes to zero)
-            merged, q = table.rows, table.denominator
-            self._integers = (q, merged)
-        else:
-            self._integers = q = None
-            if hasattr(table, "items"):
-                table = table.items()
-            merged = {}
-            for ins, outs in table or ():
-                ins = tuple(ins)
-                row = merged.get(ins)
-                if row is None:
-                    row = merged[ins] = {}
-                for out, coeff in outs.items():
-                    if coeff.__class__ is not Fraction:
-                        coeff = _frac(coeff)
-                    row[out] = row[out] + coeff if out in row else coeff
+        parsed = denominator is None
+        if parsed:
+            denominator, table = _read_table(table.items() if hasattr(table, "items") else table)
         # degrees read from the spaces' tables, once per input tuple
         degrees_in, degrees_out = space_in._degrees, space_out._degrees
-        clean: dict[tuple[str, ...], dict[str, Fraction]] = {}
-        for ins, row in merged.items():
-            if len(ins) != arity:
-                raise ValueError(f"input tuple {ins} does not match arity {arity}")
-            try:
-                out_degree = sum(map(degrees_in.__getitem__, ins)) + degree
-            except KeyError as unknown:
-                raise ValueError(f"unknown basis name {unknown.args[0]!r}") from None
-            # drop what cancels; normalise an integer table, one Fraction per entry
-            if q is None:
-                row = {out: coeff for out, coeff in row.items() if coeff}
-            elif q == 1:
-                row = {out: Fraction(n) for out, n in row.items() if n}
-            else:
-                row = {out: Fraction(n, q) for out, n in row.items() if n}
-            for out in row:
-                if degrees_out.get(out) != out_degree:
-                    space_out.degree(out)  # an unknown name is refused as such
-                    raise ValueError(
-                        f"entry {ins} -> {out} violates homogeneity of degree {degree}"
-                    )
+        rows: dict[tuple[str, ...], dict[str, int]] = {}
+        for ins, row in table.items():
+            row = {out: n for out, n in row.items() if n}
+            if parsed:
+                if len(ins) != arity:
+                    raise ValueError(f"input tuple {ins} does not match arity {arity}")
+                try:
+                    out_degree = sum(map(degrees_in.__getitem__, ins)) + degree
+                except KeyError as unknown:
+                    raise ValueError(f"unknown basis name {unknown.args[0]!r}") from None
+                for out in row:
+                    if degrees_out.get(out) != out_degree:
+                        space_out.degree(out)  # an unknown name is refused as such
+                        raise ValueError(
+                            f"entry {ins} -> {out} violates homogeneity of degree {degree}"
+                        )
             if row:
-                clean[ins] = row
-        self.table = clean
-
-    def _numerators(self) -> tuple[int, dict]:
-        """``(denominator, {inputs: {output: numerator}})``: the table as
-        integers over a common denominator, made once (the least one unless
-        the map was built from an `_IntegerTable`, whose rows it keeps)."""
-        if self._integers is None:
-            table = self.table
-            q = lcm(*{c.denominator for row in table.values() for c in row.values()})
-            if q == 1:
-                rows = {
-                    ins: {out: c.numerator for out, c in row.items()}
-                    for ins, row in table.items()
-                }
-            else:
-                rows = {
-                    ins: {out: q // c.denominator * c.numerator for out, c in row.items()}
-                    for ins, row in table.items()
-                }
-            self._integers = (q, rows)
-        return self._integers
+                rows[ins] = row
+        g = _lowest(denominator, (n for row in rows.values() for n in row.values()))
+        if g != 1:
+            rows = {ins: {out: n // g for out, n in row.items()} for ins, row in rows.items()}
+        self.denominator = denominator // g
+        self.rows = rows
 
     def _by_output(self) -> tuple[int, int, dict]:
         """``(degree, denominator, index)``: the map as `_signed_rows` reads
-        a part, its integer table indexed by `_output_index`, made once."""
+        a part, its rows indexed by `_output_index`, made once."""
         if self._index is None:
-            q, rows = self._numerators()
-            self._index = (self.degree, q, _output_index(rows, self.space_in))
+            self._index = (self.degree, self.denominator, _output_index(self.rows, self.space_in))
         return self._index
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, space_in, space_out, arity, degree) -> "MultiMap":
-        return cls(space_in, space_out, arity, degree, {})
+        return cls(space_in, space_out, arity, degree, {}, 1)
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "MultiMap":
-        return cls(space, space, 1, 0, {(n,): {n: Fraction(1)} for n in space})
+        return cls(space, space, 1, 0, {(n,): {n: 1} for n in space}, 1)
 
     @classmethod
     def sum(
@@ -330,8 +336,9 @@ class MultiMap:
         cls, space_in, space_out, arity, degree, terms: Iterable[tuple]
     ) -> "MultiMap":
         """The linear combination of ``(scalar, map)`` terms of one shape: the
-        maps' integer forms, each scaled, summed in one `_IntegerTable`.  The
-        degree is chosen as in `sum`; a scalar is an int or a `Fraction`."""
+        maps' rows, each scaled, summed in one `_IntegerTable`.  The degree
+        is chosen as in `sum`, and a nonzero term of another degree is
+        refused; a scalar is an int or a `Fraction`."""
         table = _IntegerTable()
         for scalar, m in terms:
             if (
@@ -340,25 +347,29 @@ class MultiMap:
                 or m.space_out is not space_out and m.space_out != space_out
             ):
                 raise ValueError("maps live on different spaces or arities")
-            if m.table:
+            if m.rows and scalar:
                 if not table.rows:  # the first nonzero term sets the degree
                     degree = m.degree
-                q, rows = m._numerators()
+                elif m.degree != degree:
+                    raise ValueError(f"maps of degrees {degree} and {m.degree} in one sum")
                 n = scalar.numerator
-                table.add(q * scalar.denominator, ((ins, n, r) for ins, r in rows.items()))
-        return cls(space_in, space_out, arity, degree, table)
+                rows = ((ins, n, r) for ins, r in m.rows.items())
+                table.add(m.denominator * scalar.denominator, rows)
+        return cls(space_in, space_out, arity, degree, table.rows, table.denominator)
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.table
+        return not self.rows
 
     def evaluate(self, ins: Sequence[str]) -> dict[str, Fraction]:
-        return dict(self.table.get(tuple(ins), {}))
+        q = self.denominator
+        return {out: Fraction(n, q) for out, n in self.rows.get(tuple(ins), {}).items()}
 
     def items(self):
-        for ins in sorted(self.table):
-            yield ins, dict(sorted(self.table[ins].items()))
+        """``(inputs, {output: Fraction})``, sorted."""
+        for ins in sorted(self.rows):
+            yield ins, self.evaluate(ins)
 
     # -- linear structure ---------------------------------------------------
 
@@ -388,27 +399,28 @@ class MultiMap:
     def __eq__(self, other):
         if not isinstance(other, MultiMap):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return (
-                self.space_in == other.space_in
-                and self.space_out == other.space_out
-                and self.arity == other.arity
-            )
+        if (
+            self.space_in != other.space_in
+            or self.space_out != other.space_out
+            or self.arity != other.arity
+        ):
+            return False
+        if not self.rows and not other.rows:
+            return True
         return (
-            self.space_in == other.space_in
-            and self.space_out == other.space_out
-            and self.arity == other.arity
-            and self.degree == other.degree
-            and self.table == other.table
+            self.degree == other.degree
+            and self.denominator == other.denominator
+            and self.rows == other.rows
         )
 
     def __repr__(self):
         if self.is_zero():
             return f"MultiMap(0; arity={self.arity}, degree={self.degree})"
-        bits = []
-        for ins, outs in self.items():
-            for out, coeff in outs.items():
-                bits.append(f"({', '.join(ins)}) -> {coeff}*{out}")
+        bits = [
+            f"({', '.join(entry['in'])}) -> {coeff}*{out}"
+            for entry in self._entries()
+            for out, coeff in entry["out"].items()
+        ]
         return f"MultiMap[{'; '.join(bits)}]"
 
     # -- serialization ------------------------------------------------------
@@ -417,11 +429,12 @@ class MultiMap:
         return {"arity": self.arity, "degree": self.degree, "entries": self._entries()}
 
     def _entries(self, limit: Optional[int] = None) -> list[dict]:
-        """The serialized entries of `to_json`, only the first ``limit``
-        when it is given."""
+        """The serialized entries of `to_json`, in sorted order, only the
+        first ``limit`` when it is given."""
+        q, rows = self.denominator, self.rows
         return [
-            {"in": list(ins), "out": {o: str(c) for o, c in outs.items()}}
-            for ins, outs in itertools.islice(self.items(), limit)
+            {"in": list(ins), "out": {o: _text(n, q) for o, n in sorted(rows[ins].items())}}
+            for ins in itertools.islice(sorted(rows), limit)
         ]
 
     @classmethod
@@ -437,6 +450,26 @@ class MultiMap:
         arity = _json_int(data.get("arity"), f"{field}.arity")
         degree = _json_int(data.get("degree"), f"{field}.degree")
         return cls(space_in, space_out, arity, degree, table)
+
+
+def _read_table(table: Optional[Iterable[tuple]]) -> tuple[int, dict]:
+    """``(denominator, {inputs: {output: numerator}})``: the ``(inputs,
+    outputs)`` pairs of a table of rationals, each coefficient read by
+    `_ratio`, summed over their least common denominator, a repeated input
+    tuple added; every input tuple given appears, if only with an empty row."""
+    read = [
+        (tuple(ins), [(out, *_ratio(coeff)) for out, coeff in outs.items()])
+        for ins, outs in table or ()
+    ]
+    common, rows = lcm(*{q for _, row in read for *_, q in row}), {}
+    for ins, row in read:
+        merged = rows.get(ins)
+        if merged is None:
+            merged = rows[ins] = {}
+        for out, n, q in row:
+            n *= common // q
+            merged[out] = merged[out] + n if out in merged else n
+    return common, rows
 
 
 # what a reader passes for a top-level field its JSON object lacks
@@ -584,17 +617,17 @@ def _signed_rows(
     `MultiMap._by_output` gives for a map: its degree, and the denominator
     and `_output_index` of its summed `_IntegerTable`.
 
-    Every map is read as integers over a common denominator of its own
-    (`MultiMap._numerators`), and each part is indexed once by output name
-    (`MultiMap._by_output`).  The scale, the Koszul signs and all these
-    denominators fold into the factors: a host entry grows its input tuples
-    slot by slot from the options of its targets, carrying one integer and
-    the degree of the inputs so far, and a part of odd degree flips the sign
-    past inputs of odd total degree.
+    Every map is read in its one form, integer rows over its denominator,
+    and each part is indexed once by output name (`MultiMap._by_output`).
+    The scale, the Koszul signs and all these denominators fold into the
+    factors: a host entry grows its input tuples slot by slot from the
+    options of its targets, carrying one integer and the degree of the
+    inputs so far, and a part of odd degree flips the sign past inputs of
+    odd total degree.
     """
-    if not f.table:
+    if not f.rows:
         return 1, iter(())
-    f_denominator, f_rows = f._numerators()
+    f_denominator, f_rows = f.denominator, f.rows
     plans, common = [], 1
     for parts in layouts:
         q = f_denominator * denominator
@@ -651,17 +684,15 @@ def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap
 
     Evaluation carries the Koszul sign of each part crossing all inputs
     feeding the slots to its left.  The integer rows of `_signed_rows` are
-    summed in one `_IntegerTable`, which the `MultiMap` normalises once per
-    entry.
+    summed in one `_IntegerTable`, the rows of the map.
     """
     if len(parts) != f.arity:
         raise ValueError(f"need {f.arity} parts, got {len(parts)}")
     space_in = _input_space(f, parts)
     arity = sum(1 if part is None else part.arity for part in parts)
     degree = f.degree + sum(0 if part is None else part.degree for part in parts)
-    table = _IntegerTable()
-    table.add(*_signed_rows(f, [parts], space_in))
-    return MultiMap(space_in, f.space_out, arity, degree, table)
+    table = _IntegerTable([(1, _signed_rows(f, [parts], space_in))])
+    return MultiMap(space_in, f.space_out, arity, degree, table.rows, table.denominator)
 
 
 def insert(f: MultiMap, position: int, g: MultiMap) -> MultiMap:
@@ -681,9 +712,10 @@ def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
     space_in = _input_space(f, list(args) + [None] * (f.arity - len(args)))
     arity = f.arity - len(args) + sum(a.arity for a in args)
     degree = f.degree + sum(a.degree for a in args)
-    table = _IntegerTable()
-    table.add(*_signed_rows(f, _slot_choices(f, args), space_in))
-    return MultiMap(space_in, f.space_out, max(arity, 1), degree, table)
+    table = _IntegerTable([(1, _signed_rows(f, _slot_choices(f, args), space_in))])
+    return MultiMap(
+        space_in, f.space_out, max(arity, 1), degree, table.rows, table.denominator
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +724,19 @@ def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
 
 
 class BasedAlgebra:
-    """A unital graded algebra with explicit basis and structure constants
-    (a table of a `MultiMap`, or an `_IntegerTable`), and the integer index
-    of them that `F_map` walks (`_integer_index`)."""
+    """A unital graded algebra with explicit basis and structure constants:
+    the product is one arity-2, degree-0 `MultiMap` (`product_map`), given
+    as a table of rationals or as the map, and the unit an order-1
+    `TensorElem`, given as a table of rationals.  The
+    index of the product's rows that `F_map` walks (`_integer_index`) and
+    the unit cube are derived from them on first use."""
 
-    __slots__ = ("space", "products", "unit", "_product", "_index", "_cube")
+    __slots__ = ("space", "unit", "_product", "_index", "_cube")
 
     def __init__(
         self,
         space: GradedSpace,
-        products: Union[Mapping[tuple[str, str], Mapping[str, Rational]], _IntegerTable],
+        products: Union[Mapping[tuple[str, str], Mapping[str, Rational]], MultiMap],
         unit: Mapping[str, Rational],
     ):
         for name in unit:
@@ -711,85 +746,59 @@ class BasedAlgebra:
             if degree != 0:
                 raise ValueError(f"unit entry {name!r} has degree {degree}, expected 0")
         self.space = space
-        self._product = MultiMap(space, space, 2, 0, products)
-        self.products = self._product.table
-        self.unit = {n: _frac(c) for n, c in unit.items() if _frac(c) != 0}
+        if not isinstance(products, MultiMap):
+            products = MultiMap(space, space, 2, 0, products)
+        self._product = products
+        self.unit = TensorElem(self, 1, (((name,), c) for name, c in unit.items()))
         self._index = self._cube = None
 
     def _integer_index(self) -> tuple[int, dict, dict]:
-        """``(q, products, right)``: the structure constants as numerators
-        over one denominator q, ``products[a, b] = {a·b: numerator}``, and
-        ``right[a]``, the pairs ``(b, products[a, b])`` with a·b ≠ 0; made
-        on first use and kept."""
+        """``(q, products, right)``: the product's rows over its denominator
+        q, ``products[a, b] = {a·b: numerator}``, and ``right[a]``, the pairs
+        ``(b, products[a, b])`` with a·b ≠ 0; made on first use and kept."""
         if self._index is None:
-            q, rows = self._product._numerators()
+            product = self._product
             right: dict[str, list] = {}
-            for (a, b), row in rows.items():
+            for (a, b), row in product.rows.items():
                 right.setdefault(a, []).append((b, row))
-            self._index = (q, rows, right)
+            self._index = (product.denominator, product.rows, right)
         return self._index
 
-    def _unit_numerators(self) -> tuple[int, list]:
-        """``(q, [(name, numerator)])``: the unit over one denominator q."""
-        q = lcm(*(c.denominator for c in self.unit.values()))
-        return q, [(u, q // c.denominator * c.numerator) for u, c in self.unit.items()]
-
     def _unit_cube(self) -> "TensorElem":
-        """1 ⊗ 1 ⊗ 1, the image of m_2 in the tensor operad
-        (`rbsinfty.yang_baxter`): made once, on integers over the cube of
-        the unit's denominator."""
+        """1 (x) 1 (x) 1, the image of m_2 in the tensor operad
+        (`rbsinfty.yang_baxter`), made once."""
         if self._cube is None:
-            q, unit = self._unit_numerators()
-            rows = {(a, b, c): x * y * z for a, x in unit for b, y in unit for c, z in unit}
-            self._cube = TensorElem._from_integers(self, 3, q**3, rows)
+            self._cube = raise_indices(self.unit, (1,), 3)
         return self._cube
 
-    def multiply_basis(self, a: str, b: str) -> dict[str, Fraction]:
-        return dict(self.products.get((a, b), {}))
-
-    def multiply(
-        self, x: Mapping[str, Fraction], y: Mapping[str, Fraction]
-    ) -> dict[str, Fraction]:
-        product = TensorElem(
-            self,
-            1,
-            (
-                ((c,), ca * cb * v)
-                for a, ca in x.items()
-                for b, cb in y.items()
-                for c, v in self.products.get((a, b), {}).items()
-            ),
-        )
-        return {c: coeff for (c,), coeff in product.table.items()}
-
     def is_associative(self) -> bool:
-        for a, b, c in itertools.product(self.space.names, repeat=3):
-            left = self.multiply(self.multiply_basis(a, b), {c: Fraction(1)})
-            right = self.multiply({a: Fraction(1)}, self.multiply_basis(b, c))
-            if left != right:
-                return False
-        return True
+        m = self._product
+        return compose_tensor(m, [m, None]) == compose_tensor(m, [None, m])
 
     def is_unital(self) -> bool:
         for a in self.space.names:
-            one_a = self.multiply(self.unit, {a: Fraction(1)})
-            a_one = self.multiply({a: Fraction(1)}, self.unit)
-            if one_a != {a: Fraction(1)} or a_one != {a: Fraction(1)}:
+            x = TensorElem(self, 1, {(a,): 1})
+            if tensor_product_multiply(self.unit, x) != x:
+                return False
+            if tensor_product_multiply(x, self.unit) != x:
                 return False
         return True
 
     def product_map(self) -> MultiMap:
-        """The multiplication as an arity-2, degree-0 MultiMap: the one map,
-        validated once, whose table is ``products``."""
+        """The multiplication as an arity-2, degree-0 MultiMap, validated
+        once."""
         return self._product
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, BasedAlgebra):
             return NotImplemented
         return (
             self.space == other.space
-            and self.products == other.products
-            and self.unit == other.unit
+            and self._product == other._product
+            and self.unit.denominator == other.unit.denominator
+            and self.unit.rows == other.unit.rows
         )
 
     def __repr__(self):
@@ -808,11 +817,11 @@ class MatrixAlgebra(BasedAlgebra):
         e = [[self.unit_name(p + 1, q + 1) for q in dims] for p in dims]
         space = GradedSpace((e[p][q], degrees[p] - degrees[q]) for p in dims for q in dims)
         # e_i^j e_j^l = e_i^l, every structure constant 1
-        products = _IntegerTable()
-        products.rows = {
+        products = {
             (e[i][j], e[j][l]): {e[i][l]: 1} for i, j, l in itertools.product(dims, repeat=3)
         }
-        super().__init__(space, products, {e[p][p]: 1 for p in dims})
+        product = MultiMap(space, space, 2, 0, products, 1)
+        super().__init__(space, product, {e[p][p]: 1 for p in dims})
 
     @staticmethod
     def unit_name(p: int, q: int) -> str:
@@ -827,67 +836,52 @@ class MatrixAlgebra(BasedAlgebra):
 class TensorElem:
     """A sparse element of A^(⊗ order) over a based algebra A.
 
-    The constructor is the one place where coefficients are combined: it
-    takes a mapping or an iterable of ``(factors, coefficient)`` pairs in
-    which a factor tuple may repeat, sums repeated tuples, drops those that
-    cancel and checks each tuple's length and basis names.  `_from_integers`
-    builds a tensor from integer rows already summed.  The integer form that
-    the tensor operad reads (`_numerators`) is made on first use and kept.
+    Its one form is ``denominator`` and ``rows``, ``{factors: numerator}``,
+    every entry nonzero.  The constructor takes either a table of
+    rationals, a mapping or an iterable of ``(factors, coefficient)`` pairs
+    in which a factor tuple may repeat, whose coefficients it reads
+    (`_ratio`) and sums, checking each tuple's length and basis names; or
+    integer rows over a given ``denominator``, a kernel's sum.  Either way
+    the rows are reduced once (`_lowest`) and cancelled entries dropped; a
+    tensor is not changed once built.
     """
 
-    __slots__ = ("algebra", "order", "table", "_integers")
+    __slots__ = ("algebra", "order", "denominator", "rows")
 
     def __init__(
         self,
         algebra: BasedAlgebra,
         order: int,
         table: Union[Mapping[tuple, Rational], Iterable[tuple], None] = None,
+        denominator: Optional[int] = None,
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         self.algebra = algebra
         self.order = order
-        if hasattr(table, "items"):
-            table = table.items()
-        merged: dict[tuple[str, ...], Fraction] = {}
-        for factors, coeff in table or ():
-            factors = tuple(factors)
-            coeff = _frac(coeff)
-            merged[factors] = merged[factors] + coeff if factors in merged else coeff
-        for factors in merged:
-            if len(factors) != order:
-                raise ValueError(f"factor tuple {factors} does not match order {order}")
-            for name in factors:
-                algebra.space.degree(name)
-        self.table = {factors: c for factors, c in merged.items() if c}
-        self._integers = None
-
-    @classmethod
-    def _from_integers(
-        cls, algebra: "BasedAlgebra", order: int, denominator: int, rows: dict
-    ) -> "TensorElem":
-        """The tensor ``{factors: numerator / denominator}`` of integer rows
-        summed elsewhere, one `Fraction` per entry that does not cancel; the
-        rows are kept as its integer form."""
-        t = cls(algebra, order, {f: Fraction(n, denominator) for f, n in rows.items() if n})
-        t._integers = (denominator, rows)
-        return t
-
-    def _numerators(self) -> tuple[int, dict]:
-        """``(q, {factors: numerator})``: the coefficients as integers over a
-        common denominator q, made once (the lcm of their denominators
-        unless the tensor was built by `_from_integers`, whose rows it keeps)."""
-        if self._integers is None:
-            table = self.table
-            q = lcm(*(c.denominator for c in table.values()))
-            self._integers = (
-                q, {factors: q // c.denominator * c.numerator for factors, c in table.items()}
-            )
-        return self._integers
+        if denominator is None:
+            if hasattr(table, "items"):
+                table = table.items()
+            read = [(tuple(factors), *_ratio(coeff)) for factors, coeff in table or ()]
+            denominator, table = lcm(*{q for *_, q in read}), {}
+            for factors, n, q in read:
+                n *= denominator // q
+                table[factors] = table[factors] + n if factors in table else n
+            for factors in table:
+                if len(factors) != order:
+                    raise ValueError(f"factor tuple {factors} does not match order {order}")
+                for name in factors:
+                    algebra.space.degree(name)
+        rows = {factors: n for factors, n in table.items() if n}
+        g = _lowest(denominator, rows.values())
+        if g != 1:
+            rows = {factors: n // g for factors, n in rows.items()}
+        self.denominator = denominator // g
+        self.rows = rows
 
     @classmethod
     def zero(cls, algebra, order) -> "TensorElem":
-        return cls(algebra, order, {})
+        return cls(algebra, order, {}, 1)
 
     @classmethod
     def sum(cls, algebra, order, tensors: Iterable["TensorElem"]) -> "TensorElem":
@@ -895,16 +889,17 @@ class TensorElem:
         tensors = list(tensors)
         if any(t.algebra != algebra or t.order != order for t in tensors):
             raise ValueError("tensor mismatch in algebra or order")
-        return cls(algebra, order, (term for t in tensors for term in t.table.items()))
+        q, rows = _flat_sum((1, (t.denominator, t.rows)) for t in tensors)
+        return cls(algebra, order, rows, q)
 
     def is_zero(self) -> bool:
-        return not self.table
+        return not self.rows
 
     def entry_degree(self, factors: tuple[str, ...]) -> int:
         return sum(self.algebra.space.degree(name) for name in factors)
 
     def homogeneous_degree(self) -> Optional[int]:
-        degrees = {self.entry_degree(f) for f in self.table}
+        degrees = {self.entry_degree(f) for f in self.rows}
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -912,8 +907,10 @@ class TensorElem:
         return degrees.pop()
 
     def items(self):
-        for factors in sorted(self.table):
-            yield factors, self.table[factors]
+        """``(factors, Fraction)``, sorted."""
+        q = self.denominator
+        for factors in sorted(self.rows):
+            yield factors, Fraction(self.rows[factors], q)
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
         return TensorElem.sum(self.algebra, self.order, (self, other))
@@ -925,12 +922,9 @@ class TensorElem:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "TensorElem":
-        scalar = _frac(scalar)
-        return TensorElem(
-            self.algebra,
-            self.order,
-            {f: scalar * c for f, c in self.table.items()},
-        )
+        n, d = _ratio(scalar)
+        rows = {factors: n * c for factors, c in self.rows.items()}
+        return TensorElem(self.algebra, self.order, rows, self.denominator * d)
 
     __mul__ = __rmul__
 
@@ -940,24 +934,26 @@ class TensorElem:
         return (
             self.algebra == other.algebra
             and self.order == other.order
-            and self.table == other.table
+            and self.denominator == other.denominator
+            and self.rows == other.rows
         )
 
     def __repr__(self):
         if self.is_zero():
             return f"TensorElem(0; order={self.order})"
-        bits = [f"{c}*{'(x)'.join(f)}" for f, c in self.items()]
+        bits = [f"{e['coeff']}*{'(x)'.join(e['factors'])}" for e in self._entries()]
         return f"TensorElem[{' + '.join(bits)}]"
 
     def to_json(self) -> dict:
         return {"order": self.order, "entries": self._entries()}
 
     def _entries(self, limit: Optional[int] = None) -> list[dict]:
-        """The serialized entries of `to_json`, only the first ``limit``
-        when it is given."""
+        """The serialized entries of `to_json`, in sorted order, only the
+        first ``limit`` when it is given."""
+        q, rows = self.denominator, self.rows
         return [
-            {"factors": list(f), "coeff": str(c)}
-            for f, c in itertools.islice(self.items(), limit)
+            {"factors": list(f), "coeff": _text(rows[f], q)}
+            for f in itertools.islice(sorted(rows), limit)
         ]
 
     @classmethod
@@ -972,31 +968,33 @@ class TensorElem:
 
 
 def tensor_product_multiply(a: TensorElem, b: TensorElem) -> TensorElem:
-    """Componentwise product in A^(⊗n) with Koszul interchange signs."""
+    """Componentwise product in A^(⊗n) with Koszul interchange signs, on the
+    rows of a and b and of the structure constants (`_integer_index`)."""
     if a.algebra != b.algebra or a.order != b.order:
         raise ValueError("tensor mismatch in algebra or order")
-    algebra = a.algebra
-    space = algebra.space
-    terms = []
-    for xf, xc in a.table.items():
-        for yf, yc in b.table.items():
+    algebra, order = a.algebra, a.order
+    q, products, _ = algebra._integer_index()
+    degrees = algebra.space._degrees
+    rows: dict[tuple, int] = {}
+    for xf, xn in a.rows.items():
+        for yf, yn in b.rows.items():
+            slot_products = [products.get(pair) for pair in zip(xf, yf)]
+            if not all(slot_products):
+                continue
             # each y-factor moves left past the x-factors strictly to its right
             exp = sum(
-                space.degree(yf[j]) * space.degree(xf[k])
-                for j in range(a.order)
-                for k in range(j + 1, a.order)
+                degrees[yf[j]] * degrees[xf[k]]
+                for j in range(order)
+                for k in range(j + 1, order)
             )
-            coeff = -xc * yc if exp % 2 else xc * yc
-            slot_products = [algebra.multiply_basis(x, y) for x, y in zip(xf, yf)]
-            if any(not p for p in slot_products):
-                continue
+            coeff = -xn * yn if exp % 2 else xn * yn
             for combo in itertools.product(*(p.items() for p in slot_products)):
                 names = tuple(name for name, _ in combo)
                 value = coeff
                 for _, v in combo:
                     value *= v
-                terms.append((names, value))
-    return TensorElem(algebra, a.order, terms)
+                rows[names] = rows.get(names, 0) + value
+    return TensorElem(algebra, order, rows, a.denominator * b.denominator * q**order)
 
 
 def raise_indices(t: TensorElem, slots: Sequence[int], order: int) -> TensorElem:
@@ -1008,17 +1006,19 @@ def raise_indices(t: TensorElem, slots: Sequence[int], order: int) -> TensorElem
         raise ValueError(f"slots must be strictly increasing, got {slots}")
     if slots and (slots[0] < 1 or slots[-1] > order):
         raise ValueError(f"slots {slots} out of range 1..{order}")
-    algebra = t.algebra
+    unit = t.algebra.unit
     free = [k for k in range(1, order + 1) if k not in set(slots)]
-    terms = []
-    for factors, coeff in t.table.items():
-        for unit_choice in itertools.product(algebra.unit.items(), repeat=len(free)):
+    rows: dict[tuple, int] = {}
+    for factors, n in t.rows.items():
+        for unit_choice in itertools.product(unit.rows.items(), repeat=len(free)):
             names = [""] * order
-            value = coeff
+            value = n
             for slot, name in zip(slots, factors):
                 names[slot - 1] = name
-            for position, (name, unit_coeff) in zip(free, unit_choice):
+            for position, ((name,), unit_n) in zip(free, unit_choice):
                 names[position - 1] = name
-                value *= unit_coeff
-            terms.append((tuple(names), value))
-    return TensorElem(algebra, order, terms)
+                value *= unit_n
+            key = tuple(names)
+            rows[key] = rows.get(key, 0) + value
+    q = t.denominator * unit.denominator ** len(free)
+    return TensorElem(t.algebra, order, rows, q)

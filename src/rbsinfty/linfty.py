@@ -35,7 +35,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -44,7 +43,6 @@ from .graded import (
     MultiMap,
     _MISSING,
     _field,
-    _frac,
     _IntegerTable,
     _json_array,
     _json_int,
@@ -208,7 +206,6 @@ class CochainElement:
         return CochainElement.sum(self.space, (self, other))
 
     def __rmul__(self, scalar) -> "CochainElement":
-        scalar = _frac(scalar)
         parts = {
             tag: {arity: scalar * m for arity, m in family.items()}
             for tag, family in self.parts.items()
@@ -271,15 +268,18 @@ class CochainElement:
 # -- suspension dictionary --------------------------------------------------
 
 
-def _suspension_signed(f: MultiMap, space: GradedSpace, degree: int) -> dict:
-    """f's table signed as in `suspend_alg_map`, for the unsuspended
-    ``degree`` of the map and input degrees read in the unsuspended ``space``."""
-    table: dict[tuple[str, ...], dict[str, Fraction]] = {}
-    for ins, outs in f.table.items():
+def _suspension_signed(
+    f: MultiMap, space: GradedSpace, degree: int, target: GradedSpace, target_degree: int
+) -> MultiMap:
+    """f's rows signed as in `suspend_alg_map`, for the unsuspended
+    ``degree`` of the map and input degrees read in the unsuspended
+    ``space``, as the map of ``target_degree`` on ``target``."""
+    rows = {}
+    for ins, outs in f.rows.items():
         degrees = [space.degree(name) for name in ins]
         sign = parity_sign((f.arity - 1) * degree + _staircase(degrees))
-        table[ins] = {out: sign * coeff for out, coeff in outs.items()}
-    return table
+        rows[ins] = {out: sign * n for out, n in outs.items()}
+    return MultiMap(target, target, f.arity, target_degree, rows, f.denominator)
 
 
 def suspend_alg_map(f: MultiMap) -> MultiMap:
@@ -293,8 +293,7 @@ def suspend_alg_map(f: MultiMap) -> MultiMap:
     if f.space_in != f.space_out:
         raise ValueError("only self-maps of one module can be suspended here")
     suspended = f.space_in.suspend()
-    table = _suspension_signed(f, f.space_in, f.degree)
-    return MultiMap(suspended, suspended, f.arity, f.degree + 1 - f.arity, table)
+    return _suspension_signed(f, f.space_in, f.degree, suspended, f.degree + 1 - f.arity)
 
 
 def desuspend_alg_map(m: MultiMap) -> MultiMap:
@@ -303,7 +302,7 @@ def desuspend_alg_map(m: MultiMap) -> MultiMap:
         raise ValueError("only self-maps of one module can be desuspended here")
     space = m.space_in.suspend(-1)
     degree = m.degree + m.arity - 1
-    return MultiMap(space, space, m.arity, degree, _suspension_signed(m, space, degree))
+    return _suspension_signed(m, space, degree, space, degree)
 
 
 def classical_cochain(
@@ -453,14 +452,16 @@ def _operator_terms(
 
 
 def _bracket_rows(
-    pieces: Sequence[Piece], weight=1, memo: Optional[dict] = None
+    pieces: Sequence[Piece],
+    numerator: int = 1,
+    denominator: int = 1,
+    memo: Optional[dict] = None,
 ) -> Iterator[tuple]:
-    """The bracket of ``pieces`` times ``weight`` (an int or a `Fraction`),
-    as streams ``(tag, arity, map degree, denominator, rows)`` of the
-    integer rows of `_signed_rows`; nothing when the bracket vanishes.
-    `_cochain` sums them.  ``memo`` keeps the inner compositions of
-    `_operator_terms` across the brackets of one sum."""
-    numerator, denominator = weight.numerator, weight.denominator
+    """The bracket of ``pieces`` times ``numerator / denominator``, as
+    streams ``(tag, arity, map degree, denominator, rows)`` of the integer
+    rows of `_signed_rows`; nothing when the bracket vanishes.  `_tables`
+    sums them.  ``memo`` keeps the inner compositions of `_operator_terms`
+    across the brackets of one sum."""
     n = len(pieces)
     if n < 2 or any(p.map.is_zero() for p in pieces):
         return
@@ -498,26 +499,20 @@ def _bracket_rows(
     )
 
 
-def _cochain(space: GradedSpace, streams: Iterable[tuple]) -> CochainElement:
-    """The cochain on ``space`` whose ``(tag, arity)`` component sums the
-    streams given for it in one `_IntegerTable`; each component takes the
-    map degree of its first stream and is normalised once, entry by entry."""
-    return _from_tables(space, _tables(streams))
-
-
-def _from_tables(
+def _cochain(
     space: GradedSpace,
     tables: Mapping[tuple[str, int], tuple[int, _IntegerTable]],
     degree: Optional[int] = None,
 ) -> CochainElement:
-    """The cochain of the summed tables of `_tables`; ``degree`` is passed
-    on to `CochainElement`."""
+    """The cochain on ``space`` whose ``(tag, arity)`` component is the map
+    of its summed table of `_tables`, of the map degree of its first
+    stream; ``degree`` is passed on to `CochainElement`."""
     suspended = space.suspend()
     return CochainElement(
         space,
         [
-            (tag, MultiMap(suspended, suspended, arity, map_degree, table))
-            for (tag, arity), (map_degree, table) in tables.items()
+            (tag, MultiMap(suspended, suspended, arity, map_degree, t.rows, t.denominator))
+            for (tag, arity), (map_degree, t) in tables.items()
         ],
         degree=degree,
     )
@@ -525,7 +520,7 @@ def _from_tables(
 
 def _tables(streams: Iterable[tuple]) -> dict[tuple[str, int], tuple[int, _IntegerTable]]:
     """``{(tag, arity): (map degree, table)}``: the streams of each
-    component summed in one `_IntegerTable`, as `_cochain` sums them."""
+    component summed in one `_IntegerTable`, the tables of `_cochain`."""
     tables: dict[tuple[str, int], tuple[int, _IntegerTable]] = {}
     for tag, arity, degree, denominator, rows in streams:
         entry = tables.get((tag, arity))
@@ -546,10 +541,10 @@ def l_bracket(space: GradedSpace, pieces: Sequence[Piece]) -> CochainElement:
     times the Koszul sign on intrinsic degrees.  Nonzero only for two
     algebra cochains, or for one algebra cochain of arity ``n`` together
     with exactly ``n`` operator cochains.  The one-bracket case of
-    `_bracket_rows`, summed by `_cochain`.
+    `_bracket_rows`, summed by `_tables`.
     """
     _check_pieces(space, pieces)
-    return _cochain(space, _bracket_rows(pieces))
+    return _cochain(space, _tables(_bracket_rows(pieces)))
 
 
 def _check_pieces(space: GradedSpace, pieces: Sequence[Piece]) -> None:
@@ -561,14 +556,15 @@ def _check_pieces(space: GradedSpace, pieces: Sequence[Piece]) -> None:
 
 def nonvanishing_inputs(
     pool: Sequence[Piece], lead: Optional[Piece] = None
-) -> Iterator[tuple[Fraction, list[Piece]]]:
+) -> Iterator[tuple[int, list[Piece]]]:
     """The input lists ``[lead] + multiset`` whose bracket can be nonzero.
 
     The multisets are drawn from ``pool`` with repetition, once each up to
     order, and fit the vanishing rule of the module docstring: two algebra
     inputs, or one algebra input of arity ``n`` with ``n`` operator inputs.
-    Each comes with the weight ``1/prod m_i!`` of its multiplicities
-    ``m_i``; ``lead`` is not counted in them.
+    Each comes with the divisor ``prod m_i!`` of its multiplicities
+    ``m_i``, its weight being ``1/prod m_i!``; ``lead`` is not counted in
+    them.
     """
     head = [] if lead is None else [lead]
     algebra = [p for p in pool if p.tag == TAG_ALG]
@@ -584,19 +580,20 @@ def nonvanishing_inputs(
 
 def _multisets(
     head: list[Piece], items: Sequence[Piece], size: int
-) -> Iterator[tuple[Fraction, list[Piece]]]:
-    """``head`` followed by each ``size``-multiset of ``items``, weighted by
-    ``1/prod m_i!``."""
-    for weight, combo in _weighted_multisets(len(items), size):
-        yield weight, head + [items[i] for i in combo]
+) -> Iterator[tuple[int, list[Piece]]]:
+    """``head`` followed by each ``size``-multiset of ``items``, with the
+    divisor ``prod m_i!``."""
+    for divisor, combo in _weighted_multisets(len(items), size):
+        yield divisor, head + [items[i] for i in combo]
 
 
 @lru_cache(maxsize=None)
-def _weighted_multisets(n: int, size: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-    """The ``size``-multisets of ``range(n)``, in order, each with its weight
-    ``1/prod m_i!``; made once per process for each pair."""
+def _weighted_multisets(n: int, size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The ``size``-multisets of ``range(n)``, in order, each with the
+    divisor ``prod m_i!`` of its weight; made once per process for each
+    pair."""
     return tuple(
-        (Fraction(1, prod(factorial(m) for m in Counter(combo).values())), combo)
+        (prod(factorial(m) for m in Counter(combo).values()), combo)
         for combo in itertools.combinations_with_replacement(range(n), size)
     )
 
@@ -640,7 +637,7 @@ def _jacobi_sum(
                         entry = combination[key] = (map_degree, _IntegerTable())
                     rows = table.rows.items()
                     entry[1].add(table.denominator, ((ins, 1, row) for ins, row in rows))
-    return _from_tables(space, combination, degree), degree is not None
+    return _cochain(space, combination, degree), degree is not None
 
 
 def generalized_jacobi_defect(
@@ -667,7 +664,7 @@ def mc_residual(alpha: CochainElement) -> CochainElement:
     over each multiset of :func:`nonvanishing_inputs` with weight
     ``1/prod m_i!``.  The weight folds into the integer rows of each
     bracket, which all stream into one integer table per residual
-    component; each entry that survives becomes one ``Fraction``.
+    component, the rows of its map.
     """
     return _expand(alpha, [None])
 
@@ -704,9 +701,9 @@ def _expand(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> CochainE
     ``alpha``, after each of ``leads``; ``alpha`` must have degree ``-1``.
 
     Each bracket's rows carry its weight and stream into one integer table
-    per residual component (`_cochain`), so no bracket is built as a map of
+    per residual component (`_tables`), so no bracket is built as a map of
     its own."""
-    return _cochain(alpha.space, _expand_rows(alpha, leads))
+    return _cochain(alpha.space, _tables(_expand_rows(alpha, leads)))
 
 
 def _expand_rows(
@@ -719,12 +716,12 @@ def _expand_rows(
         )
     pool, memo = alpha.pieces(), {}
     for lead in leads:
-        for weight, pieces in nonvanishing_inputs(pool, lead):
-            yield from _bracket_rows(pieces, weight, memo)
+        for divisor, pieces in nonvanishing_inputs(pool, lead):
+            yield from _bracket_rows(pieces, 1, divisor, memo)
 
 
 def _vanishes(streams: Iterable[tuple]) -> bool:
-    """Whether the streams of `_cochain` sum to the zero cochain; the sums
+    """Whether the streams of `_tables` sum to the zero cochain; the sums
     stay integer tables, as nothing but their zeros is read."""
     return not any(_nonzero(table) for _, table in _tables(streams).values())
 
@@ -748,9 +745,7 @@ def basis_cochains(
                 ins_degree = sum(suspended.degree(n) for n in ins)
                 for out in names:
                     degree = suspended.degree(out) - ins_degree
-                    m = MultiMap(
-                        suspended, suspended, arity, degree, {ins: {out: Fraction(1)}}
-                    )
+                    m = MultiMap(suspended, suspended, arity, degree, {ins: {out: 1}})
                     yield CochainElement(space, {tag: {arity: m}})
 
 
@@ -871,7 +866,7 @@ def verify_generalized_jacobi(
                         {
                             "tag": p.tag,
                             "arity": p.arity,
-                            "nonzero_entries": len(p.map.table),
+                            "nonzero_entries": len(p.map.rows),
                         }
                         for p in defect.pieces()
                     ],

@@ -72,15 +72,6 @@ def _validated_family(
     return MappingProxyType(clean)
 
 
-def _summed(terms) -> _IntegerTable:
-    """The ``(sign, (denominator, rows))`` streams of `_signed_rows`, each
-    times its sign, in one table."""
-    table = _IntegerTable()
-    for sign, (denominator, rows) in terms:
-        table.add(denominator, rows, sign)
-    return table
-
-
 class HomotopyRBS:
     """A homotopy Rota-Baxter system on a finite-dimensional graded space.
 
@@ -128,12 +119,13 @@ class HomotopyRBS:
 
     def sum(self, arity: int, degree: int, terms) -> MultiMap:
         """The ``(±1, row)`` terms summed in one table, one map built."""
-        return MultiMap(self.space, self.space, arity, degree, _summed(terms))
+        table = _IntegerTable(terms)
+        return MultiMap(self.space, self.space, arity, degree, table.rows, table.denominator)
 
     def inner(self, arity: int, degree: int, terms) -> tuple:
         """The ``(±1, row)`` terms summed in one table, read as a composite
         part of `compose_row` and never made a map."""
-        return _summed(terms).part(degree, self.space)
+        return _IntegerTable(terms).part(degree, self.space)
 
     def is_dg(self) -> bool:
         """True when no product of arity >= 3 is present."""

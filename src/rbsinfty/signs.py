@@ -18,7 +18,7 @@ the tree graft (`trees`), `graded._signed_rows`, the tensor operad and
 
 Permutations are 1-indexed tuples ``(sigma(1), ..., sigma(n))`` throughout.
 All scalars in this package are exact: signs are Python ints, coefficients
-are ``fractions.Fraction`` (ints on the operad side).
+integers over one denominator (ints on the operad side).
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -51,9 +50,11 @@ from .graded import (
     _IntegerTable,
     _MISSING,
     _family_key,
+    _flat_sum,
     _json_family,
     _json_int,
     _truncation,
+    raise_indices,
     tensor_product_multiply,
 )
 from .residuals import (
@@ -85,7 +86,7 @@ def F_map(t: TensorElem) -> MultiMap:
     tuple: a factor tuple's paths grow slot by slot, sharing their prefixes,
     by the inputs x with c x ≠ 0 times the next factor, each x_k signed by
     its tail (`_tails`).  Path values are integers over the tensor's and the
-    algebra's denominators (`BasedAlgebra._integer_index`), and every path
+    product's denominators (`BasedAlgebra._integer_index`), and every path
     is a row ``(inputs, value, last product)`` of one `_IntegerTable`.
     """
     if t.order < 2:
@@ -97,10 +98,9 @@ def F_map(t: TensorElem) -> MultiMap:
     if degree is None:
         return MultiMap.zero(space, space, n, 0)
     q, products, right = algebra._integer_index()
-    q_t, numerators = t._numerators()
     degrees = space._degrees
     rows = []
-    for factors, value in numerators.items():
+    for factors, value in t.rows.items():
         paths = [((), value, {factors[0]: 1})]
         for a, tail in zip(factors[1:], _tails(degrees, factors)):
             paths = [
@@ -113,8 +113,8 @@ def F_map(t: TensorElem) -> MultiMap:
             ]
         rows += paths
     table = _IntegerTable()
-    table.add(q_t * q ** (2 * n), rows)
-    return MultiMap(space, space, n, degree, table)
+    table.add(t.denominator * q ** (2 * n), rows)
+    return MultiMap(space, space, n, degree, table.rows, table.denominator)
 
 
 def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
@@ -122,7 +122,8 @@ def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
 
     Reads the coefficient of e_{q_0}^{p_1} (x) e_{v_1}^{p_2} (x) ... directly
     off the value of f on the canonical basis, undoing the interleaving
-    sign: one step per entry of f, with each basis name's (p, q) read once.
+    sign: one step per entry of f, with each basis name's (p, q) read once,
+    over f's denominator.
     """
     if not isinstance(algebra, MatrixAlgebra):
         raise ValueError("tensor extraction needs a full matrix algebra")
@@ -131,15 +132,15 @@ def F_inverse(f: MultiMap, algebra: MatrixAlgebra) -> TensorElem:
     degrees = algebra.space._degrees
     indices = {name: MatrixAlgebra.unit_indices(name) for name in degrees}
     names = {pq: name for name, pq in indices.items()}
-    terms = []
-    for ins, outs in f.table.items():
+    rows = {}
+    for ins, outs in f.rows.items():
         us, vs = zip(*map(indices.__getitem__, ins))
-        for out, coeff in outs.items():
+        for out, n in outs.items():
             q0, p_last = indices[out]
             factors = tuple(map(names.__getitem__, zip((q0, *vs), (*us, p_last))))
             e = sum(degrees[x] * tail for x, tail in zip(ins, _tails(degrees, factors)))
-            terms.append((factors, -coeff if e & 1 else coeff))
-    return TensorElem(algebra, f.arity + 1, terms)
+            rows[factors] = -n if e & 1 else n
+    return TensorElem(algebra, f.arity + 1, rows, f.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +214,6 @@ def rbs_to_ybp(R: MultiMap, S: MultiMap, algebra: MatrixAlgebra) -> YBPair:
 # ---------------------------------------------------------------------------
 
 
-def _integer_sum(terms) -> tuple[int, dict]:
-    """The signed ``(sign, (denominator, {factors: numerator}))`` rows of
-    `InfinityYBPair.compose_row` summed in one table over their least
-    common denominator: ``(denominator, {factors: numerator})``."""
-    common, table = lcm(*(denominator for _, (denominator, _) in terms)), {}
-    get = table.get
-    for sign, (denominator, rows) in terms:
-        k = sign * (common // denominator)
-        for factors, n in rows.items():
-            table[factors] = get(factors, 0) + k * n
-    return common, table
-
-
 class InfinityYBPair:
     """Families of tensors r_n, s_n (order n, degree n-2) with r_1 = s_1.
 
@@ -235,10 +223,10 @@ class InfinityYBPair:
     and so a `generator_differential` target: ``gen`` gives the images of
     the module docstring, None for zero, and ``rows`` is its memo of inner
     elements.  A row is streamed as integers: `compose_row` folds it over
-    one denominator, `sum` adds the rows of a residual in one table and
-    builds one tensor, and `inner` keeps an inner sum as integers, a part
-    of `compose_row`.  The images of m_1 and m_2 are built on integers over
-    the unit's denominator, m_2 once per algebra.
+    one denominator, and `sum` (and `inner`, the same) adds the rows of a
+    residual or an inner sum in one table (`_flat_sum`) and builds one
+    tensor.  The images of m_1 and m_2 are the
+    unit raised into tensors (`raise_indices`), m_2 once per algebra.
     """
 
     __slots__ = ("algebra", "r", "s", "truncation", "_images", "_chi", "rows")
@@ -258,16 +246,8 @@ class InfinityYBPair:
         self.truncation = _truncation(truncation, {"r": self.r, "s": self.s})
         m = {2: algebra._unit_cube()}
         d = self.r.get(1)
-        if d is not None:
-            # -d (x) 1 + 1 (x) d, over the denominators of d and the unit
-            q_d, ds = d._numerators()
-            q_u, unit = algebra._unit_numerators()
-            rows = {}
-            for (a,), x in ds.items():
-                for u, y in unit:
-                    rows[a, u] = rows.get((a, u), 0) - x * y
-                    rows[u, a] = rows.get((u, a), 0) + x * y
-            m[1] = TensorElem._from_integers(algebra, 2, q_d * q_u, rows)
+        if d is not None:  # -d (x) 1 + 1 (x) d
+            m[1] = raise_indices(d, (2,), 2) - raise_indices(d, (1,), 2)
         self._images = {
             "m": m,
             "R": {n - 1: t for n, t in self.r.items() if n > 1},
@@ -318,28 +298,23 @@ class InfinityYBPair:
 
     def compose_row(self, f: TensorElem, parts) -> tuple[int, dict]:
         """f with ``parts`` grafted left to right, a None part leaving its slot
-        open: at each slot i, t o_i u of the module docstring.  A part is a
-        tensor or an `inner` sum.  The row is folded on integers, each tensor
-        read over its own denominator (`TensorElem._numerators`) and the
-        structure constants over theirs (`BasedAlgebra._integer_index`), and
-        returned unsummed with the others: ``(denominator, {factors:
-        numerator})``, which `sum` and `inner` add."""
+        open: at each slot i, t o_i u of the module docstring.  The row is
+        folded on integers, each tensor read in its one form and the
+        structure constants over their denominator
+        (`BasedAlgebra._integer_index`), and returned unsummed with the
+        others: ``(denominator, {factors: numerator})``, which `sum` adds."""
         q, products, _ = self.algebra._integer_index()
         degree = self.algebra.space._degrees.__getitem__
-        denominator, table = f._numerators()
+        denominator, table = f.denominator, f.rows
         i = 1
         for u in parts:
             if u is None:
                 i += 1
                 continue
-            order, u_denominator, u_table = (
-                u if u.__class__ is tuple else (u.order, *u._numerators())
-            )
-            denominator *= u_denominator * q * q
+            denominator *= u.denominator * q * q
             steps = [
                 (b[0], b[1:-1], b[-1], cb, sum(map(degree, b)) & 1)
-                for b, cb in u_table.items()
-                if cb
+                for b, cb in u.rows.items()
             ]
             rows: dict[tuple, int] = {}
             get = rows.get
@@ -357,19 +332,16 @@ class InfinityYBPair:
                             key = head + (left,) + middle + (right,) + rest
                             rows[key] = get(key, 0) + coeff * v * w
             table = rows
-            i += order - 1
+            i += u.order - 1
         return denominator, table
 
     def sum(self, arity: int, degree: int, terms) -> TensorElem:
         """The signed ``(±1, row)`` terms summed in one integer table, one
         order-(arity + 1) tensor built from it."""
-        return TensorElem._from_integers(self.algebra, arity + 1, *_integer_sum(terms))
+        q, rows = _flat_sum(terms)
+        return TensorElem(self.algebra, arity + 1, rows, q)
 
-    def inner(self, arity: int, degree: int, terms) -> tuple:
-        """The signed sum of the ``(±1, row)`` terms as a part of
-        `compose_row`, never made a tensor: ``(order, denominator,
-        {factors: numerator})``."""
-        return (arity + 1, *_integer_sum(terms))
+    inner = sum
 
 
 def check_infinity_ybp(

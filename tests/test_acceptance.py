@@ -300,10 +300,10 @@ def _independent_square(d):
     tensor-product machinery used by the residual implementation."""
     algebra = d.algebra
     table = {}
-    for (x,), cx in d.table.items():
-        for (y,), cy in d.table.items():
-            for name, c in algebra.multiply({x: cx}, {y: cy}).items():
-                table[(name,)] = table.get((name,), Fraction(0)) + c
+    for (x,), cx in d.items():
+        for (y,), cy in d.items():
+            for name, c in algebra.product_map().evaluate((x, y)).items():
+                table[(name,)] = table.get((name,), Fraction(0)) + cx * cy * c
     return TensorElem(algebra, 1, {k: v for k, v in table.items() if v})
 
 

@@ -1169,7 +1169,7 @@ def test_report_serializes_only_the_witnesses_it_prints():
             "witnesses": entries[:_WITNESS_CAP],
             "ok": not entries,
         }
-    assert all(len(r.table) > _WITNESS_CAP for r in residuals[:2])
+    assert all(len(r.rows) > _WITNESS_CAP for r in residuals[:2])
 
 
 # -- the parser -------------------------------------------------------------------

@@ -53,14 +53,14 @@ def _dense_F_map(t):
     if degree is None:
         return MultiMap.zero(space, space, n, 0)
     rows = []
-    for factors, coeff in t.table.items():
+    for factors, coeff in t.items():
         for xs in itertools.product(space.names, repeat=n):
             terms = [(factors[0], _dense_sign(space, factors, xs) * coeff)]
             for b in itertools.chain.from_iterable(zip(xs, factors[1:])):
                 terms = [
                     (c, v * w)
                     for a, v in terms
-                    for c, w in algebra.products.get((a, b), {}).items()
+                    for c, w in algebra.product_map().evaluate((a, b)).items()
                 ]
             rows += [(xs, {c: v}) for c, v in terms]
     return MultiMap(space, space, n, degree, rows)
@@ -70,7 +70,7 @@ def _dense_F_inverse(f, algebra):
     """The tensor read off f entry by entry, splitting every basis name."""
     space = algebra.space
     terms = []
-    for ins, outs in f.table.items():
+    for ins, outs in f.items():
         us = [MatrixAlgebra.unit_indices(x)[0] for x in ins]
         vs = [MatrixAlgebra.unit_indices(x)[1] for x in ins]
         for out, coeff in outs.items():
@@ -136,7 +136,7 @@ def test_the_non_matrix_algebra_needs_its_own_denominator():
     assert q > 1
     assert max(len(row) for row in products.values()) > 1
     assert algebra._integer_index() is algebra._integer_index()  # kept
-    assert sum(map(len, right.values())) == len(algebra.products)
+    assert sum(map(len, right.values())) == len(algebra.product_map().rows)
 
 
 # -- side by side ----------------------------------------------------------------------
@@ -220,7 +220,7 @@ def _dense(algebra, order, degree, seed):
 )
 def test_dense_tensors_round_trip(algebra, order, degree):
     t = _dense(algebra, order, degree, seed=order)
-    assert len(t.table) >= 20
+    assert len(t.rows) >= 20
     assert F_inverse(F_map(t), algebra) == t
 
 
@@ -263,17 +263,17 @@ def _slot_step(algebra, t, i, u):
     """t o_i u as the slot step `InfinityYBPair.compose_at` made it before
     `compose_row` took it in: u's outer factors multiplied onto a_i and
     a_{i+1}, signed by u passing the factors right of the slot."""
-    products, degrees = algebra.products, algebra.space._degrees
+    product, degrees = algebra.product_map().evaluate, algebra.space._degrees
     rows = []
-    for a, ca in t.table.items():
+    for a, ca in t.items():
         tail = sum(degrees[x] for x in a[i:])
         head, ai, aj, rest = a[: i - 1], a[i - 1], a[i], a[i + 1 :]
-        for b, cb in u.table.items():
+        for b, cb in u.items():
             odd = tail % 2 and sum(degrees[y] for y in b) % 2
             coeff = -ca * cb if odd else ca * cb
             middle = b[1:-1]
-            for left, v in products.get((ai, b[0]), {}).items():
-                for right, w in products.get((b[-1], aj), {}).items():
+            for left, v in product((ai, b[0])).items():
+                for right, w in product((b[-1], aj)).items():
                     rows.append((head + (left,) + middle + (right,) + rest, coeff * v * w))
     return TensorElem(algebra, t.order + u.order - 2, rows)
 

@@ -12,20 +12,26 @@ have coefficients with denominators 2, 3 and 5, on modules of degrees
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from rbsinfty import linfty
 from rbsinfty.graded import (
+    BasedAlgebra,
     GradedSpace,
     MatrixAlgebra,
     MultiMap,
+    TensorElem,
     _input_space,
     _IntegerTable,
     _signed_rows,
     _slot_choices,
     brace_map,
     compose_tensor,
+    insert,
+    raise_indices,
+    tensor_product_multiply,
 )
 from rbsinfty.linfty import (
     TAG_ALG,
@@ -41,8 +47,9 @@ from rbsinfty.linfty import (
     nonvanishing_inputs,
     twisted_differential,
 )
-from rbsinfty.sampling import random_multimap
+from rbsinfty.sampling import random_multimap, random_tensor
 from rbsinfty.signs import koszul_chi, parity_sign
+from rbsinfty.yang_baxter import F_inverse, F_map, InfinityYBPair
 
 SPACES = (
     GradedSpace([("v1", -1), ("v2", 0), ("v3", 0)]),
@@ -66,13 +73,13 @@ def _fraction_signed_rows(f, layouts, space_in, scale=1):
         for part in parts:
             if part is not None and id(part) not in indexes:
                 index = indexes[id(part)] = {}
-                for ins, outs in part.table.items():
+                for ins, outs in part.items():
                     d = sum(map(degrees.__getitem__, ins))
                     for out, c in outs.items():
                         option = (ins, c.numerator, c.denominator, d)
                         index.setdefault(out, []).append(option)
             slots.append(None if part is None else (part.degree & 1, indexes[id(part)]))
-        for fins, fouts in f.table.items():
+        for fins, fouts in f.items():
             partial = [((), scale.numerator, scale.denominator, 0)]
             for target, slot in zip(fins, slots):
                 if slot is None:
@@ -178,10 +185,10 @@ def _fraction_l_bracket(space, pieces):
             sf.arity + sh.arity - 1,
             sf.degree + sh.degree,
             itertools.chain(
-                _fraction_brace_map(sf, [sh]).table.items(),
+                _fraction_brace_map(sf, [sh]).items(),
                 (
                     (ins, {out: -swap * c for out, c in outs.items()})
-                    for ins, outs in _fraction_brace_map(sh, [sf]).table.items()
+                    for ins, outs in _fraction_brace_map(sh, [sf]).items()
                 ),
             ),
         )
@@ -208,9 +215,9 @@ def _fraction_expand(alpha, leads):
     space, pool = alpha.space, alpha.pieces()
     terms = []
     for lead in leads:
-        for weight, pieces in nonvanishing_inputs(pool, lead):
+        for divisor, pieces in nonvanishing_inputs(pool, lead):
             bracket = _fraction_l_bracket(space, pieces)
-            terms.append(bracket if weight == 1 else weight * bracket)
+            terms.append(bracket if divisor == 1 else Fraction(1, divisor) * bracket)
     return CochainElement.sum(space, terms)
 
 
@@ -260,9 +267,7 @@ def test_compose_tensor_and_brace_map_match_the_fraction_kernel(space):
         if args and len(args) <= f.arity:
             assert brace_map(f, args) == _fraction_brace_map(f, args)
         nonzero += not composite.is_zero()
-        fractional += any(
-            c.denominator > 1 for outs in composite.table.values() for c in outs.values()
-        )
+        fractional += composite.denominator > 1
     assert nonzero > trials // 2 and fractional > trials // 4
 
 
@@ -277,7 +282,7 @@ def test_layouts_over_different_denominators_share_one_stream():
     table = _IntegerTable()
     table.add(*_signed_rows(f, layouts, space, -7, 4))
     rows = _fraction_signed_rows(f, layouts, space, Fraction(-7, 4))
-    streamed = MultiMap(space, space, 2, f.degree, table)
+    streamed = MultiMap(space, space, 2, f.degree, table.rows, table.denominator)
     assert streamed == MultiMap(space, space, 2, f.degree, rows)
     assert not streamed.is_zero()
 
@@ -297,10 +302,10 @@ def test_streams_over_different_denominators_share_one_table():
             for out, n in outs.items():
                 row[out] = row.get(out, 0) + Fraction(factor * n, denominator)
     assert table.denominator == 60
-    built = MultiMap(space, space, 1, 0, table)
+    built = MultiMap(space, space, 1, 0, table.rows, table.denominator)
     assert built == MultiMap(space, space, 1, 0, expected)
-    assert any(c.denominator > 1 for outs in built.table.values() for c in outs.values())
-    q, rows = built._numerators()
+    assert built.denominator > 1
+    q, rows = built.denominator, built.rows
     assert all(
         Fraction(n, q) == expected[ins][out]
         for ins, row in rows.items()
@@ -317,7 +322,7 @@ def test_combination_matches_fraction_arithmetic(seed):
     scalars = [rng.choice(COEFFICIENTS + (2, -1)) for _ in maps]
     expected = {}
     for scalar, m in zip(scalars, maps):
-        for ins, outs in m.table.items():
+        for ins, outs in m.items():
             row = expected.setdefault(ins, {})
             for out, c in outs.items():
                 row[out] = row.get(out, 0) + scalar * c
@@ -515,3 +520,297 @@ def test_brackets_that_cancel_leave_no_entry():
     halved = linfty.classical_cochain(algebra.product_map(), r_op, Fraction(1, 2) * s_op)
     assert mc_residual(halved) == _fraction_expand(halved, [None])
     assert not mc_residual(halved).component(TAG_R, 2).is_zero()
+
+
+# -- the one form, entry point by entry point ----------------------------------------
+#
+# Every arithmetic entry point of maps and tensors side by side with a Fraction
+# table: the oracle reads its inputs as values (`items`), computes on Fractions
+# and drops what cancels; the result must hold exactly those values in lowest
+# terms, with no cancelled entry left.  The coefficients have denominators 1, 2,
+# 3, 5 and 6, and the algebras include one whose structure constants and unit
+# have denominators.
+
+THIRDS = (Fraction(1, 3), Fraction(-2, 3), Fraction(4, 3))
+FIFTHS = (Fraction(2, 5), Fraction(-1, 5), Fraction(3, 5))
+INTEGERS = (-2, 1, 3)
+
+
+def _values(x):
+    """``{key: Fraction}`` of a map (key ``(inputs, output)``) or a tensor
+    (key ``factors``), read off its one form."""
+    q = x.denominator
+    if isinstance(x, MultiMap):
+        return {(ins, out): Fraction(n, q) for ins, row in x.rows.items() for out, n in row.items()}
+    return {factors: Fraction(n, q) for factors, n in x.rows.items()}
+
+
+def _fraction_values(x):
+    """The same values read through `items`, the value reader."""
+    if isinstance(x, MultiMap):
+        return {(ins, out): c for ins, outs in x.items() for out, c in outs.items()}
+    return dict(x.items())
+
+
+def _assert_holds(x, expected):
+    """``x`` holds the nonzero values of ``expected`` in its one form: the
+    least denominator, every numerator nonzero, no empty row."""
+    expected = {key: c for key, c in expected.items() if c}
+    assert _values(x) == _fraction_values(x) == expected
+    assert x.denominator == lcm(*(c.denominator for c in expected.values()))
+    if isinstance(x, MultiMap):
+        assert all(x.rows.values()) and all(n for row in x.rows.values() for n in row.values())
+    else:
+        assert all(x.rows.values())
+
+
+def _add_into(total, values, scalar=1):
+    for key, c in values.items():
+        total[key] = total.get(key, 0) + scalar * c
+    return total
+
+
+def _fraction_rows(rows):
+    """The ``(inputs, {output: Fraction})`` rows of `_fraction_signed_rows`
+    summed on Fractions, keyed ``(inputs, output)``."""
+    total = {}
+    for ins, outs in rows:
+        _add_into(total, {(ins, out): c for out, c in outs.items()})
+    return total
+
+
+def _maps_over(rng, space, arity, degree, coefficients, density=0.6):
+    return random_multimap(rng, space, space, arity, degree, density, coefficients)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["V-100", "V01", "V-10"])
+def test_map_arithmetic_matches_fraction_tables(space):
+    rng = random.Random(f"arithmetic:{space!r}")
+    grown = cancelled = 0
+    for _ in range(20):
+        degree, arity = rng.choice((-1, 0, 1)), rng.randint(1, 2)
+        # over 1, then 3, then 5: the table's denominator grows partway
+        maps = [_maps_over(rng, space, arity, degree, c) for c in (INTEGERS, THIRDS, FIFTHS)]
+        maps.append(_maps_over(rng, space, arity, degree, COEFFICIENTS))
+        scalars = [rng.choice(INTEGERS + COEFFICIENTS) for _ in maps]
+        # the first map again with the opposite scalar: its entries cancel
+        terms = list(zip(scalars, maps)) + [(-scalars[0], maps[0])]
+        combined = MultiMap.combination(space, space, arity, degree, terms)
+        expected = {}
+        for scalar, m in terms:
+            _add_into(expected, _fraction_values(m), scalar)
+        _assert_holds(combined, expected)
+        denominators = [m.denominator for m in maps[:3] if not m.is_zero()]
+        grown += len(set(itertools.accumulate(denominators, lcm))) > 1
+        cancelled += not maps[0].is_zero() and not combined.is_zero()
+        total = MultiMap.sum(space, space, arity, degree, maps)
+        expected = {}
+        for m in maps:
+            _add_into(expected, _fraction_values(m))
+        _assert_holds(total, expected)
+        # (f + g) - g cancels g's entries and leaves f
+        f, g = maps[1], maps[2]
+        _assert_holds((f + g) - g, _fraction_values(f))
+        _assert_holds(f - f, {})
+        for scalar in (0, -1, 3, Fraction(-3, 4), Fraction(5, 6)):
+            scaled = scalar * maps[3]
+            _assert_holds(scaled, _add_into({}, _fraction_values(maps[3]), scalar))
+            assert scaled == maps[3] * scalar
+        _assert_holds(-maps[3], _add_into({}, _fraction_values(maps[3]), -1))
+    assert grown >= 15 and cancelled >= 15
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["V-100", "V01", "V-10"])
+def test_compositions_match_fraction_tables(space):
+    rng = random.Random(f"compose:{space!r}")
+    nonzero = 0
+    for _ in range(30):
+        f = _map(rng, space, rng.randint(1, 3), rng.choice((-1, 0, 1)))
+        parts = [
+            _map(rng, space, rng.randint(1, 2), rng.choice((-1, 0, 1)))
+            if rng.random() < 0.7
+            else None
+            for _ in range(f.arity)
+        ]
+        composite = compose_tensor(f, parts)
+        _assert_holds(composite, _fraction_rows(_fraction_signed_rows(f, [parts], space)))
+        nonzero += not composite.is_zero()
+        g = _map(rng, space, rng.randint(1, 2), rng.choice((-1, 0, 1)))
+        for position in range(1, f.arity + 1):
+            layout = [None] * f.arity
+            layout[position - 1] = g
+            expected = _fraction_rows(_fraction_signed_rows(f, [layout], space))
+            _assert_holds(insert(f, position, g), expected)
+        args = [p for p in parts if p is not None][: f.arity]
+        if args:
+            expected = _fraction_rows(_fraction_signed_rows(f, _slot_choices(f, args), space))
+            _assert_holds(brace_map(f, args), expected)
+    assert nonzero > 15
+
+
+def _scaled_matrix_algebra(V, rng):
+    """End(V) on the basis f_a = s_a e_a for random rational s_a: products
+    f_a f_b = (s_a s_b / s_c) f_c and the unit sum_p f_pp / s_pp, so both
+    have denominators."""
+    M = MatrixAlgebra(V)
+    scale = {name: rng.choice(COEFFICIENTS) for name in M.space.names}
+    products = {
+        (a, b): {c: scale[a] * scale[b] / scale[c] * v for c, v in outs.items()}
+        for (a, b), outs in M.product_map().items()
+    }
+    unit = {name: 1 / scale[name] for (name,), _ in M.unit.items()}
+    return BasedAlgebra(M.space, products, unit)
+
+
+ALGEBRAS = {
+    "End(0,1)": lambda rng: MatrixAlgebra(GradedSpace([("v1", 0), ("v2", 1)])),
+    "scaled End(0,1)": lambda rng: _scaled_matrix_algebra(
+        GradedSpace([("v1", 0), ("v2", 1)]), rng
+    ),
+    "scaled End(-1,0,0)": lambda rng: _scaled_matrix_algebra(SPACES[0], rng),
+}
+
+
+def _fraction_product(algebra, a, b):
+    """The componentwise product of two tensors on Fractions, the sign of
+    each factor of b passing the factors of a to its right."""
+    degree = algebra.space.degree
+    product = algebra.product_map().evaluate
+    total = {}
+    for xf, xc in a.items():
+        for yf, yc in b.items():
+            exponent = sum(
+                degree(y) * degree(x)
+                for j, y in enumerate(yf)
+                for x in xf[j + 1 :]
+            )
+            terms = [((), parity_sign(exponent) * xc * yc)]
+            for x, y in zip(xf, yf):
+                terms = [
+                    (names + (c,), v * w) for names, v in terms for c, w in product((x, y)).items()
+                ]
+            for names, v in terms:
+                total[names] = total.get(names, 0) + v
+    return total
+
+
+def _fraction_raised(t, slots, order):
+    unit = dict(t.algebra.unit.items())
+    free = [k for k in range(1, order + 1) if k not in slots]
+    total = {}
+    for factors, c in t.items():
+        for choice in itertools.product(unit.items(), repeat=len(free)):
+            names = dict(zip(slots, factors))
+            value = c
+            for position, ((name,), u) in zip(free, choice):
+                names[position] = name
+                value *= u
+            key = tuple(names[k] for k in range(1, order + 1))
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+def _fraction_F(t):
+    """F of a tensor by its definition: every input tuple, the product
+    a_1 x_1 a_2 ... x_n a_{n+1} on Fractions, signed by each x_k passing the
+    factors right of it."""
+    algebra = t.algebra
+    space, product = algebra.space, algebra.product_map().evaluate
+    n = t.order - 1
+    total = {}
+    for factors, c in t.items():
+        for xs in itertools.product(space.names, repeat=n):
+            exponent = sum(
+                space.degree(x) * sum(map(space.degree, factors[k + 1 :]))
+                for k, x in enumerate(xs)
+            )
+            terms = {factors[0]: parity_sign(exponent) * c}
+            for b in itertools.chain.from_iterable(zip(xs, factors[1:])):
+                step = {}
+                for a, v in terms.items():
+                    for out, w in product((a, b)).items():
+                        step[out] = step.get(out, 0) + v * w
+                terms = step
+            for out, v in terms.items():
+                total[xs, out] = total.get((xs, out), 0) + v
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_tensor_arithmetic_matches_fraction_tables(name):
+    rng = random.Random(f"tensors:{name}")
+    algebra = ALGEBRAS[name](rng)
+    assert algebra.is_associative() and algebra.is_unital()
+    density = 0.5 if algebra.space.dim <= 4 else 0.1
+    nonzero = 0
+    for _ in range(12):
+        order = rng.randint(1, 3)
+        tensors = [
+            random_tensor(rng, algebra, order, None, density, c)
+            for c in (INTEGERS, THIRDS, FIFTHS, COEFFICIENTS)
+        ]
+        total = TensorElem.sum(algebra, order, tensors + [-tensors[0]])
+        expected = {}
+        for t in tensors[1:]:
+            _add_into(expected, _fraction_values(t))
+        _assert_holds(total, expected)
+        a, b = tensors[2], tensors[3]
+        _assert_holds((a + b) - b, _fraction_values(a))
+        for scalar in (0, -1, 2, Fraction(-5, 3), "3/4"):
+            value = Fraction(scalar)
+            _assert_holds(scalar * b, _add_into({}, _fraction_values(b), value))
+        product = tensor_product_multiply(a, b)
+        _assert_holds(product, _fraction_product(algebra, a, b))
+        nonzero += not product.is_zero()
+        slots = tuple(sorted(rng.sample(range(1, order + 2), order)))
+        _assert_holds(raise_indices(b, slots, order + 1), _fraction_raised(b, slots, order + 1))
+    assert nonzero >= 6
+    # the unit cube, and the image of m_1 of a pair: units raised into tensors
+    cube = algebra._unit_cube()
+    _assert_holds(cube, _fraction_raised(algebra.unit, (1,), 3))
+    d = random_tensor(rng, algebra, 1, -1, 0.9, COEFFICIENTS)
+    m1 = InfinityYBPair(algebra, r={1: d}, s={1: d}).gen("m", 1)
+    expected = _add_into(_fraction_raised(d, (2,), 2), _fraction_raised(d, (1,), 2), -1)
+    if d.is_zero():
+        assert m1 is None
+    else:
+        _assert_holds(m1, expected)
+
+
+def _fraction_F_inverse(f):
+    """The tensor of each entry of f on End(V) by the definition of F: the
+    factors e_{q_0}^{p_1}, e_{v_1}^{p_2}, ... read off the inputs and the
+    output, the coefficient signed by each input passing the factors right
+    of it."""
+    indices, name, degree = MatrixAlgebra.unit_indices, MatrixAlgebra.unit_name, f.space_in.degree
+    total = {}
+    for (ins, out), c in _fraction_values(f).items():
+        us, vs = [indices(x)[0] for x in ins], [indices(x)[1] for x in ins]
+        q0, p_last = indices(out)
+        factors = tuple(name(q, p) for q, p in zip([q0] + vs, us + [p_last]))
+        exponent = sum(
+            degree(x) * sum(map(degree, factors[k + 1 :])) for k, x in enumerate(ins)
+        )
+        total[factors] = parity_sign(exponent) * c
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_f_map_and_f_inverse_match_fraction_tables(name):
+    rng = random.Random(f"dictionary:{name}")
+    algebra = ALGEBRAS[name](rng)
+    space = algebra.space
+    nonzero = 0
+    for order in (2, 3):
+        for degree in (-1, 0, 1):
+            t = random_tensor(rng, algebra, order, degree, 0.4, COEFFICIENTS)
+            f = F_map(t)
+            _assert_holds(f, _fraction_F(t))
+            nonzero += not f.is_zero()
+            if isinstance(algebra, MatrixAlgebra):
+                assert F_inverse(f, algebra) == t
+                g = random_multimap(rng, space, space, order - 1, degree, 0.4, COEFFICIENTS)
+                inverse = F_inverse(g, algebra)
+                _assert_holds(inverse, _fraction_F_inverse(g))
+                _assert_holds(F_map(inverse), _values(g))
+    assert nonzero >= 4

@@ -449,12 +449,12 @@ def test_nonvanishing_inputs_weigh_each_multiset_by_its_orderings():
     # a multiset of k pieces stands for its k!/prod(m_i!) orderings, each weighted 1/k!
     pieces = random_mc_candidate(random.Random(3), MC_SPACES[1], density=1.0).pieces()
     seen = set()
-    for weight, inputs in nonvanishing_inputs(pieces):
+    for divisor, inputs in nonvanishing_inputs(pieces):
         key = tuple(sorted(map(pieces.index, inputs)))
         assert key not in seen
         seen.add(key)
         orderings = len(set(itertools.permutations(key)))
-        assert weight == Fraction(orderings, factorial(len(key)))
+        assert Fraction(1, divisor) == Fraction(orderings, factorial(len(key)))
     assert len(seen) > len(pieces)
 
 
@@ -526,7 +526,7 @@ def test_operator_terms_compose_each_distinct_ordering_once(op_degree):
         gs, hs = ops[:j], ops[j:]
         repeats = any(len(set(map(id, column))) < len(column) for column in (gs, hs))
         outer = rng.choice((1, -1))
-        grouped = linfty._cochain(space, linfty._operator_terms(F, gs, hs, outer))
+        grouped = linfty._cochain(space, linfty._tables(linfty._operator_terms(F, gs, hs, outer)))
         walked = CochainElement(space, _oracle_operator_terms(F, gs, hs, outer))
         assert grouped == walked
         compared += 1

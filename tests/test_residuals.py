@@ -660,7 +660,7 @@ def _op(f):
     Koszul sign of reversing the graded inputs."""
     n, degree = f.arity, f.space_in.degree
     table = {}
-    for ins, outs in f.table.items():
+    for ins, outs in f.items():
         d = [degree(a) for a in ins]
         exponent = n * (n - 1) // 2 + sum(x * y for x, y in itertools.combinations(d, 2))
         table[ins[::-1]] = {out: parity_sign(exponent) * c for out, c in outs.items()}
