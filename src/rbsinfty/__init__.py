@@ -30,7 +30,6 @@ from .graded import (
     TensorElem,
     brace_map,
     compose_tensor,
-    insert,
     raise_indices,
     tensor_product_multiply,
 )
@@ -42,9 +41,6 @@ from .linfty import (
     Piece,
     basis_cochains,
     classical_cochain,
-    desuspend_alg_map,
-    generalized_jacobi_defect,
-    is_mc,
     l_bracket,
     mc_residual,
     suspend_alg_map,
@@ -67,13 +63,11 @@ from .monomial_model import (
 from .residuals import (
     HomotopyRBS,
     check_classical_rbs,
-    dga_residual_R,
-    dga_residual_S,
     hrbs_residual_R,
     hrbs_residual_S,
     stasheff_residual,
 )
-from .sampling import DEFAULT_COEFFICIENTS, random_multimap, random_tensor
+from .sampling import DEFAULT_COEFFICIENTS, random_multimap
 from .signs import inversion_sign, koszul_chi, koszul_epsilon, permutation_sign, shuffles
 from .trees import (
     Generator,
@@ -84,7 +78,6 @@ from .trees import (
     compose_at,
     corolla,
     gen,
-    identity_element,
     leading_monomial,
     parse_tree,
 )
@@ -97,10 +90,6 @@ from .yang_baxter import (
     check_infinity_ybp,
     chi_inverse,
     chi_map,
-    equivalence_identity_1,
-    equivalence_identity_2,
-    equivalence_identity_3,
-    equivalence_identity_4,
     rbs_to_ybp,
     ybp_to_rbs,
 )
@@ -143,25 +132,14 @@ __all__ = [
     "compose_at",
     "compose_tensor",
     "corolla",
-    "desuspend_alg_map",
-    "dga_residual_R",
-    "dga_residual_S",
     "diff_bar",
     "diff_generator",
     "enumerate_monomials",
-    "equivalence_identity_1",
-    "equivalence_identity_2",
-    "equivalence_identity_3",
-    "equivalence_identity_4",
     "gen",
-    "generalized_jacobi_defect",
     "homotopy_H",
     "hrbs_residual_R",
     "hrbs_residual_S",
-    "identity_element",
-    "insert",
     "inversion_sign",
-    "is_mc",
     "koszul_chi",
     "koszul_epsilon",
     "l_bracket",
@@ -172,7 +150,6 @@ __all__ = [
     "presentation_generators",
     "raise_indices",
     "random_multimap",
-    "random_tensor",
     "rbs_to_ybp",
     "shuffles",
     "stasheff_residual",

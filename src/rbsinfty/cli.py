@@ -36,7 +36,8 @@ File formats (all JSON; coefficients are strings parsed as exact rationals):
   "R", "S", "truncation"}`` acting on the space itself (degree-0 basis
   required); a file with ``parts`` is a cochain.
 
-A top-level field outside its format is refused (exit 2) by name.
+A top-level field outside its format, and a key that repeats in any JSON
+object, are refused (exit 2) by name.
 """
 
 from __future__ import annotations
@@ -86,10 +87,23 @@ from .yang_baxter import (
 # -- report helpers -------------------------------------------------------------
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a key that repeats by naming it: the
+    parser would keep its last value silently."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {_escape(key)} in a JSON object")
+            seen.add(key)
+    return data
+
+
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: the JSON is nested too deeply to parse") from None
     return _json_object(data, "the top-level JSON value")

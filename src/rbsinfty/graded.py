@@ -695,15 +695,6 @@ def compose_tensor(f: MultiMap, parts: Sequence[Optional[MultiMap]]) -> MultiMap
     return MultiMap(space_in, f.space_out, arity, degree, table.rows, table.denominator)
 
 
-def insert(f: MultiMap, position: int, g: MultiMap) -> MultiMap:
-    """f with g plugged into one input slot, identities elsewhere."""
-    if not 1 <= position <= f.arity:
-        raise IndexError(f"position {position} out of range 1..{f.arity}")
-    parts: list[Optional[MultiMap]] = [None] * f.arity
-    parts[position - 1] = g
-    return compose_tensor(f, parts)
-
-
 def brace_map(f: MultiMap, args: Sequence[MultiMap]) -> MultiMap:
     """Sum of compositions of f with args at all increasing slot choices,
     built in one table."""
@@ -770,19 +761,6 @@ class BasedAlgebra:
         if self._cube is None:
             self._cube = raise_indices(self.unit, (1,), 3)
         return self._cube
-
-    def is_associative(self) -> bool:
-        m = self._product
-        return compose_tensor(m, [m, None]) == compose_tensor(m, [None, m])
-
-    def is_unital(self) -> bool:
-        for a in self.space.names:
-            x = TensorElem(self, 1, {(a,): 1})
-            if tensor_product_multiply(self.unit, x) != x:
-                return False
-            if tensor_product_multiply(x, self.unit) != x:
-                return False
-        return True
 
     def product_map(self) -> MultiMap:
         """The multiplication as an arity-2, degree-0 MultiMap, validated

@@ -163,16 +163,6 @@ class CochainElement:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def component(self, tag: str, arity: int) -> MultiMap:
-        if tag not in TAGS:
-            raise ValueError(f"unknown column tag {tag!r}")
-        stored = self.parts.get(tag, {}).get(arity)
-        if stored is not None:
-            return stored
-        base = self.degree if self.degree is not None else 0
-        map_degree = base if tag == TAG_ALG else base + 1
-        return MultiMap.zero(self.suspended, self.suspended, arity, map_degree)
-
     def pieces(self) -> list[Piece]:
         return [
             Piece(tag, self.parts[tag][arity])
@@ -268,20 +258,6 @@ class CochainElement:
 # -- suspension dictionary --------------------------------------------------
 
 
-def _suspension_signed(
-    f: MultiMap, space: GradedSpace, degree: int, target: GradedSpace, target_degree: int
-) -> MultiMap:
-    """f's rows signed as in `suspend_alg_map`, for the unsuspended
-    ``degree`` of the map and input degrees read in the unsuspended
-    ``space``, as the map of ``target_degree`` on ``target``."""
-    rows = {}
-    for ins, outs in f.rows.items():
-        degrees = [space.degree(name) for name in ins]
-        sign = parity_sign((f.arity - 1) * degree + _staircase(degrees))
-        rows[ins] = {out: sign * n for out, n in outs.items()}
-    return MultiMap(target, target, f.arity, target_degree, rows, f.denominator)
-
-
 def suspend_alg_map(f: MultiMap) -> MultiMap:
     """A multilinear self-map of the module, rewritten on the suspension.
 
@@ -292,17 +268,14 @@ def suspend_alg_map(f: MultiMap) -> MultiMap:
     """
     if f.space_in != f.space_out:
         raise ValueError("only self-maps of one module can be suspended here")
-    suspended = f.space_in.suspend()
-    return _suspension_signed(f, f.space_in, f.degree, suspended, f.degree + 1 - f.arity)
-
-
-def desuspend_alg_map(m: MultiMap) -> MultiMap:
-    """Inverse of :func:`suspend_alg_map`."""
-    if m.space_in != m.space_out:
-        raise ValueError("only self-maps of one module can be desuspended here")
-    space = m.space_in.suspend(-1)
-    degree = m.degree + m.arity - 1
-    return _suspension_signed(m, space, degree, space, degree)
+    space = f.space_in
+    rows = {}
+    for ins, outs in f.rows.items():
+        degrees = [space.degree(name) for name in ins]
+        sign = parity_sign((f.arity - 1) * f.degree + _staircase(degrees))
+        rows[ins] = {out: sign * n for out, n in outs.items()}
+    suspended = space.suspend()
+    return MultiMap(suspended, suspended, f.arity, f.degree + 1 - f.arity, rows, f.denominator)
 
 
 def classical_cochain(
@@ -640,17 +613,6 @@ def _jacobi_sum(
     return _cochain(space, combination, degree), degree is not None
 
 
-def generalized_jacobi_defect(
-    space: GradedSpace, pieces: Sequence[Piece]
-) -> CochainElement:
-    """The homotopy Jacobi combination; identically zero for the bracket family.
-
-    ``sum_{i+j=n+1} sum_{(i,n-i)-shuffles} (-1)**(i*(j-1)) * chi(sigma) *
-    l_j(l_i(x_{sigma(1..i)}), x_{sigma(i+1..n)})``.
-    """
-    return _jacobi_sum(space, pieces)[0]
-
-
 # -- Maurer-Cartan theory -----------------------------------------------------
 
 
@@ -667,11 +629,6 @@ def mc_residual(alpha: CochainElement) -> CochainElement:
     component, the rows of its map.
     """
     return _expand(alpha, [None])
-
-
-def is_mc(alpha: CochainElement) -> bool:
-    """Whether the Maurer-Cartan residual of ``alpha`` vanishes exactly."""
-    return mc_residual(alpha).is_zero()
 
 
 def twisted_differential(

@@ -68,19 +68,6 @@ def alpha_exponent(k: int, parts: Sequence[int]) -> int:
     return 1 + sum((k - j) * (parts[j - 1] - 1) for j in range(1, k + 1))
 
 
-def beta_exponent(p: int, j: int, i: int, parts: Sequence[int]) -> int:
-    """Exponent on the operator(..m_p row..) terms of the operator differential.
-
-    `generator_differential` takes the same sums once per ``parts`` and
-    grows them with j and i; this closed form is their reference.
-    """
-    r1 = parts[0]
-    load = p + sum(r - 1 for r in parts[1:])
-    before_j = sum(parts[t - 1] - 1 for t in range(2, j + 1))
-    tail = sum((parts[t - 1] - 1) * (p - t) for t in range(2, p + 1))
-    return 1 + i + load * (r1 - i) + before_j + tail
-
-
 # ---------------------------------------------------------------------------
 # generator differentials
 # ---------------------------------------------------------------------------
@@ -226,7 +213,7 @@ def generator_terms(family: str, n: int, target) -> list:
               + sum_{p > 1, r, j, i} (-1)^beta
                 F_{r_1} o_i m_p(R_{r_2}, ..., R_{r_j}, id, S_{r_{j+1}}, ..., S_{r_p})
 
-    The inner rows depend on neither F nor r_1, and beta_exponent is
+    The inner rows depend on neither F nor r_1, and the exponent beta is
     1 + load r_1 + i (1 - load) plus a part that depends only on j and the
     tail r_2 .. r_p, with load = r_2 + ... + r_p + 1 the arity of an inner
     row.  So the rows of one tail, each signed by that part, are summed over

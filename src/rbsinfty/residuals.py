@@ -18,11 +18,8 @@ At n = 1 the m-identity is m_1∘m_1: m_1 is the differential of End(V), not a
 generator. A residual vanishes exactly when its identity holds at that arity.
 The residual is written once for any `generator_differential` target with a
 differential m_1; `rbsinfty.yang_baxter` evaluates it on an `InfinityYBPair`,
-a map into the tensor operad.  Without m_k for k >= 3 the R/S residual splits
-into four pieces, also written once for any target: `dga_residual_R/S` sum
-them in End(V), and `rbsinfty.yang_baxter` evaluates each in End(A) and in
-the tensor operad.  The classical Rota-Baxter-system equations are the
-residuals of R_2 and S_2 on the structure (m_2, R_1, S_1), which
+a map into the tensor operad.  The classical Rota-Baxter-system equations
+are the residuals of R_2 and S_2 on the structure (m_2, R_1, S_1), which
 `check_classical_rbs` evaluates.
 """
 
@@ -127,10 +124,6 @@ class HomotopyRBS:
         part of `compose_row` and never made a map."""
         return _IntegerTable(terms).part(degree, self.space)
 
-    def is_dg(self) -> bool:
-        """True when no product of arity >= 3 is present."""
-        return all(n <= 2 for n in self.m)
-
     def to_json(self) -> dict:
         return {
             "space": self.space.to_json(),
@@ -208,69 +201,6 @@ def hrbs_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
     """Defect of the arity-n identity for the second operator family."""
     _check_arity(structure, n)
     return _residual(structure, "S", n)
-
-
-# The pieces of the residual of X_n (X = R, S) in a differential graded
-# `generator_differential` target, each a sum of arity-n elements there (maps
-# of End(V), order-(n+1) tensors): the residual is (1) + (2) - (3) - (4).
-# Pieces (2) to (4) run through m_2 and are zero in a target without it.
-
-
-def _differential_piece(target, family: str, n: int):
-    """(1) m_1 o X_n - (-1)^(n-1) sum_i X_n o_i m_1."""
-    return target.sum(n, n - 2, _boundary(target, family, n, n - 1))
-
-
-def _product_piece(target, family: str, n: int):
-    """(2) sum_{i+j=n} (-1)^(1+i) m_2(X_i, X_j)."""
-    m2, terms = target.gen("m", 2), []
-    for i in range(1, n):
-        left, right = target.gen(family, i), target.gen(family, n - i)
-        if m2 is not None and left is not None and right is not None:
-            terms.append((parity_sign(1 + i), target.compose_row(m2, [left, right])))
-    return target.sum(n, n - 2, terms)
-
-
-def _straddle_piece(target, family: str, n: int, inner_family: str):
-    """(3) sum (-1)^((s-1) + (j-1)(i-s+1)) X_i o_s m_2(R_j, id) for R, and
-    (4) sum (-1)^((s-1) + (j-1)(i-s)) X_i o_s m_2(id, S_j) for S, over
-    i + j = n and 1 <= s <= i."""
-    m2, first, terms = target.gen("m", 2), inner_family == "R", []
-    for i in range(1, n):
-        j = n - i
-        outer, inner = target.gen(family, i), target.gen(inner_family, j)
-        if m2 is None or outer is None or inner is None:
-            continue
-        row = target.compose_row(m2, [inner, None] if first else [None, inner])
-        row = target.inner(j + 1, j - 1, [(1, row)])
-        for s in range(1, i + 1):
-            sign = parity_sign((s - 1) + (j - 1) * (i - s + first))
-            terms.append((sign, target.compose_row(outer, slot(i, s, row))))
-    return target.sum(n, n - 2, terms)
-
-
-def _sum_of_pieces(structure: HomotopyRBS, n: int, family: str) -> MultiMap:
-    """The residual of X_n as the sum of its four pieces in End(V)."""
-    _check_arity(structure, n)
-    if not structure.is_dg():
-        raise ValueError("structure has products of arity >= 3")
-    pieces = [
-        (1, _differential_piece(structure, family, n)),
-        (1, _product_piece(structure, family, n)),
-        (-1, _straddle_piece(structure, family, n, "R")),
-        (-1, _straddle_piece(structure, family, n, "S")),
-    ]
-    return MultiMap.combination(structure.space, structure.space, n, n - 2, pieces)
-
-
-def dga_residual_R(structure: HomotopyRBS, n: int) -> MultiMap:
-    """First-family residual specialized to a differential graded algebra."""
-    return _sum_of_pieces(structure, n, "R")
-
-
-def dga_residual_S(structure: HomotopyRBS, n: int) -> MultiMap:
-    """Second-family residual specialized to a differential graded algebra."""
-    return _sum_of_pieces(structure, n, "S")
 
 
 def _check_classical_pair(space: GradedSpace, R: MultiMap, S: MultiMap) -> None:

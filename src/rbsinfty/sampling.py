@@ -1,4 +1,4 @@
-"""Seeded random generators for maps, tensors, and structures.
+"""Seeded random maps.
 
 Used by the CLI's randomized verification commands and by the test suite;
 all draws go through a caller-supplied `random.Random` so runs are
@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .graded import BasedAlgebra, GradedSpace, MultiMap, TensorElem
+from .graded import GradedSpace, MultiMap
 
 DEFAULT_COEFFICIENTS: tuple[Fraction, ...] = (
     Fraction(-2),
@@ -46,23 +46,3 @@ def random_multimap(
         table[ins] = {rng.choice(candidates): rng.choice(coefficients)}
     return MultiMap(space_in, space_out, arity, degree, table)
 
-
-def random_tensor(
-    rng: random.Random,
-    algebra: BasedAlgebra,
-    order: int,
-    degree: Optional[int] = None,
-    density: float = 0.5,
-    coefficients: Sequence[Fraction] = DEFAULT_COEFFICIENTS,
-) -> TensorElem:
-    """A random tensor, homogeneous of the given degree when one is supplied."""
-    space = algebra.space
-    table: dict[tuple[str, ...], Fraction] = {}
-    for factors in itertools.product(space.names, repeat=order):
-        if degree is not None:
-            if sum(space.degree(name) for name in factors) != degree:
-                continue
-        if rng.random() >= density:
-            continue
-        table[factors] = rng.choice(list(coefficients))
-    return TensorElem(algebra, order, table)

@@ -452,10 +452,6 @@ class OperadElement:
         return (OperadElement, (self.arity, self.terms))
 
     @classmethod
-    def zero(cls, arity: int) -> "OperadElement":
-        return cls(arity)
-
-    @classmethod
     def monomial(
         cls, tree: TreeMonomial, coeff: Scalar = 1
     ) -> "OperadElement":
@@ -502,12 +498,6 @@ class OperadElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def homogeneous_degree(self) -> int | None:
-        degrees = {tree.degree for tree in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
 
     def items(self) -> Iterator[tuple[TreeMonomial, Scalar]]:
         """Terms in a deterministic (serialization) order."""
@@ -571,10 +561,6 @@ def as_element(value: ElementLike) -> OperadElement:
     if isinstance(value, Generator):
         return OperadElement.monomial(corolla(value))
     raise TypeError(f"cannot interpret {value!r} as an operad element")
-
-
-def identity_element() -> OperadElement:
-    return OperadElement.monomial(identity_tree())
 
 
 # ---------------------------------------------------------------------------

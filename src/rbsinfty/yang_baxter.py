@@ -29,10 +29,7 @@ step t o_i u above (t o_i u itself is the row of one part, `slot(k, i, u)`).
 So `check_infinity_ybp` is the residual of `rbsinfty.residuals` evaluated on
 the pair, negated, and F sends it to the residual of `chi_map`; the coupled
 classical equations of `check_classical_ybp` are its index 2 on the pair
-with r_2 = r and s_2 = s.  The four
-differential graded pieces of that residual, written once in
-`rbsinfty.residuals`, are evaluated on `chi_map` and on the pair by
-`equivalence_identity_1` ... `equivalence_identity_4`.
+with r_2 = r and s_2 = s.
 """
 
 from __future__ import annotations
@@ -57,14 +54,7 @@ from .graded import (
     raise_indices,
     tensor_product_multiply,
 )
-from .residuals import (
-    HomotopyRBS,
-    _differential_piece,
-    _check_classical_pair,
-    _product_piece,
-    _residual,
-    _straddle_piece,
-)
+from .residuals import HomotopyRBS, _check_classical_pair, _residual
 
 
 def _tails(degrees: Mapping[str, int], factors: Sequence[str]) -> list[int]:
@@ -363,49 +353,6 @@ def check_infinity_ybp(
         dd = tensor_product_multiply(d, d)
         return dd, dd
     return _residual(pair, "R", n, -1), _residual(pair, "S", n, -1)
-
-
-# ---------------------------------------------------------------------------
-# the operator picture of each residual piece
-# ---------------------------------------------------------------------------
-
-
-def _in_both_operads(
-    pair: InfinityYBPair, piece, family: str, n: int, *args
-) -> tuple[MultiMap, TensorElem]:
-    """The piece at index n on F of the images, with m_2 at any truncation,
-    and in the tensor operad; F_map sends the second to the first."""
-    structure = HomotopyRBS(pair.algebra.space, **_chi_images(pair))
-    args = (family.upper(), n, *args)
-    return piece(structure, *args), piece(pair, *args)
-
-
-def equivalence_identity_1(
-    pair: InfinityYBPair, n: int, family: str = "r"
-) -> tuple[MultiMap, TensorElem]:
-    """Differential piece: map side and tensor side (they agree under F_map)."""
-    return _in_both_operads(pair, _differential_piece, family, n)
-
-
-def equivalence_identity_2(
-    pair: InfinityYBPair, n: int, family: str = "r"
-) -> tuple[MultiMap, TensorElem]:
-    """Pairwise-product piece."""
-    return _in_both_operads(pair, _product_piece, family, n)
-
-
-def equivalence_identity_3(
-    pair: InfinityYBPair, n: int, family: str = "r"
-) -> tuple[MultiMap, TensorElem]:
-    """First straddling piece: inner first-family composition."""
-    return _in_both_operads(pair, _straddle_piece, family, n, "R")
-
-
-def equivalence_identity_4(
-    pair: InfinityYBPair, n: int, family: str = "r"
-) -> tuple[MultiMap, TensorElem]:
-    """Second straddling piece: inner second-family composition."""
-    return _in_both_operads(pair, _straddle_piece, family, n, "S")
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from rbsinfty.cli import _WITNESS_CAP, main
 from rbsinfty.graded import BasedAlgebra, GradedSpace, MatrixAlgebra, MultiMap, TensorElem
 from rbsinfty.minimal_model import extend_derivation
 from rbsinfty.residuals import HomotopyRBS
-from rbsinfty.sampling import random_multimap, random_tensor
+from rbsinfty.sampling import random_multimap
 from rbsinfty.signs import compositions
 from rbsinfty.trees import OperadElement, gen
+from oracles import random_tensor
 
 PLANE = GradedSpace([("v1", 0), ("v2", 0)])
 GRADED = GradedSpace([("v1", 0), ("v2", 1)])
@@ -1649,6 +1650,42 @@ def test_the_misspelled_hrbs_families_fail_when_spelled_right(capsys, tmp_path):
     assert code == 1
     failed = [(r["identity"], r["arity"]) for r in report["results"] if not r["ok"]]
     assert failed == [("operator-r", 2), ("operator-s", 2)]
+
+
+# -- repeated keys -------------------------------------------------------------------
+
+
+def test_a_repeated_top_level_key_is_refused_by_name(capsys, tmp_path):
+    # a second "R", the zero map, would otherwise replace the first: the real
+    # file fails residual_r with 9 entries, the edited one would pass it
+    code, report = run(capsys, "check", "rbs", str(DATA / "rbs_graded_input.json"))
+    assert code == 1 and report["residual_r"]["nonzero_entries"] == 9
+    text = (DATA / "rbs_graded_input.json").read_text().rstrip()
+    assert text.endswith("}")
+    edited = text[:-1] + ', "R": {"arity": 1, "degree": 0, "entries": []}}'
+    path = tmp_path / "repeated.json"
+    path.write_text(edited)
+    code, report = run(capsys, "check", "rbs", str(path))
+    assert code == 2
+    assert report == {"error": 'repeated key "R" in a JSON object'}
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"out": {"e2^2": "1"}', '"out": {"e2^2": "1", "e2^2": "-1"}', "e2^2"),
+        ('"name": "v1",', '"name": "v1", "name": "v2",', "name"),
+    ],
+    ids=["in-an-out-object", "in-a-basis-entry"],
+)
+def test_a_repeated_nested_key_is_refused_by_name(capsys, tmp_path, old, new, key):
+    text = json.dumps(json.loads((DATA / "rbs_graded_input.json").read_text()))
+    assert text.count(old) >= 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new, 1))
+    code, report = run(capsys, "check", "rbs", str(path))
+    assert code == 2
+    assert report == {"error": f'repeated key "{key}" in a JSON object'}
 
 
 # the commands that read each saved input, by the first word of its file name

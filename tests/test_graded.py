@@ -20,11 +20,11 @@ from rbsinfty.graded import (
     _slot_choices,
     brace_map,
     compose_tensor,
-    insert,
     raise_indices,
     tensor_product_multiply,
 )
-from rbsinfty.sampling import random_multimap, random_tensor
+from rbsinfty.sampling import random_multimap
+from oracles import insert, is_associative, is_unital, random_tensor
 
 ONE = Fraction(1)
 
@@ -308,6 +308,7 @@ def test_compose_part_count_must_match_arity():
 
 
 def test_insert_positions_and_errors():
+    # the oracle `insert` that the sign-rule tests below compose with
     space = _mult_space()
     f = _mult_map(space)
     g = MultiMap(space, space, 1, 1, {("u0",): {"u1": 1}})
@@ -543,8 +544,8 @@ def test_matrix_algebra_delta_product():
     M = MatrixAlgebra(V)
     assert M.product_map().evaluate(("e1^2", "e2^1")) == {"e1^1": ONE}
     assert M.product_map().evaluate(("e1^2", "e1^2")) == {}
-    assert M.is_associative()
-    assert M.is_unital()
+    assert is_associative(M)
+    assert is_unital(M)
 
 
 def test_matrix_algebra_product_map_is_degree_zero():
@@ -580,7 +581,7 @@ def test_based_algebra_detects_non_associativity():
         {("a", "a"): {"b": 1}, ("a", "b"): {"a": 1}},
         {"a": 1},
     )
-    assert not bad.is_associative()
+    assert not is_associative(bad)
 
 
 def test_based_algebra_grading_enforced():

@@ -29,7 +29,6 @@ from rbsinfty.graded import (
     _slot_choices,
     brace_map,
     compose_tensor,
-    insert,
     raise_indices,
     tensor_product_multiply,
 )
@@ -41,15 +40,15 @@ from rbsinfty.linfty import (
     CochainElement,
     Piece,
     basis_cochains,
-    is_mc,
     l_bracket,
     mc_residual,
     nonvanishing_inputs,
     twisted_differential,
 )
-from rbsinfty.sampling import random_multimap, random_tensor
+from rbsinfty.sampling import random_multimap
 from rbsinfty.signs import koszul_chi, parity_sign
 from rbsinfty.yang_baxter import F_inverse, F_map, InfinityYBPair
+from oracles import insert, is_associative, is_unital, random_tensor
 
 SPACES = (
     GradedSpace([("v1", -1), ("v2", 0), ("v3", 0)]),
@@ -514,12 +513,11 @@ def test_brackets_that_cancel_leave_no_entry():
     alpha = linfty.classical_cochain(algebra.product_map(), r_op, s_op)
     m2, r1, s1 = alpha.pieces()
     for pair in ([r1, r1], [r1, s1]):
-        assert not l_bracket(end, [m2] + pair).component(TAG_R, 2).is_zero()
-    assert is_mc(alpha)
+        assert 2 in l_bracket(end, [m2] + pair).parts[TAG_R]
     assert mc_residual(alpha).is_zero() and _fraction_expand(alpha, [None]).is_zero()
     halved = linfty.classical_cochain(algebra.product_map(), r_op, Fraction(1, 2) * s_op)
     assert mc_residual(halved) == _fraction_expand(halved, [None])
-    assert not mc_residual(halved).component(TAG_R, 2).is_zero()
+    assert 2 in mc_residual(halved).parts[TAG_R]
 
 
 # -- the one form, entry point by entry point ----------------------------------------
@@ -740,7 +738,7 @@ def _fraction_F(t):
 def test_tensor_arithmetic_matches_fraction_tables(name):
     rng = random.Random(f"tensors:{name}")
     algebra = ALGEBRAS[name](rng)
-    assert algebra.is_associative() and algebra.is_unital()
+    assert is_associative(algebra) and is_unital(algebra)
     density = 0.5 if algebra.space.dim <= 4 else 0.1
     nonzero = 0
     for _ in range(12):

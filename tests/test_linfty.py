@@ -28,9 +28,6 @@ from rbsinfty.linfty import (
     Piece,
     basis_cochains,
     classical_cochain,
-    desuspend_alg_map,
-    generalized_jacobi_defect,
-    is_mc,
     l_bracket,
     mc_residual,
     nonvanishing_inputs,
@@ -42,6 +39,7 @@ from rbsinfty.linfty import (
 from rbsinfty.residuals import check_classical_rbs
 from rbsinfty.sampling import random_multimap
 from rbsinfty.signs import koszul_chi
+from oracles import is_associative
 
 # -- shared fixtures ----------------------------------------------------------
 
@@ -97,13 +95,26 @@ def test_suspend_sign_uses_map_degree():
     assert avatar.evaluate(("w1", "w2")) == {"w3": -1}
 
 
+def _desuspend(m):
+    """The inverse of `suspend_alg_map`: the same sign, read on the
+    unsuspended degrees of the inputs and of the map."""
+    space = m.space_in.suspend(-1)
+    degree = m.degree + m.arity - 1
+    rows = {}
+    for ins, outs in m.rows.items():
+        degrees = [space.degree(name) for name in ins]
+        sign = (-1) ** ((m.arity - 1) * degree + linfty._staircase(degrees))
+        rows[ins] = {out: sign * n for out, n in outs.items()}
+    return MultiMap(space, space, m.arity, degree, rows, m.denominator)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_suspend_round_trip(seed):
     rng = random.Random(seed)
     arity = rng.randint(1, 3)
     degree = rng.choice((-1, 0, 1))
     f = random_multimap(rng, GRADED, GRADED, arity, degree, density=0.8)
-    assert desuspend_alg_map(suspend_alg_map(f)) == f
+    assert _desuspend(suspend_alg_map(f)) == f
 
 
 def test_suspended_matrix_product_self_brace_vanishes():
@@ -120,7 +131,7 @@ def test_nonassociative_product_self_bracket_detects():
     algebra = BasedAlgebra(
         space, {("a", "a"): {"b": 1}, ("a", "b"): {"a": 1}}, {"a": 1}
     )
-    assert not algebra.is_associative()
+    assert not is_associative(algebra)
     piece = Piece(TAG_ALG, suspend_alg_map(algebra.product_map()))
     assert not l_bracket(space, [piece, piece]).is_zero()
 
@@ -134,8 +145,7 @@ def test_cochain_infers_degree_and_drops_zeros():
     cochain = CochainElement(PLANE, {TAG_ALG: {2: avatar}, TAG_R: {1: zero}})
     assert cochain.degree == -1
     assert TAG_R not in cochain.parts
-    assert cochain.component(TAG_R, 1).is_zero()
-    assert cochain.component(TAG_ALG, 2) == avatar
+    assert cochain.parts == {TAG_ALG: {2: avatar}}
 
 
 def test_cochain_rejects_mixed_degrees():
@@ -272,11 +282,10 @@ def test_unary_algebra_operator_bracket_is_commutator():
     rop = MultiMap(SPLANE, SPLANE, 1, 0, {("v1",): {"v1": 2}, ("v2",): {"v2": 5}})
     result = l_bracket(PLANE, [Piece(TAG_ALG, phi), Piece(TAG_R, rop)])
     want = compose_tensor(phi, [rop]) - compose_tensor(rop, [phi])
-    assert result.component(TAG_R, 1) == want
-    assert result.component(TAG_S, 1).is_zero()
+    assert result.parts == {TAG_R: {1: want}}
     # second-column operators commute the same way
     result_s = l_bracket(PLANE, [Piece(TAG_ALG, phi), Piece(TAG_S, rop)])
-    assert result_s.component(TAG_S, 1) == want
+    assert result_s.parts == {TAG_S: {1: want}}
 
 
 def test_bracket_antisymmetry_on_algebra_pair():
@@ -315,11 +324,11 @@ def test_diagonal_fixture_family_is_mc():
     # column satisfies both coupled operator identities.
     for a, d in ((2, 3), (1, 1), (-5, 7)):
         alpha = rbs_alpha(operator(a, 0, 0, 0), operator(0, 0, 0, d))
-        assert is_mc(alpha)
+        assert mc_residual(alpha).is_zero()
 
 
 def test_identity_zero_pair_is_mc():
-    assert is_mc(rbs_alpha(MultiMap.identity(PLANE), MultiMap.zero(PLANE, PLANE, 1, 0)))
+    assert mc_residual(rbs_alpha(MultiMap.identity(PLANE), MultiMap.zero(PLANE, PLANE, 1, 0))).is_zero()
 
 
 def test_matrix_algebra_pairs():
@@ -327,8 +336,8 @@ def test_matrix_algebra_pairs():
     mu = algebra.product_map()
     ident = MultiMap.identity(algebra.space)
     zero = MultiMap.zero(algebra.space, algebra.space, 1, 0)
-    assert is_mc(classical_cochain(mu, ident, zero))
-    assert not is_mc(classical_cochain(mu, ident, 2 * ident))
+    assert mc_residual(classical_cochain(mu, ident, zero)).is_zero()
+    assert not mc_residual(classical_cochain(mu, ident, 2 * ident)).is_zero()
 
 
 def test_scaled_identity_pair_fails():
@@ -351,9 +360,10 @@ def test_mc_residual_matches_classical_residuals(seed):
     s_map = random_multimap(rng, PLANE, PLANE, 1, 0, density=0.8)
     residual = mc_residual(rbs_alpha(r_map, s_map))
     res_r, res_s = check_classical_rbs(DIAGONAL, r_map, s_map)
-    assert residual.component(TAG_ALG, 3).is_zero()
-    assert residual.component(TAG_R, 2) == -1 * suspend_alg_map(res_r)
-    assert residual.component(TAG_S, 2) == -1 * suspend_alg_map(res_s)
+    assert TAG_ALG not in residual.parts
+    zero = MultiMap.zero(SPLANE, SPLANE, 2, 0)  # equal to every zero map of arity 2
+    for tag, res in ((TAG_R, res_r), (TAG_S, res_s)):
+        assert residual.parts.get(tag, {}).get(2, zero) == -1 * suspend_alg_map(res)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -366,7 +376,7 @@ def test_is_mc_iff_classical_pair_checks(seed):
         r_map = random_multimap(rng, PLANE, PLANE, 1, 0, density=0.8)
         s_map = random_multimap(rng, PLANE, PLANE, 1, 0, density=0.8)
     res_r, res_s = check_classical_rbs(DIAGONAL, r_map, s_map)
-    assert is_mc(rbs_alpha(r_map, s_map)) == (res_r.is_zero() and res_s.is_zero())
+    assert mc_residual(rbs_alpha(r_map, s_map)).is_zero() == (res_r.is_zero() and res_s.is_zero())
 
 
 def test_mc_degree_guard():
@@ -567,7 +577,7 @@ def _basis_pieces(max_arity=2):
 
 def test_twisted_differential_squares_to_zero():
     alpha = rbs_alpha(operator(2, 0, 0, 0), operator(0, 0, 0, 3))
-    assert is_mc(alpha)
+    assert mc_residual(alpha).is_zero()
     checked = 0
     # arity 3 reaches l_5: d_alpha takes an arity-3 algebra piece to arity 4
     # through l_2, and the second d_alpha brackets that with four operator
@@ -672,21 +682,19 @@ def test_jacobi_engineered_patterns(seed):
     for tag in pattern:
         arity = rng.randint(1, 2)
         pieces.append(random_piece(rng, GRADED, arity, tag=tag))
-    assert generalized_jacobi_defect(GRADED, pieces).is_zero()
+    assert linfty._jacobi_sum(GRADED, pieces)[0].is_zero()
 
 
 def test_jacobi_five_inputs_supporting_twist():
     # the five-input identities behind the square-zero twist
     alpha = rbs_alpha(operator(2, 0, 0, 0), operator(0, 0, 0, 3))
-    M = alpha.component(TAG_ALG, 2)
-    G = alpha.component(TAG_R, 1)
-    H = alpha.component(TAG_S, 1)
+    M, G, H = alpha.parts[TAG_ALG][2], alpha.parts[TAG_R][1], alpha.parts[TAG_S][1]
     x = alg_piece(2, {("v1", "v2"): {"v1": 1}})
     for ops in itertools.combinations_with_replacement((TAG_R, TAG_S), 3):
         pieces = [Piece(TAG_ALG, M), x] + [
             Piece(tag, G if tag == TAG_R else H) for tag in ops
         ]
-        assert generalized_jacobi_defect(PLANE, pieces).is_zero()
+        assert linfty._jacobi_sum(PLANE, pieces)[0].is_zero()
 
 
 def test_verify_report_shape():

@@ -25,12 +25,12 @@ from rbsinfty.graded import (
     raise_indices,
 )
 from rbsinfty.residuals import HomotopyRBS, _residual
-from rbsinfty.sampling import random_tensor
 from rbsinfty.signs import compositions
 from rbsinfty.yang_baxter import InfinityYBPair, check_infinity_ybp
 
 from test_f_map_paths import ALGEBRAS, _pair
 from test_residuals import _random_structure
+from oracles import random_tensor
 
 TOOL = Path(__file__).parent.parent / "tools" / "dense_residuals.py"
 

@@ -25,7 +25,6 @@ from rbsinfty.trees import (
     corolla,
     gen,
     graft_with_sign,
-    identity_element,
     identity_tree,
     leading_monomial,
     parse_tree,
@@ -221,8 +220,8 @@ def test_compose_sign_matches_transposition_oracle():
 def test_compose_at_identity_is_neutral():
     t = as_element(compose_at(M2, 2, R2))
     for i in (1, 2, 3):
-        assert compose_at(t, i, identity_element()) == t
-    assert compose_at(identity_element(), 1, t) == t
+        assert compose_at(t, i, as_element(identity_tree())) == t
+    assert compose_at(as_element(identity_tree()), 1, t) == t
 
 
 def test_compose_at_index_errors():
@@ -288,7 +287,7 @@ def test_brace_overlong_args_is_zero():
 
 
 def test_brace_single_arg_is_sum_of_insertions():
-    total = OperadElement.zero(4)
+    total = OperadElement(4)
     for i in (1, 2, 3):
         total = total + compose_at(X3, i, X2)
     assert brace(X3, [X2]) == total
@@ -297,7 +296,7 @@ def test_brace_single_arg_is_sum_of_insertions():
 
 def test_brace_with_identity_argument():
     # the identity occupies a slot but adds no vertices and no signs
-    e = brace(M2, [identity_element(), as_element(R1)])
+    e = brace(M2, [as_element(identity_tree()), as_element(R1)])
     assert e == compose_at(M2, 2, R1)
 
 
@@ -405,7 +404,7 @@ def test_element_sum_matches_a_fold_of_binary_addition(seed):
     ]
     elements = [rng.choice((-2, -1, 1, 2)) * rng.choice(pool) for _ in range(12)]
     total = OperadElement.sum(3, elements)
-    assert total == reduce(_add_oracle, elements, OperadElement.zero(3))
+    assert total == reduce(_add_oracle, elements, OperadElement(3))
     assert total == reduce(lambda a, b: a + b, elements)
 
 
@@ -459,7 +458,7 @@ def test_leading_monomial_examples():
     assert tree == parse_tree("m2(1, R1(2))")
     assert coeff == Fraction(-3, 7)
     with pytest.raises(ValueError):
-        leading_monomial(OperadElement.zero(2))
+        leading_monomial(OperadElement(2))
 
 
 def _mrs_tree_strategy():
@@ -582,7 +581,7 @@ def _random_elements(rng, generators, count):
     for _ in range(count):
         arity = rng.choice(arities)
         if rng.random() < 0.1:
-            elements.append(OperadElement.zero(arity))
+            elements.append(OperadElement(arity))
             continue
         trees = rng.sample(by_arity[arity], min(len(by_arity[arity]), rng.randint(1, 3)))
         elements.append(OperadElement(arity, [(t, rng.choice(SCALARS)) for t in trees]))
@@ -613,7 +612,7 @@ def test_compose_at_and_brace_match_one_graft_per_choice(alphabet):
 def test_compose_at_and_brace_drop_what_cancels():
     # R1 o_1 m2 is both R1 grafted with m2 and the identity grafted with R1(m2)
     r1_m2 = parse_tree("R1(m2(1, 2))")
-    f = as_element(R1) - identity_element()
+    f = as_element(R1) - as_element(identity_tree())
     g = as_element(M2) + OperadElement.monomial(r1_m2)
     e = compose_at(f, 1, g)
     assert e == _graft_compose_at(f, 1, g)
@@ -630,13 +629,13 @@ def test_compose_at_and_brace_drop_what_cancels():
 
 
 def test_compose_at_and_brace_on_zero_and_edge_arguments():
-    zero2, zero3 = OperadElement.zero(2), OperadElement.zero(3)
+    zero2, zero3 = OperadElement(2), OperadElement(3)
     f = compose_at(M2, 2, R2) * Fraction(2, 3)
-    assert compose_at(f, 1, zero2) == _graft_compose_at(f, 1, zero2) == OperadElement.zero(4)
-    assert compose_at(zero3, 2, M2) == _graft_compose_at(zero3, 2, M2) == OperadElement.zero(4)
-    assert brace(f, [zero2]) == _graft_brace(f, [zero2]) == OperadElement.zero(4)
+    assert compose_at(f, 1, zero2) == _graft_compose_at(f, 1, zero2) == OperadElement(4)
+    assert compose_at(zero3, 2, M2) == _graft_compose_at(zero3, 2, M2) == OperadElement(4)
+    assert brace(f, [zero2]) == _graft_brace(f, [zero2]) == OperadElement(4)
     assert brace(f, []) == _graft_brace(f, []) == f
-    assert brace(f, [M2] * 4) == _graft_brace(f, [M2] * 4) == OperadElement.zero(7)
+    assert brace(f, [M2] * 4) == _graft_brace(f, [M2] * 4) == OperadElement(7)
     for i in (0, 4):
         for compose in (compose_at, _graft_compose_at):
             with pytest.raises(ValueError, match="out of range"):

@@ -15,7 +15,6 @@ from rbsinfty.graded import (
     MultiMap,
     TensorElem,
     compose_tensor,
-    insert,
     raise_indices,
     tensor_product_multiply,
 )
@@ -23,10 +22,8 @@ from rbsinfty.minimal_model import slot
 from rbsinfty.residuals import (
     HomotopyRBS,
     check_classical_rbs,
-    dga_residual_R,
-    dga_residual_S,
 )
-from rbsinfty.sampling import random_multimap, random_tensor
+from rbsinfty.sampling import random_multimap
 from rbsinfty.signs import parity_sign
 from rbsinfty import yang_baxter
 from rbsinfty.yang_baxter import (
@@ -38,12 +35,18 @@ from rbsinfty.yang_baxter import (
     check_infinity_ybp,
     chi_inverse,
     chi_map,
+    rbs_to_ybp,
+    ybp_to_rbs,
+)
+from oracles import (
+    dga_residual_R,
+    dga_residual_S,
     equivalence_identity_1,
     equivalence_identity_2,
     equivalence_identity_3,
     equivalence_identity_4,
-    rbs_to_ybp,
-    ybp_to_rbs,
+    insert,
+    random_tensor,
 )
 
 ONE = Fraction(1)
