@@ -26,16 +26,21 @@ The nonzero brackets are:
 
 Everything else vanishes, including any component whose algebra-cochain arity
 differs from the number of operator inputs.
+
+The Maurer-Cartan residual and the twisted differential are expanded by
+column sums (multilinearity, as in Dotsenko-Shadrin-Vallette, *Maurer-Cartan
+methods in deformation theory*): the pieces of a degree ``-1`` cochain are
+odd, so each algebra piece is composed once per split of its slots between
+the operator columns, each slot taking the sum of its column, with signs
+that depend on the piece and the split alone (see `mc_residual`).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .graded import (
@@ -354,87 +359,77 @@ def _chi(sigma: tuple[int, ...], parities: tuple[int, ...]) -> int:
     return koszul_chi(sigma, parities)
 
 
+def _operator_rows(
+    F: MultiMap, gs: Sequence[tuple], hs: Sequence[tuple], numerator: int = 1
+) -> Iterator[tuple]:
+    """The operator terms of F with the slots ``gs`` of the first operator
+    column and ``hs`` of the second, times ``numerator``, as streams (see
+    `_bracket_rows`); ``F.arity`` is ``len(gs) + len(hs)``.  Every operator
+    term is signed here, by one exponent on the slots' intrinsic degrees
+    ``g`` and ``h``::
+
+        base = n F.degree + stair(g) + stair(h) + (sum g)(n - j)
+
+    with ``n`` slots, ``j`` of them in the first column, and ``stair`` the
+    `_staircase`.  A slot is ``(part, hosts, degree)``: the part F takes
+    there (a map, or the triple of `_IntegerTable.part` for a sum of maps),
+    the maps it sums, and their intrinsic degree.  When one column is empty
+    the plain substitution F(gs, hs) has sign ``(-1)^base``.  In each brace
+    term the first slot of a nonempty column climbs outside and the identity
+    fills the slot between the columns inside; the inner composition is
+    summed once in an `_IntegerTable`, read as a part, and each map c the
+    slot sums is composed over it with sign ``(-1)^(1 + base + c.degree
+    (F.degree + M))``, M 0 for the first column and the summed map degree of
+    ``gs`` for the second."""
+    space = F.space_in
+    n, j = len(gs) + len(hs), len(gs)
+    parts = [part for part, _, _ in [*gs, *hs]]
+    g = [d for _, _, d in gs]
+    base = n * F.degree + _staircase(g) + _staircase([d for _, _, d in hs]) + sum(g) * (n - j)
+    degree = F.degree + sum(d + 1 for _, _, d in [*gs, *hs])
+    if j in (0, n):
+        yield TAG_R if j == n else TAG_S, degree, *_signed_rows(
+            F, [parts], space, numerator * parity_sign(base)
+        )
+    for tag, slots, M, layout in (
+        (TAG_R, gs, 0, parts[1:j] + [None] + parts[j:]),
+        (TAG_S, hs, sum(g) + j, parts[:j] + [None] + parts[j + 1 :]),
+    ):
+        if not slots or not slots[0][1]:
+            continue
+        _, hosts, d = slots[0]
+        inner = _IntegerTable()
+        inner.add(*_signed_rows(F, [layout], space))
+        part = inner.part(degree - d - 1, space)
+        sign = numerator * parity_sign(1 + base + (d + 1) * (F.degree + M))
+        for host in hosts:
+            yield tag, degree, *_signed_rows(host, _slot_choices(host, [part]), space, sign)
+
+
 def _operator_terms(
-    F: MultiMap,
-    gs: Sequence[MultiMap],
-    hs: Sequence[MultiMap],
-    outer: int,
-    denominator: int = 1,
-    memo: Optional[dict] = None,
+    F: MultiMap, gs: Sequence[MultiMap], hs: Sequence[MultiMap], outer: int
 ) -> Iterator[tuple]:
     """The bracket of one algebra cochain with operator cochains, times
-    ``outer / denominator``, as streams (see `_bracket_rows`).
+    ``outer``, as streams (see `_bracket_rows`).
 
-    ``gs`` feed the first operator column, ``hs`` the second; ``F.arity``
-    equals ``n = len(gs) + len(hs)`` and ``j = len(gs)``.  Each distinct
+    ``gs`` feed the first operator column, ``hs`` the second.  Each distinct
     ordering pair ``(pg, ph)`` of the two columns (see `_orderings`) is
-    composed once, with one base exponent on intrinsic degrees
-    ``|g| = (map degree) - 1``::
-
-        base = n F.degree + stair(pg) + stair(ph) + (sum |g|)(n - j)
-
-    with ``stair`` the `_staircase` of the degrees.  When one column is
-    empty the plain substitution F(pg, ph) has sign ``(-1)^base``.  In each
-    brace term the first operator c of a nonempty column climbs outside and
-    the identity fills the slot between the columns inside; its sign is
-    ``(-1)^(1 + base + c.degree (F.degree + M))``, where M is 0 for the
-    first column and the summed map degree of ``gs`` for the second.  The
-    inner composition F(layout) of a brace term stays an `_IntegerTable`,
-    read by `_signed_rows` through its `_output_index`, and is made once
-    per F and layout of the same maps in ``memo``, keyed by their identity.
-    """
-    if memo is None:
-        memo = {}
-    n, j = len(gs) + len(hs), len(gs)
-    space = F.space_in
-    arity = sum(m.arity for m in [*gs, *hs])
-    degree = F.degree + sum(m.degree for m in [*gs, *hs])
-    shift = sum(m.degree - 1 for m in gs) * (n - j)
-    g_degree = sum(m.degree for m in gs)
-    second = [
-        (ph, chi_h, _staircase([m.degree - 1 for m in ph])) for ph, chi_h in _orderings(hs)
-    ]
+    composed once, by `_operator_rows`, with its summed Koszul signs."""
+    second = _orderings(hs)
     for pg, chi_g in _orderings(gs):
-        base_g = n * F.degree + _staircase([m.degree - 1 for m in pg]) + shift
-        for ph, chi_h, stair_h in second:
-            sign = outer * chi_g * chi_h
-            base = base_g + stair_h
-            if j in (0, n):
-                tag = TAG_R if j == n else TAG_S
-                yield tag, arity, degree, *_signed_rows(
-                    F, [pg + ph], space, sign * parity_sign(base), denominator
-                )
-            for tag, column, M in ((TAG_R, pg, 0), (TAG_S, ph, g_degree)):
-                if not column:
-                    continue
-                layout = pg[1:] + [None] + ph if tag == TAG_R else pg + [None] + ph[1:]
-                c = column[0]
-                climb = parity_sign(1 + base + c.degree * (F.degree + M))
-                # `l_bracket` or `CochainElement` checked that every piece
-                # acts on one suspended space, so the composition is not
-                # checked again
-                key = (id(F), *map(id, layout))
-                part = memo.get(key)
-                if part is None:
-                    inner = _IntegerTable()
-                    inner.add(*_signed_rows(F, [layout], space))
-                    part = memo[key] = inner.part(degree - c.degree, space)
-                yield tag, arity, degree, *_signed_rows(
-                    c, _slot_choices(c, [part]), space, sign * climb, denominator
-                )
+        for ph, chi_h in second:
+            yield from _operator_rows(
+                F,
+                [(m, (m,), m.degree - 1) for m in pg],
+                [(m, (m,), m.degree - 1) for m in ph],
+                outer * chi_g * chi_h,
+            )
 
 
-def _bracket_rows(
-    pieces: Sequence[Piece],
-    numerator: int = 1,
-    denominator: int = 1,
-    memo: Optional[dict] = None,
-) -> Iterator[tuple]:
-    """The bracket of ``pieces`` times ``numerator / denominator``, as
-    streams ``(tag, arity, map degree, denominator, rows)`` of the integer
-    rows of `_signed_rows`; nothing when the bracket vanishes.  `_tables`
-    sums them.  ``memo`` keeps the inner compositions of `_operator_terms`
-    across the brackets of one sum."""
+def _bracket_rows(pieces: Sequence[Piece], numerator: int = 1) -> Iterator[tuple]:
+    """The bracket of ``pieces`` times ``numerator``, as streams ``(tag, map
+    degree, denominator, rows)`` of the integer rows of `_signed_rows`;
+    nothing when the bracket vanishes.  `_tables` sums them."""
     n = len(pieces)
     if n < 2 or any(p.map.is_zero() for p in pieces):
         return
@@ -443,13 +438,11 @@ def _bracket_rows(
         # the Gerstenhaber bracket {sf}{sh} - (-1)^(|sf||sh|) {sh}{sf}
         sf, sh = pieces[0].map, pieces[1].map
         space = sf.space_in
-        arity, degree = sf.arity + sh.arity - 1, sf.degree + sh.degree
+        degree = sf.degree + sh.degree
         swap = parity_sign(sf.degree * sh.degree)
-        yield TAG_ALG, arity, degree, *_signed_rows(
-            sf, _slot_choices(sf, [sh]), space, numerator, denominator
-        )
-        yield TAG_ALG, arity, degree, *_signed_rows(
-            sh, _slot_choices(sh, [sf]), space, -swap * numerator, denominator
+        yield TAG_ALG, degree, *_signed_rows(sf, _slot_choices(sf, [sh]), space, numerator)
+        yield TAG_ALG, degree, *_signed_rows(
+            sh, _slot_choices(sh, [sf]), space, -swap * numerator
         )
         return
     if len(alg_positions) != 1:
@@ -467,38 +460,40 @@ def _bracket_rows(
         [pieces[i].map for i in first],
         [pieces[i].map for i in second],
         numerator * chi,
-        denominator,
-        memo,
     )
 
 
 def _cochain(
     space: GradedSpace,
-    tables: Mapping[tuple[str, int], tuple[int, _IntegerTable]],
+    tables: Mapping[str, tuple[int, _IntegerTable]],
     degree: Optional[int] = None,
 ) -> CochainElement:
-    """The cochain on ``space`` whose ``(tag, arity)`` component is the map
-    of its summed table of `_tables`, of the map degree of its first
-    stream; ``degree`` is passed on to `CochainElement`."""
+    """The cochain on ``space`` whose components are the summed tables of
+    `_tables`, each split by the length of its input tuples into one map per
+    arity, of the map degree of its first stream; ``degree`` is passed on to
+    `CochainElement`."""
     suspended = space.suspend()
-    return CochainElement(
-        space,
-        [
-            (tag, MultiMap(suspended, suspended, arity, map_degree, t.rows, t.denominator))
-            for (tag, arity), (map_degree, t) in tables.items()
-        ],
-        degree=degree,
-    )
+    maps = []
+    for tag, (map_degree, t) in tables.items():
+        arities: dict[int, dict] = {}
+        for ins, row in t.rows.items():
+            arities.setdefault(len(ins), {})[ins] = row
+        maps += [
+            (tag, MultiMap(suspended, suspended, arity, map_degree, rows, t.denominator))
+            for arity, rows in arities.items()
+        ]
+    return CochainElement(space, maps, degree=degree)
 
 
-def _tables(streams: Iterable[tuple]) -> dict[tuple[str, int], tuple[int, _IntegerTable]]:
-    """``{(tag, arity): (map degree, table)}``: the streams of each
-    component summed in one `_IntegerTable`, the tables of `_cochain`."""
-    tables: dict[tuple[str, int], tuple[int, _IntegerTable]] = {}
-    for tag, arity, degree, denominator, rows in streams:
-        entry = tables.get((tag, arity))
+def _tables(streams: Iterable[tuple]) -> dict[str, tuple[int, _IntegerTable]]:
+    """``{tag: (map degree, table)}``: the streams of each column summed in
+    one `_IntegerTable`, whatever their arities (input tuples of different
+    lengths never meet), the tables of `_cochain`."""
+    tables: dict[str, tuple[int, _IntegerTable]] = {}
+    for tag, degree, denominator, rows in streams:
+        entry = tables.get(tag)
         if entry is None:
-            entry = tables[tag, arity] = (degree, _IntegerTable())
+            entry = tables[tag] = (degree, _IntegerTable())
         entry[1].add(denominator, rows)
     return tables
 
@@ -527,50 +522,6 @@ def _check_pieces(space: GradedSpace, pieces: Sequence[Piece]) -> None:
             raise ValueError("piece does not act on the suspension of the given module")
 
 
-def nonvanishing_inputs(
-    pool: Sequence[Piece], lead: Optional[Piece] = None
-) -> Iterator[tuple[int, list[Piece]]]:
-    """The input lists ``[lead] + multiset`` whose bracket can be nonzero.
-
-    The multisets are drawn from ``pool`` with repetition, once each up to
-    order, and fit the vanishing rule of the module docstring: two algebra
-    inputs, or one algebra input of arity ``n`` with ``n`` operator inputs.
-    Each comes with the divisor ``prod m_i!`` of its multiplicities
-    ``m_i``, its weight being ``1/prod m_i!``; ``lead`` is not counted in
-    them.
-    """
-    head = [] if lead is None else [lead]
-    algebra = [p for p in pool if p.tag == TAG_ALG]
-    operators = [p for p in pool if p.tag != TAG_ALG]
-    if lead is None or lead.tag == TAG_ALG:
-        yield from _multisets(head, algebra, 2 - len(head))
-    if lead is not None and lead.tag == TAG_ALG:
-        yield from _multisets(head, operators, lead.arity)
-    else:
-        for F in algebra:
-            yield from _multisets(head + [F], operators, F.arity - len(head))
-
-
-def _multisets(
-    head: list[Piece], items: Sequence[Piece], size: int
-) -> Iterator[tuple[int, list[Piece]]]:
-    """``head`` followed by each ``size``-multiset of ``items``, with the
-    divisor ``prod m_i!``."""
-    for divisor, combo in _weighted_multisets(len(items), size):
-        yield divisor, head + [items[i] for i in combo]
-
-
-@lru_cache(maxsize=None)
-def _weighted_multisets(n: int, size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The ``size``-multisets of ``range(n)``, in order, each with the
-    divisor ``prod m_i!`` of its weight; made once per process for each
-    pair."""
-    return tuple(
-        (prod(factorial(m) for m in Counter(combo).values()), combo)
-        for combo in itertools.combinations_with_replacement(range(n), size)
-    )
-
-
 # -- the homotopy Jacobi identities ------------------------------------------
 
 
@@ -588,7 +539,7 @@ def _jacobi_sum(
     _check_pieces(space, pieces)
     n = len(pieces)
     parities = tuple(p.degree & 1 for p in pieces)
-    combination: dict[tuple[str, int], tuple[int, _IntegerTable]] = {}
+    combination: dict[str, tuple[int, _IntegerTable]] = {}
     degree = None
     for i in range(2, n):  # the unary bracket vanishes, killing i = 1 and i = n
         j = n + 1 - i
@@ -600,14 +551,14 @@ def _jacobi_sum(
             rest = [pieces[s - 1] for s in sigma[i:]]
             for piece in inner.pieces():
                 term = _tables(_bracket_rows([piece] + rest, sign))
-                for key, (map_degree, table) in term.items():
+                for tag, (map_degree, table) in term.items():
                     if not _nonzero(table):
                         continue
                     if degree is None:
-                        degree = map_degree if key[0] == TAG_ALG else map_degree - 1
-                    entry = combination.get(key)
+                        degree = map_degree if tag == TAG_ALG else map_degree - 1
+                    entry = combination.get(tag)
                     if entry is None:
-                        entry = combination[key] = (map_degree, _IntegerTable())
+                        entry = combination[tag] = (map_degree, _IntegerTable())
                     rows = table.rows.items()
                     entry[1].add(table.denominator, ((ins, 1, row) for ins, row in rows))
     return _cochain(space, combination, degree), degree is not None
@@ -616,19 +567,75 @@ def _jacobi_sum(
 # -- Maurer-Cartan theory -----------------------------------------------------
 
 
+def _columns(alpha: CochainElement) -> tuple:
+    """The suspended module of ``alpha`` and its three columns as slots of
+    `_operator_rows`: the sum of each column's maps in one `_IntegerTable`,
+    read as a part (input tuples of different lengths never meet), the maps
+    themselves, and their intrinsic degree -1; ``alpha`` must have degree
+    -1."""
+    if alpha.degree not in (None, -1):
+        raise ValueError(
+            f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
+        )
+    columns = [alpha.suspended]
+    for tag in TAGS:
+        maps = list(alpha.parts.get(tag, {}).values())
+        table = _IntegerTable()
+        for m in maps:
+            table.add(m.denominator, ((ins, 1, row) for ins, row in m.rows.items()))
+        map_degree = -1 if tag == TAG_ALG else 0
+        columns.append((table.part(map_degree, alpha.suspended), maps, -1))
+    return tuple(columns)
+
+
+def _column_rows(columns: tuple, leads: Sequence[Optional[Piece]]) -> Iterator[tuple]:
+    """The streams of the Maurer-Cartan residual (lead None) or of the
+    twisted differential of each lead, over the `_columns` of alpha, with
+    the terms and signs that `mc_residual` and `twisted_differential`
+    state."""
+    space, (abar, algebra, _), first, second = columns
+    for lead in leads:
+        x = None if lead is None else lead.map
+        if lead is None or lead.tag == TAG_ALG:
+            for F in algebra if x is None else [x]:
+                yield TAG_ALG, F.degree - 1, *_signed_rows(F, _slot_choices(F, [abar]), space)
+                for j in range(F.arity + 1):
+                    yield from _operator_rows(F, [first] * j, [second] * (F.arity - j))
+            for a in algebra if x is not None else ():
+                yield TAG_ALG, x.degree - 1, *_signed_rows(
+                    a, _slot_choices(a, [x]), space, -parity_sign(x.degree)
+                )
+            continue
+        D, in_first = lead.degree, lead.tag == TAG_R
+        column = first if in_first else second
+        for F in algebra:
+            n = F.arity
+            for j in range(n + 1):
+                size, shift = (j, D + 1) if in_first else (n - j, (1 + j) * (1 + D))
+                for p in range(size):
+                    placed = [column] * p + [(x, (x,), D)] + [column] * (size - p - 1)
+                    gs, hs = (placed, [second] * (n - j)) if in_first else ([first] * j, placed)
+                    yield from _operator_rows(F, gs, hs, parity_sign(shift + p * (1 + D)))
+
+
 def mc_residual(alpha: CochainElement) -> CochainElement:
-    """``sum_{k>=2} (1/k!) l_k(alpha, ..., alpha)``, expanded over components.
+    """``sum_{k>=2} (1/k!) l_k(alpha, ..., alpha)``, expanded by column sums.
 
     Raises unless ``alpha`` is homogeneous of intrinsic degree ``-1``.  Every
-    piece of such an ``alpha`` is odd, so graded antisymmetry makes ``l_k``
-    symmetric in its inputs: the ``k!/prod m_i!`` orderings of a multiset of
-    pieces (multiplicities ``m_i``) give one bracket, and the sum runs once
-    over each multiset of :func:`nonvanishing_inputs` with weight
-    ``1/prod m_i!``.  The weight folds into the integer rows of each
-    bracket, which all stream into one integer table per residual
-    component, the rows of its map.
+    piece of such an ``alpha`` is odd, so ``l_k`` is symmetric in its inputs
+    and the sum runs over every sequence of pieces with weight one.  Two
+    algebra pieces give ``sum_a a{A}``, A the sum of the algebra pieces.  An
+    algebra piece F of arity n with n operator pieces is composed once per
+    split j, each of its j first-column slots taking the sum R of the first
+    column and each other slot the sum S of the second.  The signs depend on
+    (F, j) alone (`_operator_rows` on degrees -1): ``(-1)^base``, with
+    ``base = n|F| - j(j-1)/2 - (n-j)(n-j-1)/2 - j(n-j)``, for the plain term
+    F(R, ..., R) (j = n) or F(S, ..., S) (j = 0), and ``(-1)^(1 + base)`` for
+    each piece of a column composed over F(R^(j-1), id, S^(n-j)) (first
+    column) or F(R^j, id, S^(n-j-1)) (second).  The rows of one column
+    stream into one integer table, split into one map per arity.
     """
-    return _expand(alpha, [None])
+    return _cochain(alpha.space, _tables(_column_rows(_columns(alpha), [None])))
 
 
 def twisted_differential(
@@ -642,39 +649,23 @@ def twisted_differential(
     makes the square vanish (for odd-degree arguments the two placements
     agree, since ``alpha`` is odd).  Raises unless ``alpha`` has intrinsic
     degree ``-1``: its odd pieces make each bracket symmetric in the ``alpha``
-    slots, whatever the parity of ``x``, so the sum runs once over each
-    multiset of ``alpha`` pieces of :func:`nonvanishing_inputs` after each
-    piece of ``x``, with weight ``1/prod m_i!``.
+    slots, whatever the parity of ``x``, so the sum runs over every sequence
+    of ``alpha`` pieces after each piece of ``x``, with weight one, and is
+    expanded by column sums as in `mc_residual`.  An algebra piece x of map
+    degree delta gives ``x{A} - (-1)^delta sum_a a{x}`` and the operator
+    terms of F = x.  An operator piece x of intrinsic degree D takes each
+    position p of its column in the operator terms of each algebra piece F
+    and split j, with D at its slot in ``base``, and the Koszul sign that
+    moves it there past F and the odd pieces before it: ``(-1)^(p(1 + D))``
+    times ``(-1)^(D + 1)`` in the first column or ``(-1)^((1 + j)(1 + D))``
+    in the second.  A brace term whose climbing piece is x has sign
+    ``(-1)^(1 + base + (D + 1)|F|)``.
     """
     if isinstance(x, Piece):
         x = CochainElement(alpha.space, {x.tag: {x.arity: x.map}})
     if x.space != alpha.space:
         raise ValueError("cochains live on different modules")
-    return _expand(alpha, x.pieces())
-
-
-def _expand(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> CochainElement:
-    """The weighted brackets of :func:`nonvanishing_inputs` on the pieces of
-    ``alpha``, after each of ``leads``; ``alpha`` must have degree ``-1``.
-
-    Each bracket's rows carry its weight and stream into one integer table
-    per residual component (`_tables`), so no bracket is built as a map of
-    its own."""
-    return _cochain(alpha.space, _tables(_expand_rows(alpha, leads)))
-
-
-def _expand_rows(
-    alpha: CochainElement, leads: Sequence[Optional[Piece]]
-) -> Iterator[tuple]:
-    """The streams of `_expand`, unsummed."""
-    if alpha.degree not in (None, -1):
-        raise ValueError(
-            f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}"
-        )
-    pool, memo = alpha.pieces(), {}
-    for lead in leads:
-        for divisor, pieces in nonvanishing_inputs(pool, lead):
-            yield from _bracket_rows(pieces, 1, divisor, memo)
+    return _cochain(alpha.space, _tables(_column_rows(_columns(alpha), x.pieces())))
 
 
 def _vanishes(streams: Iterable[tuple]) -> bool:
@@ -710,15 +701,19 @@ def twist_square_defects(alpha: CochainElement, max_arity: int = 2) -> dict:
     """Apply the twisted differential twice to each basis cochain.
 
     Returns a JSON-ready report; when ``alpha`` satisfies the Maurer-Cartan
-    equation every double application must vanish exactly.  The second
-    application is only tested for zero, so its sums stay integer tables.
+    equation every double application must vanish exactly.  Both
+    applications are the column-sum expansion of `twisted_differential`,
+    each algebra piece composed once per split j and position p of the
+    argument, with its signs.  The second is only tested for zero, so its
+    sums stay integer tables, over the columns of ``alpha`` summed once.
     """
     checked = 0
     failures = []
+    columns = _columns(alpha)
     for cochain in basis_cochains(alpha.space, max_arity):
         once = twisted_differential(alpha, cochain)
         checked += 1
-        if not _vanishes(_expand_rows(alpha, once.pieces())):
+        if not _vanishes(_column_rows(columns, once.pieces())):
             piece = cochain.pieces()[0]
             failures.append(
                 {"tag": piece.tag, "arity": piece.arity, "map": piece.map.to_json()}

@@ -14,22 +14,44 @@ the two:
   `generator_differential` grows term by term;
 * `is_associative` and `is_unital` of a based algebra;
 * `insert`, f with one map in one slot and identities elsewhere;
-* `random_tensor`, a seeded random tensor.
+* `random_tensor`, a seeded random tensor;
+* the multiset expansion of the Maurer-Cartan residual and the twisted
+  differential that `linfty` used before its column sums: one bracket per
+  multiset of cochain pieces (`nonvanishing_inputs`), weighted by
+  ``1/prod m_i!`` (`multiset_expansion`), each bracket with its operator
+  signs written out in `_operator_terms`, apart from those of `linfty`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import factorial, prod
+from typing import Iterator, Optional, Sequence
 
 from rbsinfty.graded import (
     BasedAlgebra,
     MultiMap,
     TensorElem,
+    _IntegerTable,
+    _signed_rows,
+    _slot_choices,
     compose_tensor,
     tensor_product_multiply,
+)
+from rbsinfty.linfty import (
+    TAG_ALG,
+    TAG_R,
+    TAG_S,
+    CochainElement,
+    Piece,
+    _chi,
+    _cochain,
+    _orderings,
+    _staircase,
+    _tables,
 )
 from rbsinfty.minimal_model import slot
 from rbsinfty.residuals import HomotopyRBS, _boundary, _check_arity
@@ -207,3 +229,138 @@ def random_tensor(
             continue
         table[factors] = rng.choice(list(coefficients))
     return TensorElem(algebra, order, table)
+
+
+# -- the multiset expansion of the Maurer-Cartan theory -------------------------
+
+
+def nonvanishing_inputs(
+    pool: Sequence[Piece], lead: Optional[Piece] = None
+) -> Iterator[tuple[int, list[Piece]]]:
+    """The input lists ``[lead] + multiset`` whose bracket can be nonzero.
+
+    The multisets are drawn from ``pool`` with repetition, once each up to
+    order, and fit the vanishing rule of `rbsinfty.linfty`: two algebra
+    inputs, or one algebra input of arity ``n`` with ``n`` operator inputs.
+    Each comes with the divisor ``prod m_i!`` of its multiplicities
+    ``m_i``, its weight being ``1/prod m_i!``; ``lead`` is not counted in
+    them.
+    """
+    head = [] if lead is None else [lead]
+    algebra = [p for p in pool if p.tag == TAG_ALG]
+    operators = [p for p in pool if p.tag != TAG_ALG]
+    if lead is None or lead.tag == TAG_ALG:
+        yield from _multisets(head, algebra, 2 - len(head))
+    if lead is not None and lead.tag == TAG_ALG:
+        yield from _multisets(head, operators, lead.arity)
+    else:
+        for F in algebra:
+            yield from _multisets(head + [F], operators, F.arity - len(head))
+
+
+def _multisets(
+    head: list[Piece], items: Sequence[Piece], size: int
+) -> Iterator[tuple[int, list[Piece]]]:
+    """``head`` followed by each ``size``-multiset of ``items``, with the
+    divisor ``prod m_i!``."""
+    for divisor, combo in _weighted_multisets(len(items), size):
+        yield divisor, head + [items[i] for i in combo]
+
+
+def _weighted_multisets(n: int, size: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The ``size``-multisets of ``range(n)``, in order, each with the
+    divisor ``prod m_i!`` of its weight."""
+    return [
+        (prod(factorial(m) for m in Counter(combo).values()), combo)
+        for combo in itertools.combinations_with_replacement(range(n), size)
+    ]
+
+
+def _operator_terms(
+    F: MultiMap, gs: Sequence[MultiMap], hs: Sequence[MultiMap], outer: int,
+    denominator: int, memo: dict,
+) -> Iterator[tuple]:
+    """The bracket of F with the operator maps ``gs`` (first column) and
+    ``hs`` (second) times ``outer / denominator``, as streams of
+    `linfty._tables`: each distinct ordering pair composed once, with the
+    base exponent ``n F.degree + stair(pg) + stair(ph) + (sum |g|)(n - j)``
+    and the climb ``1 + base + c.degree (F.degree + M)`` written out here.
+    The inner composition of a brace term is made once per F and layout of
+    the same maps in ``memo``, keyed by their identity."""
+    n, j = len(gs) + len(hs), len(gs)
+    space = F.space_in
+    degree = F.degree + sum(m.degree for m in [*gs, *hs])
+    shift = sum(m.degree - 1 for m in gs) * (n - j)
+    g_degree = sum(m.degree for m in gs)
+    second = [
+        (ph, chi_h, _staircase([m.degree - 1 for m in ph])) for ph, chi_h in _orderings(hs)
+    ]
+    for pg, chi_g in _orderings(gs):
+        base_g = n * F.degree + _staircase([m.degree - 1 for m in pg]) + shift
+        for ph, chi_h, stair_h in second:
+            sign = outer * chi_g * chi_h
+            base = base_g + stair_h
+            if j in (0, n):
+                yield TAG_R if j == n else TAG_S, degree, *_signed_rows(
+                    F, [pg + ph], space, sign * parity_sign(base), denominator
+                )
+            for tag, column, M in ((TAG_R, pg, 0), (TAG_S, ph, g_degree)):
+                if not column:
+                    continue
+                layout = pg[1:] + [None] + ph if tag == TAG_R else pg + [None] + ph[1:]
+                c = column[0]
+                climb = parity_sign(1 + base + c.degree * (F.degree + M))
+                key = (id(F), *map(id, layout))
+                part = memo.get(key)
+                if part is None:
+                    inner = _IntegerTable()
+                    inner.add(*_signed_rows(F, [layout], space))
+                    part = memo[key] = inner.part(degree - c.degree, space)
+                yield tag, degree, *_signed_rows(
+                    c, _slot_choices(c, [part]), space, sign * climb, denominator
+                )
+
+
+def _bracket_rows(pieces: Sequence[Piece], denominator: int, memo: dict) -> Iterator[tuple]:
+    """The bracket of ``pieces`` over ``denominator``, as streams of
+    `linfty._tables`; nothing when it vanishes."""
+    n = len(pieces)
+    alg_positions = [i for i, p in enumerate(pieces) if p.tag == TAG_ALG]
+    if n == 2 and len(alg_positions) == 2:
+        sf, sh = pieces[0].map, pieces[1].map
+        space, degree = sf.space_in, sf.degree + sh.degree
+        swap = parity_sign(sf.degree * sh.degree)
+        yield TAG_ALG, degree, *_signed_rows(sf, _slot_choices(sf, [sh]), space, 1, denominator)
+        yield TAG_ALG, degree, *_signed_rows(sh, _slot_choices(sh, [sf]), space, -swap, denominator)
+        return
+    a = alg_positions[0]
+    first = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_R]
+    second = [i for i, p in enumerate(pieces) if i != a and p.tag == TAG_S]
+    order = [a] + first + second
+    chi = _chi(tuple(i + 1 for i in order), tuple(p.degree & 1 for p in pieces))
+    yield from _operator_terms(
+        pieces[a].map,
+        [pieces[i].map for i in first],
+        [pieces[i].map for i in second],
+        chi,
+        denominator,
+        memo,
+    )
+
+
+def expand_rows(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> Iterator[tuple]:
+    """The brackets of `nonvanishing_inputs` on the pieces of ``alpha``
+    after each of ``leads``, each weighted by its divisor, as streams of
+    `linfty._tables`; ``alpha`` must have degree -1."""
+    if alpha.degree not in (None, -1):
+        raise ValueError(f"Maurer-Cartan candidates must have degree -1, got {alpha.degree}")
+    pool, memo = alpha.pieces(), {}
+    for lead in leads:
+        for divisor, pieces in nonvanishing_inputs(pool, lead):
+            yield from _bracket_rows(pieces, divisor, memo)
+
+
+def multiset_expansion(alpha: CochainElement, leads: Sequence[Optional[Piece]]) -> CochainElement:
+    """The Maurer-Cartan residual of ``alpha`` (``leads = [None]``) or its
+    twisted differential of the pieces ``leads``, summed over multisets."""
+    return _cochain(alpha.space, _tables(expand_rows(alpha, leads)))

@@ -30,7 +30,6 @@ from rbsinfty.linfty import (
     classical_cochain,
     l_bracket,
     mc_residual,
-    nonvanishing_inputs,
     random_piece,
     suspend_alg_map,
     twisted_differential,
@@ -39,7 +38,7 @@ from rbsinfty.linfty import (
 from rbsinfty.residuals import check_classical_rbs
 from rbsinfty.sampling import random_multimap
 from rbsinfty.signs import koszul_chi
-from oracles import is_associative
+from oracles import is_associative, multiset_expansion, nonvanishing_inputs
 
 # -- shared fixtures ----------------------------------------------------------
 
@@ -389,7 +388,7 @@ def test_mc_degree_guard():
 
 def _oracle_mc_residual(alpha: CochainElement) -> CochainElement:
     """The residual summed over every ordered tuple of pieces, level k
-    scaled by 1/k!: the reference for the multiset expansion."""
+    scaled by 1/k!: the reference for the column-sum expansion."""
     space = alpha.space
     pieces = alpha.pieces()
     total = CochainElement(space)
@@ -414,8 +413,13 @@ def _oracle_twisted_differential(alpha: CochainElement, x: CochainElement):
     return total
 
 
-# a module concentrated in degree zero and a graded one
-MC_SPACES = (PLANE, GradedSpace([("u1", -1), ("u2", 0)]))
+# a module concentrated in degree zero and two graded ones, the last with a
+# vector of degree 1
+MC_SPACES = (
+    PLANE,
+    GradedSpace([("u1", -1), ("u2", 0)]),
+    GradedSpace([("u1", 0), ("u2", 1)]),
+)
 
 
 def random_mc_candidate(rng, space, density=0.5):
@@ -432,26 +436,37 @@ def random_mc_candidate(rng, space, density=0.5):
 
 
 def test_mc_residual_matches_ordered_expansion():
+    # the column sums against the multiset expansion they replaced and the
+    # sum over every ordered tuple of pieces: 210 candidates, 70 per module
     compared = nonzero = 0
-    for seed in range(24):
-        rng = random.Random(seed)
-        alpha = random_mc_candidate(rng, MC_SPACES[seed % 2])
-        residual = mc_residual(alpha)
-        assert residual == _oracle_mc_residual(alpha)
-        compared += 1
-        nonzero += not residual.is_zero()
-    assert nonzero > compared / 2
+    for space in MC_SPACES:
+        for seed in range(70):
+            alpha = random_mc_candidate(random.Random(seed), space, (0.5, 1.0)[seed % 2])
+            residual = mc_residual(alpha)
+            assert residual == multiset_expansion(alpha, [None])
+            assert residual == _oracle_mc_residual(alpha)
+            compared += 1
+            nonzero += not residual.is_zero()
+    assert compared >= 200 and nonzero > compared / 2
 
 
 @pytest.mark.parametrize("space", MC_SPACES)
 def test_twisted_differential_matches_ordered_expansion(space):
+    # every basis cochain to arity 2 (a lead of every parity, tag and
+    # position), and a second application to each piece of its image
     alpha = random_mc_candidate(random.Random(7), space)
     compared = nonzero = 0
     for x in basis_cochains(space, 2):
         once = twisted_differential(alpha, x)
+        assert once == multiset_expansion(alpha, x.pieces())
         assert once == _oracle_twisted_differential(alpha, x)
         compared += 1
         nonzero += not once.is_zero()
+        for piece in once.pieces():
+            twice = twisted_differential(alpha, piece)
+            assert twice == multiset_expansion(alpha, [piece])
+            compared += 1
+            nonzero += not twice.is_zero()
     assert nonzero > compared / 2
 
 

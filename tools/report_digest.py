@@ -3,8 +3,9 @@
 A report is the exit code, the stdout and the stderr of
 ``rbsinfty.cli.main`` for one command line.  The command lines are the jobs
 of the benchmark workloads (``perfbench/workloads.py``, only read) at the
-given seeds, the longer verifications in ``EXTRA``, one command per saved
-input ``tests/data/*_input.json``, the help and refused lines in
+given seeds, the longer verifications in ``EXTRA``, ``check mc`` on the
+dense cochains of ``tools/dense_cochain.py`` in ``DENSE``, one command per
+saved input ``tests/data/*_input.json``, the help and refused lines in
 ``PARSER_LINES``, which argparse answers, and the saved inputs with a field
 outside their format in ``UNKNOWN_FIELDS``.  Running it in two checkouts and
 comparing the outputs shows whether a change keeps every report and every
@@ -21,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -28,7 +30,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "tools"))
 
+from dense_cochain import dense_cochain  # noqa: E402
 from perfbench.workloads import JOB_LISTS, build  # noqa: E402
 from rbsinfty import cli  # noqa: E402
 
@@ -44,6 +48,11 @@ EXTRA = (
     ["verify", "homotopy", "--max-arity", "2", "--max-weight", "7"],
     ["verify", "homotopy", "--max-arity", "3", "--max-weight", "5"],
 )
+
+# ``(degrees, seed, truncations)`` of the dense cochains that ``check mc`` reads,
+# as ``tools/dense_cochain.py --degrees -1 0 --seed 1 --truncation T`` writes
+# them: up to four pieces per column at T = 4
+DENSE = ([-1, 0], 1, (3, 4))
 
 # help and refused lines, which the command table leaves to argparse, and a
 # missing file; MC is a saved input, and the missing file is named relative
@@ -139,6 +148,12 @@ def command_lines(workloads, seeds, workdir: Path):
                 yield f"{name} {seed}: {job['label']}", job["argv"]
     for argv in EXTRA:
         yield " ".join(argv), argv
+    degrees, seed, truncations = DENSE
+    for truncation in truncations:
+        path = workdir / f"dense-{truncation}.json"
+        cochain = dense_cochain(random.Random(seed), degrees, truncation)
+        path.write_text(json.dumps(cochain), encoding="utf-8")
+        yield f"check mc dense truncation {truncation}", ["check", "mc", str(path)]
     for path in sorted((ROOT / "tests" / "data").glob("*_input.json")):
         for command in DATA_COMMANDS[path.name.split("_")[0]]:
             yield f"{' '.join(command)} {path.name}", command + [str(path)]
